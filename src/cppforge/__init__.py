@@ -42,7 +42,6 @@ from .construct import (
     named_construction,
     pick_h,
     random_additive_pp,
-    sigma_from_matrix,
     tau_to_table,
 )
 from .verify import VerificationReport, claims, verify_all, verify_claim

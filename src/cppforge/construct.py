@@ -26,7 +26,7 @@ import numpy as np
 from .errors import CharacteristicDividesR, HypothesisViolated, InvalidSpec
 from .gf import FieldCtx, field_new, parse_field_spec
 from .linalg import Mat, companion, char_poly, random_invertible
-from .perm import PermTable, space
+from .perm import PermTable, linear_table, space
 from .poly import Poly, cyclotomic, irreducible_factors
 
 
@@ -80,51 +80,30 @@ class TauSpec:
 
 def tau_to_table(spec: TauSpec, ctx: FieldCtx, d: int) -> PermTable:
     """Materialize a TauSpec as a bijective PermTable."""
-    sp = space(ctx, d)
+    space(ctx, d)  # raises SizeCap before any table is built
     if spec.kind == "identity":
         return PermTable.identity(ctx, d)
     if spec.kind == "coordinate":
         if spec.perms is None or len(spec.perms) != d:
             raise InvalidSpec(f"coordinate spec needs {d} permutations")
-        luts = []
-        for a in spec.perms:
+        # sum_j a_j(x_j) * q^j, one coordinate per outer addition
+        out = np.zeros(1, dtype=np.int64)
+        for j, a in enumerate(spec.perms):
             if sorted(a) != list(range(ctx.q)):
                 raise InvalidSpec("coordinate map is not a permutation of F_q")
-            luts.append(np.array(a, dtype=np.int64))
-        dig = sp.dig
-        cols = [luts[j][dig[:, j]] for j in range(d)]
-        return PermTable(ctx, d, sp.pack(cols), bijective=True)
+            out = np.add.outer(np.array(a, dtype=np.int64) * ctx.q ** j, out).ravel()
+        return PermTable(ctx, d, out, bijective=True)
     if spec.kind == "additive-linear":
         total = ctx.m * d
         if spec.matrix is None or len(spec.matrix) != total:
             raise InvalidSpec(f"additive-linear spec needs a {total}x{total} matrix")
-        fp = field_new(ctx.p)
-        m = Mat(fp, spec.matrix)
+        m = Mat(field_new(ctx.p), spec.matrix)
         if m.det() == 0:
             raise InvalidSpec("additive-linear matrix is singular")
-        p = ctx.p
-        # column images of the F_p digit basis, as packed indices
-        cols = []
-        for k in range(total):
-            packed = 0
-            for i in range(total):
-                packed += m.rows[i][k] * p ** i
-            cols.append(packed)
-        out = np.zeros(sp.n, dtype=np.int64)
-        idx = sp.arange
-        for k in range(total):
-            digit = (idx // p ** k) % p
-            col = cols[k]
-            # add digit * col_k coordinatewise; digit < p so precompute the
-            # p scalar multiples and gather
-            acc = 0
-            by_value = [0]
-            for _ in range(p - 1):
-                acc = sp.vadd(acc, col)
-                by_value.append(acc)
-            lut = np.array(by_value, dtype=np.int64)
-            out = sp.vadd(out, lut[digit])
-        return PermTable(ctx, d, out, bijective=True)
+        # column k of the F_p matrix, read as base-p digits, is the image of p^k
+        images = [sum(row[k] * ctx.p ** i for i, row in enumerate(m.rows))
+                  for k in range(total)]
+        return PermTable(ctx, d, linear_table(ctx, d, images), bijective=True)
     raise InvalidSpec(f"unknown tau kind {spec.kind!r}")
 
 
@@ -186,11 +165,6 @@ def random_additive_pp(ctx: FieldCtx, d: int, seed) -> TauSpec:
 # Core builders
 # ---------------------------------------------------------------------------
 
-def sigma_from_matrix(m: Mat) -> PermTable:
-    """Table of v -> Mv (bijectivity recorded, not required)."""
-    return PermTable.from_matrix(m)
-
-
 @dataclass(frozen=True)
 class ConstructionSpec:
     """A fully pinned construction: field, target r, h, M and the taus."""
@@ -238,7 +212,7 @@ class ConstructionSpec:
 def build(spec: ConstructionSpec) -> PermTable:
     """Materialize tau1 o sigma_M o tau2 as a table."""
     t1 = tau_to_table(spec.tau1, spec.field, spec.d)
-    sig = sigma_from_matrix(spec.matrix)
+    sig = PermTable.from_matrix(spec.matrix)
     if spec.mode == "conjugation":
         t2 = t1.invert()
     else:

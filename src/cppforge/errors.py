@@ -61,8 +61,8 @@ class SizeCap(CppforgeError):
     """Requested object exceeds the hard size cap."""
 
 
-class InvalidSpec(CppforgeError):
-    """Malformed coordinate-map or construction description."""
+class InvalidSpec(CppforgeError, ValueError):
+    """Malformed field spec, cyclotomic index, coordinate map or construction."""
 
 
 class HypothesisViolated(CppforgeError):

@@ -20,6 +20,7 @@ from .errors import (
     CtxMismatch,
     DegreeMismatch,
     DivisionByZero,
+    InvalidSpec,
     NotASubfieldRelation,
     NotPrime,
     ReducibleModulus,
@@ -505,14 +506,18 @@ def field_new(p: int, m: int = 1, modulus=None) -> FieldCtx:
 def parse_field_spec(spec: str) -> FieldCtx:
     """Parse ``p^m`` or ``p^m/c0,c1,...,cm`` into a context."""
     body, _, modpart = spec.partition("/")
-    if "^" in body:
-        p_s, _, m_s = body.partition("^")
-        p, m = int(p_s), int(m_s)
-    else:
-        p, m = int(body), 1
-    modulus = None
-    if modpart:
-        modulus = [int(c) for c in modpart.split(",")]
+    try:
+        if "^" in body:
+            p_s, _, m_s = body.partition("^")
+            p, m = int(p_s), int(m_s)
+        else:
+            p, m = int(body), 1
+        modulus = None
+        if modpart:
+            modulus = [int(c) for c in modpart.split(",")]
+    except ValueError:
+        raise InvalidSpec(f"malformed field spec {spec!r} "
+                          "(expected p^m or p^m/c0,c1,...,cm)") from None
     return field_new(p, m, modulus)
 
 

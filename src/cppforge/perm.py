@@ -6,6 +6,10 @@ indices are themselves base-p digit strings, the packed index is exactly the
 base-p digit string of all m*d coordinates, which makes coordinatewise field
 addition a digitwise base-p operation on packed indices (XOR when p = 2).
 
+Every F_p-linear map on F_q^d -- v -> Mv, an additive outer map, the
+reference map of the additivity test -- is tabulated by ``linear_table``
+from the images of the m*d digit basis vectors p^k.
+
 Tables are stored as immutable numpy int64 arrays of length q^d, hard-capped
 at 2^20 entries.  Tables are immutable after construction; building a table
 is single-threaded but independent tables can be built concurrently.
@@ -36,7 +40,6 @@ class VecSpace:
         self.n = ctx.q ** d
         if self.n > TABLE_CAP:
             raise SizeCap(f"q^d = {self.n} exceeds the {TABLE_CAP} table cap")
-        self._dig = None
         self._arange = None
 
     @property
@@ -46,31 +49,6 @@ class VecSpace:
             a.flags.writeable = False
             self._arange = a
         return self._arange
-
-    @property
-    def dig(self):
-        """(n, d) matrix of coordinate indices for every packed index."""
-        if self._dig is None:
-            q = self.ctx.q
-            m = np.empty((self.n, self.d), dtype=np.int64)
-            v = self.arange.copy()
-            for j in range(self.d):
-                m[:, j] = v % q
-                v //= q
-            m.flags.writeable = False
-            self._dig = m
-        return self._dig
-
-    def pack(self, digits) -> np.ndarray:
-        q = self.ctx.q
-        acc = np.zeros(len(digits[0]) if isinstance(digits, list) else digits.shape[0],
-                       dtype=np.int64)
-        w = 1
-        cols = digits if isinstance(digits, list) else [digits[:, j] for j in range(self.d)]
-        for col in cols:
-            acc += col * w
-            w *= q
-        return acc
 
     def pack_point(self, coords) -> int:
         q = self.ctx.q
@@ -92,24 +70,11 @@ class VecSpace:
         p = self.ctx.p
         if p == 2:
             return a ^ b
-        total = self.ctx.m * self.d
-        acc = (np.zeros_like(a) if isinstance(a, np.ndarray)
-               else np.zeros_like(b) if isinstance(b, np.ndarray) else 0)
-        w = 1
-        for _ in range(total):
-            acc = acc + (((a // w) % p + (b // w) % p) % p) * w
-            w *= p
-        return acc
-
-    def vneg(self, a):
-        p = self.ctx.p
-        if p == 2:
-            return a
-        total = self.ctx.m * self.d
-        acc = np.zeros_like(a) if isinstance(a, np.ndarray) else 0
-        w = 1
-        for _ in range(total):
-            acc = acc + ((p - (a // w) % p) % p) * w
+        acc, w = 0, 1
+        for _ in range(self.ctx.m * self.d):
+            a, da = np.divmod(a, p)
+            b, db = np.divmod(b, p)
+            acc = acc + (da + db) % p * w
             w *= p
         return acc
 
@@ -121,6 +86,32 @@ def space(ctx: FieldCtx, d: int) -> VecSpace:
         sp = VecSpace(ctx, d)
         _SPACES[key] = sp
     return sp
+
+
+def linear_table(ctx: FieldCtx, d: int, images) -> np.ndarray:
+    """Packed table of the F_p-linear map on F_q^d with p^k -> images[k].
+
+    p^k (k < m*d) is the packed index whose only nonzero base-p digit is
+    digit k; images[k] is its packed image.  The table doubles block by
+    block: entries [c*p^k, (c+1)*p^k) are entries [0, p^k) plus
+    c*images[k], for c = 1..p-1.
+    """
+    sp = space(ctx, d)
+    p = ctx.p
+    imgs = np.asarray(images, dtype=np.int64)
+    if imgs.shape != (ctx.m * d,):
+        raise DimMismatch(f"need {ctx.m * d} digit images, got shape {imgs.shape}")
+    pw = p ** np.arange(ctx.m * d)
+    digits = imgs[:, None] // pw % p
+    # mults[k, c-1] = c * images[k], scaled digit by digit
+    mults = (np.arange(1, p)[:, None] * digits[:, None, :] % p * pw).sum(axis=2)
+    out = np.empty(sp.n, dtype=np.int64)
+    out[0] = 0
+    size = 1
+    for row in mults:
+        out[size:p * size] = sp.vadd(out[:size], row[:, None]).ravel()
+        size *= p
+    return out
 
 
 @dataclass(frozen=True)
@@ -186,27 +177,15 @@ class PermTable:
         return cls(ctx, d, out)
 
     @classmethod
-    def from_matrix(cls, m: Mat, d: int | None = None) -> "PermTable":
+    def from_matrix(cls, m: Mat) -> "PermTable":
         """Table of v -> Mv.  Bijective exactly when det(M) != 0."""
         ctx = m.ctx
-        d = m.n if d is None else d
-        if m.n != d:
-            raise DimMismatch("matrix dimension must match d")
-        sp = space(ctx, d)
-        dig = sp.dig
-        q = ctx.q
-        out_cols = []
-        for i in range(d):
-            acc = None
-            for j in range(d):
-                a = m.rows[i][j]
-                if a == 0:
-                    continue
-                lut = np.array([ctx.mul(a, x) for x in range(q)], dtype=np.int64)
-                col = lut[dig[:, j]]
-                acc = col if acc is None else _field_add_arrays(ctx, acc, col)
-            out_cols.append(acc if acc is not None else np.zeros(sp.n, dtype=np.int64))
-        return cls(ctx, d, sp.pack(out_cols))
+        p, q = ctx.p, ctx.q
+        # digit j*m + t of v is the p^t component of coordinate j; its image
+        # is column j of M scaled by the field element with index p^t
+        images = [sum(ctx.mul(row[j], p ** t) * q ** i for i, row in enumerate(m.rows))
+                  for j in range(m.n) for t in range(ctx.m)]
+        return cls(ctx, m.n, linear_table(ctx, m.n, images))
 
     # -- protocol ---------------------------------------------------------------
 
@@ -324,23 +303,18 @@ class PermTable:
     def is_additive(self, mode: str = "generator") -> bool:
         """Additivity f(x+y) = f(x)+f(y) for all x, y.
 
-        ``generator`` checks y over an F_p spanning set (each base-p digit
-        position), which suffices by induction on digit decompositions;
-        ``exhaustive`` checks every pair.  Both modes agree.
+        ``generator`` compares the table with the F_p-linear map that agrees
+        with it on the digit basis p^k: an additive map is F_p-linear, so it
+        is determined by those images.  ``exhaustive`` checks every pair.
+        Both modes agree.
         """
         sp = space(self.ctx, self.d)
         tbl = self.table
         if int(tbl[0]) != 0:
             return False
         if mode == "generator":
-            total = self.ctx.m * self.d
-            for k in range(total):
-                b = self.ctx.p ** k
-                lhs = tbl[sp.vadd(sp.arange, b)]
-                rhs = sp.vadd(tbl, int(tbl[b]))
-                if not np.array_equal(lhs, rhs):
-                    return False
-            return True
+            images = tbl[self.ctx.p ** np.arange(self.ctx.m * self.d)]
+            return bool(np.array_equal(tbl, linear_table(self.ctx, self.d, images)))
         if mode == "exhaustive":
             for y in range(sp.n):
                 lhs = tbl[sp.vadd(sp.arange, y)]
@@ -361,57 +335,3 @@ class PermTable:
         from .gf import parse_field_spec
 
         return cls(parse_field_spec(data["field"]), data["d"], data["table"])
-
-
-def _field_add_arrays(ctx: FieldCtx, a, b):
-    """Field addition on arrays of element indices (values < q)."""
-    p = ctx.p
-    if p == 2:
-        return a ^ b
-    acc = np.zeros_like(a)
-    w = 1
-    for _ in range(ctx.m):
-        acc += (((a // w) % p + (b // w) % p) % p) * w
-        w *= p
-    return acc
-
-
-# Functional aliases for the table operations.
-def from_fn(ctx: FieldCtx, d: int, rule) -> PermTable:
-    return PermTable.from_fn(ctx, d, rule)
-
-
-def identity(ctx: FieldCtx, d: int) -> PermTable:
-    return PermTable.identity(ctx, d)
-
-
-def compose(f: PermTable, g: PermTable) -> PermTable:
-    return f.compose(g)
-
-
-def invert(f: PermTable) -> PermTable:
-    return f.invert()
-
-
-def add_pointwise(f: PermTable, g: PermTable) -> PermTable:
-    return f.add_pointwise(g)
-
-
-def npower(f: PermTable, n: int) -> PermTable:
-    return f.npower(n)
-
-
-def cycle_structure(f: PermTable) -> CycleStructure:
-    return f.cycle_structure()
-
-
-def is_r_regular(f: PermTable, r: int) -> bool:
-    return f.is_r_regular(r)
-
-
-def is_cpp(f: PermTable) -> bool:
-    return f.is_cpp()
-
-
-def is_additive(f: PermTable, mode: str = "generator") -> bool:
-    return f.is_additive(mode)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import CharacteristicDividesN, CtxMismatch, DivisionByZero
+from .errors import CharacteristicDividesN, CtxMismatch, DivisionByZero, InvalidSpec
 from .gf import FElem, FieldCtx
 
 
@@ -308,7 +308,7 @@ def cyclotomic(n: int, ctx: FieldCtx) -> Poly:
     the proper divisors by exact division.  Requires gcd(n, p) = 1.
     """
     if n < 1:
-        raise ValueError("cyclotomic index must be positive")
+        raise InvalidSpec(f"cyclotomic index must be positive (got {n})")
     if n % ctx.p == 0:
         raise CharacteristicDividesN(
             f"characteristic {ctx.p} divides cyclotomic index {n}")

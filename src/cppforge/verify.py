@@ -29,7 +29,7 @@ from .construct import TauSpec, matrix_with_char_poly, random_additive_pp, tau_t
 from .errors import HypothesisViolated, UnknownClaim
 from .gf import FieldCtx, is_prime, parse_field_spec
 from .linalg import Mat, companion, random_invertible
-from .perm import PermTable
+from .perm import TABLE_CAP, PermTable
 from .poly import Poly, cyclotomic, gcd as poly_gcd, irreducible_factors, monic_polys
 
 SCHEMA = "cppforge/1"
@@ -441,7 +441,7 @@ def _p4_dim(claim_id: str, params: dict) -> int:
         return 4
     if claim_id == "p4.5":
         return 6
-    if claim_id == "p4.10":
+    if claim_id.startswith("p4.10"):
         return int(params["r"]) - 1
     return 3  # p4.6-p4.9
 
@@ -887,6 +887,7 @@ def verify_claim(claim_id: str, grid=None, master_seed=DEFAULT_SEED,
     c = REGISTRY[claim_id]
     if cap is None:
         cap = QUICK_CAP if profile == "quick" else FULL_CAP
+    cap = min(cap, TABLE_CAP)  # larger points are skipped, never built
     if grid is None:
         grid = c.quick if profile == "quick" else c.full
     reports = []

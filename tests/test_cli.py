@@ -34,6 +34,13 @@ def test_cyclotomic_char_divides(capsys):
     assert code == 2 and "CharacteristicDividesN" in err
 
 
+def test_cyclotomic_malformed_input_exit_2(capsys):
+    for argv in (("6", "abc"), ("0", "2^1")):
+        code, out, err = run(capsys, "cyclotomic", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidSpec:") and err.count("\n") == 1
+
+
 def test_construct_cycles_p43(capsys):
     code, out, _ = run(capsys, "construct", "p4.3", "--q", "2",
                        "--emit", "cycles", "--format", "json")
@@ -95,6 +102,13 @@ def test_verify_prefix_with_overrides(capsys):
     code, out, _ = run(capsys, "verify", "p4.10", "--r", "9", "--q", "2")
     assert code == 0
     assert "PASS" in out and "witness" in out
+
+
+def test_verify_cap_above_table_cap_skips(capsys):
+    code, out, _ = run(capsys, "verify", "p4.10.2", "--r", "23", "--q", "2",
+                       "--cap", "99999999")
+    assert code == 0
+    assert out.startswith("HYPOTHESIS-SKIPPED") and len(out.splitlines()) == 1
 
 
 def test_verify_unknown_claim_exit_2(capsys):

@@ -7,13 +7,13 @@ from cppforge import gf
 from cppforge.construct import (
     ConstructionSpec, TauSpec, build, matrix_with_char_poly, named_construction,
     pick_h, random_additive_pp, random_non_additive_pp, random_odd_pp,
-    random_pp, sigma_from_matrix, tau_to_table, NAMED_IDS,
+    random_pp, tau_to_table, NAMED_IDS,
 )
 from cppforge.errors import (
     CharacteristicDividesR, HypothesisViolated, InvalidSpec,
 )
-from cppforge.linalg import Mat, companion, char_poly
-from cppforge.perm import PermTable, add_pointwise, cycle_structure, is_additive
+from cppforge.linalg import Mat, companion, char_poly, random_invertible, random_matrix
+from cppforge.perm import PermTable, space
 from cppforge.poly import cyclotomic, parse_poly
 
 F2 = gf.field_new(2)
@@ -24,11 +24,54 @@ F7 = gf.field_new(7)
 
 
 def test_sigma_from_matrix_examples():
-    assert sigma_from_matrix(Mat.identity(F5, 2)) == PermTable.identity(F5, 2)
-    s = sigma_from_matrix(companion(cyclotomic(3, F2)))
+    assert PermTable.from_matrix(Mat.identity(F5, 2)) == PermTable.identity(F5, 2)
+    s = PermTable.from_matrix(companion(cyclotomic(3, F2)))
     assert s.bijective and s.is_r_regular(3)
-    sing = sigma_from_matrix(Mat(F5, [[1, 2], [2, 4]]))
+    sing = PermTable.from_matrix(Mat(F5, [[1, 2], [2, 4]]))
     assert not sing.bijective
+
+
+@pytest.mark.parametrize("q,dims", [
+    (2, (1, 3, 8)), (3, (1, 2, 5)), (4, (1, 2, 4)),
+    (5, (1, 2, 3)), (7, (1, 2, 3)), (9, (1, 2, 3)),
+])
+def test_linear_tables_match_point_maps(q, dims):
+    """from_matrix and both tau kinds agree with from_fn on their point rules."""
+    ctx = gf.field_from_order(q)
+    p, m = ctx.p, ctx.m
+    rng = Random(q)
+    for d in dims:
+        mat = random_matrix(ctx, d, rng)
+        rows = [list(r) for r in mat.rows]
+        rows[-1] = rows[0] if d > 1 else [0]
+        for mm in (mat, Mat(ctx, rows)):
+            tbl = PermTable.from_matrix(mm)
+            assert tbl == PermTable.from_fn(ctx, d, mm.apply)
+            assert tbl.bijective == (mm.det() != 0)
+
+        spec = random_additive_pp(ctx, d, rng)
+
+        def additive_rule(v):
+            digits = [(x // p ** t) % p for x in v for t in range(m)]
+            out = [sum(a * b for a, b in zip(row, digits)) % p for row in spec.matrix]
+            return [sum(out[j * m + t] * p ** t for t in range(m)) for j in range(d)]
+
+        assert tau_to_table(spec, ctx, d) == PermTable.from_fn(ctx, d, additive_rule)
+
+        perms = [random_pp(q, rng) for _ in range(d)]
+        coord = tau_to_table(TauSpec.coordinate(perms), ctx, d)
+        assert coord == PermTable.from_fn(
+            ctx, d, lambda v: [perms[j][x] for j, x in enumerate(v)])
+
+
+def test_from_matrix_at_table_cap_matches_apply():
+    d = 20
+    mat = random_invertible(F2, d, Random(20))
+    tbl = PermTable.from_matrix(mat)
+    assert tbl.n == 1 << 20 and tbl.bijective
+    sp = space(F2, d)
+    for idx in Random(21).sample(range(tbl.n), 200):
+        assert tbl(idx) == sp.pack_point(mat.apply(sp.unpack_point(idx)))
 
 
 def test_tau_to_table_examples():
@@ -37,10 +80,10 @@ def test_tau_to_table_examples():
     a1 = random_non_additive_pp(F4, rng)
     spec = TauSpec.coordinate((a1, tuple(range(4))))
     t = tau_to_table(spec, F4, 2)
-    assert t.bijective and not is_additive(t)
+    assert t.bijective and not t.is_additive()
     add_spec = random_additive_pp(F4, 2, 123)
     t2 = tau_to_table(add_spec, F4, 2)
-    assert t2.bijective and is_additive(t2)
+    assert t2.bijective and t2.is_additive()
 
 
 def test_tau_to_table_invalid_specs():
@@ -57,14 +100,14 @@ def test_build_trivial_taus_is_sigma():
     m = companion(h)
     spec = ConstructionSpec("x", F5, 2, 3, h, m, TauSpec.identity(),
                             TauSpec.identity(), "sandwich")
-    assert build(spec) == sigma_from_matrix(m)
+    assert build(spec) == PermTable.from_matrix(m)
 
 
 def test_build_conjugation_preserves_cycles():
     spec = named_construction("p4.3", {"q": 3, "seed": 7})
     tbl = build(spec)
-    base = sigma_from_matrix(spec.matrix)
-    assert cycle_structure(tbl) == cycle_structure(base)
+    base = PermTable.from_matrix(spec.matrix)
+    assert tbl.cycle_structure() == base.cycle_structure()
 
 
 def test_named_p413_q4_and_p423_q5():
@@ -127,7 +170,7 @@ def test_random_additive_pp_contract():
     assert s1.matrix == ((1,),)  # only invertible 1x1 over F_2
     for seed in range(5):
         spec = random_additive_pp(F3, 2, seed)
-        assert is_additive(tau_to_table(spec, F3, 2))
+        assert tau_to_table(spec, F3, 2).is_additive()
 
 
 def test_random_generators():
@@ -139,7 +182,7 @@ def test_random_generators():
     for x in range(7):
         assert odd[F7.neg(x)] == F7.neg(odd[x])
     na = random_non_additive_pp(F4, Random(3))
-    assert not is_additive(PermTable(F4, 1, na))
+    assert not PermTable(F4, 1, na).is_additive()
 
 
 def test_additive_conjugation_identity():
@@ -151,11 +194,11 @@ def test_additive_conjugation_identity():
         m = companion(h)
         tau_spec = random_additive_pp(ctx, h.degree, 99)
         t1 = tau_to_table(tau_spec, ctx, h.degree)
-        sig = t1.compose(sigma_from_matrix(m).compose(t1.invert()))
+        sig = t1.compose(PermTable.from_matrix(m).compose(t1.invert()))
         e = PermTable.identity(ctx, h.degree)
-        lhs = add_pointwise(sig, e)
+        lhs = sig.add_pointwise(e)
         rhs = t1.compose(
-            sigma_from_matrix(m + Mat.identity(ctx, h.degree)).compose(t1.invert()))
+            PermTable.from_matrix(m + Mat.identity(ctx, h.degree)).compose(t1.invert()))
         assert lhs == rhs
 
 
@@ -198,7 +241,7 @@ def test_regression_p2_full_cycle_h_is_not_cpp():
     # singular: the odd-prime CPP family needs h(-1) != 0, which fails here.
     h = parse_poly("t^3+1", F2)
     assert h.eval_idx(F2.neg(1)) == 0
-    s = sigma_from_matrix(companion(h))
+    s = PermTable.from_matrix(companion(h))
     assert s.bijective and s.npower(3) == PermTable.identity(F2, 3)
     assert s.is_r_regular(3)
     assert not s.is_cpp()
@@ -209,9 +252,9 @@ def test_regression_fixed_point_gap_keeps_regularity():
     # but every non-fixed cycle still has length 9: the l = 1 component only
     # adds fixed points, which regularity ignores.
     h = parse_poly("t-1", F5) * cyclotomic(9, F5)
-    s = sigma_from_matrix(companion(h))
+    s = PermTable.from_matrix(companion(h))
     assert s.is_cpp()
-    cs = cycle_structure(s)
+    cs = s.cycle_structure()
     assert cs.fixed_points == 5
     assert all(l == 9 for l, _ in cs.cycles)
 

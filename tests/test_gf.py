@@ -5,8 +5,8 @@ import pytest
 
 from cppforge import gf
 from cppforge.errors import (
-    CtxMismatch, DegreeMismatch, DivisionByZero, NotASubfieldRelation,
-    NotPrime, ReducibleModulus,
+    CtxMismatch, DegreeMismatch, DivisionByZero, InvalidSpec,
+    NotASubfieldRelation, NotPrime, ReducibleModulus,
 )
 
 AXIOM_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -199,6 +199,10 @@ def test_field_spec_strings():
     f9 = gf.field_new(3, 2, [2, 1, 1])  # t^2+t+2, irreducible over F_3
     assert f9.spec() == "3^2/2,1,1"
     assert gf.parse_field_spec(f9.spec()).key == f9.key
+    for bad in ("abc", "2^", "2^2/1,x"):
+        with pytest.raises(InvalidSpec):
+            gf.parse_field_spec(bad)
+    assert issubclass(InvalidSpec, ValueError)
 
 
 def test_field_from_order():

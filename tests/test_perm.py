@@ -6,10 +6,7 @@ import pytest
 from cppforge import gf
 from cppforge.errors import NotBijective, SizeCap
 from cppforge.linalg import Mat, companion, random_matrix
-from cppforge.perm import (
-    CycleStructure, PermTable, add_pointwise, compose, cycle_structure,
-    invert, is_additive, is_cpp, is_r_regular, npower, space,
-)
+from cppforge.perm import CycleStructure, PermTable, space
 from cppforge.poly import cyclotomic
 
 F2 = gf.field_new(2)
@@ -54,15 +51,15 @@ def test_from_fn_examples():
 def test_compose_invert_examples():
     s = PermTable.from_matrix(companion(cyclotomic(3, F2)))
     e = PermTable.identity(F2, 2)
-    assert compose(s, invert(s)) == e
-    assert invert(invert(s)) == s
+    assert s.compose(s.invert()) == e
+    assert s.invert().invert() == s
     with pytest.raises(NotBijective):
-        invert(PermTable.from_fn(F2, 2, lambda v: (0, 0)))
+        PermTable.from_fn(F2, 2, lambda v: (0, 0)).invert()
 
 
 def test_add_pointwise_examples():
     e = PermTable.identity(F2, 2)
-    doubled = add_pointwise(e, e)
+    doubled = e.add_pointwise(e)
     assert not doubled.bijective and set(doubled.table.tolist()) == {0}
     # sigma_M + e bijective iff det(M + I) != 0, exhaustively over small randoms
     rng = Random(2)
@@ -71,37 +68,37 @@ def test_add_pointwise_examples():
         e_tbl = PermTable.identity(ctx, d)
         for _ in range(20):
             m = random_matrix(ctx, d, rng)
-            got = add_pointwise(PermTable.from_matrix(m), e_tbl).bijective
+            got = PermTable.from_matrix(m).add_pointwise(e_tbl).bijective
             assert got == ((m + ident).det() != 0)
 
 
 def test_npower_examples():
     s = PermTable.from_matrix(companion(cyclotomic(3, F2)))
     e = PermTable.identity(F2, 2)
-    assert npower(s, 0) == e
-    assert npower(s, 3) == e
-    assert npower(s, -1) == invert(s)
-    assert npower(s, 7) == s  # 7 = 3+3+1
+    assert s.npower(0) == e
+    assert s.npower(3) == e
+    assert s.npower(-1) == s.invert()
+    assert s.npower(7) == s  # 7 = 3+3+1
     rng = Random(6)
     perm = list(range(16))
     rng.shuffle(perm)
     f = PermTable(F2, 4, perm)
     for a, b in ((2, 3), (4, 5), (0, 6)):
-        assert npower(f, a + b) == compose(npower(f, a), npower(f, b))
+        assert f.npower(a + b) == f.npower(a).compose(f.npower(b))
     with pytest.raises(NotBijective):
-        npower(PermTable.from_fn(F2, 2, lambda v: (0, 0)), -1)
+        PermTable.from_fn(F2, 2, lambda v: (0, 0)).npower(-1)
 
 
 def test_cycle_structure_examples():
     e = PermTable.identity(F4, 2)
-    cs = cycle_structure(e)
+    cs = e.cycle_structure()
     assert cs.fixed_points == 16 and cs.cycles == ()
     s2 = PermTable.from_matrix(companion(cyclotomic(3, F2)))
-    assert cycle_structure(s2).to_json() == {"fixed": 1, "cycles": {"3": 1}}
+    assert s2.cycle_structure().to_json() == {"fixed": 1, "cycles": {"3": 1}}
     s4 = PermTable.from_matrix(companion(cyclotomic(3, F4)))
-    assert cycle_structure(s4).to_json() == {"fixed": 1, "cycles": {"3": 5}}
+    assert s4.cycle_structure().to_json() == {"fixed": 1, "cycles": {"3": 5}}
     with pytest.raises(NotBijective):
-        cycle_structure(PermTable.from_fn(F2, 2, lambda v: (0, 0)))
+        PermTable.from_fn(F2, 2, lambda v: (0, 0)).cycle_structure()
 
 
 def test_cycle_structure_matches_naive_oracle():
@@ -112,39 +109,39 @@ def test_cycle_structure_matches_naive_oracle():
             perm = list(range(n))
             rng.shuffle(perm)
             t = PermTable(ctx, d, perm)
-            assert cycle_structure(t) == naive_cycle_structure(perm)
-            assert cycle_structure(t).total() == n
+            assert t.cycle_structure() == naive_cycle_structure(perm)
+            assert t.cycle_structure().total() == n
 
 
 def test_is_r_regular_examples():
     e = PermTable.identity(F4, 2)
-    assert is_r_regular(e, 5) and is_r_regular(e, 2)  # vacuous: no non-fixed cycles
+    assert e.is_r_regular(5) and e.is_r_regular(2)  # vacuous: no non-fixed cycles
     s = PermTable.from_matrix(companion(cyclotomic(3, F2)))
-    assert is_r_regular(s, 3) and not is_r_regular(s, 5)
+    assert s.is_r_regular(3) and not s.is_r_regular(5)
     # h | Q_9 over F_2 gives a 9-regular instance (composite-r regularity)
     h = cyclotomic(9, F2)
     s9 = PermTable.from_matrix(companion(h))
-    assert is_r_regular(s9, 9)
-    assert cycle_structure(s9).to_json() == {"fixed": 1, "cycles": {"9": 7}}
+    assert s9.is_r_regular(9)
+    assert s9.cycle_structure().to_json() == {"fixed": 1, "cycles": {"9": 7}}
 
 
 def test_is_cpp_examples():
     e2 = PermTable.identity(F2, 2)
-    assert not is_cpp(e2)  # x + x is constant in characteristic 2
+    assert not e2.is_cpp()  # x + x is constant in characteristic 2
     s = PermTable.from_matrix(companion(cyclotomic(3, F2)))
-    assert is_cpp(s)
-    assert not is_cpp(PermTable.from_fn(F2, 2, lambda v: (0, 0)))
+    assert s.is_cpp()
+    assert not PermTable.from_fn(F2, 2, lambda v: (0, 0)).is_cpp()
 
 
 def test_is_additive_examples():
     e = PermTable.identity(F4, 1)
-    assert is_additive(e)
+    assert e.is_additive()
     sq = PermTable.from_fn(F4, 1, lambda v: (F4.pow(v[0], 2),))
     cube = PermTable.from_fn(F4, 1, lambda v: (F4.pow(v[0], 3),))
-    assert is_additive(sq) and is_additive(sq, "exhaustive")
-    assert not is_additive(cube) and not is_additive(cube, "exhaustive")
+    assert sq.is_additive() and sq.is_additive("exhaustive")
+    assert not cube.is_additive() and not cube.is_additive("exhaustive")
     with pytest.raises(ValueError):
-        is_additive(e, "nonsense")
+        e.is_additive("nonsense")
 
 
 def test_is_additive_modes_agree():
@@ -159,7 +156,7 @@ def test_is_additive_modes_agree():
         m = random_matrix(ctx, d, rng)
         tables.append(PermTable.from_matrix(m))
     for t in tables:
-        assert is_additive(t, "generator") == is_additive(t, "exhaustive")
+        assert t.is_additive("generator") == t.is_additive("exhaustive")
 
 
 def test_conjugation_preserves_cycle_structure():
@@ -174,8 +171,8 @@ def test_conjugation_preserves_cycle_structure():
             rng.shuffle(g_t)
             f = PermTable(ctx, d, f_t)
             g = PermTable(ctx, d, g_t)
-            conj = compose(g, compose(f, invert(g)))
-            assert cycle_structure(conj) == cycle_structure(f)
+            conj = g.compose(f.compose(g.invert()))
+            assert conj.cycle_structure() == f.cycle_structure()
 
 
 def test_n_cycle_iff_lengths_divide():
@@ -185,9 +182,9 @@ def test_n_cycle_iff_lengths_divide():
         perm = list(range(9))
         rng.shuffle(perm)
         f = PermTable(F3, 2, perm)
-        lengths = [l for l, _ in cycle_structure(f).cycles]
+        lengths = [l for l, _ in f.cycle_structure().cycles]
         for n in (2, 3, 4, 6, 12):
-            assert (npower(f, n) == e) == all(n % l == 0 for l in lengths)
+            assert (f.npower(n) == e) == all(n % l == 0 for l in lengths)
 
 
 def test_prime_r_cycle_implies_regular():
@@ -202,16 +199,16 @@ def test_prime_r_cycle_implies_regular():
             g_t = list(range(n))
             rng.shuffle(g_t)
             g = PermTable(ctx, h.degree, g_t)
-            f = compose(g, compose(base, invert(g)))
-            assert f != e and npower(f, r) == e
-            assert is_r_regular(f, r)
+            f = g.compose(base.compose(g.invert()))
+            assert f != e and f.npower(r) == e
+            assert f.is_r_regular(r)
 
 
 def test_char2_cpp_has_single_fixed_point():
     for ctx in (F2, F4):
         s = PermTable.from_matrix(companion(cyclotomic(3, ctx)))
-        assert is_cpp(s)
-        assert cycle_structure(s).fixed_points == 1
+        assert s.is_cpp()
+        assert s.cycle_structure().fixed_points == 1
 
 
 def test_size_cap():
@@ -224,5 +221,5 @@ def test_size_cap():
 def test_json_round_trip():
     s = PermTable.from_matrix(companion(cyclotomic(3, F4)))
     assert PermTable.from_json(s.to_json()) == s
-    cs = cycle_structure(s)
+    cs = s.cycle_structure()
     assert CycleStructure.from_json(cs.to_json()) == cs
