@@ -33,15 +33,6 @@ def _field_arg(args) -> object:
     raise InvalidSpec("need --field p^m or --q prime-power")
 
 
-def _emit(data: dict, args) -> None:
-    if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, **data}, sort_keys=True,
-                         separators=(",", ":")))
-    else:
-        for k, v in data.items():
-            print(f"{k}: {v}")
-
-
 def cmd_cyclotomic(args) -> int:
     ctx = _field_arg(args)
     q = cyclotomic(args.n, ctx)
@@ -106,6 +97,9 @@ def cmd_verify(args) -> int:
                 print(f"FAIL {f}")
         return 1 if summary["fail"] else 0
     ids = verify.expand_claim_id(args.claim)
+    fixed_r = [cid for cid in ids if "r" not in verify.REGISTRY[cid].quick[0]]
+    if args.r is not None and fixed_r:
+        raise InvalidSpec(f"--r does not apply to {', '.join(fixed_r)} (r is fixed)")
     failures = 0
     for cid in ids:
         grid = None
@@ -113,9 +107,7 @@ def cmd_verify(args) -> int:
             base = dict(verify.REGISTRY[cid].quick[0])
             if args.q is not None:
                 base["field"] = field_from_order(args.q).spec()
-            if args.r is not None and "r" in base:
-                base["r"] = args.r
-            elif args.r is not None:
+            if args.r is not None:
                 base["r"] = args.r
             grid = [base]
         for rep in verify.verify_claim(cid, grid=grid, master_seed=args.seed,
@@ -193,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("claim", help="claim id, prefix (p4.10), or 'all'")
     p.add_argument("--profile", choices=("quick", "full"), default="quick")
     p.add_argument("--cap", type=int, help="override the table size cap")
-    p.add_argument("--r", type=int, help="override r on the first grid point")
+    p.add_argument("--r", type=int,
+                   help="override r on the first grid point (claims whose grid has r)")
     add_common(p)
     p.set_defaults(fn=cmd_verify)
 

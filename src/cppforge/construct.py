@@ -27,7 +27,7 @@ from .errors import CharacteristicDividesR, HypothesisViolated, InvalidSpec
 from .gf import FieldCtx, field_new, parse_field_spec
 from .linalg import Mat, companion, char_poly, random_invertible
 from .perm import PermTable, linear_table, space
-from .poly import Poly, cyclotomic, irreducible_factors
+from .poly import Poly, cyclotomic, irreducible_factors, parse_poly
 
 
 # ---------------------------------------------------------------------------
@@ -363,27 +363,17 @@ def named_construction(claim_id: str, params: dict) -> ConstructionSpec:
         _require(p not in (2, 3), f"p4.4 requires characteristic not in {{2,3}} (got p={p})")
         h = cyclotomic(6, ctx)
         return _two_coord_family(claim_id, ctx, 6, h, params, rng)
-    if claim_id == "p4.3":
-        _require(p != 5, f"p4.3 requires characteristic != 5 (got p={p})")
-        h = cyclotomic(5, ctx)
+    if claim_id in ("p4.3", "p4.5"):
+        r = 5 if claim_id == "p4.3" else 7
+        _require(p != r, f"{claim_id} requires characteristic != {r} (got p={p})")
+        h = cyclotomic(r, ctx)
         a = _coord_perm(params, "a", ctx, rng)
-        e = tuple(range(ctx.q))
-        tau = TauSpec.coordinate((a, e, e, e))
-        return ConstructionSpec(claim_id, ctx, 4, 5, h, companion(h), tau, None,
-                                "conjugation")
-    if claim_id == "p4.5":
-        _require(p != 7, f"p4.5 requires characteristic != 7 (got p={p})")
-        h = cyclotomic(7, ctx)
-        a = _coord_perm(params, "a", ctx, rng)
-        e = tuple(range(ctx.q))
-        tau = TauSpec.coordinate((a, e, e, e, e, e))
-        return ConstructionSpec(claim_id, ctx, 6, 7, h, companion(h), tau, None,
+        tau = TauSpec.coordinate((a,) + (tuple(range(ctx.q)),) * (r - 2))
+        return ConstructionSpec(claim_id, ctx, r - 1, r, h, companion(h), tau, None,
                                 "conjugation")
     if claim_id in ("p4.6", "p4.7"):
         _require(p == 2, f"{claim_id} requires characteristic 2 (got p={p})")
         text = "t^3+t^2+1" if claim_id == "p4.6" else "t^3+t+1"
-        from .poly import parse_poly
-
         h = parse_poly(text, ctx)
         mode = params.get("matrix_mode", "companion")
         m = matrix_with_char_poly(h, mode, rng)
@@ -397,8 +387,6 @@ def named_construction(claim_id: str, params: dict) -> ConstructionSpec:
         return ConstructionSpec(claim_id, ctx, 3, 7, h, m, tau, None, "conjugation")
     if claim_id.startswith("p4.8") or claim_id.startswith("p4.9"):
         _require(p == 2, f"{claim_id} requires characteristic 2 (got p={p})")
-        from .poly import parse_poly
-
         if claim_id.startswith("p4.8"):
             h = parse_poly("t^3+t^2+1", ctx)
             m = companion(h) if claim_id.endswith(".1") else Mat(
@@ -407,40 +395,35 @@ def named_construction(claim_id: str, params: dict) -> ConstructionSpec:
             h = parse_poly("t^3+t+1", ctx)
             m = companion(h) if claim_id.endswith(".1") else Mat(
                 ctx, [[1, 1, 1], [1, 0, 0], [1, 0, 1]])
-        a1 = _coord_perm(params, "a1", ctx, rng)
-        e = tuple(range(ctx.q))
-        tau_mode = params.get("tau", "inverse")
-        if tau_mode == "inverse":
-            inv = [0] * ctx.q
-            for x, y in enumerate(a1):
-                inv[y] = x
-            a2 = tuple(inv)
-        else:
-            a2 = _coord_perm(params, "a2", ctx, rng)
-        tau1 = TauSpec.coordinate((e, a1, e))
-        tau2 = TauSpec.coordinate((e, a2, e))
+        tau1, tau2 = _sandwich_taus(params, ctx, rng, 3, 1)
         return ConstructionSpec(claim_id, ctx, 3, 7, h, m, tau1, tau2, "sandwich")
     if claim_id == "p4.10":
         r = int(params.get("r", 0))
         _require(r >= 3 and r % 2 == 1, f"p4.10 requires odd r >= 3 (got r={r})")
         _require(r % p != 0, f"p4.10 requires gcd(r, p) = 1 (got r={r}, p={p})")
         h = pick_h(r, ctx, "quotient")
-        d = r - 1
-        a1 = _coord_perm(params, "a1", ctx, rng)
-        e = tuple(range(ctx.q))
-        tau_mode = params.get("tau", "inverse")
-        if tau_mode == "inverse":
-            inv = [0] * ctx.q
-            for x, y in enumerate(a1):
-                inv[y] = x
-            a2 = tuple(inv)
-        else:
-            a2 = _coord_perm(params, "a2", ctx, rng)
-        tau1 = TauSpec.coordinate((a1,) + (e,) * (d - 1))
-        tau2 = TauSpec.coordinate((a2,) + (e,) * (d - 1))
-        return ConstructionSpec(claim_id, ctx, d, r, h, companion(h), tau1, tau2,
+        tau1, tau2 = _sandwich_taus(params, ctx, rng, r - 1, 0)
+        return ConstructionSpec(claim_id, ctx, r - 1, r, h, companion(h), tau1, tau2,
                                 "sandwich")
     raise InvalidSpec(f"unhandled construction id {claim_id!r}")
+
+
+def _sandwich_taus(params: dict, ctx: FieldCtx, rng: Random, d: int, j: int):
+    """tau_i = a_i on coordinate j and the identity elsewhere.
+
+    a_2 = a_1^{-1} when params["tau"] is "inverse" (the default), otherwise
+    a_2 is drawn (or given) independently.
+    """
+    a1 = _coord_perm(params, "a1", ctx, rng)
+    if params.get("tau", "inverse") == "inverse":
+        a2 = [0] * ctx.q
+        for x, y in enumerate(a1):
+            a2[y] = x
+    else:
+        a2 = _coord_perm(params, "a2", ctx, rng)
+    e = tuple(range(ctx.q))
+    return tuple(TauSpec.coordinate([a if k == j else e for k in range(d)])
+                 for a in (a1, a2))
 
 
 def _two_coord_family(claim_id: str, ctx: FieldCtx, r: int, h: Poly,

@@ -119,14 +119,6 @@ def default_basis(sub: FieldCtx, d: int) -> BasisPair:
     return make_basis(big, sub)
 
 
-def encode(bp: BasisPair, x) -> tuple[int, ...]:
-    return bp.encode(x)
-
-
-def decode(bp: BasisPair, coords) -> FElem:
-    return bp.decode(coords)
-
-
 def to_univariate(bp: BasisPair, f: PermTable) -> Poly:
     """The unique polynomial of degree < q^d matching the table everywhere.
 

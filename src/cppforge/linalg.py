@@ -194,27 +194,6 @@ class Mat:
         return cls(parse_field_spec(data["field"]), data["rows"])
 
 
-# Functional aliases matching the operation names used elsewhere.
-def m_mul(a: Mat, b: Mat) -> Mat:
-    return a * b
-
-
-def m_add(a: Mat, b: Mat) -> Mat:
-    return a + b
-
-
-def m_apply(m: Mat, v: Sequence) -> tuple[int, ...]:
-    return m.apply(v)
-
-
-def m_det(m: Mat) -> int:
-    return m.det()
-
-
-def m_inv(m: Mat) -> Mat:
-    return m.inv()
-
-
 # ---------------------------------------------------------------------------
 # Characteristic and minimal polynomials, companion matrices
 # ---------------------------------------------------------------------------
@@ -391,8 +370,3 @@ def random_invertible(ctx: FieldCtx, n: int, rng: Random) -> Mat:
         m = random_matrix(ctx, n, rng)
         if m.det() != 0:
             return m
-
-
-def conjugate(m: Mat, s: Mat) -> Mat:
-    """Similarity conjugate S M S^{-1} (same characteristic polynomial)."""
-    return s * m * s.inv()

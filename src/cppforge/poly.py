@@ -229,10 +229,6 @@ class Poly:
         return list(self.coeffs)
 
 
-def eval_at(f: Poly, x) -> FElem:
-    return f(x)
-
-
 def parse_poly(text: str, ctx: FieldCtx) -> Poly:
     """Parse polynomial text; accepts either coefficient order and '-' signs.
 

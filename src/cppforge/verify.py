@@ -8,6 +8,16 @@ claims pass only by exhibiting a concrete witness (a short cycle), never by
 absence of evidence.  Hypothesis-violating or size-capped grid points get
 the verdict ``hypothesis-skipped`` rather than being dropped.
 
+The section-4 claims are one table, ``_P4_TABLE``.  To add one, give its
+construction to ``construct.named_construction`` and add one ``_P4Claim``
+row: statement, quick grid (full grid only where it differs), d and r
+(``None`` where r comes from the grid point and d = r - 1), an optional
+hypothesis guard and the instance sweep, a list of (case tag, extra
+construction params, check) triples.  The checks are ``_regular_cpp``
+(optionally also sigma + e when p = 2, or the census), ``_cpp``,
+``_sig_e_regular_cpp`` and ``_short_cycle``; the one runner, ``_check_p4``,
+does the size cap, seeds, guard, builds, work count and witnesses.
+
 Reports are replayable: the verdict and witness are pure functions of
 (claim id, parameters, master seed).  The JSON-line stream therefore emits a
 deterministic ``work`` counter (table entries built) instead of wall-clock
@@ -18,7 +28,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from itertools import permutations
 from random import Random
 from typing import Callable, Optional
 
@@ -203,7 +215,9 @@ def _check_thm31(part: int):
     return run
 
 
-def _check_thm32(part: int):
+def _check_thm32(part: int, draw_tau=_tau_additive):
+    """Theorem 3.2 with additive taus; with ``_tau_general``, Theorem 3.3 (parts 1, 2)."""
+
     def run(params: dict, rng: Random, cap: int):
         ctx = _ctx_of(params)
         deg = params["deg"]
@@ -211,8 +225,8 @@ def _check_thm32(part: int):
         if n > cap:
             return SKIP, {"reason": f"q^d = {n} exceeds cap {cap}"}, 0
         e = PermTable.identity(ctx, deg)
-        t1 = _tau_additive(ctx, deg, rng)
-        t2i = _tau_additive(ctx, deg, rng)
+        t1 = draw_tau(ctx, deg, rng)
+        t2i = draw_tau(ctx, deg, rng)
         t1_inv = t1.invert()
         work = 2 * n
         for h in monic_polys(ctx, deg):
@@ -248,38 +262,6 @@ def _check_thm32(part: int):
                     m0 = _ord_mod(h, 1)
                     if sige.npower(m0) != e:
                         return FAIL, {**wit, "m": m0, "kind": "npower!=e"}, work
-        return PASS, None, work
-
-    return run
-
-
-def _check_thm33(part: int):
-    def run(params: dict, rng: Random, cap: int):
-        ctx = _ctx_of(params)
-        deg = params["deg"]
-        n = ctx.q ** deg
-        if n > cap:
-            return SKIP, {"reason": f"q^d = {n} exceeds cap {cap}"}, 0
-        e = PermTable.identity(ctx, deg)
-        t1 = _tau_general(ctx, deg, rng)
-        t2i = _tau_general(ctx, deg, rng)
-        t1_inv = t1.invert()
-        work = 2 * n
-        for h in monic_polys(ctx, deg):
-            h0 = h.coeffs[0]
-            sig_m = PermTable.from_matrix(companion(h))
-            work += n
-            wit = {"h": h.to_json()}
-            if part == 1:
-                sig = t1.compose(sig_m.compose(t2i))
-                if h0 != 0 and not sig.bijective:
-                    return FAIL, {**wit, **_collision(sig.table)}, work
-            else:
-                if h0 != 0:
-                    sig = t1.compose(sig_m.compose(t1_inv))
-                    n0 = _ord_mod(h, 0)
-                    if sig.npower(n0) != e:
-                        return FAIL, {**wit, "n": n0, "kind": "npower!=e"}, work
         return PASS, None, work
 
     return run
@@ -433,257 +415,158 @@ def _check_p3_negative(tau_kind: str, cpp_required: bool):
 # ---------------------------------------------------------------------------
 # Section-4 named-construction checkers
 # ---------------------------------------------------------------------------
+#
+# A check takes (table, r, base witness) and returns (PASS, witness or None)
+# or (FAIL, witness).
 
-def _p4_dim(claim_id: str, params: dict) -> int:
-    if claim_id.startswith(("p4.1.", "p4.2.", "p4.4.")):
-        return 2
-    if claim_id == "p4.3":
-        return 4
-    if claim_id == "p4.5":
-        return 6
-    if claim_id.startswith("p4.10"):
-        return int(params["r"]) - 1
-    return 3  # p4.6-p4.9
+_WIT_KEYS = ("m", "seed", "r", "tau")
+_MODES = ("companion", "conjugate")
 
 
-_CONSTRUCTION_ALIAS = {"p4.10.1": "p4.10", "p4.10.2": "p4.10", "p4.10.3": "p4.10"}
+def _off_length_cycle(tbl: PermTable, r: int):
+    return tbl.find_cycle(lambda L: L > 1 and L != r)
 
 
-def _build_instance(claim_id: str, params: dict):
-    spec = construct.named_construction(
-        _CONSTRUCTION_ALIAS.get(claim_id, claim_id), params)
-    return spec, construct.build(spec)
+def _regular_cpp(tbl: PermTable, r: int, wit: dict, sig_e=False, census=False):
+    """PP, CPP and r-regular, with a single fixed point when p = 2.
 
-
-def _regular_cpp_checks(tbl: PermTable, r: int, wit: dict, work: int,
-                        also_sig_e: bool = False):
-    """CPP + r-regularity (+ the p=2 single-fixed-point law); returns witness."""
-    ctx = tbl.ctx
-    e = PermTable.identity(ctx, tbl.d)
+    ``sig_e``: when p = 2, sigma + e must be an r-regular CPP with a single
+    fixed point too.  ``census``: exactly 1 fixed point + (n - 1)/r r-cycles.
+    """
     if not tbl.bijective:
-        return FAIL, {**wit, "part": "pp", **_collision(tbl.table)}, work
-    sige = tbl.add_pointwise(e)
+        return FAIL, {**wit, "part": "pp", **_collision(tbl.table)}
+    sige = tbl.add_pointwise(PermTable.identity(tbl.ctx, tbl.d))
     if not sige.bijective:
-        return FAIL, {**wit, "part": "cpp", **_collision(sige.table)}, work
-    if not tbl.is_r_regular(r):
-        bad = tbl.find_cycle(lambda L: L > 1 and L != r)
-        return FAIL, {**wit, "part": "regular", "cycle": bad}, work
-    if ctx.p == 2 and tbl.cycle_structure().fixed_points != 1:
-        return FAIL, {**wit, "part": "fixed-points",
-                      "census": tbl.cycle_structure().to_json()}, work
-    if also_sig_e:
-        if not sige.is_r_regular(r):
-            bad = sige.find_cycle(lambda L: L > 1 and L != r)
-            return FAIL, {**wit, "part": "sigma+e regular", "cycle": bad}, work
+        return FAIL, {**wit, "part": "cpp", **_collision(sige.table)}
+    p2 = tbl.ctx.p == 2
+    cs = tbl.cycle_structure()
+    if any(l != r for l, _ in cs.cycles):
+        return FAIL, {**wit, "part": "regular", "cycle": _off_length_cycle(tbl, r)}
+    if p2 and cs.fixed_points != 1:
+        return FAIL, {**wit, "part": "fixed-points", "census": cs.to_json()}
+    if sig_e and p2:
+        cs_e = sige.cycle_structure()
+        if any(l != r for l, _ in cs_e.cycles):
+            return FAIL, {**wit, "part": "sigma+e regular",
+                          "cycle": _off_length_cycle(sige, r)}
         if not sige.is_cpp():
-            return FAIL, {**wit, "part": "sigma+e cpp"}, work
-        if ctx.p == 2 and sige.cycle_structure().fixed_points != 1:
-            return FAIL, {**wit, "part": "sigma+e fixed-points"}, work
-    return None
+            return FAIL, {**wit, "part": "sigma+e cpp"}
+        if cs_e.fixed_points != 1:
+            return FAIL, {**wit, "part": "sigma+e fixed-points"}
+    if census and (cs.fixed_points != 1 or cs.cycles != ((r, (tbl.n - 1) // r),)):
+        return FAIL, {**wit, "kind": "census mismatch", "census": cs.to_json()}
+    return PASS, None
 
 
-def _check_p4(claim_id: str):
+def _cpp(tbl: PermTable, r: int, wit: dict):
+    if tbl.is_cpp():
+        return PASS, None
+    bad = tbl.add_pointwise(PermTable.identity(tbl.ctx, tbl.d)) if tbl.bijective else tbl
+    return FAIL, {**wit, **_collision(bad.table)}
+
+
+def _sig_e_regular_cpp(tbl: PermTable, r: int, wit: dict):
+    return _regular_cpp(tbl.add_pointwise(PermTable.identity(tbl.ctx, tbl.d)), r, wit)
+
+
+def _short_cycle(tbl: PermTable, r: int, wit: dict):
+    """CPP and an r-cycle, but not r-regular: exhibits a cycle of length l | r."""
+    if not tbl.is_cpp():
+        return FAIL, {**wit, "part": "cpp"}
+    if tbl.npower(r) != PermTable.identity(tbl.ctx, tbl.d):
+        return FAIL, {**wit, "part": f"npower({r}) != e"}
+    if tbl.is_r_regular(r):
+        return FAIL, {**wit, "part": "unexpectedly regular"}
+    cyc = tbl.find_cycle(lambda L: 1 < L < r and r % L == 0)
+    if cyc is None:
+        return FAIL, {**wit, "part": "no short-cycle witness"}
+    return PASS, {**wit, "cycle_length": len(cyc), "cycle": cyc[:16]}
+
+
+# Instance sweeps: (ctx, r, seeds, rng) -> [(case tag, extra params, check)].
+
+def _by_seed(check, tag=None, with_r=False, **fixed):
+    return lambda ctx, r, seeds, rng: [
+        (tag, {"seed": s, **fixed, **({"r": r} if with_r else {})}, check) for s in seeds]
+
+
+def _by_mode(check):
+    return lambda ctx, r, seeds, rng: [(None, {"seed": s, "matrix_mode": mode}, check)
+                                       for mode in _MODES for s in seeds]
+
+
+def _by_m(check):
+    return lambda ctx, r, seeds, rng: [(None, {"seed": s, "m": m}, check)
+                                       for m in range(1, ctx.q) for s in seeds]
+
+
+def _odd_a_sweep(ctx, r, seeds, rng):
+    """p4.2.2: the seeded odd a, then a = x^3 when it permutes F_q."""
+    out = _by_seed(_regular_cpp)(ctx, r, seeds, rng)
+    cube = tuple(ctx.pow(x, 3) for x in range(ctx.q))
+    if sorted(cube) == list(range(ctx.q)):
+        out.append(("a=x^3", {"a": cube}, _regular_cpp))
+    return out
+
+
+def _any_a1_sweep(ctx, r, seeds, rng):
+    """p4.4.2, checked as stated: every a_1 when q <= 5, else 60 seeded draws."""
+    if ctx.q <= 5:
+        return [("exhaustive", {"a1": a}, _regular_cpp) for a in permutations(range(ctx.q))]
+    return [("sampled", {"seed": rng.randrange(1 << 30)}, _regular_cpp)
+            for _ in range(60)]
+
+
+def _sandwich_sweep(ctx, r, seeds, rng):
+    """p4.8/p4.9: a free sandwich is a CPP; a_2 = a_1^{-1} makes it r-regular."""
+    return [case for s in seeds
+            for case in (("free", {"seed": s, "tau": "free"}, _cpp),
+                         ("inverse", {"seed": s, "tau": "inverse"}, _regular_cpp))]
+
+
+@dataclass(frozen=True)
+class _P4Claim:
+    """One row of the section-4 table (see the module docstring)."""
+    statement: str
+    grid: tuple
+    d: Optional[int]                  # None: d = r - 1 (the p4.10 sandwich)
+    r: Optional[int]                  # None: r comes from the grid point
+    sweep: Callable
+    guard: Optional[Callable] = None  # (ctx, r) -> skip reason or None
+    full: Optional[tuple] = None      # full-profile grid when it differs
+    show_a1: bool = False             # the witness names the drawn a_1
+
+
+def _check_p4(cid: str, row: _P4Claim):
+    build_id = "p4.10" if cid.startswith("p4.10.") else cid
+
     def run(params: dict, rng: Random, cap: int):
         ctx = _ctx_of(params)
-        run_params = {k: v for k, v in params.items() if k != "field"}
-        run_params["field"] = ctx
-        d = _p4_dim(claim_id, params)
-        n = ctx.q ** d
+        r = row.r or params["r"]
+        n = ctx.q ** (row.d or r - 1)
         if n > cap:
             return SKIP, {"reason": f"q^d = {n} exceeds cap {cap}"}, 0
-        work = 0
-
-        def attempt(extra: dict, r: int, also_sig_e=False, tag=None):
-            nonlocal work
-            try:
-                spec, tbl = _build_instance(claim_id, {**run_params, **extra})
-            except HypothesisViolated as ex:
-                return SKIP, {"reason": str(ex)}, work
-            work += 2 * tbl.n
-            wit = {"claim": claim_id, **({"case": tag} if tag else {}),
-                   **{k: v for k, v in extra.items() if k in ("m", "seed", "r", "tau")}}
-            bad = _regular_cpp_checks(tbl, r, wit, work, also_sig_e=also_sig_e)
-            return bad
-
-        def cpp_only(extra: dict, tag=None):
-            nonlocal work
-            try:
-                spec, tbl = _build_instance(claim_id, {**run_params, **extra})
-            except HypothesisViolated as ex:
-                return SKIP, {"reason": str(ex)}, work
-            work += 2 * tbl.n
-            wit = {"claim": claim_id, **({"case": tag} if tag else {})}
-            if not tbl.is_cpp():
-                e = PermTable.identity(tbl.ctx, tbl.d)
-                sige = tbl.add_pointwise(e)
-                col = (_collision(sige.table) if tbl.bijective
-                       else _collision(tbl.table))
-                return FAIL, {**wit, **col, **{k: extra[k] for k in extra
-                                               if k in ("m", "seed", "r", "tau")}}, work
-            return None
-
         seeds = [rng.randrange(1 << 30) for _ in range(2)]
-
-        if claim_id in ("p4.1.1", "p4.2.1", "p4.4.1"):
-            r = {"p4.1.1": 3, "p4.2.1": 4, "p4.4.1": 6}[claim_id]
-            for mode in ("companion", "conjugate"):
-                for s in seeds:
-                    bad = attempt({"seed": s, "matrix_mode": mode}, r)
-                    if bad:
-                        return bad
-            return PASS, None, work
-        if claim_id == "p4.1.2":
-            if ctx.p != 2:
-                return SKIP, {"reason": "requires characteristic 2"}, 0
-            for mode in ("companion", "conjugate"):
-                for s in seeds:
-                    try:
-                        spec, tbl = _build_instance(
-                            claim_id, {**run_params, "seed": s, "matrix_mode": mode})
-                    except HypothesisViolated as ex:
-                        return SKIP, {"reason": str(ex)}, work
-                    work += 2 * tbl.n
-                    sige = tbl.add_pointwise(PermTable.identity(ctx, 2))
-                    bad = _regular_cpp_checks(sige, 3, {"claim": claim_id, "seed": s},
-                                              work)
-                    if bad:
-                        return bad
-            return PASS, None, work
-        if claim_id in ("p4.1.3", "p4.1.3m"):
-            for m in range(1, ctx.q):
-                for s in seeds:
-                    bad = attempt({"seed": s, "m": m}, 3,
-                                  also_sig_e=(ctx.p == 2 and claim_id == "p4.1.3"))
-                    if bad:
-                        return bad
-            return PASS, None, work
-        if claim_id == "p4.1.4":
-            for s in seeds:
-                bad = attempt({"seed": s}, 3)
-                if bad:
-                    return bad
-            return PASS, None, work
-        if claim_id == "p4.2.2":
-            for s in seeds:
-                bad = attempt({"seed": s}, 4)
-                if bad:
-                    return bad
-            cube = tuple(ctx.pow(x, 3) for x in range(ctx.q))
-            if sorted(cube) == list(range(ctx.q)):
-                bad = attempt({"a": cube}, 4, tag="a=x^3")
-                if bad:
-                    return bad
-            return PASS, None, work
-        if claim_id in ("p4.2.3", "p4.4.3"):
-            r = 4 if claim_id == "p4.2.3" else 6
-            for m in range(1, ctx.q):
-                for s in seeds:
-                    bad = attempt({"seed": s, "m": m}, r)
-                    if bad:
-                        return bad
-            return PASS, None, work
-        if claim_id == "p4.4.2":
-            # checked as stated, over every a1 when exhaustion is affordable
-            if ctx.q <= 5:
-                from itertools import permutations
-
-                draws = [tuple(a) for a in permutations(range(ctx.q))]
-                tagged = [("exhaustive", {"a1": a}) for a in draws]
-            else:
-                tagged = [("sampled", {"seed": s})
-                          for s in [rng.randrange(1 << 30) for _ in range(60)]]
-            for tag, extra in tagged:
-                try:
-                    spec, tbl = _build_instance(claim_id, {**run_params, **extra})
-                except HypothesisViolated as ex:
-                    return SKIP, {"reason": str(ex)}, work
-                work += 2 * tbl.n
-                wit = {"claim": claim_id, "case": tag}
-                if "a1" in extra:
-                    wit["a1"] = list(extra["a1"])
-                else:
-                    wit["seed"] = extra["seed"]
-                    wit["a1"] = [int(x) for x in spec.tau1.perms[0]]
-                bad = _regular_cpp_checks(tbl, 6, wit, work)
-                if bad:
-                    return bad
-            return PASS, None, work
-        if claim_id in ("p4.3", "p4.5"):
-            r = 5 if claim_id == "p4.3" else 7
-            for s in seeds:
-                try:
-                    spec, tbl = _build_instance(claim_id, {**run_params, "seed": s})
-                except HypothesisViolated as ex:
-                    return SKIP, {"reason": str(ex)}, work
-                work += 2 * tbl.n
-                wit = {"claim": claim_id, "seed": s}
-                bad = _regular_cpp_checks(tbl, r, wit, work)
-                if bad:
-                    return bad
-                cs = tbl.cycle_structure()
-                want = ((r, (n - 1) // r),)
-                if cs.fixed_points != 1 or cs.cycles != want:
-                    return FAIL, {**wit, "kind": "census mismatch",
-                                  "census": cs.to_json()}, work
-            return PASS, None, work
-        if claim_id in ("p4.6", "p4.7"):
-            for mode in ("companion", "conjugate"):
-                for s in seeds:
-                    bad = attempt({"seed": s, "matrix_mode": mode}, 7, also_sig_e=True)
-                    if bad:
-                        return bad
-            return PASS, None, work
-        if claim_id in ("p4.8.1", "p4.8.2", "p4.9.1", "p4.9.2"):
-            for s in seeds:
-                bad = cpp_only({"seed": s, "tau": "free"}, tag="free")
-                if bad:
-                    return bad
-                bad = attempt({"seed": s, "tau": "inverse"}, 7, tag="inverse")
-                if bad:
-                    return bad
-            return PASS, None, work
-        if claim_id == "p4.10.1":
-            for s in seeds:
-                bad = cpp_only({"seed": s, "tau": "free", "r": params["r"]}, tag="free")
-                if bad:
-                    return bad
-            return PASS, None, work
-        if claim_id == "p4.10.2":
-            r = params["r"]
-            if not is_prime(r):
-                return SKIP, {"reason": f"r = {r} is not prime"}, 0
-            for s in seeds:
-                bad = attempt({"seed": s, "tau": "inverse", "r": r}, r)
-                if bad:
-                    return bad
-            return PASS, None, work
-        if claim_id == "p4.10.3":
-            r = params["r"]
-            if is_prime(r) or r < 4:
-                return SKIP, {"reason": f"r = {r} is not composite"}, 0
-            last = None
-            for s in seeds:
-                try:
-                    spec, tbl = _build_instance(
-                        claim_id[:5], {**run_params, "seed": s, "tau": "inverse",
-                                       "r": r})
-                except HypothesisViolated as ex:
-                    return SKIP, {"reason": str(ex)}, work
-                work += 2 * tbl.n
-                wit = {"claim": claim_id, "seed": s}
-                e = PermTable.identity(ctx, tbl.d)
-                if not tbl.is_cpp():
-                    return FAIL, {**wit, "part": "cpp"}, work
-                if tbl.npower(r) != e:
-                    return FAIL, {**wit, "part": f"npower({r}) != e"}, work
-                if tbl.is_r_regular(r):
-                    return FAIL, {**wit, "part": "unexpectedly regular"}, work
-                cyc = tbl.find_cycle(lambda L: 1 < L < r and r % L == 0)
-                if cyc is None:
-                    return FAIL, {**wit, "part": "no short-cycle witness"}, work
-                last = {**wit, "cycle_length": len(cyc), "cycle": cyc[:16]}
-            return PASS, last, work
-        raise UnknownClaim(claim_id)
+        reason = row.guard(ctx, r) if row.guard else None
+        if reason:
+            return SKIP, {"reason": reason}, 0
+        run_params = {**params, "field": ctx}
+        work, last = 0, None
+        for tag, extra, check in row.sweep(ctx, r, seeds, rng):
+            try:
+                spec = construct.named_construction(build_id, {**run_params, **extra})
+                tbl = construct.build(spec)
+            except HypothesisViolated as ex:
+                return SKIP, {"reason": str(ex)}, work
+            work += 2 * tbl.n
+            wit = {"claim": cid, **({"case": tag} if tag else {}),
+                   **{k: extra[k] for k in _WIT_KEYS if k in extra}}
+            if row.show_a1:
+                wit["a1"] = [int(x) for x in spec.tau1.perms[0]]
+            verdict, last = check(tbl, r, wit)
+            if verdict == FAIL:
+                return FAIL, last, work
+        return PASS, last, work
 
     return run
 
@@ -745,7 +628,7 @@ for _part, _stmt in (
     (2, "conjugation by any PP keeps the n-cycle property of sigma_M"),
 ):
     _register(f"thm3.3.{_part}", _stmt,
-              _thm_grid((2,)), _thm_grid((2, 3)), _check_thm33(_part))
+              _thm_grid((2,)), _thm_grid((2, 3)), _check_thm32(_part, _tau_general))
 
 _P31_QUICK = _pts(_f("2^1", r=3), _f("2^2", r=3), _f("5^1", r=3), _f("7^1", r=3),
                   _f("2^1", r=5), _f("3^1", r=5), _f("2^2", r=5), _f("3^2", r=5),
@@ -796,65 +679,79 @@ _register("p3.9", "composite r, reducible h | t^r - 1 sharing a factor with some
                _f("5^1", r=9)),
           _check_p3_negative("general", cpp_required=False))
 
-_register("p4.1.1", "r=3 family, additive a_1, a_2: 3-regular CPP over F_{q^2}",
-          _pts(_f("2^1"), _f("2^2"), _f("7^1")), _pts(_f("2^1"), _f("2^2"), _f("7^1")),
-          _check_p4("p4.1.1"))
-_register("p4.1.2", "r=3 family, additive a_i and p=2: sigma + e is also a "
-                    "3-regular CPP",
-          _pts(_f("2^1"), _f("2^2"), _f("7^1")), _pts(_f("2^1"), _f("2^2"), _f("7^1")),
-          _check_p4("p4.1.2"))
-_register("p4.1.3", "r=3, a_2=e, M=[[0,m],[-1/m,-1]]: 3-regular CPP for any PP a_1 "
-                    "(and sigma+e too when p=2)",
-          _pts(_f("2^1"), _f("2^2"), _f("7^1")), _pts(_f("2^1"), _f("2^2"), _f("7^1")),
-          _check_p4("p4.1.3"))
-_register("p4.1.3m", "mirror of p4.1.3 (a_1=e, a_2 arbitrary); empirical check only",
-          _pts(_f("2^1"), _f("2^2"), _f("7^1")), _pts(_f("2^1"), _f("2^2"), _f("7^1")),
-          _check_p4("p4.1.3m"))
-_register("p4.1.4", "r=3, a_2=e, M=[[-1,1],[-1,0]]: 3-regular CPP for any PP a_1",
-          _pts(_f("2^1"), _f("2^2"), _f("7^1")), _pts(_f("2^1"), _f("2^2"), _f("7^1")),
-          _check_p4("p4.1.4"))
-_register("p4.2.1", "r=4 family (p odd), additive a_1, a_2: 4-regular CPP",
-          _pts(_f("3^1"), _f("5^1")), _pts(_f("3^1"), _f("5^1")), _check_p4("p4.2.1"))
-_register("p4.2.2", "r=4, a_1=a_2=a odd (a(-x)=-a(x)), M=M(Q_4): 4-regular CPP",
-          _pts(_f("3^1"), _f("5^1")), _pts(_f("3^1"), _f("5^1")), _check_p4("p4.2.2"))
-_register("p4.2.3", "r=4, a_2=e, M=[[-1,m],[-2/m,1]]: 4-regular CPP for any PP a_1",
-          _pts(_f("3^1"), _f("5^1")), _pts(_f("3^1"), _f("5^1")), _check_p4("p4.2.3"))
-_register("p4.3", "r=5, M=M(Q_5), tau touches only x_1: 5-regular CPP over F_{q^4}",
-          _pts(_f("2^1"), _f("3^1")), _pts(_f("2^1"), _f("3^1")), _check_p4("p4.3"))
-_register("p4.4.1", "r=6 family (p > 3), additive a_1, a_2: 6-regular CPP",
-          _pts(_f("5^1"), _f("7^1")), _pts(_f("5^1"), _f("7^1")), _check_p4("p4.4.1"))
-_register("p4.4.2", "r=6, a_2=e, M=M(Q_6): claimed 6-regular CPP for any PP a_1 "
-                    "(KNOWN FALSE: the sigma+e identity drops a 2*x_2 term; "
-                    "checker reports the refuting a_1)",
-          _pts(_f("5^1"), _f("7^1")), _pts(_f("5^1"), _f("7^1")), _check_p4("p4.4.2"))
-_register("p4.4.3", "r=6, a_2=e, M=[[-1,m],[-3/m,2]]: 6-regular CPP for any PP a_1",
-          _pts(_f("5^1"), _f("7^1")), _pts(_f("5^1"), _f("7^1")), _check_p4("p4.4.3"))
-_register("p4.5", "r=7, M=M(Q_7), tau touches only x_1: 7-regular CPP over F_{q^6}",
-          _pts(_f("2^1"), _f("3^1")), _pts(_f("2^1"), _f("3^1")), _check_p4("p4.5"))
-_register("p4.6", "p=2, h=t^3+t^2+1, additive tau: sigma and sigma+e are both "
-                  "7-regular CPPs over F_{q^3}",
-          _pts(_f("2^1"), _f("2^2")), _pts(_f("2^1"), _f("2^2")), _check_p4("p4.6"))
-_register("p4.7", "p=2, h=t^3+t+1, additive tau: sigma and sigma+e are both "
-                  "7-regular CPPs over F_{q^3}",
-          _pts(_f("2^1"), _f("2^2")), _pts(_f("2^1"), _f("2^2")), _check_p4("p4.7"))
-for _cid, _mat in (("p4.8.1", "M(t^3+t^2+1)"), ("p4.8.2", "[[0,1,1],[1,0,0],[1,0,1]]"),
-                   ("p4.9.1", "M(t^3+t+1)"), ("p4.9.2", "[[1,1,1],[1,0,0],[1,0,1]]")):
-    _register(_cid, f"p=2, M={_mat}, middle-coordinate sandwich: CPP always; "
-                    "7-regular CPP when a_1 o a_2 = e",
-              _pts(_f("2^1"), _f("2^2")), _pts(_f("2^1"), _f("2^2")), _check_p4(_cid))
-_register("p4.10.1", "odd r, quotient h, first-coordinate sandwich: CPP for any "
-                     "PPs a_1, a_2",
-          _pts(_f("2^1", r=3), _f("2^1", r=5), _f("2^1", r=9), _f("2^2", r=5)),
-          _pts(_f("2^1", r=3), _f("2^1", r=5), _f("2^1", r=9), _f("2^2", r=5)),
-          _check_p4("p4.10.1"))
-_register("p4.10.2", "odd prime r, a_1 o a_2 = e: r-regular CPP over F_{q^(r-1)}",
-          _pts(_f("2^1", r=3), _f("2^1", r=5), _f("2^2", r=5)),
-          _pts(_f("2^1", r=3), _f("2^1", r=5), _f("2^2", r=5)),
-          _check_p4("p4.10.2"))
-_register("p4.10.3", "odd composite r, a_1 o a_2 = e: CPP and r-cycle but NOT "
-                     "r-regular (short cycle exhibited)",
-          _pts(_f("2^1", r=9)), _pts(_f("2^1", r=9), _f("2^2", r=9)),
-          _check_p4("p4.10.3"))
+def _fields(*specs) -> tuple:
+    return tuple(_f(s) for s in specs)
+
+
+_Q247 = _fields("2^1", "2^2", "7^1")
+_Q35 = _fields("3^1", "5^1")
+_Q23 = _fields("2^1", "3^1")
+_Q57 = _fields("5^1", "7^1")
+_Q24 = _fields("2^1", "2^2")
+_SIG_E = partial(_regular_cpp, sig_e=True)
+_CENSUS = partial(_regular_cpp, census=True)
+
+_P4_TABLE: dict[str, _P4Claim] = {
+    "p4.1.1": _P4Claim("r=3 family, additive a_1, a_2: 3-regular CPP over F_{q^2}",
+                       _Q247, 2, 3, _by_mode(_regular_cpp)),
+    "p4.1.2": _P4Claim("r=3 family, additive a_i and p=2: sigma + e is also a "
+                       "3-regular CPP", _Q247, 2, 3, _by_mode(_sig_e_regular_cpp),
+                       guard=lambda ctx, r: None if ctx.p == 2 else "requires characteristic 2"),
+    "p4.1.3": _P4Claim("r=3, a_2=e, M=[[0,m],[-1/m,-1]]: 3-regular CPP for any PP a_1 "
+                       "(and sigma+e too when p=2)",
+                       _Q247, 2, 3, _by_m(_SIG_E)),
+    "p4.1.3m": _P4Claim("mirror of p4.1.3 (a_1=e, a_2 arbitrary); empirical check only",
+                        _Q247, 2, 3, _by_m(_regular_cpp)),
+    "p4.1.4": _P4Claim("r=3, a_2=e, M=[[-1,1],[-1,0]]: 3-regular CPP for any PP a_1",
+                       _Q247, 2, 3, _by_seed(_regular_cpp)),
+    "p4.2.1": _P4Claim("r=4 family (p odd), additive a_1, a_2: 4-regular CPP",
+                       _Q35, 2, 4, _by_mode(_regular_cpp)),
+    "p4.2.2": _P4Claim("r=4, a_1=a_2=a odd (a(-x)=-a(x)), M=M(Q_4): 4-regular CPP",
+                       _Q35, 2, 4, _odd_a_sweep),
+    "p4.2.3": _P4Claim("r=4, a_2=e, M=[[-1,m],[-2/m,1]]: 4-regular CPP for any PP a_1",
+                       _Q35, 2, 4, _by_m(_regular_cpp)),
+    "p4.3": _P4Claim("r=5, M=M(Q_5), tau touches only x_1: 5-regular CPP over F_{q^4}",
+                     _Q23, 4, 5, _by_seed(_CENSUS)),
+    "p4.4.1": _P4Claim("r=6 family (p > 3), additive a_1, a_2: 6-regular CPP",
+                       _Q57, 2, 6, _by_mode(_regular_cpp)),
+    "p4.4.2": _P4Claim("r=6, a_2=e, M=M(Q_6): claimed 6-regular CPP for any PP a_1 "
+                       "(KNOWN FALSE: the sigma+e identity drops a 2*x_2 term; "
+                       "checker reports the refuting a_1)",
+                       _Q57, 2, 6, _any_a1_sweep, show_a1=True),
+    "p4.4.3": _P4Claim("r=6, a_2=e, M=[[-1,m],[-3/m,2]]: 6-regular CPP for any PP a_1",
+                       _Q57, 2, 6, _by_m(_regular_cpp)),
+    "p4.5": _P4Claim("r=7, M=M(Q_7), tau touches only x_1: 7-regular CPP over F_{q^6}",
+                     _Q23, 6, 7, _by_seed(_CENSUS)),
+    "p4.6": _P4Claim("p=2, h=t^3+t^2+1, additive tau: sigma and sigma+e are both "
+                     "7-regular CPPs over F_{q^3}",
+                     _Q24, 3, 7, _by_mode(_SIG_E)),
+    "p4.7": _P4Claim("p=2, h=t^3+t+1, additive tau: sigma and sigma+e are both "
+                     "7-regular CPPs over F_{q^3}",
+                     _Q24, 3, 7, _by_mode(_SIG_E)),
+    **{cid: _P4Claim(f"p=2, M={mat}, middle-coordinate sandwich: CPP always; "
+                     "7-regular CPP when a_1 o a_2 = e",
+                     _Q24, 3, 7, _sandwich_sweep)
+       for cid, mat in (("p4.8.1", "M(t^3+t^2+1)"), ("p4.8.2", "[[0,1,1],[1,0,0],[1,0,1]]"),
+                        ("p4.9.1", "M(t^3+t+1)"), ("p4.9.2", "[[1,1,1],[1,0,0],[1,0,1]]"))},
+    "p4.10.1": _P4Claim("odd r, quotient h, first-coordinate sandwich: CPP for any "
+                        "PPs a_1, a_2",
+                        (_f("2^1", r=3), _f("2^1", r=5), _f("2^1", r=9), _f("2^2", r=5)),
+                        None, None, _by_seed(_cpp, "free", with_r=True, tau="free")),
+    "p4.10.2": _P4Claim("odd prime r, a_1 o a_2 = e: r-regular CPP over F_{q^(r-1)}",
+                        (_f("2^1", r=3), _f("2^1", r=5), _f("2^2", r=5)), None, None,
+                        _by_seed(_regular_cpp, with_r=True, tau="inverse"),
+                        guard=lambda ctx, r: None if is_prime(r) else f"r = {r} is not prime"),
+    "p4.10.3": _P4Claim("odd composite r, a_1 o a_2 = e: CPP and r-cycle but NOT "
+                        "r-regular (short cycle exhibited)",
+                        (_f("2^1", r=9),), None, None, _by_seed(_short_cycle),
+                        guard=lambda ctx, r: None if not is_prime(r) and r >= 4
+                        else f"r = {r} is not composite",
+                        full=(_f("2^1", r=9), _f("2^2", r=9))),
+}
+
+for _cid, _row in _P4_TABLE.items():
+    _register(_cid, _row.statement, _row.grid, _row.full or _row.grid,
+              _check_p4(_cid, _row))
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,18 @@ def test_verify_cap_above_table_cap_skips(capsys):
     assert out.startswith("HYPOTHESIS-SKIPPED") and len(out.splitlines()) == 1
 
 
+def test_verify_r_on_claim_without_r_exit_2(capsys):
+    # p4.3 is fixed at r = 5; p4.1 and p4.8 expand to claims with a fixed r
+    for claim, r in (("p4.3", "9"), ("p4.1.1", "45"), ("p4.8", "45")):
+        code, out, err = run(capsys, "verify", claim, "--r", r)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidSpec") and len(err.splitlines()) == 1
+    code, out, _ = run(capsys, "verify", "p4.10.3", "--q", "2", "--r", "9",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == {"field": "2^1", "r": 9}
+
+
 def test_verify_unknown_claim_exit_2(capsys):
     code, _, err = run(capsys, "verify", "nosuch")
     assert code == 2 and "UnknownClaim" in err

@@ -235,3 +235,55 @@ def test_monic_polys_order():
     # integer-value order: t^3, 1+t^3, t+t^3, 1+t+t^3, ...
     assert texts[0] == "1*t^3"
     assert texts.index("1+1*t+1*t^3") < texts.index("1+1*t^2+1*t^3")
+
+
+# --- sympy as an independent oracle over the prime fields (optional) -------
+
+# The equal-degree step of irreducible_factors tries every monic candidate of
+# the factor degree k, so (p, n) pairs where Q_n has several factors of a
+# degree k with p^k above this bound are left to the sampled tests above.
+_SYMPY_TRIAL_BOUND = 1 << 12
+
+
+def _sympy_factors(sympy, expr, t, p):
+    """Monic factors over F_p as a sorted list of low-first coefficient tuples."""
+    _, facs = sympy.Poly(expr, t, modulus=p).factor_list()
+    out = []
+    for f, mult in facs:
+        cs = [int(c) % p for c in reversed(f.all_coeffs())]
+        inv = pow(cs[-1], -1, p)
+        out += [tuple(c * inv % p for c in cs)] * mult
+    return sorted(out)
+
+
+def _affordable(factors, p) -> bool:
+    degs = [len(f) - 1 for f in set(factors)]
+    return all(degs.count(k) < 2 or p ** k <= _SYMPY_TRIAL_BOUND for k in degs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_cyclotomic_and_factors_vs_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    ctx = gf.field_new(p)
+    checked = 0
+    for n in range(1, 31):
+        if n % p == 0:
+            with pytest.raises(CharacteristicDividesN):
+                cyclotomic(n, ctx)
+        else:
+            want = sympy.Poly(sympy.cyclotomic_poly(n, t), t).all_coeffs()
+            qn = cyclotomic(n, ctx)
+            assert qn.coeffs == tuple(int(c) % p for c in reversed(want)), (p, n)
+            expect = _sympy_factors(sympy, sympy.cyclotomic_poly(n, t), t, p)
+            if _affordable(expect, p):
+                got = sorted(f.coeffs for f in irreducible_factors(qn))
+                assert got == expect, (p, n)
+                checked += 1
+        expect = _sympy_factors(sympy, t ** n - 1, t, p)
+        if _affordable(expect, p):
+            got = sorted(f.coeffs for f in irreducible_factors(
+                Poly.x_pow_n_minus_1(ctx, n)))
+            assert got == expect, (p, n, "t^n - 1")
+            checked += 1
+    assert checked >= 40

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -25,6 +26,18 @@ EXPECTED_CLAIMS = {
 # the single catalogued claim that brute force refutes (see the registry
 # statement for p4.4.2)
 KNOWN_FALSE = {"p4.4.2"}
+
+# sha256 of the verify_all("quick", master_seed=42) JSON-line stream, and of
+# every section-4 quick-grid report line (seed 42) with construct.build
+# sabotaged by t[0] = t[1].  Both were recorded before the section-4 checks
+# became one declarative table; a changed verdict, witness or work count of
+# any claim changes them.
+QUICK_42_SHA256 = "8580b055bbf9684e8dd6ad1f1b47ec40cb2bd1a668b3c8ac06e5e6762a5be33a"
+SABOTAGED_P4_SHA256 = "f6d9a98362b9fb464a26adde63aa9999ca88bdcb0aa24d41370b7ce9826e23e9"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_registry_is_complete_with_quick_grids():
@@ -121,6 +134,33 @@ def test_verify_all_stream_determinism():
     verify.verify_all("quick", master_seed=42, stream=a)
     verify.verify_all("quick", master_seed=42, stream=b)
     assert a.getvalue() == b.getvalue()
+
+
+def test_verify_all_quick_stream_pinned():
+    buf = io.StringIO()
+    verify.verify_all("quick", master_seed=42, stream=buf)
+    assert _sha256(buf.getvalue()) == QUICK_42_SHA256
+
+
+def test_section4_fail_witnesses_pinned(monkeypatch):
+    real_build = construct.build
+
+    def sabotaged(spec):
+        tbl = real_build(spec)
+        t = tbl.table.copy()
+        t[0] = t[1]
+        return PermTable(tbl.ctx, tbl.d, t)
+
+    monkeypatch.setattr(construct, "build", sabotaged)
+    lines = []
+    for cid in sorted(c for c in verify.REGISTRY if c.startswith("p4.")):
+        reports = verify.verify_claim(cid, master_seed=42, profile="quick")
+        ran = [r for r in reports if r.verdict != "hypothesis-skipped"]
+        assert ran, cid
+        for rep in ran:
+            assert rep.verdict == "fail" and rep.witness["claim"] == cid, rep.to_json()
+        lines += [r.to_json_line() for r in reports]
+    assert _sha256("\n".join(lines)) == SABOTAGED_P4_SHA256
 
 
 def test_mutation_is_detected(monkeypatch):
