@@ -6,9 +6,10 @@ univariate form), ``verify`` (run registered claims), ``explore`` (the
 no-claim research sweep) and ``claims`` (the traceability listing).
 
 Exit codes: 0 all checks passed, 1 at least one claim verification failed,
-2 usage error / malformed spec / unknown claim / hypothesis violation.  All
-JSON output is tagged ``schema: cppforge/1`` and identical invocations with
-identical seeds produce byte-identical output (the default seed is 42).
+2 usage error / malformed spec / unknown claim / hypothesis violation /
+size cap.  All JSON output is tagged ``schema: cppforge/1`` and identical
+invocations with identical seeds produce byte-identical output (the default
+seed is 42).
 """
 
 from __future__ import annotations
@@ -86,6 +87,8 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     cap = args.cap
+    if cap is not None and cap < 1:
+        raise InvalidSpec(f"--cap must be >= 1, got {cap}")
     if args.claim == "all":
         summary = verify.verify_all(profile=args.profile, master_seed=args.seed,
                                     stream=sys.stdout if args.format == "json" else None,

@@ -3,9 +3,16 @@
 Elements are canonical integer indices in ``[0, q)``: the index encodes the
 coefficient vector of the residue polynomial in base p (the coefficient of
 degree k contributes ``digit * p**k``).  Index 0 is the additive identity and
-index 1 the multiplicative identity.  All arithmetic is exact; extension
-multiplication is schoolbook convolution followed by reduction modulo the
-field modulus.
+index 1 the multiplicative identity.  All arithmetic is exact.
+
+Prime fields multiply as ``a * b % p``.  An extension field (m >= 2) builds
+two tables in its constructor from its smallest-index primitive element g:
+``exp[k] = g^k`` for 0 <= k < 2(q-1), and ``log``, its inverse.  Then
+``a * b = exp[log a + log b]`` and ``1/a = exp[q-1 - log a]``: the standard
+log/antilog technique, also used by the ``galois`` package.  The build needs
+no scalar multiply: multiplication by g is an m x m matrix over F_p, and the
+digit vectors of g^k double block by block in numpy.  Extension fields with
+more than ``TABLE_CAP`` (2^20) elements raise SizeCap.
 
 A :class:`FieldCtx` is immutable after construction and every operation here
 is a pure function of its inputs, so contexts may be shared freely between
@@ -14,7 +21,11 @@ threads.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     CtxMismatch,
@@ -24,10 +35,14 @@ from .errors import (
     NotASubfieldRelation,
     NotPrime,
     ReducibleModulus,
+    SizeCap,
 )
 
-# Full q-row multiplication caches are only kept below this size.
-_SCALAR_TABLE_CAP = 1024
+# Largest dense table, in entries: extension fields above it are refused,
+# and perm caps its tables at the same size.
+TABLE_CAP = 1 << 20
+
+_CHUNK = 1 << 14  # rows per numpy block of the exp table build
 
 
 def is_prime(n: int) -> bool:
@@ -47,7 +62,7 @@ def is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Raw coefficient-list polynomials over F_p (low degree first).  These back
-# the modulus machinery and element inversion without depending on the
+# the modulus search and the exp/log table build without depending on the
 # higher-level Poly type.
 # ---------------------------------------------------------------------------
 
@@ -78,28 +93,17 @@ def _pmul(p: int, a: Sequence[int], b: Sequence[int]) -> list:
     return _trim(out)
 
 
-def _pdivmod(p: int, a: Sequence[int], b: Sequence[int]) -> tuple[list, list]:
-    b = _trim(list(b))
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    r = list(a)
-    _trim(r)
-    q = [0] * max(0, len(r) - len(b) + 1)
+def _pmod(p: int, a: Sequence[int], b: Sequence[int]) -> list:
+    """Remainder of a modulo the nonzero, trimmed polynomial b."""
+    r = _trim(list(a))
     inv_lead = pow(b[-1], p - 2, p)
     while len(r) >= len(b):
         shift = len(r) - len(b)
         coef = (r[-1] * inv_lead) % p
-        q[shift] = coef
         for i, cb in enumerate(b):
             r[shift + i] = (r[shift + i] - coef * cb) % p
         _trim(r)
-        if not r:
-            break
-    return _trim(q), r
-
-
-def _pmod(p: int, a: Sequence[int], b: Sequence[int]) -> list:
-    return _pdivmod(p, a, b)[1]
+    return r
 
 
 def _pgcd(p: int, a: Sequence[int], b: Sequence[int]) -> list:
@@ -126,8 +130,8 @@ def _ppowmod(p: int, base: Sequence[int], e: int, mod: Sequence[int]) -> list:
 def _monic_fp_irreducible(p: int, coeffs: Sequence[int]) -> bool:
     """Irreducibility of a monic polynomial over F_p.
 
-    Degree <= 4 uses the exhaustive root / quadratic-divisor check; higher
-    degrees use the distinct-degree gcd sieve against t^(p^k) - t.
+    Degree <= 3 needs only the root check; higher degrees use the
+    distinct-degree gcd sieve against t^(p^k) - t.
     """
     deg = len(coeffs) - 1
     if deg < 1:
@@ -137,12 +141,6 @@ def _monic_fp_irreducible(p: int, coeffs: Sequence[int]) -> bool:
     if any(_eval_fp(p, coeffs, x) == 0 for x in range(p)):
         return False
     if deg in (2, 3):
-        return True
-    if deg == 4:
-        for c0 in range(p):
-            for c1 in range(p):
-                if not _pmod(p, coeffs, [c0, c1, 1]):
-                    return False
         return True
     t = [0, 1]
     for k in range(1, deg // 2 + 1):
@@ -160,7 +158,17 @@ def _eval_fp(p: int, coeffs: Sequence[int], x: int) -> int:
     return acc
 
 
-import functools
+def _prime_divisors(n: int) -> list[int]:
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,8 +178,6 @@ def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     Coefficients are compared low-degree-first as base-p digits, so the
     candidate (c0, c1, ..., c_{m-1}) with the smallest digit string wins.
     """
-    import itertools
-
     for low in itertools.product(range(p), repeat=m):
         cand = list(low) + [1]
         if _monic_fp_irreducible(p, cand):
@@ -190,10 +196,7 @@ class FieldCtx:
     :func:`field_new`, which caches contexts and picks the canonical modulus.
     """
 
-    __slots__ = (
-        "p", "m", "q", "modulus", "key", "_digits", "_red", "_mul_rows",
-        "_inv_cache", "_embeddings",
-    )
+    __slots__ = ("p", "m", "q", "modulus", "key", "_exp", "_log", "_embeddings")
 
     def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None):
         if not is_prime(p):
@@ -208,6 +211,9 @@ class FieldCtx:
                 raise DegreeMismatch("prime field takes no modulus")
             self.modulus = None
         else:
+            if self.q > TABLE_CAP:
+                raise SizeCap(f"F_{p}^{m} has {self.q} elements, above the "
+                              f"{TABLE_CAP} extension field cap")
             if modulus is None:
                 mod = _canonical_modulus(p, m)
             else:
@@ -222,11 +228,39 @@ class FieldCtx:
                         f"modulus {list(mod)} is reducible over F_{p}")
             self.modulus = mod
         self.key = (p, m, self.modulus)
-        self._digits: Optional[list] = None
-        self._red: Optional[list] = None
-        self._mul_rows: dict = {}
-        self._inv_cache: dict = {}
+        self._exp, self._log = self._exp_log_tables() if m > 1 else (None, None)
         self._embeddings: dict = {}
+
+    def _exp_log_tables(self) -> tuple[list, list]:
+        """``exp[k] = g^k`` for 0 <= k < 2(q-1) and ``log``, its inverse."""
+        p, m, q, mod = self.p, self.m, self.q, self.modulus
+        n = q - 1
+        # g is primitive iff g^(n/l) != 1 for every prime l | n; indices
+        # below p are the constants F_p^*, whose orders divide p - 1 < n.
+        ls = _prime_divisors(n)
+        g = next(x for x in range(p, q)
+                 if all(_ppowmod(p, self.digits(x), n // l, mod) != [1] for l in ls))
+        # row i holds the digits of u^i * g, so digits(x*g) = digits(x) @ G
+        gd = list(self.digits(g))
+        G = np.zeros((m, m), dtype=np.int64)
+        for i in range(m):
+            row = _pmod(p, [0] * i + gd, mod)
+            G[i, :len(row)] = row
+        pw = p ** np.arange(m, dtype=np.int64)
+        exp = np.zeros(n, dtype=np.int64)
+        exp[0] = 1
+        s = 1
+        while s < n:  # G is multiplication by g^s: exp[s:2s] = exp[:s] * g^s
+            t = min(s, n - s)
+            for lo in range(0, t, _CHUNK):
+                hi = min(lo + _CHUNK, t)
+                exp[s + lo:s + hi] = (exp[lo:hi, None] // pw % p) @ G % p @ pw
+            G = G @ G % p
+            s += t
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(n)
+        powers = exp.tolist()
+        return powers + powers, log.tolist()
 
     # -- basic protocol ----------------------------------------------------
 
@@ -251,17 +285,11 @@ class FieldCtx:
 
     def digits(self, a: int) -> tuple[int, ...]:
         """Base-p digit vector (length m) of element index a."""
-        if self._digits is None:
-            p, m = self.p, self.m
-            table = []
-            for i in range(self.q):
-                v, ds = i, []
-                for _ in range(m):
-                    ds.append(v % p)
-                    v //= p
-                table.append(tuple(ds))
-            self._digits = table
-        return self._digits[a]
+        p, ds = self.p, []
+        for _ in range(self.m):
+            a, c = divmod(a, p)
+            ds.append(c)
+        return tuple(ds)
 
     def undigits(self, ds: Sequence[int]) -> int:
         acc = 0
@@ -305,76 +333,19 @@ class FieldCtx:
             w *= p
         return acc
 
-    def _reduction_rows(self) -> list:
-        # _red[k] holds the digit vector of u^(m+k) reduced mod the modulus.
-        if self._red is None:
-            p, m = self.p, self.m
-            rows = [tuple((-c) % p for c in self.modulus[:m])]  # u^m
-            for _ in range(m - 2):
-                prev = rows[-1]
-                over = prev[m - 1]
-                cur = [0] + list(prev[: m - 1])  # multiply by u
-                if over:
-                    red0 = rows[0]
-                    cur = [(cur[i] + over * red0[i]) % p for i in range(m)]
-                rows.append(tuple(cur))
-            self._red = rows
-        return self._red
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        da, db = self.digits(a), self.digits(b)
-        conv = [0] * (2 * m - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    conv[i + j] = (conv[i + j] + ca * cb) % p
-        res = conv[:m]
-        if len(res) < m:
-            res += [0] * (m - len(res))
-        red = self._reduction_rows()
-        for k in range(m, 2 * m - 1):
-            c = conv[k]
-            if c:
-                row = red[k - m]
-                for i in range(m):
-                    res[i] = (res[i] + c * row[i]) % p
-        return self.undigits(res)
-
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return a * b % self.p
-        if self.q <= _SCALAR_TABLE_CAP:
-            row = self._mul_rows.get(a)
-            if row is None:
-                row = [self._mul_raw(a, x) for x in range(self.q)]
-                self._mul_rows[a] = row
-            return row[b]
-        return self._mul_raw(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        got = self._inv_cache.get(a)
-        if got is None:
-            # extended Euclid on residue polynomials
-            p = self.p
-            r0, r1 = list(self.modulus), list(self.digits(a))
-            _trim(r1)
-            s0, s1 = [], [1]
-            while r1:
-                q, r = _pdivmod(p, r0, r1)
-                r0, r1 = r1, r
-                s0, s1 = s1, _psub(p, s0, _pmul(p, q, s1))
-            # r0 is now a nonzero constant gcd
-            c_inv = pow(r0[0], p - 2, p)
-            s0 = [(c * c_inv) % p for c in s0]
-            s0 += [0] * (self.m - len(s0))
-            got = self.undigits(s0[: self.m])
-            self._inv_cache[a] = got
-        return got
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -403,6 +374,7 @@ class FieldCtx:
     def elements(self) -> list["FElem"]:
         """All q elements in canonical index order."""
         return [FElem(self, i) for i in range(self.q)]
+
 
 def _coeffs_of(modulus) -> Sequence[int]:
     coeffs = getattr(modulus, "coeffs", modulus)
@@ -573,14 +545,9 @@ def subfield_embedding(big: FieldCtx, sub: FieldCtx) -> list[int]:
             powers.append(big.mul(powers[-1], root))
         table = []
         for x in range(sub.q):
-            ds = sub.digits(x)
             acc = 0
-            for k, c in enumerate(ds):
-                term = powers[k]
-                s = 0
-                for _ in range(c):
-                    s = big.add(s, term)
-                acc = big.add(acc, s)
+            for c, term in zip(sub.digits(x), powers):
+                acc = big.add(acc, big.mul(c, term))
             table.append(acc)
     back = {b: s for s, b in enumerate(table)}
     big._embeddings[sub.key] = (table, back)

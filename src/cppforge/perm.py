@@ -23,10 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, NotBijective, SizeCap
-from .gf import FieldCtx
+from .gf import TABLE_CAP, FieldCtx
 from .linalg import Mat
-
-TABLE_CAP = 1 << 20
 
 _SPACES: dict = {}
 

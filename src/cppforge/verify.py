@@ -38,7 +38,7 @@ import numpy as np
 
 from . import construct
 from .construct import TauSpec, matrix_with_char_poly, random_additive_pp, tau_to_table
-from .errors import HypothesisViolated, UnknownClaim
+from .errors import HypothesisViolated, InvalidSpec, UnknownClaim
 from .gf import FieldCtx, is_prime, parse_field_spec
 from .linalg import Mat, companion, random_invertible
 from .perm import TABLE_CAP, PermTable
@@ -845,6 +845,9 @@ def explore_quadratic(r: int, field: str, count: int = 8,
     companion) and coordinatewise non-additive tau.  Returns finding dicts;
     nothing here is asserted.
     """
+    if r < 1 or count < 0:
+        raise InvalidSpec(f"explore needs r >= 1 and count >= 0 "
+                          f"(got r={r}, count={count})")
     ctx = parse_field_spec(field)
     if r % ctx.p == 0:
         return [{"r": r, "field": field, "note": "characteristic divides r"}]

@@ -1,4 +1,5 @@
 import json
+import time
 
 from cppforge import gf
 from cppforge.cli import main
@@ -123,6 +124,31 @@ def test_verify_r_on_claim_without_r_exit_2(capsys):
     assert json.loads(out)["params"] == {"field": "2^1", "r": 9}
 
 
+def test_verify_cap_below_1_exit_2(capsys):
+    for cap in ("-1", "0"):
+        code, out, err = run(capsys, "verify", "p4.3", "--cap", cap)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidSpec:") and err.count("\n") == 1
+
+
+def test_extension_field_above_cap_exit_2(capsys):
+    for argv in (("cyclotomic", "5", "2^21"), ("verify", "p4.3", "--q", "2097152")):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: SizeCap:") and err.count("\n") == 1
+
+
+def test_extension_field_at_cap_works(capsys):
+    code, out, _ = run(capsys, "cyclotomic", "5", "2^20")
+    assert code == 0 and out.strip() == "1+1*t+1*t^2+1*t^3+1*t^4"
+    ctx = gf.field_new(2, 20)
+    assert ctx.q == 1 << 20
+    for a in (1, 2, 12345, (1 << 20) - 1):
+        assert ctx.mul(a, ctx.inv(a)) == 1
+
+
 def test_verify_unknown_claim_exit_2(capsys):
     code, _, err = run(capsys, "verify", "nosuch")
     assert code == 2 and "UnknownClaim" in err
@@ -151,6 +177,20 @@ def test_explore(capsys):
     assert code == 0
     rows = [json.loads(l) for l in out.strip().splitlines()]
     assert len(rows) == 2 and all(r["schema"] == "cppforge/1" for r in rows)
+
+
+def test_explore_r_below_1_exit_2(capsys):
+    for r in ("0", "-2", "-3"):
+        code, out, err = run(capsys, "explore", "--r", r)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidSpec:") and err.count("\n") == 1
+
+
+def test_explore_negative_count_exit_2(capsys):
+    code, out, err = run(capsys, "explore", "--count", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: InvalidSpec:") and err.count("\n") == 1
+    assert run(capsys, "explore", "--count", "0")[:2] == (0, "")
 
 
 def test_usage_error_exit_2(capsys):

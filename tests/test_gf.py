@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from cppforge import gf
 from cppforge.errors import (
     CtxMismatch, DegreeMismatch, DivisionByZero, InvalidSpec,
-    NotASubfieldRelation, NotPrime, ReducibleModulus,
+    NotASubfieldRelation, NotPrime, ReducibleModulus, SizeCap,
 )
 
 AXIOM_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -46,6 +47,24 @@ def brute_force_canonical_modulus(p, m):
     raise AssertionError("no irreducible found")
 
 
+def schoolbook_mul(ctx, a, b):
+    """Independent oracle: digit convolution reduced by the monic modulus."""
+    p, m = ctx.p, ctx.m
+    if m == 1:
+        return a * b % p
+    da = [a // p ** k % p for k in range(m)]
+    db = [b // p ** k % p for k in range(m)]
+    conv = [0] * (2 * m - 1)
+    for i in range(m):
+        for j in range(m):
+            conv[i + j] += da[i] * db[j]
+    for k in range(2 * m - 2, m - 1, -1):
+        c = conv[k] % p
+        for i, f in enumerate(ctx.modulus):
+            conv[k - m + i] -= c * f
+    return sum(conv[k] % p * p ** k for k in range(m))
+
+
 def test_field_new_examples():
     f2 = gf.field_new(2, 1)
     assert f2.q == 2 and f2.modulus is None
@@ -56,7 +75,7 @@ def test_field_new_examples():
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
-                                 (5, 2), (7, 2), (2, 8)])
+                                 (3, 4), (5, 2), (7, 2), (2, 8)])
 def test_canonical_modulus_matches_oracle(p, m):
     assert gf.field_new(p, m).modulus == brute_force_canonical_modulus(p, m)
 
@@ -107,6 +126,60 @@ def test_field_axioms_exhaustive(p, m):
     assert (addt[0] == idx).all() and (mult[1] == idx).all()
     for a in range(q):
         assert ctx.add(a, ctx.neg(a)) == 0
+
+
+@pytest.mark.parametrize("p,m", AXIOM_FIELDS)
+def test_mul_matches_schoolbook_all_pairs(p, m):
+    ctx = gf.field_new(p, m)
+    for a in range(ctx.q):
+        for b in range(ctx.q):
+            assert ctx.mul(a, b) == schoolbook_mul(ctx, a, b)
+
+
+@pytest.mark.parametrize("spec", ["2^12", "3^6", "5^4", "3^2/2,1,1"])
+def test_mul_matches_schoolbook_sampled(spec):
+    ctx = gf.parse_field_spec(spec)
+    rng = random.Random(f"gf-oracle:{spec}")
+    for _ in range(5000):
+        a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
+        assert ctx.mul(a, b) == schoolbook_mul(ctx, a, b)
+
+
+def test_f9_with_non_primitive_u():
+    # modulus t^2 + 1: u = t (index 3) has order 4, so the tables need a
+    # primitive element other than u
+    ctx = gf.parse_field_spec("3^2")
+    assert ctx.modulus == (1, 0, 1)
+    assert ctx.pow(3, 4) == 1 and ctx.pow(3, 2) != 1
+    assert sorted(ctx.pow(4, k) for k in range(8)) == list(range(1, 9))
+    for a in range(1, 9):
+        assert schoolbook_mul(ctx, a, ctx.inv(a)) == 1
+
+
+def test_inv_and_negative_pow_f4096():
+    ctx = gf.field_new(2, 12)
+    for a in range(1, ctx.q):
+        assert schoolbook_mul(ctx, a, ctx.inv(a)) == 1
+    rng = random.Random("gf-negative-pow")
+    for _ in range(200):
+        a, k = rng.randrange(1, ctx.q), rng.randrange(1, 3 * ctx.q)
+        power = 1
+        for bit in bin(k)[2:]:
+            power = schoolbook_mul(ctx, power, power)
+            if bit == "1":
+                power = schoolbook_mul(ctx, power, a)
+        assert ctx.pow(a, k) == power
+        assert schoolbook_mul(ctx, ctx.pow(a, -k), power) == 1
+    assert ctx.pow(2, -1) == ctx.inv(2)
+
+
+def test_extension_field_cap():
+    with pytest.raises(SizeCap):
+        gf.field_new(2, 21)
+    with pytest.raises(SizeCap):
+        gf.field_new(1031, 2)   # 1031^2 > 2^20
+    assert gf.TABLE_CAP == 1 << 20
+    assert gf.field_new(1031).q == 1031  # prime fields have no tables
 
 
 @pytest.mark.parametrize("p,m", AXIOM_FIELDS)
