@@ -13,10 +13,16 @@ import xml.etree.ElementTree as ET
 EXPECTED = {"tests/test_acceptance.py::test_criterion_6_section4_sweep[p4.4.2]"}
 
 
+def _test_id(tc) -> str:
+    """pytest node id of a junit testcase; a module that failed to collect
+    has an empty classname and its dotted path as the name."""
+    cls, name = tc.get("classname") or "", tc.get("name")
+    return f"{cls.replace('.', '/')}.py::{name}" if cls else f"collection error: {name}"
+
+
 def main(path: str) -> int:
     cases = list(ET.parse(path).iter("testcase"))
-    failed = {f"{tc.get('classname').replace('.', '/')}.py::{tc.get('name')}"
-              for tc in cases
+    failed = {_test_id(tc) for tc in cases
               if tc.find("failure") is not None or tc.find("error") is not None}
     print(f"{len(cases)} cases, {len(failed)} failed")
     for tid in sorted(failed - EXPECTED):
