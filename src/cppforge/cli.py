@@ -56,6 +56,8 @@ def cmd_construct(args) -> int:
     if args.tau is not None:
         params["tau"] = args.tau
     spec = construct.named_construction(args.claim, params)
+    if args.emit == "univariate":
+        fieldext.check_univariate_cap(ctx.q ** spec.d)
     table = construct.build(spec)
     if args.emit == "spec":
         print(json.dumps(spec.to_json(), sort_keys=True, separators=(",", ":")))

@@ -119,6 +119,12 @@ def default_basis(sub: FieldCtx, d: int) -> BasisPair:
     return make_basis(big, sub)
 
 
+def check_univariate_cap(n: int) -> None:
+    """Raise SizeCap when a table of n = q^d points is too large to interpolate."""
+    if n > UNIVARIATE_CAP:
+        raise SizeCap(f"q^d = {n} exceeds the univariate cap {UNIVARIATE_CAP}")
+
+
 def to_univariate(bp: BasisPair, f: PermTable) -> Poly:
     """The unique polynomial of degree < q^d matching the table everywhere.
 
@@ -129,8 +135,7 @@ def to_univariate(bp: BasisPair, f: PermTable) -> Poly:
     if f.ctx.key != sub.key or f.d != d:
         raise CtxMismatch("table does not match the basis pair")
     n = big.q
-    if n > UNIVARIATE_CAP:
-        raise SizeCap(f"q^d = {n} exceeds the univariate cap {UNIVARIATE_CAP}")
+    check_univariate_cap(n)
     sp = space(sub, d)
     tbl = f.table.tolist()
     ys = []

@@ -14,6 +14,10 @@ no scalar multiply: multiplication by g is an m x m matrix over F_p, and the
 digit vectors of g^k double block by block in numpy.  Extension fields with
 more than ``TABLE_CAP`` (2^20) elements raise SizeCap.
 
+The modulus search, the primitive-element test, the g matrix and the
+subfield root search use :class:`cppforge.poly.Poly`, imported locally
+because ``poly`` imports this module.
+
 A :class:`FieldCtx` is immutable after construction and every operation here
 is a pure function of its inputs, so contexts may be shared freely between
 threads.
@@ -60,104 +64,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Raw coefficient-list polynomials over F_p (low degree first).  These back
-# the modulus search and the exp/log table build without depending on the
-# higher-level Poly type.
-# ---------------------------------------------------------------------------
-
-def _trim(v: list) -> list:
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
-def _psub(p: int, a: Sequence[int], b: Sequence[int]) -> list:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _trim(out)
-
-
-def _pmul(p: int, a: Sequence[int], b: Sequence[int]) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _trim(out)
-
-
-def _pmod(p: int, a: Sequence[int], b: Sequence[int]) -> list:
-    """Remainder of a modulo the nonzero, trimmed polynomial b."""
-    r = _trim(list(a))
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(r) >= len(b):
-        shift = len(r) - len(b)
-        coef = (r[-1] * inv_lead) % p
-        for i, cb in enumerate(b):
-            r[shift + i] = (r[shift + i] - coef * cb) % p
-        _trim(r)
-    return r
-
-
-def _pgcd(p: int, a: Sequence[int], b: Sequence[int]) -> list:
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _pmod(p, a, b)
-    if a:
-        inv_lead = pow(a[-1], p - 2, p)
-        a = [(c * inv_lead) % p for c in a]
-    return a
-
-
-def _ppowmod(p: int, base: Sequence[int], e: int, mod: Sequence[int]) -> list:
-    result = [1]
-    acc = _pmod(p, base, mod)
-    while e:
-        if e & 1:
-            result = _pmod(p, _pmul(p, result, acc), mod)
-        acc = _pmod(p, _pmul(p, acc, acc), mod)
-        e >>= 1
-    return result
-
-
-def _monic_fp_irreducible(p: int, coeffs: Sequence[int]) -> bool:
-    """Irreducibility of a monic polynomial over F_p.
-
-    Degree <= 3 needs only the root check; higher degrees use the
-    distinct-degree gcd sieve against t^(p^k) - t.
-    """
-    deg = len(coeffs) - 1
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
-    if any(_eval_fp(p, coeffs, x) == 0 for x in range(p)):
-        return False
-    if deg in (2, 3):
-        return True
-    t = [0, 1]
-    for k in range(1, deg // 2 + 1):
-        tq = _ppowmod(p, t, p ** k, coeffs)
-        g = _pgcd(p, coeffs, _psub(p, tq, t))
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
-def _eval_fp(p: int, coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def _prime_divisors(n: int) -> list[int]:
     out, f = [], 2
     while f * f <= n:
@@ -177,11 +83,16 @@ def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
 
     Coefficients are compared low-degree-first as base-p digits, so the
     candidate (c0, c1, ..., c_{m-1}) with the smallest digit string wins.
+    The search starts at c0 = 1: for m >= 2 every candidate with c0 = 0 is
+    divisible by t.
     """
-    for low in itertools.product(range(p), repeat=m):
-        cand = list(low) + [1]
-        if _monic_fp_irreducible(p, cand):
-            return tuple(cand)
+    from .poly import Poly, is_irreducible
+
+    fp = field_new(p)
+    for low in itertools.product(range(1, p), *[range(p)] * (m - 1)):
+        cand = low + (1,)
+        if is_irreducible(Poly(fp, cand)):
+            return cand
     raise RuntimeError(f"internal error: no irreducible of degree {m} over F_{p}")
 
 
@@ -223,7 +134,9 @@ class FieldCtx:
                         f"modulus degree {len(mod) - 1} != extension degree {m}")
                 if mod[-1] != 1:
                     raise ReducibleModulus("modulus must be monic")
-                if not _monic_fp_irreducible(p, mod):
+                from .poly import Poly, is_irreducible
+
+                if not is_irreducible(Poly(field_new(p), mod)):
                     raise ReducibleModulus(
                         f"modulus {list(mod)} is reducible over F_{p}")
             self.modulus = mod
@@ -233,18 +146,23 @@ class FieldCtx:
 
     def _exp_log_tables(self) -> tuple[list, list]:
         """``exp[k] = g^k`` for 0 <= k < 2(q-1) and ``log``, its inverse."""
-        p, m, q, mod = self.p, self.m, self.q, self.modulus
+        from .poly import Poly
+
+        p, m, q = self.p, self.m, self.q
+        fp = field_new(p)
+        mod, one = Poly(fp, self.modulus), Poly.one(fp)
         n = q - 1
         # g is primitive iff g^(n/l) != 1 for every prime l | n; indices
         # below p are the constants F_p^*, whose orders divide p - 1 < n.
         ls = _prime_divisors(n)
         g = next(x for x in range(p, q)
-                 if all(_ppowmod(p, self.digits(x), n // l, mod) != [1] for l in ls))
+                 if all(Poly(fp, self.digits(x)).pow_mod(n // l, mod) != one
+                        for l in ls))
         # row i holds the digits of u^i * g, so digits(x*g) = digits(x) @ G
-        gd = list(self.digits(g))
+        gd = self.digits(g)
         G = np.zeros((m, m), dtype=np.int64)
         for i in range(m):
-            row = _pmod(p, [0] * i + gd, mod)
+            row = (Poly(fp, (0,) * i + gd) % mod).coeffs
             G[i, :len(row)] = row
         pw = p ** np.arange(m, dtype=np.int64)
         exp = np.zeros(n, dtype=np.int64)
@@ -530,14 +448,10 @@ def subfield_embedding(big: FieldCtx, sub: FieldCtx) -> list[int]:
     if sub.m == 1:
         table = list(range(sub.p))
     else:
-        root = None
-        for z in range(big.q):
-            acc = 0
-            for c in reversed(sub.modulus):
-                acc = big.add(big.mul(acc, z), c % big.p)
-            if acc == 0:
-                root = z
-                break
+        from .poly import Poly
+
+        f = Poly(big, sub.modulus)
+        root = next((z for z in range(big.q) if f.eval_idx(z) == 0), None)
         if root is None:
             raise RuntimeError("internal error: modulus has no root in big field")
         powers = [1]

@@ -2,9 +2,11 @@
 
 Determinant and inverse use Gaussian elimination with leftmost-nonzero
 pivoting (fields are exact, the pivot rule is fixed only for determinism).
-The characteristic polynomial has two independent paths: Faddeev-LeVerrier
-when gcd(d!, p) = 1, and otherwise a memoized Laplace expansion of
-det(tI - M) over the polynomial ring; the paths agree wherever both apply.
+The characteristic polynomial has one path in every characteristic: a
+reduction to Hessenberg form with the same pivot rule, followed by the
+recurrence on its leading blocks (Cohen, A Course in Computational Algebraic
+Number Theory, GTM 138, Alg. 2.2.9).  The tests keep Faddeev-LeVerrier and a
+Laplace expansion of det(tI - M) as oracles.
 """
 
 from __future__ import annotations
@@ -198,76 +200,47 @@ class Mat:
 # Characteristic and minimal polynomials, companion matrices
 # ---------------------------------------------------------------------------
 
-def _char_poly_faddeev(m: Mat) -> Poly:
-    """Faddeev-LeVerrier recursion; needs 1..d invertible, i.e. p > d."""
-    ctx = m.ctx
-    d = m.n
-    ident = Mat.identity(ctx, d)
-    coeffs = [0] * (d + 1)
-    coeffs[d] = 1
-    aux = Mat.zero(ctx, d)
-    c = 1
-    for k in range(1, d + 1):
-        aux = m * (aux + ident.scale(c))
-        tr = 0
-        for i in range(d):
-            tr = ctx.add(tr, aux.rows[i][i])
-        # c_k = -tr(M_k) / k
-        c = ctx.mul(ctx.neg(tr), ctx.inv(ctx.from_int(k)))
-        coeffs[d - k] = c
-    return Poly(ctx, coeffs)
-
-
-def _char_poly_expansion(m: Mat) -> Poly:
-    """Laplace expansion of det(tI - M) over F_q[t], memoized on column subsets."""
-    ctx = m.ctx
-    d = m.n
-    neg = ctx.neg
-    add = ctx.add
-    mul = ctx.mul
-    # entries of tI - M as raw low-first coefficient lists
-    ent = [[[neg(m.rows[i][j])] if i != j else [neg(m.rows[i][i]), 1]
-            for j in range(d)] for i in range(d)]
-
-    def padd(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return out
-
-    def pmul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] = add(out[i + j], mul(ca, cb))
-        return out
-
-    minors = {0: [1]}
-    for mask in range(1, 1 << d):
-        r = bin(mask).count("1") - 1
-        acc = [0]
-        pos = 0
-        for j in range(d):
-            if mask & (1 << j):
-                term = pmul(ent[r][j], minors[mask ^ (1 << j)])
-                if (r + pos) % 2:
-                    term = [neg(c) for c in term]
-                acc = padd(acc, term)
-                pos += 1
-        minors[mask] = acc
-    full = minors[(1 << d) - 1]
-    return Poly(ctx, full)
-
-
 def char_poly(m: Mat) -> Poly:
-    """Monic characteristic polynomial det(tI - M)."""
-    if all(k % m.ctx.p for k in range(2, m.n + 1)):
-        return _char_poly_faddeev(m)
-    return _char_poly_expansion(m)
+    """Monic characteristic polynomial det(tI - M), in any characteristic.
+
+    M is brought to upper Hessenberg form H by a similarity transform, then
+    the characteristic polynomials p_k of the leading k x k blocks of H
+    follow from the recurrence
+    p_k = (t - h_kk) p_{k-1} - sum_{i<k} h_ik h_{i+1,i} ... h_{k,k-1} p_{i-1}
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
+    """
+    ctx = m.ctx
+    n = m.n
+    add, sub, mul = ctx.add, ctx.sub, ctx.mul
+    h = [list(r) for r in m.rows]
+    for c in range(n - 2):
+        k = c + 1
+        pivot = next((r for r in range(k, n) if h[r][c]), None)
+        if pivot is None:
+            continue
+        if pivot != k:
+            h[k], h[pivot] = h[pivot], h[k]
+            for row in h:
+                row[k], row[pivot] = row[pivot], row[k]
+        inv_p = ctx.inv(h[k][c])
+        for r in range(k + 1, n):
+            u = mul(h[r][c], inv_p)
+            if u:
+                # row r -= u * row k, then column k += u * column r
+                h[r] = [sub(a, mul(u, b)) for a, b in zip(h[r], h[k])]
+                for row in h:
+                    row[k] = add(row[k], mul(u, row[r]))
+    ps = [Poly.one(ctx)]
+    for k in range(n):
+        acc = Poly(ctx, [ctx.neg(h[k][k]), 1]) * ps[k]
+        prod = 1
+        for i in range(k, 0, -1):
+            prod = mul(prod, h[i][i - 1])
+            if not prod:  # every longer product has this factor too
+                break
+            acc = acc + ps[i - 1].scale(ctx.neg(mul(prod, h[i - 1][k])))
+        ps.append(acc)
+    return ps[n]
 
 
 def min_poly(m: Mat) -> Poly:
@@ -332,29 +305,14 @@ def eval_poly_at_matrix(h: Poly, m: Mat) -> Mat:
     if h.ctx.key != m.ctx.key:
         raise CtxMismatch("polynomial and matrix over different fields")
     ctx = m.ctx
-    n = m.n
-    add, mul = ctx.add, ctx.mul
-    cols = list(zip(*m.rows))
-    acc = [[0] * n for _ in range(n)]
+    acc = Mat.zero(ctx, m.n)
     for c in reversed(h.coeffs):
-        nxt = []
-        for i in range(n):
-            row = acc[i]
-            out_row = []
-            for j in range(n):
-                col = cols[j]
-                s = 0
-                for k in range(n):
-                    a = row[k]
-                    if a:
-                        s = add(s, mul(a, col[k]))
-                out_row.append(s)
-            nxt.append(out_row)
-        acc = nxt
-        if c:
-            for i in range(n):
-                acc[i][i] = add(acc[i][i], c)
-    return Mat._raw(ctx, tuple(tuple(r) for r in acc))
+        acc = acc * m
+        if c:  # acc += c * I
+            acc = Mat._raw(ctx, tuple(
+                row[:i] + (ctx.add(row[i], c),) + row[i + 1:]
+                for i, row in enumerate(acc.rows)))
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,20 @@ def test_construct_univariate(capsys):
     assert big.q == 4 and len(data["coeffs"]) <= 4
 
 
+
+def test_construct_univariate_over_cap_exit_2_before_building(capsys, monkeypatch):
+    from cppforge import construct, fieldext
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the univariate cap check")
+
+    monkeypatch.setattr(construct, "build", refuse)
+    monkeypatch.setattr(fieldext, "default_basis", refuse)
+    code, out, err = run(capsys, "construct", "p4.10", "--q", "2", "--r", "21",
+                         "--emit", "univariate")
+    assert code == 2 and out == ""
+    assert err == "error: SizeCap: q^d = 1048576 exceeds the univariate cap 4096\n"
+
 def test_construct_spec_round_trips(capsys):
     from cppforge.construct import ConstructionSpec, build
 

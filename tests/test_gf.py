@@ -80,6 +80,21 @@ def test_canonical_modulus_matches_oracle(p, m):
     assert gf.field_new(p, m).modulus == brute_force_canonical_modulus(p, m)
 
 
+
+# Recorded from the full lexicographic search, whose exhaustive-divisor
+# oracle above is too slow at these degrees.
+@pytest.mark.parametrize("p,m,modulus", [
+    (2, 13, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1)),
+    (2, 16, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)),
+    (2, 20, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1)),
+    (3, 12, (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1)),
+    (5, 8, (1, 0, 0, 0, 0, 1, 1, 0, 1)),
+    (7, 7, (1, 0, 0, 0, 0, 0, 6, 1)),
+    (31, 4, (1, 0, 0, 1, 1)),
+])
+def test_canonical_modulus_pinned(p, m, modulus):
+    assert gf._canonical_modulus(p, m) == modulus
+
 def test_field_new_errors():
     with pytest.raises(NotPrime):
         gf.field_new(6, 1)

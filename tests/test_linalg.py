@@ -5,8 +5,8 @@ import pytest
 from cppforge import gf
 from cppforge.errors import DimMismatch, NotMonic, Singular
 from cppforge.linalg import (
-    Mat, _char_poly_expansion, _char_poly_faddeev, char_poly, companion,
-    eval_poly_at_matrix, min_poly, random_invertible, random_matrix,
+    Mat, char_poly, companion, eval_poly_at_matrix, min_poly,
+    random_invertible, random_matrix,
 )
 from cppforge.perm import PermTable
 from cppforge.poly import Poly, cyclotomic, divides, parse_poly
@@ -18,6 +18,73 @@ F5 = gf.field_new(5)
 F7 = gf.field_new(7)
 F8 = gf.field_new(2, 3)
 F9 = gf.field_new(3, 2)
+
+
+# --- Oracles: the two char-poly algorithms used before the Hessenberg path --
+
+def _char_poly_faddeev(m: Mat) -> Poly:
+    """Faddeev-LeVerrier recursion; needs 1..d invertible, i.e. p > d."""
+    ctx = m.ctx
+    d = m.n
+    ident = Mat.identity(ctx, d)
+    coeffs = [0] * (d + 1)
+    coeffs[d] = 1
+    aux = Mat.zero(ctx, d)
+    c = 1
+    for k in range(1, d + 1):
+        aux = m * (aux + ident.scale(c))
+        tr = 0
+        for i in range(d):
+            tr = ctx.add(tr, aux.rows[i][i])
+        # c_k = -tr(M_k) / k
+        c = ctx.mul(ctx.neg(tr), ctx.inv(ctx.from_int(k)))
+        coeffs[d - k] = c
+    return Poly(ctx, coeffs)
+
+
+def _char_poly_expansion(m: Mat) -> Poly:
+    """Laplace expansion of det(tI - M) over F_q[t], memoized on column subsets."""
+    ctx = m.ctx
+    d = m.n
+    neg = ctx.neg
+    add = ctx.add
+    mul = ctx.mul
+    # entries of tI - M as raw low-first coefficient lists
+    ent = [[[neg(m.rows[i][j])] if i != j else [neg(m.rows[i][i]), 1]
+            for j in range(d)] for i in range(d)]
+
+    def padd(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = add(out[i], c)
+        return out
+
+    def pmul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    if cb:
+                        out[i + j] = add(out[i + j], mul(ca, cb))
+        return out
+
+    minors = {0: [1]}
+    for mask in range(1, 1 << d):
+        r = bin(mask).count("1") - 1
+        acc = [0]
+        pos = 0
+        for j in range(d):
+            if mask & (1 << j):
+                term = pmul(ent[r][j], minors[mask ^ (1 << j)])
+                if (r + pos) % 2:
+                    term = [neg(c) for c in term]
+                acc = padd(acc, term)
+                pos += 1
+        minors[mask] = acc
+    full = minors[(1 << d) - 1]
+    return Poly(ctx, full)
 
 
 def test_det_examples():
@@ -58,7 +125,53 @@ def test_char_poly_paths_agree():
     for ctx, d in cases:
         for _ in range(10):
             m = random_matrix(ctx, d, rng)
-            assert _char_poly_faddeev(m) == _char_poly_expansion(m)
+            assert char_poly(m) == _char_poly_faddeev(m) == _char_poly_expansion(m)
+
+
+@pytest.mark.parametrize("ctx", [F2, F3, F4, F8, F9], ids=lambda c: c.spec())
+def test_char_poly_small_characteristic_vs_expansion(ctx):
+    # d runs past p, where Faddeev-LeVerrier would divide by k = p, so the
+    # expansion is the oracle here
+    rng = Random(f"char-poly:{ctx.spec()}")
+    for d in range(1, 8):
+        for _ in range(6):
+            m = random_matrix(ctx, d, rng)
+            assert char_poly(m) == _char_poly_expansion(m), (ctx.spec(), m)
+
+
+def _pivot_cases(ctx, rng):
+    """Matrices that reach each branch of the Hessenberg pivot search."""
+    d = 5
+    nz = lambda: rng.randrange(1, ctx.q)  # noqa: E731
+    swap = [list(r) for r in random_matrix(ctx, d, rng).rows]
+    swap[1][0], swap[3][0] = 0, nz()  # zero subdiagonal entry, pivot below
+    zero_col = [list(r) for r in random_matrix(ctx, d, rng).rows]
+    for r in range(1, d):
+        zero_col[r][0] = 0  # nothing to eliminate in column 0
+    zero_col[2][1], zero_col[3][1], zero_col[4][1] = 0, 0, nz()
+    hess = [[rng.randrange(ctx.q) if r <= c + 1 else 0 for c in range(d)]
+            for r in range(d)]
+    upper = Mat(ctx, [[rng.randrange(ctx.q) if r < c else 0 for c in range(d)]
+                      for r in range(d)])
+    s = random_invertible(ctx, d, rng)
+    c = nz()
+    return [("swap", Mat(ctx, swap), None),
+            ("zero column", Mat(ctx, zero_col), None),
+            ("hessenberg", Mat(ctx, hess), None),
+            ("nilpotent", s * upper * s.inv(), Poly.monomial(ctx, d)),
+            ("scalar", Mat.identity(ctx, d).scale(c),
+             Poly(ctx, [ctx.neg(c), 1]) ** d)]
+
+
+@pytest.mark.parametrize("ctx", [F2, F3, F4, F5, F9], ids=lambda c: c.spec())
+def test_char_poly_pivot_branches(ctx):
+    rng = Random(f"pivots:{ctx.spec()}")
+    for _ in range(4):
+        for tag, m, want in _pivot_cases(ctx, rng):
+            got = char_poly(m)
+            assert got == _char_poly_expansion(m), (tag, m)
+            if want is not None:
+                assert got == want, (tag, m)
 
 
 def test_cayley_hamilton_seeded():

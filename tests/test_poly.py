@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cppforge import gf
 from cppforge.errors import CharacteristicDividesN, DivisionByZero
+from cppforge.linalg import char_poly, random_matrix
 from cppforge.poly import (
     Poly, cyclotomic, divides, gcd, irreducible_factors, is_irreducible,
     monic_polys, parse_poly,
@@ -287,3 +288,35 @@ def test_cyclotomic_and_factors_vs_sympy(p):
             assert got == expect, (p, n, "t^n - 1")
             checked += 1
     assert checked >= 40
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_char_poly_vs_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    ctx = gf.field_new(p)
+    rng = Random(f"sympy-char-poly:{p}")
+    for d in range(1, 9):
+        for _ in range(5):
+            m = random_matrix(ctx, d, rng)
+            want = sympy.Matrix(m.rows).charpoly().all_coeffs()
+            assert char_poly(m).coeffs == \
+                tuple(int(c) % p for c in reversed(want)), (p, m)
+
+
+def test_cap_field_moduli_irreducible_vs_sympy():
+    # for every prime p with p^2 <= TABLE_CAP, the largest field F_p^m
+    # under the cap
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    checked = 0
+    for p in range(2, 1025):
+        if not gf.is_prime(p):
+            continue
+        m = 2
+        while p ** (m + 1) <= gf.TABLE_CAP:
+            m += 1
+        mod = gf._canonical_modulus(p, m)
+        assert len(mod) == m + 1 and mod[-1] == 1
+        assert sympy.Poly(list(reversed(mod)), t, modulus=p).is_irreducible, (p, m)
+        checked += 1
+    assert checked == 172
