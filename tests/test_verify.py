@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from cppforge import construct, verify
+import cppforge
+from cppforge import construct, linalg, verify
 from cppforge.errors import UnknownClaim
+from cppforge.linalg import Mat
 from cppforge.perm import PermTable
 
 EXPECTED_CLAIMS = {
@@ -34,6 +36,16 @@ KNOWN_FALSE = {"p4.4.2"}
 # any claim changes them.
 QUICK_42_SHA256 = "8580b055bbf9684e8dd6ad1f1b47ec40cb2bd1a668b3c8ac06e5e6762a5be33a"
 SABOTAGED_P4_SHA256 = "f6d9a98362b9fb464a26adde63aa9999ca88bdcb0aa24d41370b7ce9826e23e9"
+
+# sha256 of every theorem and section-3 quick-grid report line (seed 42) under
+# each sabotage of test_section3_and_theorem_fail_witnesses_pinned, with the
+# number of the 119 points that fail.  Recorded before the theorem and
+# section-3 checks joined the claim table.
+SABOTAGED_NON_P4 = {
+    "from_matrix": (102, "430c18e7e0f42afb7e30f43329a4e48cf8e65e67376d5bcc024d94104ab97d08"),
+    "npower": (90, "ccf2fbb2375a11699502accf8e963ef5162202bd52d3f2588ce8aa5927f8c32a"),
+    "companion": (118, "a4789d370d14268d4b58e49046652ef2895c9ca2a7e780a8a054b7e9ee24d6c4"),
+}
 
 
 def _sha256(text: str) -> str:
@@ -161,6 +173,51 @@ def test_section4_fail_witnesses_pinned(monkeypatch):
             assert rep.verdict == "fail" and rep.witness["claim"] == cid, rep.to_json()
         lines += [r.to_json_line() for r in reports]
     assert _sha256("\n".join(lines)) == SABOTAGED_P4_SHA256
+
+
+def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
+    # each sabotage keeps tables bijective, so the checks report witnesses
+    # instead of crashing on an inverse
+    real_from_matrix = PermTable.from_matrix.__func__
+    real_npower = PermTable.npower
+    real_companion = linalg.companion
+
+    def from_matrix(cls, m):
+        tbl = real_from_matrix(cls, m)
+        t = tbl.table.copy()
+        t[1], t[2] = t[2], t[1]
+        return PermTable(tbl.ctx, tbl.d, t)
+
+    def npower(self, n):
+        tbl = real_npower(self, n)
+        if n <= 1:
+            return tbl
+        t = tbl.table.copy()
+        t[0], t[1] = t[1], t[0]
+        return PermTable(tbl.ctx, tbl.d, t, bijective=tbl.bijective)
+
+    def companion(h):
+        c = real_companion(h)
+        rows = [list(r) for r in c.rows]
+        rows[0][0] = c.ctx.add(rows[0][0], 1)
+        return Mat(c.ctx, rows)
+
+    patches = {
+        "from_matrix": [(PermTable, "from_matrix", classmethod(from_matrix))],
+        "npower": [(PermTable, "npower", npower)],
+        "companion": [(mod, "companion", companion)
+                      for mod in (linalg, verify, construct, cppforge)],
+    }
+    cids = sorted(c for c in verify.REGISTRY if not c.startswith("p4."))
+    for name, (want_fails, want_sha) in SABOTAGED_NON_P4.items():
+        with monkeypatch.context() as mp:
+            for target, attr, value in patches[name]:
+                mp.setattr(target, attr, value)
+            reports = [rep for cid in cids
+                       for rep in verify.verify_claim(cid, master_seed=42, profile="quick")]
+        assert len(reports) == 119
+        assert sum(r.verdict == "fail" for r in reports) == want_fails, name
+        assert _sha256("\n".join(r.to_json_line() for r in reports)) == want_sha, name
 
 
 def test_mutation_is_detected(monkeypatch):
