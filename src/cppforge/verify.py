@@ -8,15 +8,18 @@ claims pass only by exhibiting a concrete witness (a short cycle), never by
 absence of evidence.  Hypothesis-violating or size-capped grid points get
 the verdict ``hypothesis-skipped`` rather than being dropped.
 
-The section-4 claims are one table, ``_P4_TABLE``.  To add one, give its
-construction to ``construct.named_construction`` and add one ``_P4Claim``
-row: statement, quick grid (full grid only where it differs), d and r
-(``None`` where r comes from the grid point and d = r - 1), an optional
-hypothesis guard and the instance sweep, a list of (case tag, extra
-construction params, check) triples.  The checks are ``_regular_cpp``
-(optionally also sigma + e when p = 2, or the census), ``_cpp``,
-``_sig_e_regular_cpp`` and ``_short_cycle``; the one runner, ``_check_p4``,
-does the size cap, seeds, guard, builds, work count and witnesses.
+``REGISTRY`` is the claim table: one :class:`Claim` row per claim, run by one
+runner, ``_run``.  To add a claim, add one row: its statement, quick and full
+grids, the sweep, and where they apply the table dimension d of the whole
+point (checked against the size cap before anything is built), a fixed r
+and a guard that names a violated hypothesis.  The sweep is a generator
+that builds and checks one instance per step, draws from the point's RNG in
+sweep order, and yields (verdict, witness, work), work being the table
+entries built since the previous step.  The runner stops at the
+first FAIL; otherwise the point passes with the last step's witness, or is
+skipped when no instance fits under the cap.  The section-4 rows use
+``_p4`` and ``_p4_sweep``: give the construction to
+``construct.named_construction`` and list its cases with their checks.
 
 Reports are replayable: the verdict and witness are pure functions of
 (claim id, parameters, master seed).  The JSON-line stream therefore emits a
@@ -42,7 +45,7 @@ from .errors import HypothesisViolated, InvalidSpec, UnknownClaim
 from .gf import FieldCtx, is_prime, parse_field_spec
 from .linalg import Mat, companion, random_invertible
 from .perm import TABLE_CAP, PermTable
-from .poly import Poly, cyclotomic, gcd as poly_gcd, irreducible_factors, monic_polys
+from .poly import Poly, cyclotomic, irreducible_factors, monic_polys
 
 SCHEMA = "cppforge/1"
 QUICK_CAP = 1 << 12
@@ -77,10 +80,6 @@ def _canon(params: dict) -> str:
 
 def _rng_for(master_seed, claim: str, params: dict) -> Random:
     return Random(f"cppforge:{master_seed}:{claim}:{_canon(params)}")
-
-
-def _ctx_of(params: dict) -> FieldCtx:
-    return parse_field_spec(params["field"])
 
 
 def _collision(table: np.ndarray) -> dict:
@@ -137,20 +136,6 @@ def _ord_mod(h: Poly, shift: int) -> int:
     return k
 
 
-def _divisor_products(factors: list[Poly]) -> list[Poly]:
-    """All monic products of nonempty subsets of distinct squarefree factors."""
-    out: list[Poly] = []
-    n = len(factors)
-    for mask in range(1, 1 << n):
-        prod = None
-        for i in range(n):
-            if mask & (1 << i):
-                prod = factors[i] if prod is None else prod * factors[i]
-        out.append(prod)
-    out.sort(key=Poly.sort_key)
-    return out
-
-
 def _tau_general(ctx: FieldCtx, d: int, rng: Random) -> PermTable:
     tbl = list(range(ctx.q ** d))
     rng.shuffle(tbl)
@@ -165,266 +150,220 @@ def _conjugated(sig: PermTable, tau: PermTable) -> PermTable:
     return tau.compose(sig.compose(tau.invert()))
 
 
+_MODES = ("companion", "conjugate")
+
+
+def _off_length_cycle(tbl: PermTable, r: int):
+    return tbl.find_cycle(lambda L: L > 1 and L != r)
+
+
 # ---------------------------------------------------------------------------
-# Theorem checkers (the invertible-linear-map quartet and its tau versions)
+# Theorem sweeps: the invertible-linear-map quartet and its tau versions
 # ---------------------------------------------------------------------------
 
-def _check_thm31(part: int):
-    def run(params: dict, rng: Random, cap: int):
-        ctx = _ctx_of(params)
-        deg = params["deg"]
-        n = ctx.q ** deg
-        if n > cap:
-            return SKIP, {"reason": f"q^d = {n} exceeds cap {cap}"}, 0
-        e = PermTable.identity(ctx, deg)
-        s_mat = random_invertible(ctx, deg, rng)
-        s_tbl = PermTable.from_matrix(s_mat)
-        s_inv = s_tbl.invert()
-        work = 0
-        for h in monic_polys(ctx, deg):
-            h0 = h.coeffs[0]
-            hm1 = h.eval_idx(ctx.neg(1))
-            base = PermTable.from_matrix(companion(h))
-            for kind, sig in (("companion", base),
-                              ("conjugate", s_tbl.compose(base.compose(s_inv)))):
-                work += sig.n
-                wit = {"h": h.to_json(), "matrix": kind}
-                if part == 1:
-                    if h0 != 0 and not sig.bijective:
-                        return FAIL, {**wit, **_collision(sig.table)}, work
-                elif part == 2:
-                    if h0 != 0:
-                        n0 = _ord_mod(h, 0)
-                        work += sig.n
-                        if sig.npower(n0) != e:
-                            return FAIL, {**wit, "n": n0, "kind": "npower!=e"}, work
-                elif part == 3:
-                    sige = sig.add_pointwise(e)
-                    work += sige.n
-                    if hm1 != 0 and not sige.bijective:
-                        return FAIL, {**wit, **_collision(sige.table)}, work
-                elif part == 4:
-                    if hm1 != 0:
-                        sige = sig.add_pointwise(e)
-                        m0 = _ord_mod(h, 1)
-                        work += 2 * sige.n
-                        if sige.npower(m0) != e:
-                            return FAIL, {**wit, "m": m0, "kind": "npower!=e"}, work
-        return PASS, None, work
-
-    return run
-
-
-def _check_thm32(part: int, draw_tau=_tau_additive):
-    """Theorem 3.2 with additive taus; with ``_tau_general``, Theorem 3.3 (parts 1, 2)."""
-
-    def run(params: dict, rng: Random, cap: int):
-        ctx = _ctx_of(params)
-        deg = params["deg"]
-        n = ctx.q ** deg
-        if n > cap:
-            return SKIP, {"reason": f"q^d = {n} exceeds cap {cap}"}, 0
-        e = PermTable.identity(ctx, deg)
-        t1 = draw_tau(ctx, deg, rng)
-        t2i = draw_tau(ctx, deg, rng)
-        t1_inv = t1.invert()
-        work = 2 * n
-        for h in monic_polys(ctx, deg):
-            h0 = h.coeffs[0]
-            hm1 = h.eval_idx(ctx.neg(1))
-            sig_m = PermTable.from_matrix(companion(h))
-            work += n
-            wit = {"h": h.to_json()}
+def _thm31_sweep(part: int, cid, ctx, r, params, rng, cap):
+    """Theorem 3.1, part ``part``, for M(h) and S M(h) S^-1 over every monic h."""
+    deg = params["deg"]
+    e = PermTable.identity(ctx, deg)
+    s_tbl = PermTable.from_matrix(random_invertible(ctx, deg, rng))
+    s_inv = s_tbl.invert()
+    for h in monic_polys(ctx, deg):
+        h0 = h.coeffs[0]
+        hm1 = h.eval_idx(ctx.neg(1))
+        base = PermTable.from_matrix(companion(h))
+        for kind, sig in (("companion", base),
+                          ("conjugate", s_tbl.compose(base.compose(s_inv)))):
+            work, bad = sig.n, None
             if part == 1:
-                sig = t1.compose(sig_m.compose(t2i))
                 if h0 != 0 and not sig.bijective:
-                    return FAIL, {**wit, **_collision(sig.table)}, work
-                continue
+                    bad = _collision(sig.table)
+            elif part == 2:
+                if h0 != 0:
+                    n0 = _ord_mod(h, 0)
+                    work += sig.n
+                    if sig.npower(n0) != e:
+                        bad = {"n": n0, "kind": "npower!=e"}
+            elif part == 3:
+                sige = sig.add_pointwise(e)
+                work += sige.n
+                if hm1 != 0 and not sige.bijective:
+                    bad = _collision(sige.table)
+            elif hm1 != 0:  # part 4
+                sige = sig.add_pointwise(e)
+                m0 = _ord_mod(h, 1)
+                work += 2 * sige.n
+                if sige.npower(m0) != e:
+                    bad = {"m": m0, "kind": "npower!=e"}
+            wit = {"h": h.to_json(), "matrix": kind}
+            yield (FAIL, {**wit, **bad}, work) if bad else (PASS, None, work)
+
+
+def _thm32_sweep(part: int, draw_tau, cid, ctx, r, params, rng, cap):
+    """Theorem 3.2 with additive taus; with ``_tau_general``, Theorem 3.3 (parts 1, 2)."""
+    deg = params["deg"]
+    n = ctx.q ** deg
+    e = PermTable.identity(ctx, deg)
+    t1 = draw_tau(ctx, deg, rng)
+    t2i = draw_tau(ctx, deg, rng)
+    t1_inv = t1.invert()
+    work = 2 * n  # the two taus, counted with the first instance
+    for h in monic_polys(ctx, deg):
+        h0 = h.coeffs[0]
+        hm1 = h.eval_idx(ctx.neg(1))
+        sig_m = PermTable.from_matrix(companion(h))
+        work += n
+        bad = None
+        if part == 1:
+            sig = t1.compose(sig_m.compose(t2i))
+            if h0 != 0 and not sig.bijective:
+                bad = _collision(sig.table)
+        else:
             sig = t1.compose(sig_m.compose(t1_inv))
             if part == 2:
                 if h0 != 0:
                     n0 = _ord_mod(h, 0)
                     if sig.npower(n0) != e:
-                        return FAIL, {**wit, "n": n0, "kind": "npower!=e"}, work
-            elif part == 3:
-                if hm1 != 0:
-                    sige = sig.add_pointwise(e)
-                    if not sige.bijective:
-                        return FAIL, {**wit, **_collision(sige.table)}, work
+                        bad = {"n": n0, "kind": "npower!=e"}
+            elif hm1 != 0:  # parts 3 and 4, on sigma + e
+                sige = sig.add_pointwise(e)
+                if part == 4:
+                    m0 = _ord_mod(h, 1)
+                    if sige.npower(m0) != e:
+                        bad = {"m": m0, "kind": "npower!=e"}
+                elif not sige.bijective:
+                    bad = _collision(sige.table)
+                else:
                     mpi = companion(h) + Mat.identity(ctx, deg)
                     lhs = t1.compose(PermTable.from_matrix(mpi).compose(t1_inv))
                     work += n
                     if sige != lhs:
-                        return FAIL, {**wit, "kind": "conjugation identity failed"}, work
-            elif part == 4:
-                if hm1 != 0:
-                    sige = sig.add_pointwise(e)
-                    m0 = _ord_mod(h, 1)
-                    if sige.npower(m0) != e:
-                        return FAIL, {**wit, "m": m0, "kind": "npower!=e"}, work
-        return PASS, None, work
-
-    return run
+                        bad = {"kind": "conjugation identity failed"}
+        yield (FAIL, {"h": h.to_json(), **bad}, work) if bad else (PASS, None, work)
+        work = 0
 
 
 # ---------------------------------------------------------------------------
-# Section-3 proposition checkers
+# Section-3 sweeps
 # ---------------------------------------------------------------------------
 
-def _wrap_tau(sig: PermTable, ctx: FieldCtx, d: int, tau_kind: str,
-              rng: Random, taus: dict) -> PermTable:
-    if tau_kind == "linear":
-        return sig
-    t1 = taus.get(d)
-    if t1 is None:
-        t1 = (_tau_additive if tau_kind == "additive" else _tau_general)(ctx, d, rng)
-        taus[d] = t1
-    return _conjugated(sig, t1)
+def _cyclotomic_factors(ctx: FieldCtx, ls, cap: int) -> list[tuple[int, Poly]]:
+    """(l, f) for every irreducible factor f of Q_l, l in ls, with q^deg(f) <= cap.
+
+    Every factor of Q_l has degree ord_l(q) (Lidl & Niederreiter, Thm 2.47),
+    so Q_l is factored only when q^k = 1 (mod l) for some k with q^k <= cap:
+    a point whose instances all exceed the size cap factors nothing.
+    """
+    ks = [k for k in range(1, cap.bit_length()) if ctx.q ** k <= cap]
+    return [(l, f) for l in ls if any(pow(ctx.q, k, l) == 1 % l for k in ks)
+            for f in irreducible_factors(cyclotomic(l, ctx))]
 
 
-def _check_p3_regular(tau_kind: str, composite: bool):
+def _products(factors: list[Poly], cap: int) -> list[tuple[Poly, tuple]]:
+    """(h, S) for every nonempty set S of the distinct factors (each with
+    q^deg <= cap) whose product h has q^deg(h) <= cap, sorted by h."""
+    out: list = []
+    for f in factors:
+        out += [(f, (f,))] + [(h * f, s + (f,)) for h, s in out
+                              if f.ctx.q ** (h.degree + f.degree) <= cap]
+    return sorted(out, key=lambda hs: hs[0].sort_key())
+
+
+def _p3_tables(hs, kinds, tau_kind: str, ctx: FieldCtx, rng: Random):
+    """(h, kind, sigma) per instance: sigma_M for M of each kind with P_M = h,
+    conjugated (unless tau_kind is linear) by one tau per dimension, drawn on
+    its first use."""
+    taus: dict = {}
+    for h in hs:
+        d = h.degree
+        for kind in kinds:
+            sig = PermTable.from_matrix(matrix_with_char_poly(h, kind, rng))
+            if tau_kind != "linear":
+                if d not in taus:
+                    draw = _tau_additive if tau_kind == "additive" else _tau_general
+                    taus[d] = draw(ctx, d, rng)
+                sig = _conjugated(sig, taus[d])
+            yield h, kind, sig
+
+
+def _r_cycle_failure(sig: PermTable, r: int, wit: dict, cpp: bool):
+    """Witness of the first check to fail of PP, CPP (when ``cpp``) and
+    sigma^r = e; None when all hold."""
+    e = PermTable.identity(sig.ctx, sig.d)
+    if not sig.bijective:
+        return {**wit, **_collision(sig.table)}
+    if cpp and not sig.is_cpp():
+        return {**wit, "part": "cpp", **_collision(sig.add_pointwise(e).table)}
+    if sig.npower(r) != e:
+        return {**wit, "kind": f"npower({r}) != e"}
+    return None
+
+
+def _p3_regular_sweep(tau_kind: str, composite: bool, cid, ctx, r, params, rng, cap):
     """Props on r-regularity: prime-r divisors of t^r - 1, or h | Q_r."""
-
-    def run(params: dict, rng: Random, cap: int):
-        ctx = _ctx_of(params)
-        r = params["r"]
-        if r % ctx.p == 0:
-            return SKIP, {"reason": f"gcd(r, p) != 1 (r={r}, p={ctx.p})"}, 0
-        if composite and (is_prime(r) or r < 4):
-            return SKIP, {"reason": f"r = {r} is not composite"}, 0
-        if not composite and not (is_prime(r) and r % 2 == 1):
-            return SKIP, {"reason": f"r = {r} is not an odd prime"}, 0
-        if composite:
-            hs = _divisor_products(irreducible_factors(cyclotomic(r, ctx)))
-        else:
-            full = _divisor_products(
-                irreducible_factors(Poly.x_pow_n_minus_1(ctx, r)))
-            tm1 = Poly(ctx, [ctx.neg(1), 1])
-            # h != t-1 per the hypothesis; h(-1) != 0 restricts the p = 2
-            # divisors containing t-1 (see the claim statement)
-            hs = [h for h in full if h != tm1 and h.eval_idx(ctx.neg(1)) != 0]
-        e_cache: dict = {}
-        taus: dict = {}
-        work = 0
-        ran = False
-        for h in hs:
-            d = h.degree
-            n = ctx.q ** d
-            if n > cap:
-                continue
-            ran = True
-            e = e_cache.get(d)
-            if e is None:
-                e = PermTable.identity(ctx, d)
-                e_cache[d] = e
-            for kind in ("companion", "conjugate"):
-                m = matrix_with_char_poly(h, kind, rng)
-                sig = _wrap_tau(PermTable.from_matrix(m), ctx, d, tau_kind, rng, taus)
-                work += 2 * sig.n
-                wit = {"h": h.to_json(), "matrix": kind, "d": d}
-                if not sig.bijective:
-                    return FAIL, {**wit, **_collision(sig.table)}, work
-                if tau_kind in ("linear", "additive"):
-                    if not sig.is_cpp():
-                        sige = sig.add_pointwise(e)
-                        return FAIL, {**wit, "part": "cpp", **_collision(sige.table)}, work
-                if sig.npower(r) != e:
-                    return FAIL, {**wit, "kind": f"npower({r}) != e"}, work
-                cs = sig.cycle_structure()
-                if not all(l == r for l, _ in cs.cycles):
-                    bad = sig.find_cycle(lambda L: L > 1 and L != r)
-                    return FAIL, {**wit, "kind": "not regular", "cycle": bad}, work
-                if composite:
-                    want = ((r, (n - 1) // r),)
-                    if cs.fixed_points != 1 or cs.cycles != want:
-                        return FAIL, {**wit, "kind": "census mismatch",
-                                      "census": cs.to_json()}, work
-        if not ran:
-            return SKIP, {"reason": "all instances exceed the size cap"}, work
-        return PASS, None, work
-
-    return run
+    factors = _cyclotomic_factors(ctx, (r,) if composite else (1, r), cap)
+    hs = [h for h, _ in _products([f for _, f in factors], cap)]
+    if not composite:
+        tm1 = Poly(ctx, [ctx.neg(1), 1])
+        # h != t-1 per the hypothesis; h(-1) != 0 restricts the p = 2
+        # divisors containing t-1 (see the claim statement)
+        hs = [h for h in hs if h != tm1 and h.eval_idx(ctx.neg(1)) != 0]
+    for h, kind, sig in _p3_tables(hs, _MODES, tau_kind, ctx, rng):
+        wit = {"h": h.to_json(), "matrix": kind, "d": h.degree}
+        bad = _r_cycle_failure(sig, r, wit, tau_kind != "general")
+        if bad is None:
+            cs = sig.cycle_structure()
+            if not all(l == r for l, _ in cs.cycles):
+                bad = {**wit, "kind": "not regular", "cycle": _off_length_cycle(sig, r)}
+            elif composite and (cs.fixed_points != 1
+                                or cs.cycles != ((r, (sig.n - 1) // r),)):
+                bad = {**wit, "kind": "census mismatch", "census": cs.to_json()}
+        yield (FAIL, bad, 2 * sig.n) if bad else (PASS, None, 2 * sig.n)
 
 
-def _check_p3_negative(tau_kind: str, cpp_required: bool):
+def _p3_negative_sweep(tau_kind: str, cid, ctx, r, params, rng, cap):
     """Props 3.3/3.6/3.9: r-cycle but not r-regular, witnessed by a short cycle."""
-
-    def run(params: dict, rng: Random, cap: int):
-        ctx = _ctx_of(params)
-        r = params["r"]
-        if r % ctx.p == 0:
-            return SKIP, {"reason": f"gcd(r, p) != 1 (r={r}, p={ctx.p})"}, 0
-        if is_prime(r) or r < 4:
-            return SKIP, {"reason": f"r = {r} is not composite"}, 0
-        factors = irreducible_factors(Poly.x_pow_n_minus_1(ctx, r))
-        qr = cyclotomic(r, ctx)
-        complement = Poly.x_pow_n_minus_1(ctx, r) // qr
-        witness_ls = [l for l in range(2, r) if r % l == 0]
-        witness_factors = set()
-        for l in witness_ls:
-            for f in irreducible_factors(cyclotomic(l, ctx)):
-                witness_factors.add(f)
-        hs = []
-        for h in _divisor_products(factors):
-            if h.degree < 2:
-                continue
-            sub = irreducible_factors(h)
-            if len(sub) < 2:
-                continue  # must be reducible
-            if poly_gcd(h, complement).degree == 0:
-                continue
-            if not any(f in witness_factors for f in sub):
-                continue  # needs a factor from Q_l with 1 < l < r
-            if cpp_required and h.eval_idx(ctx.neg(1)) == 0:
-                continue
-            hs.append(h)
-        taus: dict = {}
-        work = 0
-        ran = False
-        last_witness = None
-        for h in hs:
-            d = h.degree
-            n = ctx.q ** d
-            if n > cap:
-                continue
-            ran = True
-            e = PermTable.identity(ctx, d)
-            m = companion(h)  # the minimal-polynomial argument needs M(h)
-            sig = _wrap_tau(PermTable.from_matrix(m), ctx, d, tau_kind, rng, taus)
-            work += 2 * sig.n
-            wit = {"h": h.to_json(), "d": d}
-            if not sig.bijective:
-                return FAIL, {**wit, **_collision(sig.table)}, work
-            if cpp_required and not sig.is_cpp():
-                sige = sig.add_pointwise(e)
-                return FAIL, {**wit, "part": "cpp", **_collision(sige.table)}, work
-            if sig.npower(r) != e:
-                return FAIL, {**wit, "kind": f"npower({r}) != e"}, work
+    cpp = tau_kind != "general"
+    # h has two or more factors, so each has q^deg <= cap / q
+    factors = _cyclotomic_factors(
+        ctx, [l for l in range(1, r + 1) if r % l == 0], cap // ctx.q)
+    short = {f for l, f in factors if 1 < l < r}
+    # reducible, with a factor from some Q_l, 1 < l < r (hence sharing one
+    # with (t^r - 1)/Q_r)
+    hs = [h for h, s in _products([f for _, f in factors], cap)
+          if len(s) >= 2 and short.intersection(s)
+          and not (cpp and h.eval_idx(ctx.neg(1)) == 0)]
+    # the minimal-polynomial argument needs M(h)
+    for h, _, sig in _p3_tables(hs, ("companion",), tau_kind, ctx, rng):
+        wit = {"h": h.to_json(), "d": h.degree}
+        bad = _r_cycle_failure(sig, r, wit, cpp)
+        if bad is None:
             cyc = sig.find_cycle(lambda L: 1 < L < r and r % L == 0)
             if cyc is None:
-                return FAIL, {**wit, "kind": "no short-cycle witness found"}, work
-            last_witness = {**wit, "cycle_length": len(cyc),
-                            "cycle": cyc[:16]}
-        if not ran:
-            return SKIP, {"reason": "all instances exceed the size cap"}, work
-        return PASS, last_witness, work
+                bad = {**wit, "kind": "no short-cycle witness found"}
+        yield ((FAIL, bad, 2 * sig.n) if bad else
+               (PASS, {**wit, "cycle_length": len(cyc), "cycle": cyc[:16]}, 2 * sig.n))
 
-    return run
+
+def _not_composite(ctx: FieldCtx, r: int) -> Optional[str]:
+    return None if not is_prime(r) and r >= 4 else f"r = {r} is not composite"
+
+
+def _p3_guard(composite: bool, ctx: FieldCtx, r: int) -> Optional[str]:
+    if r % ctx.p == 0:
+        return f"gcd(r, p) != 1 (r={r}, p={ctx.p})"
+    if composite:
+        return _not_composite(ctx, r)
+    return None if is_prime(r) and r % 2 == 1 else f"r = {r} is not an odd prime"
 
 
 # ---------------------------------------------------------------------------
-# Section-4 named-construction checkers
+# Section-4 sweep: named constructions
 # ---------------------------------------------------------------------------
 #
 # A check takes (table, r, base witness) and returns (PASS, witness or None)
 # or (FAIL, witness).
 
 _WIT_KEYS = ("m", "seed", "r", "tau")
-_MODES = ("companion", "conjugate")
-
-
-def _off_length_cycle(tbl: PermTable, r: int):
-    return tbl.find_cycle(lambda L: L > 1 and L != r)
 
 
 def _regular_cpp(tbl: PermTable, r: int, wit: dict, sig_e=False, census=False):
@@ -483,7 +422,7 @@ def _short_cycle(tbl: PermTable, r: int, wit: dict):
     return PASS, {**wit, "cycle_length": len(cyc), "cycle": cyc[:16]}
 
 
-# Instance sweeps: (ctx, r, seeds, rng) -> [(case tag, extra params, check)].
+# Instance cases: (ctx, r, seeds, rng) -> [(case tag, extra params, check)].
 
 def _by_seed(check, tag=None, with_r=False, **fixed):
     return lambda ctx, r, seeds, rng: [
@@ -500,7 +439,7 @@ def _by_m(check):
                                        for m in range(1, ctx.q) for s in seeds]
 
 
-def _odd_a_sweep(ctx, r, seeds, rng):
+def _odd_a_cases(ctx, r, seeds, rng):
     """p4.2.2: the seeded odd a, then a = x^3 when it permutes F_q."""
     out = _by_seed(_regular_cpp)(ctx, r, seeds, rng)
     cube = tuple(ctx.pow(x, 3) for x in range(ctx.q))
@@ -509,7 +448,7 @@ def _odd_a_sweep(ctx, r, seeds, rng):
     return out
 
 
-def _any_a1_sweep(ctx, r, seeds, rng):
+def _any_a1_cases(ctx, r, seeds, rng):
     """p4.4.2, checked as stated: every a_1 when q <= 5, else 60 seeded draws."""
     if ctx.q <= 5:
         return [("exhaustive", {"a1": a}, _regular_cpp) for a in permutations(range(ctx.q))]
@@ -517,78 +456,75 @@ def _any_a1_sweep(ctx, r, seeds, rng):
             for _ in range(60)]
 
 
-def _sandwich_sweep(ctx, r, seeds, rng):
+def _sandwich_cases(ctx, r, seeds, rng):
     """p4.8/p4.9: a free sandwich is a CPP; a_2 = a_1^{-1} makes it r-regular."""
     return [case for s in seeds
             for case in (("free", {"seed": s, "tau": "free"}, _cpp),
                          ("inverse", {"seed": s, "tau": "inverse"}, _regular_cpp))]
 
 
-@dataclass(frozen=True)
-class _P4Claim:
-    """One row of the section-4 table (see the module docstring)."""
-    statement: str
-    grid: tuple
-    d: Optional[int]                  # None: d = r - 1 (the p4.10 sandwich)
-    r: Optional[int]                  # None: r comes from the grid point
-    sweep: Callable
-    guard: Optional[Callable] = None  # (ctx, r) -> skip reason or None
-    full: Optional[tuple] = None      # full-profile grid when it differs
-    show_a1: bool = False             # the witness names the drawn a_1
-
-
-def _check_p4(cid: str, row: _P4Claim):
+def _p4_sweep(cases, show_a1: bool, cid, ctx, r, params, rng, cap):
+    """Build and check each case of ``cases`` with ``named_construction``."""
     build_id = "p4.10" if cid.startswith("p4.10.") else cid
-
-    def run(params: dict, rng: Random, cap: int):
-        ctx = _ctx_of(params)
-        r = row.r or params["r"]
-        n = ctx.q ** (row.d or r - 1)
-        if n > cap:
-            return SKIP, {"reason": f"q^d = {n} exceeds cap {cap}"}, 0
-        seeds = [rng.randrange(1 << 30) for _ in range(2)]
-        reason = row.guard(ctx, r) if row.guard else None
-        if reason:
-            return SKIP, {"reason": reason}, 0
-        run_params = {**params, "field": ctx}
-        work, last = 0, None
-        for tag, extra, check in row.sweep(ctx, r, seeds, rng):
-            try:
-                spec = construct.named_construction(build_id, {**run_params, **extra})
-                tbl = construct.build(spec)
-            except HypothesisViolated as ex:
-                return SKIP, {"reason": str(ex)}, work
-            work += 2 * tbl.n
-            wit = {"claim": cid, **({"case": tag} if tag else {}),
-                   **{k: extra[k] for k in _WIT_KEYS if k in extra}}
-            if row.show_a1:
-                wit["a1"] = [int(x) for x in spec.tau1.perms[0]]
-            verdict, last = check(tbl, r, wit)
-            if verdict == FAIL:
-                return FAIL, last, work
-        return PASS, last, work
-
-    return run
+    seeds = [rng.randrange(1 << 30) for _ in range(2)]
+    for tag, extra, check in cases(ctx, r, seeds, rng):
+        spec = construct.named_construction(build_id, {**params, "field": ctx, **extra})
+        tbl = construct.build(spec)
+        wit = {"claim": cid, **({"case": tag} if tag else {}),
+               **{k: extra[k] for k in _WIT_KEYS if k in extra}}
+        if show_a1:
+            wit["a1"] = [int(x) for x in spec.tau1.perms[0]]
+        verdict, wit = check(tbl, r, wit)
+        yield verdict, wit, 2 * tbl.n
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# The claim table and its runner
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Claim:
+    """One row of the claim table (see the module docstring)."""
     statement: str
     quick: tuple
     full: tuple
-    checker: Callable
+    sweep: Callable                   # (cid, ctx, r, params, rng, cap) -> steps
+    d: Optional[Callable] = None      # (params, r) -> table dimension of the point
+    r: Optional[int] = None           # None: r comes from the grid point
+    guard: Optional[Callable] = None  # (ctx, r) -> skip reason or None
 
 
-def _pts(*dicts) -> tuple:
-    return tuple(dicts)
+def _run(cid: str, row: Claim, params: dict, rng: Random, cap: int):
+    """(verdict, witness, work) of one grid point: the first FAIL, else PASS
+    with the last step's witness."""
+    ctx = parse_field_spec(params["field"])
+    r = row.r or params.get("r")
+    if row.d:
+        n = ctx.q ** row.d(params, r)
+        if n > cap:
+            return SKIP, {"reason": f"q^d = {n} exceeds cap {cap}"}, 0
+    reason = row.guard(ctx, r) if row.guard else None
+    if reason:
+        return SKIP, {"reason": reason}, 0
+    work, verdict, witness = 0, None, None
+    try:
+        for verdict, witness, w in row.sweep(cid, ctx, r, params, rng, cap):
+            work += w
+            if verdict == FAIL:
+                return FAIL, witness, work
+    except HypothesisViolated as ex:
+        return SKIP, {"reason": str(ex)}, work
+    if verdict is None:
+        return SKIP, {"reason": "all instances exceed the size cap"}, work
+    return PASS, witness, work
 
 
 def _f(spec: str, **kw) -> dict:
     return {"field": spec, **kw}
+
+
+def _fields(*specs) -> tuple:
+    return tuple(_f(s) for s in specs)
 
 
 _THM_FIELDS = ("2^1", "3^1", "2^2", "5^1")
@@ -598,90 +534,33 @@ def _thm_grid(degs) -> tuple:
     return tuple(_f(fs, deg=d) for fs in _THM_FIELDS for d in degs)
 
 
-REGISTRY: dict[str, Claim] = {}
+def _deg(params: dict, r) -> int:
+    return params["deg"]
 
 
-def _register(cid: str, statement: str, quick, full, checker) -> None:
-    REGISTRY[cid] = Claim(statement, tuple(quick), tuple(full), checker)
+def _p4(statement: str, grid: tuple, d: Optional[int], r: Optional[int], cases,
+        guard=None, full=None, show_a1=False) -> Claim:
+    """A section-4 row; d = None means d = r - 1 (the p4.10 sandwich)."""
+    return Claim(statement, grid, full or grid, partial(_p4_sweep, cases, show_a1),
+                 d=lambda params, r: d or r - 1, r=r, guard=guard)
 
 
-for _part, _stmt in (
-    (1, "h(0) != 0 implies v -> Mv is a permutation (P_M = h)"),
-    (2, "h | t^n - 1 implies the n-th composite power of v -> Mv is the identity"),
-    (3, "h(-1) != 0 implies v -> Mv + v is a permutation"),
-    (4, "h | (t+1)^m - 1 implies the m-th composite power of v -> Mv + v is the identity"),
-):
-    _register(f"thm3.1.{_part}", _stmt,
-              _thm_grid((2, 3)), _thm_grid((2, 3, 4)), _check_thm31(_part))
-
-for _part, _stmt in (
-    (1, "additive tau1, tau2: h(0) != 0 implies tau1 o sigma_M o tau2 is a permutation"),
-    (2, "additive conjugation keeps the n-cycle property of sigma_M"),
-    (3, "additive tau1: sigma + e = tau1 o (sigma_M + e) o tau1^{-1} and is a permutation when h(-1) != 0"),
-    (4, "additive conjugation keeps the m-cycle property of sigma_M + e"),
-):
-    _register(f"thm3.2.{_part}", _stmt,
-              _thm_grid((2,)), _thm_grid((2, 3)), _check_thm32(_part))
-
-for _part, _stmt in (
-    (1, "any PPs tau1, tau2: h(0) != 0 implies tau1 o sigma_M o tau2 is a permutation"),
-    (2, "conjugation by any PP keeps the n-cycle property of sigma_M"),
-):
-    _register(f"thm3.3.{_part}", _stmt,
-              _thm_grid((2,)), _thm_grid((2, 3)), _check_thm32(_part, _tau_general))
-
-_P31_QUICK = _pts(_f("2^1", r=3), _f("2^2", r=3), _f("5^1", r=3), _f("7^1", r=3),
-                  _f("2^1", r=5), _f("3^1", r=5), _f("2^2", r=5), _f("3^2", r=5),
-                  _f("2^1", r=7), _f("2^2", r=7))
-_P32_QUICK = _pts(_f("3^1", r=4), _f("5^1", r=4), _f("7^1", r=4), _f("3^2", r=4),
-                  _f("5^1", r=6), _f("7^1", r=6),
-                  _f("3^1", r=8), _f("5^1", r=8), _f("7^1", r=8), _f("3^2", r=8),
-                  _f("2^1", r=9), _f("2^2", r=9), _f("5^1", r=9), _f("7^1", r=9),
-                  _f("2^3", r=9),
-                  _f("3^1", r=10), _f("7^1", r=10), _f("3^2", r=10))
-_P33_QUICK = _pts(_f("2^1", r=9), _f("3^1", r=10), _f("2^1", r=15), _f("5^1", r=9))
-
-_register("p3.1", "odd prime r, h | t^r - 1 with h != t-1 and h(-1) != 0: "
-                  "sigma_M is an r-regular CPP",
-          _P31_QUICK, _P31_QUICK, _check_p3_regular("linear", composite=False))
-_register("p3.2", "composite r, h | Q_r: sigma_M is an r-regular CPP with census "
-                  "1 fixed point + (q^d - 1)/r cycles of length r",
-          _P32_QUICK, _P32_QUICK, _check_p3_regular("linear", composite=True))
-_register("p3.3", "composite r, reducible h | t^r - 1 sharing a factor with some "
-                  "Q_l (1 < l < r), h(-1) != 0, M = M(h): sigma_M is an r-cycle "
-                  "CPP but not r-regular (short cycle exhibited)",
-          _P33_QUICK, _P33_QUICK, _check_p3_negative("linear", cpp_required=True))
-_register("p3.4", "p3.1 conjugated by any additive PP",
-          _pts(_f("2^1", r=3), _f("2^2", r=3), _f("7^1", r=3),
-               _f("2^1", r=5), _f("3^1", r=5)),
-          _P31_QUICK, _check_p3_regular("additive", composite=False))
-_register("p3.5", "p3.2 conjugated by any additive PP (same census)",
-          _pts(_f("3^1", r=4), _f("5^1", r=4), _f("5^1", r=6), _f("3^1", r=8),
-               _f("2^1", r=9), _f("2^2", r=9), _f("3^1", r=10)),
-          _P32_QUICK, _check_p3_regular("additive", composite=True))
-_register("p3.6", "p3.3 conjugated by any additive PP",
-          _pts(_f("2^1", r=9), _f("3^1", r=10), _f("5^1", r=9)),
-          _P33_QUICK, _check_p3_negative("additive", cpp_required=True))
-_register("p3.7", "odd prime r: conjugating sigma_M by any PP gives an r-regular PP",
-          _pts(_f("2^1", r=3), _f("2^2", r=3), _f("7^1", r=3),
-               _f("2^1", r=5), _f("3^1", r=5)),
-          _P31_QUICK, _check_p3_regular("general", composite=False))
-_register("p3.8", "composite r, h | Q_r: conjugation by any PP gives an r-regular "
-                  "PP (same census)",
-          _pts(_f("3^1", r=4), _f("5^1", r=4), _f("5^1", r=6), _f("3^1", r=8),
-               _f("2^1", r=9), _f("2^2", r=9), _f("3^1", r=10)),
-          _P32_QUICK, _check_p3_regular("general", composite=True))
-_register("p3.9", "composite r, reducible h | t^r - 1 sharing a factor with some "
-                  "Q_l (1 < l < r), M = M(h): conjugation by any PP is an r-cycle "
-                  "PP but not r-regular (no h(-1) condition needed for the PP case)",
-          _pts(_f("2^1", r=9), _f("5^1", r=4), _f("3^1", r=10), _f("2^1", r=15)),
-          _pts(_f("2^1", r=9), _f("5^1", r=4), _f("3^1", r=10), _f("2^1", r=15),
-               _f("5^1", r=9)),
-          _check_p3_negative("general", cpp_required=False))
-
-def _fields(*specs) -> tuple:
-    return tuple(_f(s) for s in specs)
-
+_P31_QUICK = (_f("2^1", r=3), _f("2^2", r=3), _f("5^1", r=3), _f("7^1", r=3),
+              _f("2^1", r=5), _f("3^1", r=5), _f("2^2", r=5), _f("3^2", r=5),
+              _f("2^1", r=7), _f("2^2", r=7))
+_P32_QUICK = (_f("3^1", r=4), _f("5^1", r=4), _f("7^1", r=4), _f("3^2", r=4),
+              _f("5^1", r=6), _f("7^1", r=6),
+              _f("3^1", r=8), _f("5^1", r=8), _f("7^1", r=8), _f("3^2", r=8),
+              _f("2^1", r=9), _f("2^2", r=9), _f("5^1", r=9), _f("7^1", r=9),
+              _f("2^3", r=9),
+              _f("3^1", r=10), _f("7^1", r=10), _f("3^2", r=10))
+_P33_QUICK = (_f("2^1", r=9), _f("3^1", r=10), _f("2^1", r=15), _f("5^1", r=9))
+_P3_PRIME_QUICK = (_f("2^1", r=3), _f("2^2", r=3), _f("7^1", r=3),
+                   _f("2^1", r=5), _f("3^1", r=5))
+_P3_COMPOSITE_QUICK = (_f("3^1", r=4), _f("5^1", r=4), _f("5^1", r=6), _f("3^1", r=8),
+                       _f("2^1", r=9), _f("2^2", r=9), _f("3^1", r=10))
+_ODD_PRIME = partial(_p3_guard, False)
+_COMPOSITE = partial(_p3_guard, True)
 
 _Q247 = _fields("2^1", "2^2", "7^1")
 _Q35 = _fields("3^1", "5^1")
@@ -691,67 +570,120 @@ _Q24 = _fields("2^1", "2^2")
 _SIG_E = partial(_regular_cpp, sig_e=True)
 _CENSUS = partial(_regular_cpp, census=True)
 
-_P4_TABLE: dict[str, _P4Claim] = {
-    "p4.1.1": _P4Claim("r=3 family, additive a_1, a_2: 3-regular CPP over F_{q^2}",
-                       _Q247, 2, 3, _by_mode(_regular_cpp)),
-    "p4.1.2": _P4Claim("r=3 family, additive a_i and p=2: sigma + e is also a "
-                       "3-regular CPP", _Q247, 2, 3, _by_mode(_sig_e_regular_cpp),
-                       guard=lambda ctx, r: None if ctx.p == 2 else "requires characteristic 2"),
-    "p4.1.3": _P4Claim("r=3, a_2=e, M=[[0,m],[-1/m,-1]]: 3-regular CPP for any PP a_1 "
-                       "(and sigma+e too when p=2)",
-                       _Q247, 2, 3, _by_m(_SIG_E)),
-    "p4.1.3m": _P4Claim("mirror of p4.1.3 (a_1=e, a_2 arbitrary); empirical check only",
-                        _Q247, 2, 3, _by_m(_regular_cpp)),
-    "p4.1.4": _P4Claim("r=3, a_2=e, M=[[-1,1],[-1,0]]: 3-regular CPP for any PP a_1",
-                       _Q247, 2, 3, _by_seed(_regular_cpp)),
-    "p4.2.1": _P4Claim("r=4 family (p odd), additive a_1, a_2: 4-regular CPP",
-                       _Q35, 2, 4, _by_mode(_regular_cpp)),
-    "p4.2.2": _P4Claim("r=4, a_1=a_2=a odd (a(-x)=-a(x)), M=M(Q_4): 4-regular CPP",
-                       _Q35, 2, 4, _odd_a_sweep),
-    "p4.2.3": _P4Claim("r=4, a_2=e, M=[[-1,m],[-2/m,1]]: 4-regular CPP for any PP a_1",
-                       _Q35, 2, 4, _by_m(_regular_cpp)),
-    "p4.3": _P4Claim("r=5, M=M(Q_5), tau touches only x_1: 5-regular CPP over F_{q^4}",
-                     _Q23, 4, 5, _by_seed(_CENSUS)),
-    "p4.4.1": _P4Claim("r=6 family (p > 3), additive a_1, a_2: 6-regular CPP",
-                       _Q57, 2, 6, _by_mode(_regular_cpp)),
-    "p4.4.2": _P4Claim("r=6, a_2=e, M=M(Q_6): claimed 6-regular CPP for any PP a_1 "
-                       "(KNOWN FALSE: the sigma+e identity drops a 2*x_2 term; "
-                       "checker reports the refuting a_1)",
-                       _Q57, 2, 6, _any_a1_sweep, show_a1=True),
-    "p4.4.3": _P4Claim("r=6, a_2=e, M=[[-1,m],[-3/m,2]]: 6-regular CPP for any PP a_1",
-                       _Q57, 2, 6, _by_m(_regular_cpp)),
-    "p4.5": _P4Claim("r=7, M=M(Q_7), tau touches only x_1: 7-regular CPP over F_{q^6}",
-                     _Q23, 6, 7, _by_seed(_CENSUS)),
-    "p4.6": _P4Claim("p=2, h=t^3+t^2+1, additive tau: sigma and sigma+e are both "
-                     "7-regular CPPs over F_{q^3}",
-                     _Q24, 3, 7, _by_mode(_SIG_E)),
-    "p4.7": _P4Claim("p=2, h=t^3+t+1, additive tau: sigma and sigma+e are both "
-                     "7-regular CPPs over F_{q^3}",
-                     _Q24, 3, 7, _by_mode(_SIG_E)),
-    **{cid: _P4Claim(f"p=2, M={mat}, middle-coordinate sandwich: CPP always; "
-                     "7-regular CPP when a_1 o a_2 = e",
-                     _Q24, 3, 7, _sandwich_sweep)
+REGISTRY: dict[str, Claim] = {
+    **{f"thm3.1.{part}": Claim(stmt, _thm_grid((2, 3)), _thm_grid((2, 3, 4)),
+                               partial(_thm31_sweep, part), d=_deg)
+       for part, stmt in enumerate((
+           "h(0) != 0 implies v -> Mv is a permutation (P_M = h)",
+           "h | t^n - 1 implies the n-th composite power of v -> Mv is the identity",
+           "h(-1) != 0 implies v -> Mv + v is a permutation",
+           "h | (t+1)^m - 1 implies the m-th composite power of v -> Mv + v is the identity",
+       ), start=1)},
+    **{f"thm3.2.{part}": Claim(stmt, _thm_grid((2,)), _thm_grid((2, 3)),
+                               partial(_thm32_sweep, part, _tau_additive), d=_deg)
+       for part, stmt in enumerate((
+           "additive tau1, tau2: h(0) != 0 implies tau1 o sigma_M o tau2 is a permutation",
+           "additive conjugation keeps the n-cycle property of sigma_M",
+           "additive tau1: sigma + e = tau1 o (sigma_M + e) o tau1^{-1} and is a "
+           "permutation when h(-1) != 0",
+           "additive conjugation keeps the m-cycle property of sigma_M + e",
+       ), start=1)},
+    **{f"thm3.3.{part}": Claim(stmt, _thm_grid((2,)), _thm_grid((2, 3)),
+                               partial(_thm32_sweep, part, _tau_general), d=_deg)
+       for part, stmt in enumerate((
+           "any PPs tau1, tau2: h(0) != 0 implies tau1 o sigma_M o tau2 is a permutation",
+           "conjugation by any PP keeps the n-cycle property of sigma_M",
+       ), start=1)},
+    "p3.1": Claim("odd prime r, h | t^r - 1 with h != t-1 and h(-1) != 0: "
+                  "sigma_M is an r-regular CPP",
+                  _P31_QUICK, _P31_QUICK, partial(_p3_regular_sweep, "linear", False),
+                  guard=_ODD_PRIME),
+    "p3.2": Claim("composite r, h | Q_r: sigma_M is an r-regular CPP with census "
+                  "1 fixed point + (q^d - 1)/r cycles of length r",
+                  _P32_QUICK, _P32_QUICK, partial(_p3_regular_sweep, "linear", True),
+                  guard=_COMPOSITE),
+    "p3.3": Claim("composite r, reducible h | t^r - 1 sharing a factor with some "
+                  "Q_l (1 < l < r), h(-1) != 0, M = M(h): sigma_M is an r-cycle "
+                  "CPP but not r-regular (short cycle exhibited)",
+                  _P33_QUICK, _P33_QUICK, partial(_p3_negative_sweep, "linear"),
+                  guard=_COMPOSITE),
+    "p3.4": Claim("p3.1 conjugated by any additive PP",
+                  _P3_PRIME_QUICK, _P31_QUICK, partial(_p3_regular_sweep, "additive", False),
+                  guard=_ODD_PRIME),
+    "p3.5": Claim("p3.2 conjugated by any additive PP (same census)",
+                  _P3_COMPOSITE_QUICK, _P32_QUICK, partial(_p3_regular_sweep, "additive", True),
+                  guard=_COMPOSITE),
+    "p3.6": Claim("p3.3 conjugated by any additive PP",
+                  (_f("2^1", r=9), _f("3^1", r=10), _f("5^1", r=9)), _P33_QUICK,
+                  partial(_p3_negative_sweep, "additive"), guard=_COMPOSITE),
+    "p3.7": Claim("odd prime r: conjugating sigma_M by any PP gives an r-regular PP",
+                  _P3_PRIME_QUICK, _P31_QUICK, partial(_p3_regular_sweep, "general", False),
+                  guard=_ODD_PRIME),
+    "p3.8": Claim("composite r, h | Q_r: conjugation by any PP gives an r-regular "
+                  "PP (same census)",
+                  _P3_COMPOSITE_QUICK, _P32_QUICK, partial(_p3_regular_sweep, "general", True),
+                  guard=_COMPOSITE),
+    "p3.9": Claim("composite r, reducible h | t^r - 1 sharing a factor with some "
+                  "Q_l (1 < l < r), M = M(h): conjugation by any PP is an r-cycle "
+                  "PP but not r-regular (no h(-1) condition needed for the PP case)",
+                  (_f("2^1", r=9), _f("5^1", r=4), _f("3^1", r=10), _f("2^1", r=15)),
+                  (_f("2^1", r=9), _f("5^1", r=4), _f("3^1", r=10), _f("2^1", r=15),
+                   _f("5^1", r=9)),
+                  partial(_p3_negative_sweep, "general"), guard=_COMPOSITE),
+    "p4.1.1": _p4("r=3 family, additive a_1, a_2: 3-regular CPP over F_{q^2}",
+                  _Q247, 2, 3, _by_mode(_regular_cpp)),
+    "p4.1.2": _p4("r=3 family, additive a_i and p=2: sigma + e is also a "
+                  "3-regular CPP", _Q247, 2, 3, _by_mode(_sig_e_regular_cpp),
+                  guard=lambda ctx, r: None if ctx.p == 2 else "requires characteristic 2"),
+    "p4.1.3": _p4("r=3, a_2=e, M=[[0,m],[-1/m,-1]]: 3-regular CPP for any PP a_1 "
+                  "(and sigma+e too when p=2)",
+                  _Q247, 2, 3, _by_m(_SIG_E)),
+    "p4.1.3m": _p4("mirror of p4.1.3 (a_1=e, a_2 arbitrary); empirical check only",
+                   _Q247, 2, 3, _by_m(_regular_cpp)),
+    "p4.1.4": _p4("r=3, a_2=e, M=[[-1,1],[-1,0]]: 3-regular CPP for any PP a_1",
+                  _Q247, 2, 3, _by_seed(_regular_cpp)),
+    "p4.2.1": _p4("r=4 family (p odd), additive a_1, a_2: 4-regular CPP",
+                  _Q35, 2, 4, _by_mode(_regular_cpp)),
+    "p4.2.2": _p4("r=4, a_1=a_2=a odd (a(-x)=-a(x)), M=M(Q_4): 4-regular CPP",
+                  _Q35, 2, 4, _odd_a_cases),
+    "p4.2.3": _p4("r=4, a_2=e, M=[[-1,m],[-2/m,1]]: 4-regular CPP for any PP a_1",
+                  _Q35, 2, 4, _by_m(_regular_cpp)),
+    "p4.3": _p4("r=5, M=M(Q_5), tau touches only x_1: 5-regular CPP over F_{q^4}",
+                _Q23, 4, 5, _by_seed(_CENSUS)),
+    "p4.4.1": _p4("r=6 family (p > 3), additive a_1, a_2: 6-regular CPP",
+                  _Q57, 2, 6, _by_mode(_regular_cpp)),
+    "p4.4.2": _p4("r=6, a_2=e, M=M(Q_6): claimed 6-regular CPP for any PP a_1 "
+                  "(KNOWN FALSE: the sigma+e identity drops a 2*x_2 term; "
+                  "checker reports the refuting a_1)",
+                  _Q57, 2, 6, _any_a1_cases, show_a1=True),
+    "p4.4.3": _p4("r=6, a_2=e, M=[[-1,m],[-3/m,2]]: 6-regular CPP for any PP a_1",
+                  _Q57, 2, 6, _by_m(_regular_cpp)),
+    "p4.5": _p4("r=7, M=M(Q_7), tau touches only x_1: 7-regular CPP over F_{q^6}",
+                _Q23, 6, 7, _by_seed(_CENSUS)),
+    "p4.6": _p4("p=2, h=t^3+t^2+1, additive tau: sigma and sigma+e are both "
+                "7-regular CPPs over F_{q^3}",
+                _Q24, 3, 7, _by_mode(_SIG_E)),
+    "p4.7": _p4("p=2, h=t^3+t+1, additive tau: sigma and sigma+e are both "
+                "7-regular CPPs over F_{q^3}",
+                _Q24, 3, 7, _by_mode(_SIG_E)),
+    **{cid: _p4(f"p=2, M={mat}, middle-coordinate sandwich: CPP always; "
+                "7-regular CPP when a_1 o a_2 = e",
+                _Q24, 3, 7, _sandwich_cases)
        for cid, mat in (("p4.8.1", "M(t^3+t^2+1)"), ("p4.8.2", "[[0,1,1],[1,0,0],[1,0,1]]"),
                         ("p4.9.1", "M(t^3+t+1)"), ("p4.9.2", "[[1,1,1],[1,0,0],[1,0,1]]"))},
-    "p4.10.1": _P4Claim("odd r, quotient h, first-coordinate sandwich: CPP for any "
-                        "PPs a_1, a_2",
-                        (_f("2^1", r=3), _f("2^1", r=5), _f("2^1", r=9), _f("2^2", r=5)),
-                        None, None, _by_seed(_cpp, "free", with_r=True, tau="free")),
-    "p4.10.2": _P4Claim("odd prime r, a_1 o a_2 = e: r-regular CPP over F_{q^(r-1)}",
-                        (_f("2^1", r=3), _f("2^1", r=5), _f("2^2", r=5)), None, None,
-                        _by_seed(_regular_cpp, with_r=True, tau="inverse"),
-                        guard=lambda ctx, r: None if is_prime(r) else f"r = {r} is not prime"),
-    "p4.10.3": _P4Claim("odd composite r, a_1 o a_2 = e: CPP and r-cycle but NOT "
-                        "r-regular (short cycle exhibited)",
-                        (_f("2^1", r=9),), None, None, _by_seed(_short_cycle),
-                        guard=lambda ctx, r: None if not is_prime(r) and r >= 4
-                        else f"r = {r} is not composite",
-                        full=(_f("2^1", r=9), _f("2^2", r=9))),
+    "p4.10.1": _p4("odd r, quotient h, first-coordinate sandwich: CPP for any "
+                   "PPs a_1, a_2",
+                   (_f("2^1", r=3), _f("2^1", r=5), _f("2^1", r=9), _f("2^2", r=5)),
+                   None, None, _by_seed(_cpp, "free", with_r=True, tau="free")),
+    "p4.10.2": _p4("odd prime r, a_1 o a_2 = e: r-regular CPP over F_{q^(r-1)}",
+                   (_f("2^1", r=3), _f("2^1", r=5), _f("2^2", r=5)), None, None,
+                   _by_seed(_regular_cpp, with_r=True, tau="inverse"),
+                   guard=lambda ctx, r: None if is_prime(r) else f"r = {r} is not prime"),
+    "p4.10.3": _p4("odd composite r, a_1 o a_2 = e: CPP and r-cycle but NOT "
+                   "r-regular (short cycle exhibited)",
+                   (_f("2^1", r=9),), None, None, _by_seed(_short_cycle),
+                   guard=_not_composite, full=(_f("2^1", r=9), _f("2^2", r=9))),
 }
-
-for _cid, _row in _P4_TABLE.items():
-    _register(_cid, _row.statement, _row.grid, _row.full or _row.grid,
-              _check_p4(_cid, _row))
 
 
 # ---------------------------------------------------------------------------
@@ -791,10 +723,7 @@ def verify_claim(claim_id: str, grid=None, master_seed=DEFAULT_SEED,
     for point in grid:
         rng = _rng_for(master_seed, claim_id, point)
         t0 = time.perf_counter()
-        try:
-            verdict, witness, work = c.checker(dict(point), rng, cap)
-        except HypothesisViolated as ex:
-            verdict, witness, work = SKIP, {"reason": str(ex)}, 0
+        verdict, witness, work = _run(claim_id, c, dict(point), rng, cap)
         reports.append(VerificationReport(
             claim_id, dict(point), verdict, witness, work,
             elapsed=time.perf_counter() - t0))

@@ -154,6 +154,21 @@ def test_extension_field_above_cap_exit_2(capsys):
         assert err.startswith("error: SizeCap:") and err.count("\n") == 1
 
 
+def test_verify_section3_large_r_finishes_fast(capsys):
+    # no p3.1 (r = 10007) or p3.2 (r = 1001) instance fits under the quick
+    # cap; the one p3.3 instance at r = 1001 that does is h = Q_7 (degree 6)
+    for claim, r, want in (("p3.1", "10007", "HYPOTHESIS-SKIPPED"),
+                           ("p3.2", "1001", "HYPOTHESIS-SKIPPED"),
+                           ("p3.3", "1001", "PASS")):
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "verify", claim, "--q", "2", "--r", r)
+        assert time.perf_counter() - t0 < 1.0, claim
+        assert code == 0 and len(out.splitlines()) == 1
+        assert out.startswith(want), out
+        if want != "PASS":
+            assert "all instances exceed the size cap" in out
+
+
 def test_extension_field_at_cap_works(capsys):
     code, out, _ = run(capsys, "cyclotomic", "5", "2^20")
     assert code == 0 and out.strip() == "1+1*t+1*t^2+1*t^3+1*t^4"

@@ -1,6 +1,7 @@
 from collections import Counter
 from random import Random
 
+import numpy as np
 import pytest
 
 from cppforge import gf
@@ -133,15 +134,21 @@ def test_is_cpp_examples():
     assert not PermTable.from_fn(F2, 2, lambda v: (0, 0)).is_cpp()
 
 
+def _is_additive_exhaustive(t: PermTable) -> bool:
+    """Oracle: f(x + y) = f(x) + f(y) checked for every pair x, y."""
+    sp = space(t.ctx, t.d)
+    tbl = t.table
+    return all(np.array_equal(tbl[sp.vadd(sp.arange, y)], sp.vadd(tbl, int(tbl[y])))
+               for y in range(sp.n))
+
+
 def test_is_additive_examples():
     e = PermTable.identity(F4, 1)
-    assert e.is_additive()
+    assert e.is_additive() and _is_additive_exhaustive(e)
     sq = PermTable.from_fn(F4, 1, lambda v: (F4.pow(v[0], 2),))
     cube = PermTable.from_fn(F4, 1, lambda v: (F4.pow(v[0], 3),))
-    assert sq.is_additive() and sq.is_additive("exhaustive")
-    assert not cube.is_additive() and not cube.is_additive("exhaustive")
-    with pytest.raises(ValueError):
-        e.is_additive("nonsense")
+    assert sq.is_additive() and _is_additive_exhaustive(sq)
+    assert not cube.is_additive() and not _is_additive_exhaustive(cube)
 
 
 def test_is_additive_modes_agree():
@@ -156,7 +163,7 @@ def test_is_additive_modes_agree():
         m = random_matrix(ctx, d, rng)
         tables.append(PermTable.from_matrix(m))
     for t in tables:
-        assert t.is_additive("generator") == t.is_additive("exhaustive")
+        assert t.is_additive() == _is_additive_exhaustive(t)
 
 
 def test_conjugation_preserves_cycle_structure():

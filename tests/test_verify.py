@@ -8,7 +8,9 @@ import cppforge
 from cppforge import construct, linalg, verify
 from cppforge.errors import UnknownClaim
 from cppforge.linalg import Mat
+from cppforge.gf import field_new
 from cppforge.perm import PermTable
+from cppforge.poly import Poly, cyclotomic, gcd, irreducible_factors
 
 EXPECTED_CLAIMS = {
     "thm3.1.1", "thm3.1.2", "thm3.1.3", "thm3.1.4",
@@ -218,6 +220,71 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
         assert len(reports) == 119
         assert sum(r.verdict == "fail" for r in reports) == want_fails, name
         assert _sha256("\n".join(r.to_json_line() for r in reports)) == want_sha, name
+
+
+def _divisor_products(factors):
+    """Oracle: all monic products of nonempty subsets of distinct factors."""
+    out = []
+    for mask in range(1, 1 << len(factors)):
+        prod = None
+        for i, f in enumerate(factors):
+            if mask & (1 << i):
+                prod = f if prod is None else prod * f
+        out.append(prod)
+    return sorted(out, key=Poly.sort_key)
+
+
+def _section3_candidates_oracle(ctx, r, sweep, cap):
+    """The instance polynomials of a section-3 sweep, from the full
+    factorization of t^r - 1, then cut to q^deg(h) <= cap."""
+    tr1 = Poly.x_pow_n_minus_1(ctx, r)
+    minus1 = ctx.neg(1)
+    if sweep == "negative":
+        complement = tr1 // cyclotomic(r, ctx)
+        short = {f for l in range(2, r) if r % l == 0
+                 for f in irreducible_factors(cyclotomic(l, ctx))}
+        hs = [h for h, sub in ((h, irreducible_factors(h))
+                               for h in _divisor_products(irreducible_factors(tr1)))
+              if len(sub) >= 2 and gcd(h, complement).degree > 0
+              and short.intersection(sub) and h.eval_idx(minus1) != 0]
+    elif sweep == "composite":
+        hs = _divisor_products(irreducible_factors(cyclotomic(r, ctx)))
+    else:
+        tm1 = Poly(ctx, [minus1, 1])
+        hs = [h for h in _divisor_products(irreducible_factors(tr1))
+              if h != tm1 and h.eval_idx(minus1) != 0]
+    return [h for h in hs if ctx.q ** h.degree <= cap]
+
+
+def test_section3_candidates_vs_full_factorization(monkeypatch):
+    seen = []
+
+    def record(hs, kinds, tau_kind, ctx, rng):
+        seen.append(list(hs))
+        return iter(())
+
+    monkeypatch.setattr(verify, "_p3_tables", record)
+    checked = 0
+    for q in (2, 3, 4, 5, 7):
+        ctx = field_new(q) if q != 4 else field_new(2, 2)
+        for r in range(3, 14):
+            if r % ctx.p == 0:
+                continue
+            prime = verify.is_prime(r)
+            for sweep in (("prime",) if prime and r % 2 else ()) + \
+                    (() if prime else ("composite", "negative")):
+                for cap in (q ** 3, 1 << 12):
+                    seen.clear()
+                    if sweep == "negative":
+                        gen = verify._p3_negative_sweep("linear", "p3.3", ctx, r, {}, None, cap)
+                    else:
+                        gen = verify._p3_regular_sweep("linear", sweep == "composite",
+                                                       "p3.1", ctx, r, {}, None, cap)
+                    assert list(gen) == []
+                    assert seen == [_section3_candidates_oracle(ctx, r, sweep, cap)], \
+                        (q, r, sweep, cap)
+                    checked += bool(seen[0])
+    assert checked > 50
 
 
 def test_mutation_is_detected(monkeypatch):
