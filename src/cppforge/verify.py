@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import time
+from math import isqrt
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations
@@ -323,9 +324,9 @@ def _p3_regular_sweep(tau_kind: str, composite: bool, cid, ctx, r, params, rng, 
 def _p3_negative_sweep(tau_kind: str, cid, ctx, r, params, rng, cap):
     """Props 3.3/3.6/3.9: r-cycle but not r-regular, witnessed by a short cycle."""
     cpp = tau_kind != "general"
+    divisors = {l for k in range(1, isqrt(r) + 1) if r % k == 0 for l in (k, r // k)}
     # h has two or more factors, so each has q^deg <= cap / q
-    factors = _cyclotomic_factors(
-        ctx, [l for l in range(1, r + 1) if r % l == 0], cap // ctx.q)
+    factors = _cyclotomic_factors(ctx, divisors, cap // ctx.q)
     short = {f for l, f in factors if 1 < l < r}
     # reducible, with a factor from some Q_l, 1 < l < r (hence sharing one
     # with (t^r - 1)/Q_r)

@@ -155,10 +155,12 @@ def test_extension_field_above_cap_exit_2(capsys):
 
 
 def test_verify_section3_large_r_finishes_fast(capsys):
-    # no p3.1 (r = 10007) or p3.2 (r = 1001) instance fits under the quick
-    # cap; the one p3.3 instance at r = 1001 that does is h = Q_7 (degree 6)
+    # no p3.1 (r = 10007), p3.2 (r = 1001) or p3.3 (r = 17 * 5882353)
+    # instance fits under the quick cap; the one p3.3 instance at r = 1001
+    # that does is h = Q_7 (degree 6)
     for claim, r, want in (("p3.1", "10007", "HYPOTHESIS-SKIPPED"),
                            ("p3.2", "1001", "HYPOTHESIS-SKIPPED"),
+                           ("p3.3", "100000001", "HYPOTHESIS-SKIPPED"),
                            ("p3.3", "1001", "PASS")):
         t0 = time.perf_counter()
         code, out, _ = run(capsys, "verify", claim, "--q", "2", "--r", r)

@@ -257,6 +257,8 @@ def _section3_candidates_oracle(ctx, r, sweep, cap):
 
 
 def test_section3_candidates_vs_full_factorization(monkeypatch):
+    # the sweeps factor only the Q_l whose factors fit under the cap; the
+    # instances they build must be those of the full factorization
     seen = []
 
     def record(hs, kinds, tau_kind, ctx, rng):
@@ -265,14 +267,13 @@ def test_section3_candidates_vs_full_factorization(monkeypatch):
 
     monkeypatch.setattr(verify, "_p3_tables", record)
     checked = 0
-    for q in (2, 3, 4, 5, 7):
-        ctx = field_new(q) if q != 4 else field_new(2, 2)
+    for ctx in (field_new(2), field_new(3), field_new(2, 2), field_new(5), field_new(7)):
+        q = ctx.q
         for r in range(3, 14):
             if r % ctx.p == 0:
                 continue
-            prime = verify.is_prime(r)
-            for sweep in (("prime",) if prime and r % 2 else ()) + \
-                    (() if prime else ("composite", "negative")):
+            sweeps = ("prime",) if verify.is_prime(r) else ("composite", "negative")
+            for sweep in sweeps:
                 for cap in (q ** 3, 1 << 12):
                     seen.clear()
                     if sweep == "negative":
