@@ -42,16 +42,34 @@ SABOTAGED_P4_SHA256 = "f6d9a98362b9fb464a26adde63aa9999ca88bdcb0aa24d41370b7ce98
 # sha256 of every theorem and section-3 quick-grid report line (seed 42) under
 # each sabotage of test_section3_and_theorem_fail_witnesses_pinned, with the
 # number of the 119 points that fail.  Recorded before the theorem and
-# section-3 checks joined the claim table.
+# section-3 checks joined the claim table.  "square" (from_matrix returns
+# sigma_M o sigma_M, which reaches the off-length cycle witnesses) was
+# recorded with the pure-Python cycle walks of perm.
 SABOTAGED_NON_P4 = {
     "from_matrix": (102, "430c18e7e0f42afb7e30f43329a4e48cf8e65e67376d5bcc024d94104ab97d08"),
     "npower": (90, "ccf2fbb2375a11699502accf8e963ef5162202bd52d3f2588ce8aa5927f8c32a"),
     "companion": (118, "a4789d370d14268d4b58e49046652ef2895c9ca2a7e780a8a054b7e9ee24d6c4"),
+    "square": (37, "afe00e0e55dd891a9a9b6b833e34f60b612a8a0ac1c4f46989f601ab88a815b8"),
 }
+
+# The number of the 51 section-4 quick-grid points (seed 42) that fail under
+# the "square" sabotage, and the sha256 of all their report lines.  Recorded
+# with the pure-Python cycle walks of perm.
+SQUARED_P4 = (12, "1ab1a61d7b5975f5cb0e6c58975b6c70d69ce95977e6895a9fb1d2dfcaef690e")
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+_REAL_FROM_MATRIX = PermTable.from_matrix.__func__
+
+
+@classmethod
+def _squared_from_matrix(cls, m):
+    """Sabotage: sigma_M o sigma_M, still bijective, with off-length cycles."""
+    tbl = _REAL_FROM_MATRIX(cls, m)
+    return tbl.compose(tbl)
 
 
 def test_registry_is_complete_with_quick_grids():
@@ -180,12 +198,11 @@ def test_section4_fail_witnesses_pinned(monkeypatch):
 def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
     # each sabotage keeps tables bijective, so the checks report witnesses
     # instead of crashing on an inverse
-    real_from_matrix = PermTable.from_matrix.__func__
     real_npower = PermTable.npower
     real_companion = linalg.companion
 
     def from_matrix(cls, m):
-        tbl = real_from_matrix(cls, m)
+        tbl = _REAL_FROM_MATRIX(cls, m)
         t = tbl.table.copy()
         t[1], t[2] = t[2], t[1]
         return PermTable(tbl.ctx, tbl.d, t)
@@ -209,6 +226,7 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
         "npower": [(PermTable, "npower", npower)],
         "companion": [(mod, "companion", companion)
                       for mod in (linalg, verify, construct, cppforge)],
+        "square": [(PermTable, "from_matrix", _squared_from_matrix)],
     }
     cids = sorted(c for c in verify.REGISTRY if not c.startswith("p4."))
     for name, (want_fails, want_sha) in SABOTAGED_NON_P4.items():
@@ -220,6 +238,36 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
         assert len(reports) == 119
         assert sum(r.verdict == "fail" for r in reports) == want_fails, name
         assert _sha256("\n".join(r.to_json_line() for r in reports)) == want_sha, name
+        if name == "square":
+            not_regular = {r.claim for r in reports if r.verdict == "fail"
+                           and r.witness.get("kind") == "not regular"}
+            assert not_regular == {"p3.2", "p3.5", "p3.8"}
+
+
+def test_section4_off_length_witnesses_pinned(monkeypatch):
+    monkeypatch.setattr(PermTable, "from_matrix", _squared_from_matrix)
+    reports = [rep for cid in sorted(c for c in verify.REGISTRY if c.startswith("p4."))
+               for rep in verify.verify_claim(cid, master_seed=42, profile="quick")]
+    assert len(reports) == 51
+    want_fails, want_sha = SQUARED_P4
+    assert sum(r.verdict == "fail" for r in reports) == want_fails
+    assert _sha256("\n".join(r.to_json_line() for r in reports)) == want_sha
+    off_length = {r.claim for r in reports if r.verdict == "fail"
+                  and r.witness.get("part") == "regular"}
+    assert off_length == {"p4.4.1", "p4.4.2"}
+
+
+def test_short_cycle_check_on_a_3_regular_cpp():
+    tbl = construct.build(construct.named_construction(
+        "p4.1.1", {"field": field_new(2, 2), "seed": 5}))
+    assert tbl.is_cpp() and tbl.is_r_regular(3) and tbl.cycle_structure().cycles
+    assert verify._short_cycle(tbl, 3, {}) == (verify.FAIL, {"part": "unexpectedly regular"})
+    # every cycle of length > 1 is a 3-cycle, so the first one a scan from
+    # index 0 meets is the cycle through the least moved point
+    t = tbl.table.tolist()
+    x = min(i for i, y in enumerate(t) if y != i)
+    assert verify._short_cycle(tbl, 9, {}) == (
+        verify.PASS, {"cycle_length": 3, "cycle": [x, t[x], t[t[x]]]})
 
 
 def _divisor_products(factors):
