@@ -10,6 +10,9 @@ Every F_p-linear map on F_q^d -- v -> Mv, an additive outer map, the
 reference map of the additivity test -- is tabulated by ``linear_table``
 from the images of the m*d digit basis vectors p^k.
 
+Every cycle question (the census, r-regularity, witness cycles) is answered
+from one pointer-jumping pass over whole arrays, ``PermTable.cycle_lengths``.
+
 Tables are stored as immutable numpy int64 arrays of length q^d, hard-capped
 at 2^20 entries.  Tables are immutable after construction; building a table
 is single-threaded but independent tables can be built concurrently.
@@ -17,7 +20,6 @@ is single-threaded but independent tables can be built concurrently.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,54 +242,45 @@ class PermTable:
             n >>= 1
         return result
 
-    def cycle_structure(self) -> CycleStructure:
+    def cycle_lengths(self) -> np.ndarray:
+        """The length of the cycle through each point.
+
+        Pointer jumping (Hillis & Steele, CACM 29(12), 1986): after round k,
+        low[x] is the least of x, f(x), ..., f^(2^k - 1)(x).  A round that
+        changes nothing leaves low constant on each cycle, hence its least
+        point; that takes about log2(L) + 1 rounds for a longest cycle L.
+        """
         if not self.bijective:
-            raise NotBijective("cycle structure needs a bijective table")
-        tbl = self.table.tolist()
-        n = len(tbl)
-        seen = bytearray(n)
-        fixed = 0
-        lengths: Counter = Counter()
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
-            x = start
-            while not seen[x]:
-                seen[x] = 1
-                x = tbl[x]
-                length += 1
-            if length == 1:
-                fixed += 1
-            else:
-                lengths[length] += 1
-        return CycleStructure(fixed, tuple(sorted(lengths.items())))
+            raise NotBijective("cycle lengths need a bijective table")
+        low = space(self.ctx, self.d).arange
+        step = self.table
+        while True:
+            nxt = np.minimum(low, low[step])
+            if np.array_equal(nxt, low):
+                return np.bincount(low, minlength=self.n)[low]
+            low, step = nxt, step[step]
+
+    def cycle_structure(self) -> CycleStructure:
+        points = np.bincount(self.cycle_lengths())  # points on cycles of each length
+        lengths = np.flatnonzero(points[2:]) + 2
+        return CycleStructure(int(points[1]), tuple(zip(
+            lengths.tolist(), (points[lengths] // lengths).tolist())))
 
     def find_cycle(self, predicate) -> list[int] | None:
-        """First cycle (scanning from index 0) whose length satisfies predicate."""
-        if not self.bijective:
-            raise NotBijective("cycle scan needs a bijective table")
-        tbl = self.table.tolist()
-        n = len(tbl)
-        seen = bytearray(n)
-        for start in range(n):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = 1
-            x = tbl[start]
-            while x != start:
-                seen[x] = 1
-                orbit.append(x)
-                x = tbl[x]
-            if predicate(len(orbit)):
-                return orbit
-        return None
+        """The cycle through the least point whose cycle length satisfies
+        ``predicate``, listed from that point (the least point of the cycle)."""
+        lengths = self.cycle_lengths()
+        wanted = [l for l in np.flatnonzero(np.bincount(lengths)).tolist() if predicate(l)]
+        if not wanted:
+            return None
+        orbit = [int(np.argmax(np.isin(lengths, wanted)))]
+        while len(orbit) < lengths[orbit[0]]:
+            orbit.append(self(orbit[-1]))
+        return orbit
 
     def is_r_regular(self, r: int) -> bool:
         """All non-fixed cycles have length exactly r (fixed points ignored)."""
-        cs = self.cycle_structure()
-        return all(l == r for l, _ in cs.cycles)
+        return all(l == r for l, _ in self.cycle_structure().cycles)
 
     def is_cpp(self) -> bool:
         """Both the table and table + identity are bijections."""

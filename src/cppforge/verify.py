@@ -415,11 +415,10 @@ def _short_cycle(tbl: PermTable, r: int, wit: dict):
         return FAIL, {**wit, "part": "cpp"}
     if tbl.npower(r) != PermTable.identity(tbl.ctx, tbl.d):
         return FAIL, {**wit, "part": f"npower({r}) != e"}
-    if tbl.is_r_regular(r):
-        return FAIL, {**wit, "part": "unexpectedly regular"}
     cyc = tbl.find_cycle(lambda L: 1 < L < r and r % L == 0)
     if cyc is None:
-        return FAIL, {**wit, "part": "no short-cycle witness"}
+        part = "unexpectedly regular" if tbl.is_r_regular(r) else "no short-cycle witness"
+        return FAIL, {**wit, "part": part}
     return PASS, {**wit, "cycle_length": len(cyc), "cycle": cyc[:16]}
 
 

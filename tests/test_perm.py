@@ -6,9 +6,9 @@ import pytest
 
 from cppforge import gf
 from cppforge.errors import NotBijective, SizeCap
-from cppforge.linalg import Mat, companion, random_matrix
+from cppforge.linalg import Mat, companion, random_invertible, random_matrix
 from cppforge.perm import CycleStructure, PermTable, space
-from cppforge.poly import cyclotomic
+from cppforge.poly import Poly, cyclotomic
 
 F2 = gf.field_new(2)
 F3 = gf.field_new(3)
@@ -36,6 +36,106 @@ def naive_cycle_structure(tbl):
         else:
             lengths[length] += 1
     return CycleStructure(fixed, tuple(sorted(lengths.items())))
+
+
+def naive_find_cycle(tbl, predicate):
+    """Oracle: scan from index 0 for the first cycle whose length satisfies
+    predicate, walking each cycle from the point where the scan meets it."""
+    n = len(tbl)
+    seen = bytearray(n)
+    for start in range(n):
+        if seen[start]:
+            continue
+        orbit = [start]
+        seen[start] = 1
+        x = tbl[start]
+        while x != start:
+            seen[x] = 1
+            orbit.append(x)
+            x = tbl[x]
+        if predicate(len(orbit)):
+            return orbit
+    return None
+
+
+def _oracle_tables():
+    """Identities, single n-cycles, seeded random permutations up to 2^12
+    points, and sigma_M over F_2 ... F_9 conjugated by a random permutation."""
+    rng = Random(14)
+    out = [PermTable.identity(F4, 2), PermTable.identity(F2, 1)]
+    # x -> x + 1 mod n is one n-cycle
+    out += [PermTable(ctx, d, np.roll(space(ctx, d).arange, -1))
+            for ctx, d in ((F2, 1), (F3, 3), (F2, 10))]
+    shapes = [(ctx, d) for ctx, d in ((F2, 4), (F3, 2), (F5, 2), (F4, 2)) for _ in range(25)]
+    for ctx, d in shapes + [(F2, d) for d in range(1, 13)]:
+        perm = list(range(ctx.q ** d))
+        rng.shuffle(perm)
+        out.append(PermTable(ctx, d, perm))
+    for (p, m), d in (((2, 1), 8), ((3, 1), 5), ((2, 2), 4), ((5, 1), 3),
+                      ((7, 1), 3), ((2, 3), 3), ((3, 2), 3)):
+        ctx = gf.field_new(p, m)
+        sig = PermTable.from_matrix(random_invertible(ctx, d, rng))
+        perm = list(range(sig.n))
+        rng.shuffle(perm)
+        tau = PermTable(ctx, d, perm)
+        out.append(tau.compose(sig.compose(tau.invert())))
+    return out
+
+
+def _rank(m: Mat) -> int:
+    """Oracle: the rank of m by Gaussian elimination."""
+    ctx = m.ctx
+    rows = [list(row) for row in m.rows]
+    rank = 0
+    for col in range(m.n):
+        piv = next((i for i in range(rank, m.n) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = ctx.inv(rows[rank][col])
+        for i in range(m.n):
+            if i != rank and rows[i][col]:
+                f = ctx.mul(rows[i][col], inv)
+                rows[i] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _mobius(n: int) -> int:
+    out, k = 1, 2
+    while k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            out = -out
+        k += 1
+    return -out if n > 1 else out
+
+
+def rank_census(m: Mat, r: int) -> dict:
+    """Oracle with no table: {k: number of k-cycles} of v -> Mv when M^r = I.
+
+    #{v : M^k v = v} = q^(d - rank(M^k - I)), and Moebius inversion over the
+    divisors of k turns those counts into the points on cycles of length k.
+    """
+    ident = Mat.identity(m.ctx, m.n)
+    divisors = [k for k in range(1, r + 1) if r % k == 0]
+    powers = {1: m}
+    for k in range(2, r + 1):
+        powers[k] = powers[k - 1] * m
+    assert powers[r] == ident
+    fixed = {k: m.ctx.q ** (m.n - _rank(powers[k] - ident)) for k in divisors}
+    census = {}
+    for k in divisors:
+        points = sum(_mobius(k // j) * fixed[j] for j in divisors if k % j == 0)
+        if points:
+            census[k] = points // k
+    return census
+
+
+def _census(cs: CycleStructure) -> dict:
+    return {**({1: cs.fixed_points} if cs.fixed_points else {}), **dict(cs.cycles)}
 
 
 def test_from_fn_examples():
@@ -98,20 +198,66 @@ def test_cycle_structure_examples():
     assert s2.cycle_structure().to_json() == {"fixed": 1, "cycles": {"3": 1}}
     s4 = PermTable.from_matrix(companion(cyclotomic(3, F4)))
     assert s4.cycle_structure().to_json() == {"fixed": 1, "cycles": {"3": 5}}
-    with pytest.raises(NotBijective):
-        PermTable.from_fn(F2, 2, lambda v: (0, 0)).cycle_structure()
+    const = PermTable.from_fn(F2, 2, lambda v: (0, 0))
+    for method in (const.cycle_lengths, const.cycle_structure,
+                   lambda: const.find_cycle(lambda L: True)):
+        with pytest.raises(NotBijective):
+            method()
 
 
 def test_cycle_structure_matches_naive_oracle():
-    rng = Random(14)
-    for ctx, d in ((F2, 4), (F3, 2), (F5, 2), (F4, 2)):
-        n = ctx.q ** d
-        for _ in range(25):
-            perm = list(range(n))
-            rng.shuffle(perm)
-            t = PermTable(ctx, d, perm)
-            assert t.cycle_structure() == naive_cycle_structure(perm)
-            assert t.cycle_structure().total() == n
+    for t in _oracle_tables():
+        cs = t.cycle_structure()
+        assert cs == naive_cycle_structure(t.table.tolist())
+        assert cs.total() == t.n
+
+
+def test_find_cycle_matches_scan_oracle():
+    predicates = (lambda L: L > 1, lambda L: L % 2 == 0, lambda L: L >= 5,
+                  lambda L: L == 1, lambda L: False, lambda L: L > 1 << 20)
+    found = 0
+    for t in _oracle_tables():
+        tbl = t.table.tolist()
+        for pred in predicates:
+            got = t.find_cycle(pred)
+            assert got == naive_find_cycle(tbl, pred)
+            found += got is not None
+    assert found > 300
+
+
+def test_rank_census_matches_table_census(monkeypatch):
+    # every sigma_M that the full-profile p3.2 grid builds
+    from cppforge import verify
+
+    built = []
+    real_from_matrix = PermTable.from_matrix.__func__
+
+    def recording(cls, m):
+        tbl = real_from_matrix(cls, m)
+        built.append((m, tbl))
+        return tbl
+
+    monkeypatch.setattr(PermTable, "from_matrix", classmethod(recording))
+    checked = 0
+    for point in verify.REGISTRY["p3.2"].full:
+        built.clear()
+        (rep,) = verify.verify_claim("p3.2", grid=[point], profile="full")
+        assert rep.verdict == "pass"
+        for m, tbl in built:
+            assert rank_census(m, point["r"]) == _census(tbl.cycle_structure())
+            checked += 1
+    assert checked > 20
+
+
+def test_rank_census_at_the_cap():
+    tm1 = Poly(F2, [1, 1])
+    for h, r, want in (
+            (Poly.x_pow_n_minus_1(F2, 21) // tm1, 21, {1: 1, 3: 1, 7: 9, 21: 49929}),
+            # Q_26 is the product of its four irreducible factors over F_3
+            (cyclotomic(26, F3), 26, {1: 1, 26: 20440})):
+        m = companion(h)
+        assert rank_census(m, r) == want
+        assert _census(PermTable.from_matrix(m).cycle_structure()) == want
 
 
 def test_is_r_regular_examples():
