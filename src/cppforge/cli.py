@@ -26,12 +26,19 @@ from .poly import cyclotomic
 SCHEMA = verify.SCHEMA
 
 
-def _field_arg(args) -> object:
-    if getattr(args, "field", None):
-        return parse_field_spec(args.field)
-    if getattr(args, "q", None):
+def _field_arg(args, required=True):
+    """The field of the positional spec, --field or --q (at most one)."""
+    given = [v for v in (getattr(args, "field_pos", None), args.field, args.q)
+             if v is not None]
+    if len(given) > 1:
+        raise InvalidSpec("give the field once: a positional spec, --field or --q")
+    if args.q is not None:
         return field_from_order(args.q)
-    raise InvalidSpec("need --field p^m or --q prime-power")
+    if given:
+        return parse_field_spec(given[0])
+    if required:
+        raise InvalidSpec("need --field p^m or --q prime-power")
+    return None
 
 
 def cmd_cyclotomic(args) -> int:
@@ -49,12 +56,9 @@ def cmd_cyclotomic(args) -> int:
 def cmd_construct(args) -> int:
     ctx = _field_arg(args)
     params: dict = {"field": ctx, "seed": args.seed}
-    if args.r is not None:
-        params["r"] = args.r
-    if args.m is not None:
-        params["m"] = args.m
-    if args.tau is not None:
-        params["tau"] = args.tau
+    for key in ("r", "m", "tau"):  # named_construction rejects those it does not read
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
     spec = construct.named_construction(args.claim, params)
     if args.emit == "univariate":
         fieldext.check_univariate_cap(ctx.q ** spec.d)
@@ -91,7 +95,10 @@ def cmd_verify(args) -> int:
     cap = args.cap
     if cap is not None and cap < 1:
         raise InvalidSpec(f"--cap must be >= 1, got {cap}")
+    ctx = _field_arg(args, required=False)
     if args.claim == "all":
+        if ctx is not None or args.r is not None:
+            raise InvalidSpec("--field, --q and --r apply to one claim, not to 'all'")
         summary = verify.verify_all(profile=args.profile, master_seed=args.seed,
                                     stream=sys.stdout if args.format == "json" else None,
                                     cap=cap)
@@ -108,10 +115,10 @@ def cmd_verify(args) -> int:
     failures = 0
     for cid in ids:
         grid = None
-        if args.q is not None or args.r is not None:
+        if ctx is not None or args.r is not None:
             base = dict(verify.REGISTRY[cid].quick[0])
-            if args.q is not None:
-                base["field"] = field_from_order(args.q).spec()
+            if ctx is not None:
+                base["field"] = ctx.spec()
             if args.r is not None:
                 base["r"] = args.r
             grid = [base]
@@ -129,13 +136,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    if args.field:
-        field = args.field
-    elif args.q:
-        field = field_from_order(args.q).spec()
-    else:
-        field = "2^2"
-    findings = verify.explore_quadratic(args.r, field=field,
+    ctx = _field_arg(args, required=False)
+    findings = verify.explore_quadratic(args.r, field=ctx.spec() if ctx else "2^2",
                                         count=args.count, seed=args.seed)
     for f in findings:
         print(json.dumps({"schema": SCHEMA, **f}, sort_keys=True,
@@ -213,8 +215,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as ex:
         return 2 if ex.code not in (0, None) else 0
-    if getattr(args, "field_pos", None) and not args.field:
-        args.field = args.field_pos
     try:
         return args.fn(args)
     except CppforgeError as ex:

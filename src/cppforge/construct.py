@@ -335,6 +335,11 @@ NAMED_IDS = (
 )
 
 
+# The optional parameters that only some constructions read
+_ONLY_FOR = {"r": ("p4.10",), "m": ("p4.1.3", "p4.1.3m", "p4.2.3", "p4.4.3"),
+             "tau": ("p4.8.1", "p4.8.2", "p4.9.1", "p4.9.2", "p4.10")}
+
+
 def named_construction(claim_id: str, params: dict) -> ConstructionSpec:
     """Build the catalogued construction for a claim id.
 
@@ -342,10 +347,14 @@ def named_construction(claim_id: str, params: dict) -> ConstructionSpec:
     in F_q^*), seed, a / a1 / a2 (explicit coordinate permutation tables or
     "identity"), matrix_mode ("companion" | "conjugate" where the claim
     allows any matrix), tau ("inverse" | "free" for the sandwich families).
+    An r, m or tau that the construction does not read raises InvalidSpec.
     """
     if claim_id not in NAMED_IDS:
         raise InvalidSpec(f"unknown construction id {claim_id!r}; "
                           f"known: {', '.join(NAMED_IDS)}")
+    for key, ids in _ONLY_FOR.items():
+        if key in params and claim_id not in ids:
+            raise InvalidSpec(f"{claim_id} does not take {key} (only {', '.join(ids)} do)")
     ctx = _as_ctx(params)
     seed = params.get("seed", 42)
     rng = Random(f"cppforge:{claim_id}:{seed}")

@@ -138,6 +138,40 @@ def test_verify_r_on_claim_without_r_exit_2(capsys):
     assert json.loads(out)["params"] == {"field": "2^1", "r": 9}
 
 
+def test_verify_field_overrides_the_point(capsys):
+    code, out, _ = run(capsys, "verify", "p4.3", "--field", "2^2", "--format", "json")
+    assert code == 0
+    assert [json.loads(l)["params"] for l in out.splitlines()] == [{"field": "2^2"}]
+    assert run(capsys, "verify", "p4.3", "--field", "2^2") == \
+        run(capsys, "verify", "p4.3", "--q", "4")
+
+
+def _assert_one_error_line(code, out, err, kind="InvalidSpec"):
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {kind}:") and err.count("\n") == 1
+
+
+def test_ignored_flags_exit_2(capsys):
+    for argv in (
+            # a malformed --field, and field flags or --r with 'all'
+            ("verify", "p4.3", "--field", "nonsense"),
+            ("verify", "all", "--field", "2^2"),
+            ("verify", "all", "--q", "2"),
+            ("verify", "all", "--r", "9"),
+            # flags the construction does not read (p4.3 has r = 5)
+            ("construct", "p4.3", "--q", "2", "--r", "9"),
+            ("construct", "p4.1.3", "--q", "4", "--m", "2", "--r", "11"),
+            ("construct", "p4.10", "--q", "2", "--r", "7", "--m", "3"),
+            ("construct", "p4.1.1", "--q", "2", "--tau", "free"),
+            # the field given twice
+            ("cyclotomic", "5", "2^2", "--q", "4"),
+            ("cyclotomic", "5", "2^2", "--field", "2^2"),
+            ("construct", "p4.3", "--field", "2^1", "--q", "2"),
+            ("verify", "p4.3", "--field", "2^1", "--q", "2"),
+            ("explore", "--field", "2^2", "--q", "4")):
+        _assert_one_error_line(*run(capsys, *argv))
+
+
 def test_verify_cap_below_1_exit_2(capsys):
     for cap in ("-1", "0"):
         code, out, err = run(capsys, "verify", "p4.3", "--cap", cap)
