@@ -239,17 +239,12 @@ class FieldCtx:
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        p = self.p
         if self.m == 1:
-            return (-a) % p
-        if p == 2:
+            return (-a) % self.p
+        if self.p == 2:
             return a
-        acc, w = 0, 1
-        for _ in range(self.m):
-            acc += ((-(a % p)) % p) * w
-            a //= p
-            w *= p
-        return acc
+        # -1 lies in the prime field, where its index is p - 1
+        return self.mul(a, self.p - 1)
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
