@@ -146,11 +146,6 @@ def test_verify_field_overrides_the_point(capsys):
         run(capsys, "verify", "p4.3", "--q", "4")
 
 
-def _assert_one_error_line(code, out, err, kind="InvalidSpec"):
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: {kind}:") and err.count("\n") == 1
-
-
 def test_ignored_flags_exit_2(capsys):
     for argv in (
             # a malformed --field, and field flags or --r with 'all'
@@ -169,7 +164,9 @@ def test_ignored_flags_exit_2(capsys):
             ("construct", "p4.3", "--field", "2^1", "--q", "2"),
             ("verify", "p4.3", "--field", "2^1", "--q", "2"),
             ("explore", "--field", "2^2", "--q", "4")):
-        _assert_one_error_line(*run(capsys, *argv))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: InvalidSpec:") and err.count("\n") == 1, argv
 
 
 def test_verify_cap_below_1_exit_2(capsys):

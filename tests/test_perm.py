@@ -4,7 +4,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from cppforge import gf
+from cppforge import gf, verify
 from cppforge.errors import NotBijective, SizeCap
 from cppforge.linalg import Mat, companion, random_invertible, random_matrix
 from cppforge.perm import CycleStructure, PermTable, space
@@ -227,8 +227,6 @@ def test_find_cycle_matches_scan_oracle():
 
 def test_rank_census_matches_table_census(monkeypatch):
     # every sigma_M that the full-profile p3.2 grid builds
-    from cppforge import verify
-
     built = []
     real_from_matrix = PermTable.from_matrix.__func__
 
