@@ -9,20 +9,26 @@ Tr(alpha_i * beta_j) is 1 when i = j and 0 otherwise, so the coordinates of
 x in the alpha basis are x_j = Tr(x * beta_j).
 
 ``to_univariate`` interpolates a dense table into the unique polynomial of
-degree < q^d over F_{q^d} agreeing with it everywhere.  Interpolation is
-plain Lagrange over all q^d points, specialized to the full domain: the
-master product is t^N - t whose derivative is the constant -1, so the
-interpolant is -sum_i y_i * (t^N - t)/(t - x_i).
+degree < q^d over F_{q^d} agreeing with it everywhere.  Big-field indices and
+packed F_q^d vectors are both strings of m*d base-p digits, and encode and
+decode are F_p-linear, so the lift is ``dec[table[enc]]`` with two
+``perm.linear_table`` maps.  Interpolation is plain Lagrange over all q^d
+points, specialized to the full domain: the master product is t^N - t whose
+derivative is the constant -1, so the interpolant is
+-sum_a y_a * (t^N - t)/(t - a), whose coefficient at degree k >= 1 is
+-sum_a y_a * a^(N-1-k): N steps of ``FieldCtx.vmul``/``vsum`` on length-N arrays.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import CtxMismatch, DependentBasis, SizeCap, Singular
-from .gf import FElem, FieldCtx, field_new, subfield_embedding, subfield_section, trace
+from .gf import FElem, FieldCtx, field_new, subfield_embedding, trace
 from .linalg import Mat
-from .perm import PermTable, space
+from .perm import PermTable, linear_table, space
 from .poly import Poly
 
 UNIVARIATE_CAP = 1 << 12
@@ -31,7 +37,7 @@ UNIVARIATE_CAP = 1 << 12
 class BasisPair:
     """A basis of F_{q^d} over F_q together with its dual basis."""
 
-    __slots__ = ("big", "sub", "d", "alpha", "beta", "_emb", "_sec", "_enc")
+    __slots__ = ("big", "sub", "d", "alpha", "beta", "_emb")
 
     def __init__(self, big: FieldCtx, sub: FieldCtx, alpha: Sequence[int],
                  beta: Sequence[int]):
@@ -41,15 +47,13 @@ class BasisPair:
         self.alpha = tuple(alpha)
         self.beta = tuple(beta)
         self._emb = subfield_embedding(big, sub)
-        self._sec = subfield_section(big, sub)
-        self._enc: Optional[list] = None
 
     def encode(self, x) -> tuple[int, ...]:
         """Coordinates (x_1, ..., x_d) of x in the alpha basis, via the dual."""
-        xi = x.idx if isinstance(x, FElem) else int(x)
         if isinstance(x, FElem) and x.ctx.key != self.big.key:
             raise CtxMismatch("encode argument must live in the big field")
         big, sub = self.big, self.sub
+        xi = big.elem(int(x)).idx
         return tuple(trace(big, sub, big.mul(xi, b)).idx for b in self.beta)
 
     def decode(self, coords: Sequence) -> FElem:
@@ -57,16 +61,8 @@ class BasisPair:
         big = self.big
         acc = 0
         for a, c in zip(self.alpha, coords, strict=True):
-            ci = c.idx if isinstance(c, FElem) else int(c)
-            acc = big.add(acc, big.mul(a, self._emb[ci]))
+            acc = big.add(acc, big.mul(a, self._emb[self.sub.elem(int(c)).idx]))
         return FElem(big, acc)
-
-    def encode_packed(self, xi: int) -> int:
-        """Packed vector index of encode(x), cached for whole-field scans."""
-        if self._enc is None:
-            sp = space(self.sub, self.d)
-            self._enc = [sp.pack_point(self.encode(i)) for i in range(self.big.q)]
-        return self._enc[xi]
 
 
 def make_basis(big: FieldCtx, sub: FieldCtx, alpha: Optional[Sequence] = None) -> BasisPair:
@@ -77,7 +73,7 @@ def make_basis(big: FieldCtx, sub: FieldCtx, alpha: Optional[Sequence] = None) -
     field over F_p, hence has degree exactly d over F_q).  The dual basis is
     obtained by inverting the Gram matrix [Tr(alpha_i alpha_j)] over F_q.
     """
-    emb = subfield_embedding(big, sub)
+    subfield_embedding(big, sub)  # raises NotASubfieldRelation
     d = big.m // sub.m
     if alpha is None:
         if big.m == 1:
@@ -88,7 +84,7 @@ def make_basis(big: FieldCtx, sub: FieldCtx, alpha: Optional[Sequence] = None) -
         for _ in range(d - 1):
             alpha.append(big.mul(alpha[-1], gen))
     else:
-        alpha = [a.idx if isinstance(a, FElem) else int(a) for a in alpha]
+        alpha = [big.elem(int(a)).idx for a in alpha]
         if len(alpha) != d:
             raise DependentBasis(f"need {d} basis elements, got {len(alpha)}")
     gram = [[trace(big, sub, big.mul(ai, aj)).idx for aj in alpha] for ai in alpha]
@@ -96,15 +92,9 @@ def make_basis(big: FieldCtx, sub: FieldCtx, alpha: Optional[Sequence] = None) -
         ginv = Mat(sub, gram).inv()
     except Singular:
         raise DependentBasis("candidate basis is F_q-linearly dependent") from None
-    beta = []
-    for j in range(d):
-        acc = 0
-        for i in range(d):
-            c = ginv.rows[i][j]
-            if c:
-                acc = big.add(acc, big.mul(emb[c], alpha[i]))
-        beta.append(acc)
-    bp = BasisPair(big, sub, alpha, beta)
+    # beta_j = sum_i ginv[i][j] * alpha_i: column j of ginv decoded in alpha
+    draft = BasisPair(big, sub, alpha, ())
+    bp = BasisPair(big, sub, alpha, [draft.decode(col).idx for col in zip(*ginv.rows)])
     for i in range(d):
         for j in range(d):
             got = trace(big, sub, big.mul(bp.alpha[i], bp.beta[j])).idx
@@ -125,6 +115,16 @@ def check_univariate_cap(n: int) -> None:
         raise SizeCap(f"q^d = {n} exceeds the univariate cap {UNIVARIATE_CAP}")
 
 
+def _lift_tables(bp: BasisPair) -> tuple[np.ndarray, np.ndarray]:
+    """Tables of x -> packed encode(x) and packed v -> decode(v), on indices."""
+    sub, d = bp.sub, bp.d
+    sp = space(sub, d)
+    units = [sub.p ** k for k in range(sub.m * d)]
+    enc = linear_table(sub, d, [sp.pack_point(bp.encode(u)) for u in units])
+    dec = linear_table(sub, d, [bp.decode(sp.unpack_point(u)).idx for u in units])
+    return enc, dec
+
+
 def to_univariate(bp: BasisPair, f: PermTable) -> Poly:
     """The unique polynomial of degree < q^d matching the table everywhere.
 
@@ -137,24 +137,15 @@ def to_univariate(bp: BasisPair, f: PermTable) -> Poly:
     n = big.q
     check_univariate_cap(n)
     sp = space(sub, d)
-    tbl = f.table.tolist()
-    ys = []
-    for x in range(n):
-        out_packed = tbl[bp.encode_packed(x)]
-        ys.append(bp.decode(sp.unpack_point(out_packed)).idx)
-    # f(t) = -sum_i y_i * (t^N - t)/(t - a_i); the quotient at a_i has
-    # coefficient a_i^(N-1-k) at degree k >= 1 and a_i^(N-1) - 1 at degree 0.
-    mul, add, neg = big.mul, big.add, big.neg
-    coeffs = [0] * n
-    y_total = 0
-    for a, y in enumerate(ys):
-        if y == 0:
-            continue
-        y_total = add(y_total, y)
-        r = y
-        for e in range(n - 1):
-            coeffs[n - 1 - e] = add(coeffs[n - 1 - e], neg(r))
-            r = mul(r, a)
-        coeffs[0] = add(coeffs[0], neg(r))
-    coeffs[0] = add(coeffs[0], y_total)
-    return Poly(big, coeffs)
+    enc, dec = _lift_tables(bp)
+    y = dec[f.table[enc]]
+    # f(t) = -sum_a y_a * (t^N - t)/(t - a); the quotient at a has
+    # coefficient a^(N-1-k) at degree k >= 1 and a^(N-1) - 1 at degree 0.
+    sums = np.zeros(n, dtype=np.int64)
+    r = y
+    for e in range(n - 1):
+        sums[n - 1 - e] = big.vsum(r)
+        r = big.vmul(r, sp.arange)
+    coeffs = big.vmul(sums, big.p - 1)  # -1 has index p - 1 in every field
+    coeffs[0] = big.sub(big.vsum(y), big.vsum(r))
+    return Poly(big, coeffs.tolist())

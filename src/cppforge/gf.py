@@ -14,6 +14,11 @@ no scalar multiply: multiplication by g is an m x m matrix over F_p, and the
 digit vectors of g^k double block by block in numpy.  Extension fields with
 more than ``TABLE_CAP`` (2^20) elements raise SizeCap.
 
+On int64 index arrays, ``vmul`` is the elementwise ``mul`` (``exp[log a +
+log b]`` with a zero mask, on numpy copies of the tables made on first use)
+and ``vsum`` the field sum (``sum % p`` in a prime field, an XOR reduce when
+p = 2, else each base-p digit summed mod p).
+
 The modulus search, the primitive-element test, the g matrix and the
 subfield root search use :class:`cppforge.poly.Poly`, imported locally
 because ``poly`` imports this module.
@@ -107,7 +112,8 @@ class FieldCtx:
     :func:`field_new`, which caches contexts and picks the canonical modulus.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "key", "_exp", "_log", "_embeddings")
+    __slots__ = ("p", "m", "q", "modulus", "key", "_exp", "_log", "_np_tables",
+                 "_embeddings")
 
     def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None):
         if not is_prime(p):
@@ -142,6 +148,7 @@ class FieldCtx:
             self.modulus = mod
         self.key = (p, m, self.modulus)
         self._exp, self._log = self._exp_log_tables() if m > 1 else (None, None)
+        self._np_tables = None
         self._embeddings: dict = {}
 
     def _exp_log_tables(self) -> tuple[list, list]:
@@ -270,6 +277,35 @@ class FieldCtx:
             acc = self.mul(acc, acc)
             n >>= 1
         return result
+
+    # -- arithmetic on index arrays ---------------------------------------------
+
+    def vmul(self, a, b) -> np.ndarray:
+        """Elementwise product of index arrays (either may be a scalar)."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        if self.m == 1:
+            if self.p > 1 << 31:  # a * b must fit in int64
+                raise SizeCap(f"array products need p < 2^31, got p = {self.p}")
+            return a * b % self.p
+        if self._np_tables is None:
+            self._np_tables = np.array(self._exp), np.array(self._log)
+        exp, log = self._np_tables
+        return np.where((a == 0) | (b == 0), 0, exp[log[a] + log[b]])
+
+    def vsum(self, a) -> int:
+        """Field sum of an index array."""
+        a = np.asarray(a, dtype=np.int64)
+        p = self.p
+        if self.m == 1:
+            return int(a.sum() % p)
+        if p == 2:
+            return int(np.bitwise_xor.reduce(a, axis=None))
+        acc, w = 0, 1
+        for _ in range(self.m):
+            a, digit = np.divmod(a, p)
+            acc += int(digit.sum() % p) * w
+            w *= p
+        return acc
 
     # -- element objects and enumeration -------------------------------------
 
@@ -449,24 +485,12 @@ def subfield_embedding(big: FieldCtx, sub: FieldCtx) -> list[int]:
         root = next((z for z in range(big.q) if f.eval_idx(z) == 0), None)
         if root is None:
             raise RuntimeError("internal error: modulus has no root in big field")
-        powers = [1]
-        for _ in range(sub.m - 1):
-            powers.append(big.mul(powers[-1], root))
-        table = []
-        for x in range(sub.q):
-            acc = 0
-            for c, term in zip(sub.digits(x), powers):
-                acc = big.add(acc, big.mul(c, term))
-            table.append(acc)
+        # x = sum_k c_k u^k maps to sum_k c_k root^k
+        powers = [big.pow(root, k) for k in range(sub.m)]
+        table = [big.vsum(big.vmul(sub.digits(x), powers)) for x in range(sub.q)]
     back = {b: s for s, b in enumerate(table)}
     big._embeddings[sub.key] = (table, back)
     return table
-
-
-def subfield_section(big: FieldCtx, sub: FieldCtx) -> dict[int, int]:
-    """Partial inverse of the embedding (big index -> sub index)."""
-    subfield_embedding(big, sub)
-    return big._embeddings[sub.key][1]
 
 
 def trace(big: FieldCtx, sub: FieldCtx, x) -> FElem:

@@ -139,12 +139,13 @@ class PermTable:
 
     __slots__ = ("ctx", "d", "table", "bijective")
 
-    def __init__(self, ctx: FieldCtx, d: int, table, bijective=None):
+    def __init__(self, ctx: FieldCtx, d: int, table, bijective=None, *,
+                 _in_range=False):  # True: gathered from valid tables, skip the check
         sp = space(ctx, d)
         arr = np.asarray(table, dtype=np.int64)
         if arr.shape != (sp.n,):
             raise DimMismatch(f"table length {arr.shape} != q^d = {sp.n}")
-        if arr.size and (arr.min() < 0 or arr.max() >= sp.n):
+        if not _in_range and arr.size and (arr.min() < 0 or arr.max() >= sp.n):
             raise ValueError("table outputs out of range")
         if not arr.flags.owndata:
             arr = arr.copy()
@@ -214,14 +215,15 @@ class PermTable:
         """(self o other)(x) = self(other(x))."""
         self._check(other)
         bij = self.bijective and other.bijective or None
-        return PermTable(self.ctx, self.d, self.table[other.table], bijective=bij)
+        return PermTable(self.ctx, self.d, self.table[other.table], bijective=bij,
+                         _in_range=True)
 
     def invert(self) -> "PermTable":
         if not self.bijective:
             raise NotBijective("cannot invert a non-bijective table")
         inv = np.empty_like(self.table)
         inv[self.table] = space(self.ctx, self.d).arange
-        return PermTable(self.ctx, self.d, inv, bijective=True)
+        return PermTable(self.ctx, self.d, inv, bijective=True, _in_range=True)
 
     def add_pointwise(self, other: "PermTable") -> "PermTable":
         """x -> self(x) + other(x); bijectivity is recomputed eagerly."""

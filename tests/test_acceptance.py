@@ -179,7 +179,8 @@ def test_criterion_7_univariate_export():
         n = bp.big.q
         biggest = max(biggest, n)
         for x in range(n):
-            want = bp.decode(sp.unpack_point(int(tbl.table[bp.encode_packed(x)]))).idx
+            want = bp.decode(sp.unpack_point(
+                int(tbl.table[sp.pack_point(bp.encode(x))]))).idx
             assert pol.eval_idx(x) == want, (cid, x)
         if cid in additive_claims:
             p = spec.field.p

@@ -151,6 +151,29 @@ def test_mul_matches_schoolbook_all_pairs(p, m):
             assert ctx.mul(a, b) == schoolbook_mul(ctx, a, b)
 
 
+@pytest.mark.parametrize("p,m", AXIOM_FIELDS + [(5, 2), (4093, 1)])
+def test_array_ops_match_scalar_ops(p, m):
+    ctx = gf.field_new(p, m)
+    rng = random.Random(f"gf-arrays:{p}^{m}")
+    a = [rng.randrange(ctx.q) for _ in range(2000)] + [0, 0, 1]
+    b = [rng.randrange(ctx.q) for _ in range(2000)] + [0, 1, 0]
+    got = ctx.vmul(np.array(a), np.array(b)).tolist()
+    assert got == [ctx.mul(x, y) for x, y in zip(a, b)]
+    for c in (0, 1, ctx.q - 1):
+        assert ctx.vmul(np.array(a), c).tolist() == [ctx.mul(x, c) for x in a]
+    for length in (0, 1, 2, 7, len(a)):
+        want = 0
+        for x in a[:length]:
+            want = ctx.add(want, x)
+        assert ctx.vsum(np.array(a[:length], dtype=np.int64)) == want
+
+
+def test_array_product_refuses_int64_overflow():
+    big_prime = gf.field_new(2 ** 31 + 11)
+    with pytest.raises(SizeCap):
+        big_prime.vmul(np.array([2]), np.array([3]))
+
+
 @pytest.mark.parametrize("spec", ["2^12", "3^6", "5^4", "3^2/2,1,1"])
 def test_mul_matches_schoolbook_sampled(spec):
     ctx = gf.parse_field_spec(spec)

@@ -156,6 +156,12 @@ def test_compose_invert_examples():
     assert s.invert().invert() == s
     with pytest.raises(NotBijective):
         PermTable.from_fn(F2, 2, lambda v: (0, 0)).invert()
+    # compose and invert skip the range check, so bijectivity must still be
+    # recomputed when either factor is not a bijection
+    z = PermTable(F2, 2, [0, 0, 1, 1])
+    assert not s.compose(z).bijective and not z.compose(s).bijective
+    assert s.compose(z).table.tolist() == [s(0), s(0), s(1), s(1)]
+    assert s.compose(s).bijective and s.invert().bijective
 
 
 def test_add_pointwise_examples():
@@ -374,3 +380,7 @@ def test_json_round_trip():
     assert PermTable.from_json(s.to_json()) == s
     cs = s.cycle_structure()
     assert CycleStructure.from_json(cs.to_json()) == cs
+    data = s.to_json()
+    for bad in (s.n, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            PermTable.from_json({**data, "table": [bad] + data["table"][1:]})
