@@ -87,11 +87,11 @@ def tau_to_table(spec: TauSpec, ctx: FieldCtx, d: int) -> PermTable:
         if spec.perms is None or len(spec.perms) != d:
             raise InvalidSpec(f"coordinate spec needs {d} permutations")
         # sum_j a_j(x_j) * q^j, one coordinate per outer addition
-        out = np.zeros(1, dtype=np.int64)
+        out = np.zeros(1, dtype=np.int32)
         for j, a in enumerate(spec.perms):
             if sorted(a) != list(range(ctx.q)):
                 raise InvalidSpec("coordinate map is not a permutation of F_q")
-            out = np.add.outer(np.array(a, dtype=np.int64) * ctx.q ** j, out).ravel()
+            out = np.add.outer(np.array(a, dtype=np.int32) * ctx.q ** j, out).ravel()
         return PermTable(ctx, d, out, bijective=True)
     if spec.kind == "additive-linear":
         total = ctx.m * d

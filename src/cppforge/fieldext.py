@@ -61,6 +61,8 @@ class BasisPair:
         big = self.big
         acc = 0
         for a, c in zip(self.alpha, coords, strict=True):
+            if isinstance(c, FElem) and c.ctx.key != self.sub.key:
+                raise CtxMismatch("decode coordinates must live in the subfield")
             acc = big.add(acc, big.mul(a, self._emb[self.sub.elem(int(c)).idx]))
         return FElem(big, acc)
 

@@ -14,9 +14,15 @@ no scalar multiply: multiplication by g is an m x m matrix over F_p, and the
 digit vectors of g^k double block by block in numpy.  Extension fields with
 more than ``TABLE_CAP`` (2^20) elements raise SizeCap.
 
-On int64 index arrays, ``vmul`` is the elementwise ``mul`` (``exp[log a +
-log b]`` with a zero mask, on numpy copies of the tables made on first use)
-and ``vsum`` the field sum (``sum % p`` in a prime field, an XOR reduce when
+Addition in F_{p^m} (m >= 2) and coordinatewise addition of packed F_q^d
+vectors are one digitwise adder, ``add_digits``, on scalars and arrays: XOR
+when p = 2, else chunks of k base-p digits added through a p^k x p^k lookup
+table built once per p (one digit at a time, ``(a + b) % p``, when p^2 is
+above the table bound).
+
+On index arrays, ``vmul`` is the elementwise ``mul`` (``exp[log a + log b]``
+with a zero mask, on numpy copies of the tables made on first use) and
+``vsum`` the field sum (``sum % p`` in a prime field, an XOR reduce when
 p = 2, else each base-p digit summed mod p).
 
 The modulus search, the primitive-element test, the g matrix and the
@@ -52,6 +58,11 @@ from .errors import (
 TABLE_CAP = 1 << 20
 
 _CHUNK = 1 << 14  # rows per numpy block of the exp table build
+
+# Entries of the digit adder's lookup table.  Memory, not speed, sets it: a
+# table lives as long as the process, and one of 2^20 entries weighs on the
+# peak memory of runs that build only small tables.
+_LUT_CAP = 1 << 18
 
 
 def is_prime(n: int) -> bool:
@@ -99,6 +110,80 @@ def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
         if is_irreducible(Poly(fp, cand)):
             return cand
     raise RuntimeError(f"internal error: no irreducible of degree {m} over F_{p}")
+
+
+# ---------------------------------------------------------------------------
+# Digitwise addition
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _digit_lut(p: int) -> tuple[int, Optional[np.ndarray], Optional[memoryview]]:
+    """``(k, lut, view)``: the sum table of k-digit base-p strings.
+
+    k is the largest with p^(2k) <= _LUT_CAP, and ``lut[i * p^k + j]`` is the
+    digitwise sum mod p of i and j, as uint16 (sums stay below p^k <= 2^9);
+    ``view`` reads it as Python ints.  When p^2 > _LUT_CAP, k = 1 and there
+    is no table.
+    """
+    k = 0
+    while p ** (2 * k + 2) <= _LUT_CAP:
+        k += 1
+    if k == 0:
+        return 1, None, None
+    digit = np.arange(p, dtype=np.uint16)
+    one = np.add.outer(digit, digit) % p
+    lut = np.zeros((1, 1), dtype=np.uint16)
+    for _ in range(k):
+        # index i = hi * p + lo: the sum of i and j is sum(hi_i, hi_j) * p + (lo_i + lo_j) % p
+        s = lut.shape[0]
+        lut = (lut[:, None, :, None] * p + one[None, :, None, :]).reshape(s * p, s * p)
+    lut = lut.ravel()
+    lut.flags.writeable = False
+    return k, lut, memoryview(lut)
+
+
+def add_digits(p: int, ndigits: int, a, b):
+    """Digitwise sum mod p of base-p digit strings of ``ndigits`` digits.
+
+    This is field addition on indices of F_{p^m} (ndigits = m) and
+    coordinatewise addition on packed F_q^d vectors (ndigits = m*d).  ``a``
+    and ``b`` are ints, whose sum is an int, or index arrays, whose
+    (broadcast) sum is an int32 array; the strings must lie below
+    ``TABLE_CAP``.  For p = 2 the sum is XOR.  Otherwise the strings are cut
+    into chunks of k digits, and each chunk pair is added through the cached
+    p^k x p^k lookup table of ``_digit_lut``, or as ``(a + b) % p`` when a
+    chunk is one digit without a table.
+    """
+    if p == 2:
+        return a ^ b
+    k, lut, view = _digit_lut(p)
+    w = p ** k
+    chunks = -(-ndigits // k)
+    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
+        a, b = int(a), int(b)
+        acc, scale = 0, 1
+        for _ in range(chunks):
+            a, ca = divmod(a, w)
+            b, cb = divmod(b, w)
+            acc += (view[ca * w + cb] if view is not None else (ca + cb) % p) * scale
+            scale *= w
+        return acc
+    out, scale = None, 1
+    for i in range(chunks):
+        if i < chunks - 1:
+            ha, hb = a // w, b // w
+            ca, cb = a - ha * w, b - hb * w
+            a, b = ha, hb
+        else:  # the top chunk is what is left
+            ca, cb = a, b
+        s = lut[ca * w + cb] if lut is not None else (ca + cb) % p
+        term = np.multiply(s, scale, dtype=np.int32)
+        if out is None:
+            out = term
+        else:
+            out += term
+        scale *= w
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +314,9 @@ class FieldCtx:
     # -- arithmetic on indices ----------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
         if self.m == 1:
-            return (a + b) % p
-        if p == 2:
-            return a ^ b
-        acc, w = 0, 1
-        for _ in range(self.m):
-            acc += ((a % p + b % p) % p) * w
-            a //= p
-            b //= p
-            w *= p
-        return acc
+            return (a + b) % self.p
+        return add_digits(self.p, self.m, a, b)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

@@ -13,9 +13,14 @@ from the images of the m*d digit basis vectors p^k.
 Every cycle question (the census, r-regularity, witness cycles) is answered
 from one pointer-jumping pass over whole arrays, ``PermTable.cycle_lengths``.
 
-Tables are stored as immutable numpy int64 arrays of length q^d, hard-capped
-at 2^20 entries.  Tables are immutable after construction; building a table
-is single-threaded but independent tables can be built concurrently.
+Coordinatewise addition is ``gf.add_digits``, the one digitwise adder.
+
+Tables are stored as immutable numpy int32 arrays of length q^d, hard-capped
+at 2^20 entries, so every index fits and gathers move half the bytes of
+int64.  The table builders produce int32 directly; ``PermTable`` checks any
+other input in int64, where no value can wrap, before it narrows it.  Tables
+are immutable after construction; building a table is single-threaded but
+independent tables can be built concurrently.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, NotBijective, SizeCap
-from .gf import TABLE_CAP, FieldCtx
+from .gf import TABLE_CAP, FieldCtx, add_digits
 from .linalg import Mat
 
 _SPACES: dict = {}
@@ -45,7 +50,7 @@ class VecSpace:
     @property
     def arange(self):
         if self._arange is None:
-            a = np.arange(self.n, dtype=np.int64)
+            a = np.arange(self.n, dtype=np.int32)
             a.flags.writeable = False
             self._arange = a
         return self._arange
@@ -67,16 +72,7 @@ class VecSpace:
 
     def vadd(self, a, b):
         """Coordinatewise field addition on packed indices (scalars or arrays)."""
-        p = self.ctx.p
-        if p == 2:
-            return a ^ b
-        acc, w = 0, 1
-        for _ in range(self.ctx.m * self.d):
-            a, da = np.divmod(a, p)
-            b, db = np.divmod(b, p)
-            acc = acc + (da + db) % p * w
-            w *= p
-        return acc
+        return add_digits(self.ctx.p, self.ctx.m * self.d, a, b)
 
 
 def space(ctx: FieldCtx, d: int) -> VecSpace:
@@ -105,10 +101,10 @@ def linear_table(ctx: FieldCtx, d: int, images) -> np.ndarray:
     digits = imgs[:, None] // pw % p
     # mults[k, c-1] = c * images[k], scaled digit by digit
     mults = (np.arange(1, p)[:, None] * digits[:, None, :] % p * pw).sum(axis=2)
-    out = np.empty(sp.n, dtype=np.int64)
+    out = np.empty(sp.n, dtype=np.int32)
     out[0] = 0
     size = 1
-    for row in mults:
+    for row in mults.astype(np.int32):
         out[size:p * size] = sp.vadd(out[:size], row[:, None]).ravel()
         size *= p
     return out
@@ -142,20 +138,28 @@ class PermTable:
     def __init__(self, ctx: FieldCtx, d: int, table, bijective=None, *,
                  _in_range=False):  # True: gathered from valid tables, skip the check
         sp = space(ctx, d)
-        arr = np.asarray(table, dtype=np.int64)
+        if isinstance(table, np.ndarray) and table.dtype == np.int32:
+            arr = table
+        else:  # checked in int64: narrowing first could wrap a bad value into range
+            try:
+                arr = np.asarray(table, dtype=np.int64)
+            except OverflowError:
+                raise ValueError("table outputs out of range") from None
         if arr.shape != (sp.n,):
             raise DimMismatch(f"table length {arr.shape} != q^d = {sp.n}")
         if not _in_range and arr.size and (arr.min() < 0 or arr.max() >= sp.n):
             raise ValueError("table outputs out of range")
+        arr = arr.astype(np.int32, copy=False)
         if not arr.flags.owndata:
             arr = arr.copy()
         arr.flags.writeable = False
         self.ctx = ctx
         self.d = d
         self.table = arr
-        if bijective is None:
-            counts = np.bincount(arr, minlength=sp.n)
-            bijective = bool((counts == 1).all())
+        if bijective is None:  # n outputs in range: a bijection hits every point
+            hit = np.zeros(sp.n, dtype=bool)
+            hit[arr] = True
+            bijective = bool(hit.all())
         self.bijective = bijective
 
     # -- constructors ---------------------------------------------------------
@@ -169,10 +173,7 @@ class PermTable:
     def from_fn(cls, ctx: FieldCtx, d: int, rule) -> "PermTable":
         """Tabulate a coordinate rule (tuple of d indices -> sequence of d)."""
         sp = space(ctx, d)
-        out = np.empty(sp.n, dtype=np.int64)
-        for i in range(sp.n):
-            out[i] = sp.pack_point(rule(sp.unpack_point(i)))
-        return cls(ctx, d, out)
+        return cls(ctx, d, [sp.pack_point(rule(sp.unpack_point(i))) for i in range(sp.n)])
 
     @classmethod
     def from_matrix(cls, m: Mat) -> "PermTable":
@@ -257,10 +258,10 @@ class PermTable:
         low = space(self.ctx, self.d).arange
         step = self.table
         while True:
-            nxt = np.minimum(low, low[step])
+            nxt = np.minimum(low, low.take(step))
             if np.array_equal(nxt, low):
-                return np.bincount(low, minlength=self.n)[low]
-            low, step = nxt, step[step]
+                return np.bincount(low, minlength=self.n).take(low)
+            low, step = nxt, step.take(step)
 
     def cycle_structure(self) -> CycleStructure:
         points = np.bincount(self.cycle_lengths())  # points on cycles of each length

@@ -140,7 +140,7 @@ def _ord_mod(h: Poly, shift: int) -> int:
 def _tau_general(ctx: FieldCtx, d: int, rng: Random) -> PermTable:
     tbl = list(range(ctx.q ** d))
     rng.shuffle(tbl)
-    return PermTable(ctx, d, tbl, bijective=True)
+    return PermTable(ctx, d, np.array(tbl, dtype=np.int32), bijective=True)
 
 
 def _tau_additive(ctx: FieldCtx, d: int, rng: Random) -> PermTable:

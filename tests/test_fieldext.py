@@ -220,3 +220,10 @@ def test_out_of_range_indices_raise():
     for alpha in ((1, -2), (1, 4)):
         with pytest.raises(ValueError, match="out of range"):
             make_basis(F4, F2, alpha=alpha)
+
+
+def test_decode_rejects_foreign_field_elements():
+    bp = default_basis(F2, 2)
+    with pytest.raises(CtxMismatch):
+        bp.decode((F3.elem(1), 0))
+    assert bp.decode((F2.elem(1), F2.elem(1))) == bp.decode((1, 1))

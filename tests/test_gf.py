@@ -10,7 +10,7 @@ from cppforge.errors import (
     NotASubfieldRelation, NotPrime, ReducibleModulus, SizeCap,
 )
 
-AXIOM_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+AXIOM_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (7, 2),
                 (2, 4), (3, 3), (2, 6)]  # q <= 64
 
 
@@ -151,7 +151,7 @@ def test_mul_matches_schoolbook_all_pairs(p, m):
             assert ctx.mul(a, b) == schoolbook_mul(ctx, a, b)
 
 
-@pytest.mark.parametrize("p,m", AXIOM_FIELDS + [(5, 2), (4093, 1)])
+@pytest.mark.parametrize("p,m", AXIOM_FIELDS + [(4093, 1)])
 def test_array_ops_match_scalar_ops(p, m):
     ctx = gf.field_new(p, m)
     rng = random.Random(f"gf-arrays:{p}^{m}")

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from random import Random
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from cppforge import gf, verify
+from cppforge.construct import TauSpec, random_additive_pp, random_pp, tau_to_table
 from cppforge.errors import NotBijective, SizeCap
 from cppforge.linalg import Mat, companion, random_invertible, random_matrix
 from cppforge.perm import CycleStructure, PermTable, space
@@ -14,6 +16,39 @@ F2 = gf.field_new(2)
 F3 = gf.field_new(3)
 F4 = gf.field_new(2, 2)
 F5 = gf.field_new(5)
+F7 = gf.field_new(7)
+F9 = gf.field_new(3, 2)
+F25 = gf.field_new(5, 2)
+
+
+def naive_vadd(ctx, d, a, b):
+    """Oracle: coordinatewise addition on packed F_q^d indices, one base-p
+    digit per step (XOR when p = 2)."""
+    p = ctx.p
+    if p == 2:
+        return a ^ b
+    acc, w = 0, 1
+    for _ in range(ctx.m * d):
+        a, da = np.divmod(a, p)
+        b, db = np.divmod(b, p)
+        acc = acc + (da + db) % p * w
+        w *= p
+    return acc
+
+
+def _adder_shapes():
+    """(field, d) with m*d at the chunk boundaries k, k + 1 and 2k of the
+    digit adder, F_3^12 at the table cap, and F_1021^2, whose p^2 is above
+    the lookup-table bound."""
+    out = [(F3, 12), (gf.field_new(1021), 2)]
+    for ctx in (F3, F5, F7, F9, F25):
+        k = gf._digit_lut(ctx.p)[0]
+        out += [(ctx, nd // ctx.m) for nd in (k, k + 1, 2 * k)
+                if nd % ctx.m == 0 and ctx.q ** (nd // ctx.m) <= gf.TABLE_CAP]
+    return out
+
+
+ADDER_SHAPES = _adder_shapes()
 
 
 def naive_cycle_structure(tbl):
@@ -179,6 +214,77 @@ def test_add_pointwise_examples():
             assert got == ((m + ident).det() != 0)
 
 
+@pytest.mark.parametrize("ctx,d", ADDER_SHAPES, ids=lambda x: getattr(x, "q", x))
+def test_vadd_matches_digit_loop(ctx, d):
+    sp = space(ctx, d)
+    rng = np.random.default_rng(ctx.q * 100 + d)
+    a = rng.integers(0, sp.n, 3000).astype(np.int32)
+    b = rng.integers(0, sp.n, 3000).astype(np.int32)
+    a[:2], b[:2] = (0, sp.n - 1), (sp.n - 1, sp.n - 1)
+    want = naive_vadd(ctx, d, a.astype(np.int64), b.astype(np.int64))
+    got = sp.vadd(a, b)
+    assert got.dtype == np.int32 and np.array_equal(got, want)
+    # a column broadcast against a row, as linear_table adds
+    col = b[:5, None]
+    assert np.array_equal(sp.vadd(a, col), naive_vadd(ctx, d, a.astype(np.int64), col))
+    for x, y in zip(a[:300].tolist(), b[:300].tolist()):
+        s = sp.vadd(x, y)
+        assert type(s) is int and s == int(naive_vadd(ctx, d, x, y))
+        assert json.loads(json.dumps(s)) == s
+
+
+@pytest.mark.parametrize("ctx,d", ADDER_SHAPES, ids=lambda x: getattr(x, "q", x))
+def test_vadd_group_axioms(ctx, d):
+    sp = space(ctx, d)
+    rng = np.random.default_rng(ctx.q + d)
+    a, b, c = (rng.integers(0, sp.n, 2000).astype(np.int32) for _ in range(3))
+    assert np.array_equal(sp.vadd(a, b), sp.vadd(b, a))
+    assert np.array_equal(sp.vadd(sp.vadd(a, b), c), sp.vadd(a, sp.vadd(b, c)))
+    assert np.array_equal(sp.vadd(a, 0), a)
+    acc = a  # p copies of a sum to 0 in characteristic p
+    for _ in range(ctx.p - 1):
+        acc = sp.vadd(acc, a)
+    assert not acc.any()
+
+
+@pytest.mark.parametrize("ctx,d", ADDER_SHAPES, ids=lambda x: getattr(x, "q", x))
+def test_linear_table_matches_mat_apply(ctx, d):
+    rng = Random(ctx.q * 10 + d)
+    mat = random_matrix(ctx, d, rng)
+    tbl = PermTable.from_matrix(mat)
+    sp = space(ctx, d)
+    for idx in rng.sample(range(sp.n), min(sp.n, 200)):
+        assert tbl(idx) == sp.pack_point(mat.apply(sp.unpack_point(idx)))
+
+
+def test_field_add_matches_digit_loop():
+    for ctx in (F9, F25, gf.field_new(3, 12)):
+        rng = Random(ctx.q)
+        for _ in range(500):
+            a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
+            s = ctx.add(a, b)
+            assert type(s) is int and s == int(naive_vadd(ctx, 1, a, b))
+
+
+def test_table_constructors_are_read_only_int32():
+    for ctx, d in ((F4, 2), (F9, 2)):
+        rng = Random(ctx.q)
+        sig = PermTable.from_matrix(random_invertible(ctx, d, rng))
+        e = PermTable.identity(ctx, d)
+        tables = [
+            e, sig, PermTable.from_fn(ctx, d, lambda v: v[::-1]),
+            sig.compose(sig), sig.invert(), sig.add_pointwise(e), sig.npower(5),
+            tau_to_table(TauSpec.identity(), ctx, d),
+            tau_to_table(TauSpec.coordinate([random_pp(ctx.q, rng) for _ in range(d)]), ctx, d),
+            tau_to_table(random_additive_pp(ctx, d, rng), ctx, d),
+            PermTable.from_json(sig.to_json()),
+            PermTable(ctx, d, sig.table.astype(np.int64)),
+            verify._tau_general(ctx, d, rng),
+        ]
+        for t in tables:
+            assert t.table.dtype == np.int32 and not t.table.flags.writeable
+
+
 def test_npower_examples():
     s = PermTable.from_matrix(companion(cyclotomic(3, F2)))
     e = PermTable.identity(F2, 2)
@@ -288,7 +394,8 @@ def _is_additive_exhaustive(t: PermTable) -> bool:
     """Oracle: f(x + y) = f(x) + f(y) checked for every pair x, y."""
     sp = space(t.ctx, t.d)
     tbl = t.table
-    return all(np.array_equal(tbl[sp.vadd(sp.arange, y)], sp.vadd(tbl, int(tbl[y])))
+    return all(np.array_equal(tbl[naive_vadd(t.ctx, t.d, sp.arange, y)],
+                              naive_vadd(t.ctx, t.d, tbl, int(tbl[y])))
                for y in range(sp.n))
 
 
@@ -384,3 +491,15 @@ def test_json_round_trip():
     for bad in (s.n, -1):
         with pytest.raises(ValueError, match="out of range"):
             PermTable.from_json({**data, "table": [bad] + data["table"][1:]})
+
+
+def test_out_of_range_entries_raise_before_narrowing():
+    # 2^32 + 3 and 3 - 2^32 would wrap to 3 in int32; 2^63 and 2^64 overflow int64
+    for bad in (2**31, 2**32, 2**32 - 1, 2**32 + 3, 3 - 2**32, 2**63, 2**64,
+                -1, -2**32, -2**63 - 1):
+        with pytest.raises(ValueError, match="out of range"):
+            PermTable.from_json({"field": "2^1", "d": 2, "table": [0, 1, 2, bad]})
+    with pytest.raises(ValueError, match="out of range"):
+        PermTable(F2, 2, np.array([0, 1, 2, 2**63], dtype=np.uint64))
+    with pytest.raises(ValueError, match="out of range"):
+        PermTable.from_fn(F2, 2, lambda v: (v[0], 2**40))
