@@ -1,3 +1,4 @@
+import hashlib
 import json
 from random import Random
 
@@ -10,7 +11,7 @@ from cppforge.construct import (
     random_pp, tau_to_table, NAMED_IDS,
 )
 from cppforge.errors import (
-    CharacteristicDividesR, HypothesisViolated, InvalidSpec,
+    CharacteristicDividesR, CppforgeError, HypothesisViolated, InvalidSpec,
 )
 from cppforge.linalg import Mat, companion, char_poly, random_invertible, random_matrix
 from cppforge.perm import PermTable, space
@@ -232,6 +233,41 @@ def test_named_ids_all_buildable():
         spec = named_construction(cid, params)
         assert char_poly(spec.matrix) == spec.h
         assert build(spec).bijective
+
+
+# sha256 of _spec_pin_lines(): the spec (or the error type) of every
+# construction id over q in {2, 3, 4, 5, 7, 8, 9}, three seeds and the
+# parameter variants each id reads.  The spec carries M and the taus, so
+# this pins each construction's RNG draw order as well as its algebra.
+SPEC_PIN_SHA256 = "00828eac95af3730f9d9bbadde509b0f26ff03c60d7fa26b187b783b31f621a9"
+_PIN_VARIANTS = {
+    **{cid: [{}, {"matrix_mode": "conjugate"}]
+       for cid in ("p4.1.1", "p4.1.2", "p4.2.1", "p4.4.1", "p4.6", "p4.7")},
+    **{cid: [{}, {"tau": "free"}] for cid in ("p4.8.1", "p4.8.2", "p4.9.1", "p4.9.2")},
+    **{cid: [{}, {"m": 2}, {"m": 0}] for cid in ("p4.1.3", "p4.1.3m", "p4.2.3", "p4.4.3")},
+    "p4.10": [{"r": r, **tau} for r in (3, 4, 5, 9, 15) for tau in ({}, {"tau": "free"})],
+}
+
+
+def _spec_pin_lines():
+    for cid in NAMED_IDS:
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            for seed in (1, 42, 7):
+                for extra in _PIN_VARIANTS.get(cid, [{}]):
+                    params = {"q": q, "seed": seed, **extra}
+                    try:
+                        out = json.dumps(named_construction(cid, params).to_json(),
+                                         sort_keys=True)
+                    except CppforgeError as ex:
+                        out = type(ex).__name__
+                    yield f"{cid} {json.dumps(params, sort_keys=True)} {out}"
+
+
+def test_named_construction_specs_pinned():
+    lines = list(_spec_pin_lines())
+    assert len(lines) == 987
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SPEC_PIN_SHA256
 
 
 # --- regressions documenting claim edge cases found by brute force ---------
