@@ -9,22 +9,30 @@ Everything here produces dense tables out of three ingredients:
 * the sandwich sigma = tau1 o sigma_M o tau2, with tau2 derived as tau1^{-1}
   in conjugation mode.
 
-``named_construction`` materializes the catalogued instances (ids like
-``p4.1.3`` or ``p4.10``); each one validates every hypothesis eagerly and
-raises HypothesisViolated otherwise, because the harness treats the claimed
-conclusions as oracles and silent parameter drift would poison verification.
+``CATALOG`` holds the named constructions of Section 4 (ids like ``p4.1.3``
+or ``p4.10``), one :class:`Construction` row each, and ``named_construction``
+is the one runner that reads a row.  To add a construction, add one row: r
+(None when r is a parameter), the table dimension d (None for r - 1), the
+hypothesis on (p, r), where h comes from (a ``pick_h`` strategy or the text
+of h), the parameters the row reads and a builder that returns M and the
+taus (no tau2 means conjugation).  The runner raises InvalidSpec for any
+other parameter and HypothesisViolated for a violated hypothesis, eagerly,
+because the harness treats the claimed conclusions as oracles and silent
+parameter drift would poison verification.  A builder draws from the RNG
+in a fixed order, which the specs and the verify streams depend on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from random import Random
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import CharacteristicDividesR, HypothesisViolated, InvalidSpec
-from .gf import FieldCtx, field_new, parse_field_spec
+from .gf import FieldCtx, field_from_order, field_new, parse_field_spec
 from .linalg import Mat, companion, char_poly, random_invertible
 from .perm import PermTable, linear_table, space
 from .poly import Poly, cyclotomic, irreducible_factors, parse_poly
@@ -116,15 +124,6 @@ def random_pp(q: int, rng: Random) -> tuple[int, ...]:
     table = list(range(q))
     rng.shuffle(table)
     return tuple(table)
-
-
-def random_non_additive_pp(ctx: FieldCtx, rng: Random) -> tuple[int, ...]:
-    """Seeded permutation of F_q rejected until non-additive."""
-    while True:
-        table = random_pp(ctx.q, rng)
-        t = PermTable(ctx, 1, table, bijective=True)
-        if not t.is_additive():
-            return table
 
 
 def random_odd_pp(ctx: FieldCtx, rng: Random) -> tuple[int, ...]:
@@ -270,249 +269,197 @@ def matrix_with_char_poly(h: Poly, mode: str, rng: Optional[Random] = None) -> M
 # ---------------------------------------------------------------------------
 
 def _as_ctx(params: dict) -> FieldCtx:
-    if "field" in params and params["field"] is not None:
-        f = params["field"]
-        return f if isinstance(f, FieldCtx) else parse_field_spec(str(f))
-    if "q" in params and params["q"] is not None:
-        from .gf import field_from_order
-
-        return field_from_order(int(params["q"]))
-    raise InvalidSpec("construction needs a field (field=... or q=...)")
+    f, q = params.get("field"), params.get("q")
+    if (f is None) == (q is None):
+        raise InvalidSpec("construction needs the field once: field=... or q=...")
+    if q is not None:
+        return field_from_order(int(q))
+    return f if isinstance(f, FieldCtx) else parse_field_spec(str(f))
 
 
 def _coord_perm(params: dict, key: str, ctx: FieldCtx, rng: Random,
                 want: str = "any") -> tuple[int, ...]:
-    """Resolve a single-coordinate permutation parameter.
+    """The permutation of F_q given as params[key], or a seeded one.
 
-    Explicit tables are validated; otherwise a seeded one is drawn
-    ("any" a plain shuffle, "odd" an odd permutation, "additive" an
-    F_p-linear one).
+    ``want`` is what the construction needs: "any" permutation (drawn as a
+    plain shuffle), an "odd" one (a(-x) = -a(x)) or an "additive"
+    (F_p-linear) one.  A given table that is not one raises
+    HypothesisViolated.
     """
     given = params.get(key)
-    if given is not None:
-        if isinstance(given, str):
-            if given == "identity":
-                return tuple(range(ctx.q))
-            raise InvalidSpec(f"unknown permutation name {given!r}")
-        table = tuple(int(x) for x in given)
-        if sorted(table) != list(range(ctx.q)):
-            raise HypothesisViolated(f"{key} is not a permutation of F_q")
-        return table
-    if want == "odd":
-        return random_odd_pp(ctx, rng)
-    if want == "additive":
-        spec = random_additive_pp(ctx, 1, rng)
-        return tuple(int(x) for x in tau_to_table(spec, ctx, 1).table)
-    return random_pp(ctx.q, rng)
+    if given is None:
+        if want == "odd":
+            return random_odd_pp(ctx, rng)
+        if want == "additive":
+            spec = random_additive_pp(ctx, 1, rng)
+            return tuple(int(x) for x in tau_to_table(spec, ctx, 1).table)
+        return random_pp(ctx.q, rng)
+    if isinstance(given, str):
+        raise InvalidSpec(f"{key} must be a table of F_q, not {given!r}")
+    a = tuple(int(x) for x in given)
+    if sorted(a) != list(range(ctx.q)):
+        raise HypothesisViolated(f"{key} is not a permutation of F_q")
+    if want == "odd" and any(a[ctx.neg(x)] != ctx.neg(a[x]) for x in range(ctx.q)):
+        raise HypothesisViolated(f"{key} must satisfy a(-x) = -a(x)")
+    if want == "additive" and not PermTable(ctx, 1, a, bijective=True).is_additive():
+        raise HypothesisViolated(f"{key} must be additive")
+    return a
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise HypothesisViolated(msg)
+# Matrices: (h, params, rng) -> M with characteristic polynomial h
+
+def _any_matrix(h: Poly, params: dict, rng: Random) -> Mat:
+    return matrix_with_char_poly(h, params.get("matrix_mode", "companion"), rng)
 
 
-def _check_odd(ctx: FieldCtx, a: Sequence[int]) -> None:
-    for x in range(ctx.q):
-        if a[ctx.neg(x)] != ctx.neg(a[x]):
-            raise HypothesisViolated("a must satisfy a(-x) = -a(x)")
+def _companion(h: Poly, params: dict, rng: Random) -> Mat:
+    return companion(h)
 
 
-def _check_additive_coord(ctx: FieldCtx, a: Sequence[int], name: str) -> None:
-    t = PermTable(ctx, 1, a, bijective=True)
-    if not t.is_additive():
-        raise HypothesisViolated(f"{name} must be additive")
+def _fixed(rows, h: Poly, params: dict, rng: Random) -> Mat:
+    """A matrix of rational integers, read in the prime field."""
+    return Mat(h.ctx, [[h.ctx.from_int(c) for c in row] for row in rows])
 
 
-NAMED_IDS = (
-    "p4.1.1", "p4.1.2", "p4.1.3", "p4.1.3m", "p4.1.4",
-    "p4.2.1", "p4.2.2", "p4.2.3",
-    "p4.3",
-    "p4.4.1", "p4.4.2", "p4.4.3",
-    "p4.5",
-    "p4.6", "p4.7",
-    "p4.8.1", "p4.8.2", "p4.9.1", "p4.9.2",
-    "p4.10",
-)
+def _m_matrix(a: int, k: int, b: int, h: Poly, params: dict, rng: Random) -> Mat:
+    """[[a, m], [-k/m, b]] for the element m of F_q^* of index params["m"]."""
+    ctx = h.ctx
+    m = int(params.get("m", 1))
+    if not 1 <= m < ctx.q:
+        raise HypothesisViolated(f"m must be in F_q^* (got index {m})")
+    return Mat(ctx, [[ctx.from_int(a), m],
+                     [ctx.neg(ctx.mul(ctx.from_int(k), ctx.inv(m))), ctx.from_int(b)]])
 
 
-# The optional parameters that only some constructions read
-_ONLY_FOR = {"r": ("p4.10",), "m": ("p4.1.3", "p4.1.3m", "p4.2.3", "p4.4.3"),
-             "tau": ("p4.8.1", "p4.8.2", "p4.9.1", "p4.9.2", "p4.10")}
+# Builders: (ctx, h, d, params, rng) -> (M, tau1, tau2 or None for conjugation)
+
+def _coords(keys, matrix, ctx, h, d, params, rng, want="any"):
+    """tau = (a_1, ..., a_d) with a_k the permutation named keys[k], given or
+    drawn once per name in order; None and the coordinates past the end of
+    keys get the identity.  Then M, from ``matrix``."""
+    perms = {None: tuple(range(ctx.q))}
+    for key in keys:
+        if key not in perms:
+            perms[key] = _coord_perm(params, key, ctx, rng, want)
+    tau = TauSpec.coordinate([perms[key] for key in keys + (None,) * (d - len(keys))])
+    return matrix(h, params, rng), tau, None
+
+
+def _additive_tau(ctx, h, d, params, rng):
+    """Any M with P_M = h, then a seeded additive tau of F_q^d."""
+    m = _any_matrix(h, params, rng)
+    return m, random_additive_pp(ctx, d, rng), None
+
+
+def _sandwich(j, matrix, ctx, h, d, params, rng):
+    """tau_i = a_i on coordinate j, the identity elsewhere; a_2 = a_1^{-1},
+    or with params["tau"] = "free" a permutation of its own."""
+    m = matrix(h, params, rng)
+    a1 = _coord_perm(params, "a1", ctx, rng)
+    mode = params.get("tau", "inverse")
+    if mode not in ("inverse", "free") or (mode == "inverse" and "a2" in params):
+        raise InvalidSpec(f"tau must be 'inverse' or 'free' (got {mode!r}); "
+                          "only 'free' reads a2")
+    a2 = (_coord_perm(params, "a2", ctx, rng) if mode == "free"
+          else sorted(range(ctx.q), key=a1.__getitem__))
+    e = tuple(range(ctx.q))
+    tau1, tau2 = (TauSpec.coordinate([a if k == j else e for k in range(d)]) for a in (a1, a2))
+    return m, tau1, tau2
+
+
+# Hypotheses on (p, r): the text an error names, and the test
+_COPRIME = ("characteristic not dividing r", lambda p, r: r % p != 0)
+_CHAR2 = ("characteristic 2", lambda p, r: p == 2)
+_ODD_R = ("odd r >= 3 and characteristic not dividing r",
+          lambda p, r: r >= 3 and r % 2 == 1 and r % p != 0)
+
+
+@dataclass(frozen=True)
+class Construction:
+    """One row of ``CATALOG`` (see the module docstring)."""
+    r: Optional[int]       # None: r is the parameter "r"
+    d: Optional[int]       # None: d = r - 1
+    hypothesis: tuple      # (text, test(p, r))
+    h: str                 # "full-cyclotomic" (Q_r), "quotient" or the text of h
+    reads: tuple           # the parameters read besides field / q and seed
+    builder: Callable      # (ctx, h, d, params, rng) -> (M, tau1, tau2 or None)
+
+    def dim(self, r: int) -> int:
+        return self.d or r - 1
+
+
+_Q = "full-cyclotomic"
+_PAIR_READS = ("a1", "a2", "matrix_mode")
+_ADDITIVE_PAIR = partial(_coords, ("a1", "a2"), _any_matrix, want="additive")
+_SANDWICH_READS = ("a1", "a2", "tau")
+_M3 = partial(_m_matrix, 0, 1, -1)  # p4.1.3 and its mirror
+
+CATALOG: dict[str, Construction] = {
+    "p4.1.1": Construction(3, 2, _COPRIME, _Q, _PAIR_READS, _ADDITIVE_PAIR),
+    "p4.1.2": Construction(3, 2, _CHAR2, _Q, _PAIR_READS, _ADDITIVE_PAIR),
+    "p4.1.3": Construction(3, 2, _COPRIME, _Q, ("a1", "m"), partial(_coords, ("a1",), _M3)),
+    "p4.1.3m": Construction(3, 2, _COPRIME, _Q, ("a2", "m"),
+                            partial(_coords, (None, "a2"), _M3)),
+    "p4.1.4": Construction(3, 2, _COPRIME, _Q, ("a1",),
+                           partial(_coords, ("a1",), partial(_fixed, [[-1, 1], [-1, 0]]))),
+    "p4.2.1": Construction(4, 2, _COPRIME, _Q, _PAIR_READS, _ADDITIVE_PAIR),
+    "p4.2.2": Construction(4, 2, _COPRIME, _Q, ("a",),
+                           partial(_coords, ("a", "a"), _companion, want="odd")),
+    "p4.2.3": Construction(4, 2, _COPRIME, _Q, ("a1", "m"),
+                           partial(_coords, ("a1",), partial(_m_matrix, -1, 2, 1))),
+    "p4.3": Construction(5, None, _COPRIME, _Q, ("a",), partial(_coords, ("a",), _companion)),
+    "p4.4.1": Construction(6, 2, _COPRIME, _Q, _PAIR_READS, _ADDITIVE_PAIR),
+    "p4.4.2": Construction(6, 2, _COPRIME, _Q, ("a1",), partial(_coords, ("a1",), _companion)),
+    "p4.4.3": Construction(6, 2, _COPRIME, _Q, ("a1", "m"),
+                           partial(_coords, ("a1",), partial(_m_matrix, -1, 3, 2))),
+    "p4.5": Construction(7, None, _COPRIME, _Q, ("a",), partial(_coords, ("a",), _companion)),
+    "p4.6": Construction(7, 3, _CHAR2, "t^3+t^2+1", ("matrix_mode",), _additive_tau),
+    "p4.7": Construction(7, 3, _CHAR2, "t^3+t+1", ("matrix_mode",), _additive_tau),
+    "p4.8.1": Construction(7, 3, _CHAR2, "t^3+t^2+1", _SANDWICH_READS,
+                           partial(_sandwich, 1, _companion)),
+    "p4.8.2": Construction(
+        7, 3, _CHAR2, "t^3+t^2+1", _SANDWICH_READS,
+        partial(_sandwich, 1, partial(_fixed, [[0, 1, 1], [1, 0, 0], [1, 0, 1]]))),
+    "p4.9.1": Construction(7, 3, _CHAR2, "t^3+t+1", _SANDWICH_READS,
+                           partial(_sandwich, 1, _companion)),
+    "p4.9.2": Construction(
+        7, 3, _CHAR2, "t^3+t+1", _SANDWICH_READS,
+        partial(_sandwich, 1, partial(_fixed, [[1, 1, 1], [1, 0, 0], [1, 0, 1]]))),
+    "p4.10": Construction(None, None, _ODD_R, "quotient", ("r",) + _SANDWICH_READS,
+                          partial(_sandwich, 0, _companion)),
+}
+NAMED_IDS = tuple(CATALOG)
 
 
 def named_construction(claim_id: str, params: dict) -> ConstructionSpec:
-    """Build the catalogued construction for a claim id.
+    """Build the catalogued construction ``claim_id``.
 
-    Recognized params: field / q, r (p4.10 only), m (matrix parameter index
-    in F_q^*), seed, a / a1 / a2 (explicit coordinate permutation tables or
-    "identity"), matrix_mode ("companion" | "conjugate" where the claim
-    allows any matrix), tau ("inverse" | "free" for the sandwich families).
-    An r, m or tau that the construction does not read raises InvalidSpec.
+    ``params`` holds the field (field=FieldCtx or spec, or q=order), seed
+    and the parameters the row reads: r (p4.10), m (index in F_q^* of the
+    matrix parameter), a / a1 / a2 (explicit coordinate permutation
+    tables), matrix_mode ("companion" | "conjugate" where the construction
+    allows any M with P_M = h) and tau ("inverse" | "free" for the
+    sandwich families).  Any other key raises InvalidSpec.
     """
-    if claim_id not in NAMED_IDS:
+    row = CATALOG.get(claim_id)
+    if row is None:
         raise InvalidSpec(f"unknown construction id {claim_id!r}; "
-                          f"known: {', '.join(NAMED_IDS)}")
-    for key, ids in _ONLY_FOR.items():
-        if key in params and claim_id not in ids:
-            raise InvalidSpec(f"{claim_id} does not take {key} (only {', '.join(ids)} do)")
+                          f"known: {', '.join(CATALOG)}")
+    for key in params:
+        if key not in ("field", "q", "seed") + row.reads:
+            readers = [cid for cid, other in CATALOG.items() if key in other.reads]
+            raise InvalidSpec(f"{claim_id} does not take {key}"
+                              + (f" (only {', '.join(readers)} do)" if readers else ""))
     ctx = _as_ctx(params)
-    seed = params.get("seed", 42)
-    rng = Random(f"cppforge:{claim_id}:{seed}")
-    p = ctx.p
-
-    if claim_id.startswith("p4.1."):
-        _require(p != 3, f"p4.1 requires characteristic != 3 (got p={p})")
-        h = cyclotomic(3, ctx)
-        return _two_coord_family(claim_id, ctx, 3, h, params, rng)
-    if claim_id.startswith("p4.2"):
-        _require(p != 2, f"p4.2 requires characteristic != 2 (got p={p})")
-        h = cyclotomic(4, ctx)
-        return _two_coord_family(claim_id, ctx, 4, h, params, rng)
-    if claim_id.startswith("p4.4"):
-        _require(p not in (2, 3), f"p4.4 requires characteristic not in {{2,3}} (got p={p})")
-        h = cyclotomic(6, ctx)
-        return _two_coord_family(claim_id, ctx, 6, h, params, rng)
-    if claim_id in ("p4.3", "p4.5"):
-        r = 5 if claim_id == "p4.3" else 7
-        _require(p != r, f"{claim_id} requires characteristic != {r} (got p={p})")
-        h = cyclotomic(r, ctx)
-        a = _coord_perm(params, "a", ctx, rng)
-        tau = TauSpec.coordinate((a,) + (tuple(range(ctx.q)),) * (r - 2))
-        return ConstructionSpec(claim_id, ctx, r - 1, r, h, companion(h), tau, None,
-                                "conjugation")
-    if claim_id in ("p4.6", "p4.7"):
-        _require(p == 2, f"{claim_id} requires characteristic 2 (got p={p})")
-        text = "t^3+t^2+1" if claim_id == "p4.6" else "t^3+t+1"
-        h = parse_poly(text, ctx)
-        mode = params.get("matrix_mode", "companion")
-        m = matrix_with_char_poly(h, mode, rng)
-        tau = params.get("tau_spec")
-        if tau is None:
-            tau = random_additive_pp(ctx, 3, rng)
-        elif not isinstance(tau, TauSpec):
-            tau = TauSpec.from_json(tau)
-        if tau.kind != "additive-linear" and tau.kind != "identity":
-            raise HypothesisViolated(f"{claim_id} requires an additive tau")
-        return ConstructionSpec(claim_id, ctx, 3, 7, h, m, tau, None, "conjugation")
-    if claim_id.startswith("p4.8") or claim_id.startswith("p4.9"):
-        _require(p == 2, f"{claim_id} requires characteristic 2 (got p={p})")
-        if claim_id.startswith("p4.8"):
-            h = parse_poly("t^3+t^2+1", ctx)
-            m = companion(h) if claim_id.endswith(".1") else Mat(
-                ctx, [[0, 1, 1], [1, 0, 0], [1, 0, 1]])
-        else:
-            h = parse_poly("t^3+t+1", ctx)
-            m = companion(h) if claim_id.endswith(".1") else Mat(
-                ctx, [[1, 1, 1], [1, 0, 0], [1, 0, 1]])
-        tau1, tau2 = _sandwich_taus(params, ctx, rng, 3, 1)
-        return ConstructionSpec(claim_id, ctx, 3, 7, h, m, tau1, tau2, "sandwich")
-    if claim_id == "p4.10":
-        r = int(params.get("r", 0))
-        _require(r >= 3 and r % 2 == 1, f"p4.10 requires odd r >= 3 (got r={r})")
-        _require(r % p != 0, f"p4.10 requires gcd(r, p) = 1 (got r={r}, p={p})")
-        h = pick_h(r, ctx, "quotient")
-        tau1, tau2 = _sandwich_taus(params, ctx, rng, r - 1, 0)
-        return ConstructionSpec(claim_id, ctx, r - 1, r, h, companion(h), tau1, tau2,
-                                "sandwich")
-    raise InvalidSpec(f"unhandled construction id {claim_id!r}")
-
-
-def _sandwich_taus(params: dict, ctx: FieldCtx, rng: Random, d: int, j: int):
-    """tau_i = a_i on coordinate j and the identity elsewhere.
-
-    a_2 = a_1^{-1} when params["tau"] is "inverse" (the default), otherwise
-    a_2 is drawn (or given) independently.
-    """
-    a1 = _coord_perm(params, "a1", ctx, rng)
-    if params.get("tau", "inverse") == "inverse":
-        a2 = [0] * ctx.q
-        for x, y in enumerate(a1):
-            a2[y] = x
-    else:
-        a2 = _coord_perm(params, "a2", ctx, rng)
-    e = tuple(range(ctx.q))
-    return tuple(TauSpec.coordinate([a if k == j else e for k in range(d)])
-                 for a in (a1, a2))
-
-
-def _two_coord_family(claim_id: str, ctx: FieldCtx, r: int, h: Poly,
-                      params: dict, rng: Random) -> ConstructionSpec:
-    """The d=2 conjugation families (r = 3, 4, 6)."""
-    e = tuple(range(ctx.q))
-    sub = claim_id.split(".")[-1]
-    base = claim_id.rsplit(".", 1)[0]  # p4.1 / p4.2 / p4.4
-
-    def m_param() -> int:
-        m_idx = int(params.get("m", 1))
-        _require(1 <= m_idx < ctx.q, f"m must be in F_q^* (got index {m_idx})")
-        return m_idx
-
-    if base == "p4.1":
-        if sub in ("1", "2"):
-            if sub == "2":
-                _require(ctx.p == 2, "p4.1.2 requires characteristic 2")
-            a1 = _coord_perm(params, "a1", ctx, rng, want="additive")
-            a2 = _coord_perm(params, "a2", ctx, rng, want="additive")
-            _check_additive_coord(ctx, a1, "a1")
-            _check_additive_coord(ctx, a2, "a2")
-            mode = params.get("matrix_mode", "companion")
-            m = matrix_with_char_poly(h, mode, rng)
-        elif sub in ("3", "3m"):
-            mi = m_param()
-            m = Mat(ctx, [[0, mi], [ctx.neg(ctx.inv(mi)), ctx.neg(1)]])
-            if sub == "3":
-                a1 = _coord_perm(params, "a1", ctx, rng)
-                a2 = e
-            else:
-                a1 = e
-                a2 = _coord_perm(params, "a2", ctx, rng)
-        elif sub == "4":
-            m = Mat(ctx, [[ctx.neg(1), 1], [ctx.neg(1), 0]])
-            a1 = _coord_perm(params, "a1", ctx, rng)
-            a2 = e
-        else:
-            raise InvalidSpec(f"unknown sub-case {claim_id!r}")
-    elif base == "p4.2":
-        if sub == "1":
-            a1 = _coord_perm(params, "a1", ctx, rng, want="additive")
-            a2 = _coord_perm(params, "a2", ctx, rng, want="additive")
-            _check_additive_coord(ctx, a1, "a1")
-            _check_additive_coord(ctx, a2, "a2")
-            m = matrix_with_char_poly(h, params.get("matrix_mode", "companion"), rng)
-        elif sub == "2":
-            a1 = _coord_perm(params, "a", ctx, rng, want="odd")
-            _check_odd(ctx, a1)
-            a2 = a1
-            m = companion(h)
-        elif sub == "3":
-            mi = m_param()
-            two = ctx.from_int(2)
-            m = Mat(ctx, [[ctx.neg(1), mi], [ctx.neg(ctx.mul(two, ctx.inv(mi))), 1]])
-            a1 = _coord_perm(params, "a1", ctx, rng)
-            a2 = e
-        else:
-            raise InvalidSpec(f"unknown sub-case {claim_id!r}")
-    else:  # p4.4
-        if sub == "1":
-            a1 = _coord_perm(params, "a1", ctx, rng, want="additive")
-            a2 = _coord_perm(params, "a2", ctx, rng, want="additive")
-            _check_additive_coord(ctx, a1, "a1")
-            _check_additive_coord(ctx, a2, "a2")
-            m = matrix_with_char_poly(h, params.get("matrix_mode", "companion"), rng)
-        elif sub == "2":
-            m = companion(h)
-            a1 = _coord_perm(params, "a1", ctx, rng)
-            a2 = e
-        elif sub == "3":
-            mi = m_param()
-            m = Mat(ctx, [[ctx.neg(1), mi],
-                          [ctx.neg(ctx.mul(ctx.from_int(3), ctx.inv(mi))),
-                           ctx.from_int(2)]])
-            a1 = _coord_perm(params, "a1", ctx, rng)
-            a2 = e
-        else:
-            raise InvalidSpec(f"unknown sub-case {claim_id!r}")
-    tau = TauSpec.coordinate((a1, a2))
+    rng = Random(f"cppforge:{claim_id}:{params.get('seed', 42)}")
+    r = row.r or int(params.get("r", 0))
+    text, holds = row.hypothesis
+    if not holds(ctx.p, r):
+        raise HypothesisViolated(f"{claim_id} requires {text} (got p={ctx.p}, r={r})")
+    h = pick_h(r, ctx, row.h) if row.h in (_Q, "quotient") else parse_poly(row.h, ctx)
+    d = row.dim(r)
+    m, tau1, tau2 = row.builder(ctx, h, d, params, rng)
     if char_poly(m) != h:
         raise RuntimeError("internal error: matrix charpoly != h")
-    return ConstructionSpec(claim_id, ctx, 2, r, h, m, tau, None, "conjugation")
+    return ConstructionSpec(claim_id, ctx, d, r, h, m, tau1, tau2,
+                            "conjugation" if tau2 is None else "sandwich")

@@ -301,12 +301,6 @@ class FieldCtx:
             ds.append(c)
         return tuple(ds)
 
-    def undigits(self, ds: Sequence[int]) -> int:
-        acc = 0
-        for c in reversed(ds):
-            acc = acc * self.p + c
-        return acc
-
     def from_int(self, c: int) -> int:
         """Image of the rational integer c, i.e. c * 1 in this field."""
         return c % self.p

@@ -55,10 +55,6 @@ class Poly:
         return cls(ctx, (0, 1))
 
     @classmethod
-    def monomial(cls, ctx: FieldCtx, deg: int, coeff: int = 1) -> "Poly":
-        return cls(ctx, (0,) * deg + (coeff,))
-
-    @classmethod
     def x_pow_n_minus_1(cls, ctx: FieldCtx, n: int) -> "Poly":
         cs = [0] * (n + 1)
         cs[0] = ctx.neg(1)

@@ -18,8 +18,9 @@ sweep order, and yields (verdict, witness, work), work being the table
 entries built since the previous step.  The runner stops at the
 first FAIL; otherwise the point passes with the last step's witness, or is
 skipped when no instance fits under the cap.  The section-4 rows use
-``_p4`` and ``_p4_sweep``: give the construction to
-``construct.named_construction`` and list its cases with their checks.
+``_p4`` and ``_p4_sweep``: name the construction the claim builds when it
+is not the claim id, and list its cases with their checks; r and d come
+from the construction's ``construct.CATALOG`` row.
 
 Reports are replayable: the verdict and witness are pure functions of
 (claim id, parameters, master seed).  The JSON-line stream therefore emits a
@@ -463,9 +464,8 @@ def _sandwich_cases(ctx, r, seeds, rng):
                          ("inverse", {"seed": s, "tau": "inverse"}, _regular_cpp))]
 
 
-def _p4_sweep(cases, show_a1: bool, cid, ctx, r, params, rng, cap):
+def _p4_sweep(build_id: str, cases, show_a1: bool, cid, ctx, r, params, rng, cap):
     """Build and check each case of ``cases`` with ``named_construction``."""
-    build_id = "p4.10" if cid.startswith("p4.10.") else cid
     seeds = [rng.randrange(1 << 30) for _ in range(2)]
     for tag, extra, check in cases(ctx, r, seeds, rng):
         spec = construct.named_construction(build_id, {**params, "field": ctx, **extra})
@@ -538,11 +538,16 @@ def _deg(params: dict, r) -> int:
     return params["deg"]
 
 
-def _p4(statement: str, grid: tuple, d: Optional[int], r: Optional[int], cases,
-        guard=None, full=None, show_a1=False) -> Claim:
-    """A section-4 row; d = None means d = r - 1 (the p4.10 sandwich)."""
-    return Claim(statement, grid, full or grid, partial(_p4_sweep, cases, show_a1),
-                 d=lambda params, r: d or r - 1, r=r, guard=guard)
+def _p4(statement: str, grid: tuple, cases, build: Optional[str] = None,
+        guard=None, full=None, show_a1=False) -> Callable[[str], Claim]:
+    """A section-4 row as a function of its claim id: it builds the
+    construction ``build`` (default: the claim id), whose row gives r and d."""
+    def row(cid: str) -> Claim:
+        con = construct.CATALOG[build or cid]
+        return Claim(statement, grid, full or grid,
+                     partial(_p4_sweep, build or cid, cases, show_a1),
+                     d=lambda params, r: con.dim(r), r=con.r, guard=guard)
+    return row
 
 
 _P31_QUICK = (_f("2^1", r=3), _f("2^2", r=3), _f("5^1", r=3), _f("7^1", r=3),
@@ -569,6 +574,63 @@ _Q57 = _fields("5^1", "7^1")
 _Q24 = _fields("2^1", "2^2")
 _SIG_E = partial(_regular_cpp, sig_e=True)
 _CENSUS = partial(_regular_cpp, census=True)
+
+# The section-4 rows, made into claims once REGISTRY gives them their ids
+_SECTION4 = {
+    "p4.1.1": _p4("r=3 family, additive a_1, a_2: 3-regular CPP over F_{q^2}",
+                  _Q247, _by_mode(_regular_cpp)),
+    "p4.1.2": _p4("r=3 family, additive a_i and p=2: sigma + e is also a "
+                  "3-regular CPP", _Q247, _by_mode(_sig_e_regular_cpp),
+                  guard=lambda ctx, r: None if ctx.p == 2 else "requires characteristic 2"),
+    "p4.1.3": _p4("r=3, a_2=e, M=[[0,m],[-1/m,-1]]: 3-regular CPP for any PP a_1 "
+                  "(and sigma+e too when p=2)",
+                  _Q247, _by_m(_SIG_E)),
+    "p4.1.3m": _p4("mirror of p4.1.3 (a_1=e, a_2 arbitrary); empirical check only",
+                   _Q247, _by_m(_regular_cpp)),
+    "p4.1.4": _p4("r=3, a_2=e, M=[[-1,1],[-1,0]]: 3-regular CPP for any PP a_1",
+                  _Q247, _by_seed(_regular_cpp)),
+    "p4.2.1": _p4("r=4 family (p odd), additive a_1, a_2: 4-regular CPP",
+                  _Q35, _by_mode(_regular_cpp)),
+    "p4.2.2": _p4("r=4, a_1=a_2=a odd (a(-x)=-a(x)), M=M(Q_4): 4-regular CPP",
+                  _Q35, _odd_a_cases),
+    "p4.2.3": _p4("r=4, a_2=e, M=[[-1,m],[-2/m,1]]: 4-regular CPP for any PP a_1",
+                  _Q35, _by_m(_regular_cpp)),
+    "p4.3": _p4("r=5, M=M(Q_5), tau touches only x_1: 5-regular CPP over F_{q^4}",
+                _Q23, _by_seed(_CENSUS)),
+    "p4.4.1": _p4("r=6 family (p > 3), additive a_1, a_2: 6-regular CPP",
+                  _Q57, _by_mode(_regular_cpp)),
+    "p4.4.2": _p4("r=6, a_2=e, M=M(Q_6): claimed 6-regular CPP for any PP a_1 "
+                  "(KNOWN FALSE: the sigma+e identity drops a 2*x_2 term; "
+                  "checker reports the refuting a_1)",
+                  _Q57, _any_a1_cases, show_a1=True),
+    "p4.4.3": _p4("r=6, a_2=e, M=[[-1,m],[-3/m,2]]: 6-regular CPP for any PP a_1",
+                  _Q57, _by_m(_regular_cpp)),
+    "p4.5": _p4("r=7, M=M(Q_7), tau touches only x_1: 7-regular CPP over F_{q^6}",
+                _Q23, _by_seed(_CENSUS)),
+    "p4.6": _p4("p=2, h=t^3+t^2+1, additive tau: sigma and sigma+e are both "
+                "7-regular CPPs over F_{q^3}",
+                _Q24, _by_mode(_SIG_E)),
+    "p4.7": _p4("p=2, h=t^3+t+1, additive tau: sigma and sigma+e are both "
+                "7-regular CPPs over F_{q^3}",
+                _Q24, _by_mode(_SIG_E)),
+    **{cid: _p4(f"p=2, M={mat}, middle-coordinate sandwich: CPP always; "
+                "7-regular CPP when a_1 o a_2 = e",
+                _Q24, _sandwich_cases)
+       for cid, mat in (("p4.8.1", "M(t^3+t^2+1)"), ("p4.8.2", "[[0,1,1],[1,0,0],[1,0,1]]"),
+                        ("p4.9.1", "M(t^3+t+1)"), ("p4.9.2", "[[1,1,1],[1,0,0],[1,0,1]]"))},
+    "p4.10.1": _p4("odd r, quotient h, first-coordinate sandwich: CPP for any "
+                   "PPs a_1, a_2",
+                   (_f("2^1", r=3), _f("2^1", r=5), _f("2^1", r=9), _f("2^2", r=5)),
+                   _by_seed(_cpp, "free", with_r=True, tau="free"), build="p4.10"),
+    "p4.10.2": _p4("odd prime r, a_1 o a_2 = e: r-regular CPP over F_{q^(r-1)}",
+                   (_f("2^1", r=3), _f("2^1", r=5), _f("2^2", r=5)),
+                   _by_seed(_regular_cpp, with_r=True, tau="inverse"), build="p4.10",
+                   guard=lambda ctx, r: None if is_prime(r) else f"r = {r} is not prime"),
+    "p4.10.3": _p4("odd composite r, a_1 o a_2 = e: CPP and r-cycle but NOT "
+                   "r-regular (short cycle exhibited)",
+                   (_f("2^1", r=9),), _by_seed(_short_cycle), build="p4.10",
+                   guard=_not_composite, full=(_f("2^1", r=9), _f("2^2", r=9))),
+}
 
 REGISTRY: dict[str, Claim] = {
     **{f"thm3.1.{part}": Claim(stmt, _thm_grid((2, 3)), _thm_grid((2, 3, 4)),
@@ -630,59 +692,7 @@ REGISTRY: dict[str, Claim] = {
                   (_f("2^1", r=9), _f("5^1", r=4), _f("3^1", r=10), _f("2^1", r=15),
                    _f("5^1", r=9)),
                   partial(_p3_negative_sweep, "general"), guard=_COMPOSITE),
-    "p4.1.1": _p4("r=3 family, additive a_1, a_2: 3-regular CPP over F_{q^2}",
-                  _Q247, 2, 3, _by_mode(_regular_cpp)),
-    "p4.1.2": _p4("r=3 family, additive a_i and p=2: sigma + e is also a "
-                  "3-regular CPP", _Q247, 2, 3, _by_mode(_sig_e_regular_cpp),
-                  guard=lambda ctx, r: None if ctx.p == 2 else "requires characteristic 2"),
-    "p4.1.3": _p4("r=3, a_2=e, M=[[0,m],[-1/m,-1]]: 3-regular CPP for any PP a_1 "
-                  "(and sigma+e too when p=2)",
-                  _Q247, 2, 3, _by_m(_SIG_E)),
-    "p4.1.3m": _p4("mirror of p4.1.3 (a_1=e, a_2 arbitrary); empirical check only",
-                   _Q247, 2, 3, _by_m(_regular_cpp)),
-    "p4.1.4": _p4("r=3, a_2=e, M=[[-1,1],[-1,0]]: 3-regular CPP for any PP a_1",
-                  _Q247, 2, 3, _by_seed(_regular_cpp)),
-    "p4.2.1": _p4("r=4 family (p odd), additive a_1, a_2: 4-regular CPP",
-                  _Q35, 2, 4, _by_mode(_regular_cpp)),
-    "p4.2.2": _p4("r=4, a_1=a_2=a odd (a(-x)=-a(x)), M=M(Q_4): 4-regular CPP",
-                  _Q35, 2, 4, _odd_a_cases),
-    "p4.2.3": _p4("r=4, a_2=e, M=[[-1,m],[-2/m,1]]: 4-regular CPP for any PP a_1",
-                  _Q35, 2, 4, _by_m(_regular_cpp)),
-    "p4.3": _p4("r=5, M=M(Q_5), tau touches only x_1: 5-regular CPP over F_{q^4}",
-                _Q23, 4, 5, _by_seed(_CENSUS)),
-    "p4.4.1": _p4("r=6 family (p > 3), additive a_1, a_2: 6-regular CPP",
-                  _Q57, 2, 6, _by_mode(_regular_cpp)),
-    "p4.4.2": _p4("r=6, a_2=e, M=M(Q_6): claimed 6-regular CPP for any PP a_1 "
-                  "(KNOWN FALSE: the sigma+e identity drops a 2*x_2 term; "
-                  "checker reports the refuting a_1)",
-                  _Q57, 2, 6, _any_a1_cases, show_a1=True),
-    "p4.4.3": _p4("r=6, a_2=e, M=[[-1,m],[-3/m,2]]: 6-regular CPP for any PP a_1",
-                  _Q57, 2, 6, _by_m(_regular_cpp)),
-    "p4.5": _p4("r=7, M=M(Q_7), tau touches only x_1: 7-regular CPP over F_{q^6}",
-                _Q23, 6, 7, _by_seed(_CENSUS)),
-    "p4.6": _p4("p=2, h=t^3+t^2+1, additive tau: sigma and sigma+e are both "
-                "7-regular CPPs over F_{q^3}",
-                _Q24, 3, 7, _by_mode(_SIG_E)),
-    "p4.7": _p4("p=2, h=t^3+t+1, additive tau: sigma and sigma+e are both "
-                "7-regular CPPs over F_{q^3}",
-                _Q24, 3, 7, _by_mode(_SIG_E)),
-    **{cid: _p4(f"p=2, M={mat}, middle-coordinate sandwich: CPP always; "
-                "7-regular CPP when a_1 o a_2 = e",
-                _Q24, 3, 7, _sandwich_cases)
-       for cid, mat in (("p4.8.1", "M(t^3+t^2+1)"), ("p4.8.2", "[[0,1,1],[1,0,0],[1,0,1]]"),
-                        ("p4.9.1", "M(t^3+t+1)"), ("p4.9.2", "[[1,1,1],[1,0,0],[1,0,1]]"))},
-    "p4.10.1": _p4("odd r, quotient h, first-coordinate sandwich: CPP for any "
-                   "PPs a_1, a_2",
-                   (_f("2^1", r=3), _f("2^1", r=5), _f("2^1", r=9), _f("2^2", r=5)),
-                   None, None, _by_seed(_cpp, "free", with_r=True, tau="free")),
-    "p4.10.2": _p4("odd prime r, a_1 o a_2 = e: r-regular CPP over F_{q^(r-1)}",
-                   (_f("2^1", r=3), _f("2^1", r=5), _f("2^2", r=5)), None, None,
-                   _by_seed(_regular_cpp, with_r=True, tau="inverse"),
-                   guard=lambda ctx, r: None if is_prime(r) else f"r = {r} is not prime"),
-    "p4.10.3": _p4("odd composite r, a_1 o a_2 = e: CPP and r-cycle but NOT "
-                   "r-regular (short cycle exhibited)",
-                   (_f("2^1", r=9),), None, None, _by_seed(_short_cycle),
-                   guard=_not_composite, full=(_f("2^1", r=9), _f("2^2", r=9))),
+    **{cid: row(cid) for cid, row in _SECTION4.items()},
 }
 
 

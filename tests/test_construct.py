@@ -7,8 +7,8 @@ import pytest
 from cppforge import gf
 from cppforge.construct import (
     ConstructionSpec, TauSpec, build, matrix_with_char_poly, named_construction,
-    pick_h, random_additive_pp, random_non_additive_pp, random_odd_pp,
-    random_pp, tau_to_table, NAMED_IDS,
+    pick_h, random_additive_pp, random_odd_pp,
+    random_pp, tau_to_table, CATALOG, NAMED_IDS,
 )
 from cppforge.errors import (
     CharacteristicDividesR, CppforgeError, HypothesisViolated, InvalidSpec,
@@ -22,6 +22,14 @@ F3 = gf.field_new(3)
 F4 = gf.field_new(2, 2)
 F5 = gf.field_new(5)
 F7 = gf.field_new(7)
+
+
+def random_non_additive_pp(ctx, rng):
+    """Seeded permutation of F_q rejected until non-additive."""
+    while True:
+        table = random_pp(ctx.q, rng)
+        if not PermTable(ctx, 1, table, bijective=True).is_additive():
+            return table
 
 
 def test_sigma_from_matrix_examples():
@@ -151,6 +159,22 @@ def test_unknown_construction_id():
         named_construction("p9.9", {"q": 2})
 
 
+@pytest.mark.parametrize("cid,params", [
+    ("p4.3", {"q": 3, "a1": (0, 1, 2)}),  # p4.3 reads a
+    ("p4.2.2", {"q": 5, "a1": (0, 1, 2, 3, 4)}),  # p4.2.2 reads a
+    ("p4.1.3", {"q": 4, "matrix_mode": "conjugate"}),  # M is fixed by m
+    ("p4.1.1", {"q": 4, "sed": 1}),
+    ("p4.6", {"q": 2, "tau_spec": {"kind": "identity"}}),
+    ("p4.10", {"q": 2, "r": 5, "tau": "bogus"}),
+    ("p4.8.1", {"q": 2, "a2": (1, 0)}),  # a2 is read only with tau="free"
+    ("p4.3", {"q": 2, "a": "identity"}),  # a table, not a name
+    ("p4.3", {"field": "2^1", "q": 2}),
+])
+def test_parameters_a_construction_does_not_read(cid, params):
+    with pytest.raises(InvalidSpec):
+        named_construction(cid, params)
+
+
 def test_pick_h_examples():
     assert pick_h(7, F2, "irreducible-factor") == parse_poly("t^3+t+1", F2)
     assert pick_h(3, F2, "full-cyclotomic") == parse_poly("t^2+t+1", F2)
@@ -232,6 +256,7 @@ def test_named_ids_all_buildable():
             params["r"] = 3
         spec = named_construction(cid, params)
         assert char_poly(spec.matrix) == spec.h
+        assert spec.d == spec.h.degree == CATALOG[cid].dim(spec.r)
         assert build(spec).bijective
 
 

@@ -158,7 +158,7 @@ def _pivot_cases(ctx, rng):
     return [("swap", Mat(ctx, swap), None),
             ("zero column", Mat(ctx, zero_col), None),
             ("hessenberg", Mat(ctx, hess), None),
-            ("nilpotent", s * upper * s.inv(), Poly.monomial(ctx, d)),
+            ("nilpotent", s * upper * s.inv(), Poly(ctx, (0,) * d + (1,))),  # t^d
             ("scalar", Mat.identity(ctx, d).scale(c),
              Poly(ctx, [ctx.neg(c), 1]) ** d)]
 
