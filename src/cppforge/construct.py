@@ -379,7 +379,7 @@ class Construction:
     """One row of ``CATALOG`` (see the module docstring)."""
     r: Optional[int]       # None: r is the parameter "r"
     d: Optional[int]       # None: d = r - 1
-    hypothesis: tuple      # (text, test(p, r))
+    hypothesis: tuple[str, Callable[[int, int], bool]]  # (text, test(p, r))
     h: str                 # "full-cyclotomic" (Q_r), "quotient" or the text of h
     reads: tuple           # the parameters read besides field / q and seed
     builder: Callable      # (ctx, h, d, params, rng) -> (M, tau1, tau2 or None)

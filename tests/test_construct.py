@@ -7,8 +7,8 @@ import pytest
 from cppforge import gf
 from cppforge.construct import (
     ConstructionSpec, TauSpec, build, matrix_with_char_poly, named_construction,
-    pick_h, random_additive_pp, random_odd_pp,
-    random_pp, tau_to_table, CATALOG, NAMED_IDS,
+    pick_h, random_additive_pp, random_odd_pp, random_pp, tau_to_table, CATALOG,
+    NAMED_IDS,
 )
 from cppforge.errors import (
     CharacteristicDividesR, CppforgeError, HypothesisViolated, InvalidSpec,
