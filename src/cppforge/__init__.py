@@ -3,7 +3,7 @@ constructions over extension fields, with exhaustive desk-scale verification.
 
 The package is organized around dense tables on F_q^d: `gf` provides the
 field arithmetic, `poly` / `linalg` the exact polynomial and matrix layers
-(cyclotomic polynomials, companion matrices, characteristic and minimal
+(cyclotomic polynomials, companion matrices, characteristic
 polynomials), `perm` the table operations (composition, cycle structure,
 regularity, CPP tests), `fieldext` the dual-basis bridge between F_q^d and
 F_{q^d}, `construct` the named constructions, and `verify` the claim-level
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .gf import FElem, FieldCtx, field_from_order, field_new, parse_field_spec, trace
 from .poly import Poly, cyclotomic, divides, gcd, irreducible_factors
-from .linalg import Mat, char_poly, companion, eval_poly_at_matrix, min_poly
+from .linalg import Mat, char_poly, companion, eval_poly_at_matrix
 from .perm import CycleStructure, PermTable
 from .fieldext import BasisPair, default_basis, make_basis, to_univariate
 from .construct import (

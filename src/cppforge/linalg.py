@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import CtxMismatch, DimMismatch, NotMonic, Singular
 from .gf import FElem, FieldCtx
-from .poly import Poly, irreducible_factors
+from .poly import Poly
 
 
 class Mat:
@@ -197,7 +197,7 @@ class Mat:
 
 
 # ---------------------------------------------------------------------------
-# Characteristic and minimal polynomials, companion matrices
+# Characteristic polynomials, companion matrices
 # ---------------------------------------------------------------------------
 
 def char_poly(m: Mat) -> Poly:
@@ -241,46 +241,6 @@ def char_poly(m: Mat) -> Poly:
             acc = acc + ps[i - 1].scale(ctx.neg(mul(prod, h[i - 1][k])))
         ps.append(acc)
     return ps[n]
-
-
-def min_poly(m: Mat) -> Poly:
-    """Least-degree monic annihilator of M; divides char_poly(M).
-
-    Found by testing monic divisors of the characteristic polynomial in
-    increasing (degree, digits) order; the minimal polynomial shares every
-    irreducible factor of the characteristic polynomial, which prunes the
-    divisor lattice.
-    """
-    cp = char_poly(m)
-    factors = irreducible_factors(cp)
-    distinct: list[Poly] = []
-    mult: list[int] = []
-    for f in factors:
-        if distinct and f == distinct[-1]:
-            mult[-1] += 1
-        else:
-            distinct.append(f)
-            mult.append(1)
-    candidates = []
-
-    def rec(i: int, cur: Poly):
-        if i == len(distinct):
-            candidates.append(cur)
-            return
-        term = distinct[i]
-        acc = cur * term
-        for _ in range(mult[i]):
-            rec(i + 1, acc)
-            acc = acc * term
-            if acc.degree is not None and acc.degree > cp.degree:
-                break
-
-    rec(0, Poly.one(m.ctx))
-    candidates.sort(key=Poly.sort_key)
-    for cand in candidates:
-        if eval_poly_at_matrix(cand, m) == Mat.zero(m.ctx, m.n):
-            return cand
-    raise RuntimeError("internal error: no annihilating divisor found")
 
 
 def companion(h: Poly) -> Mat:

@@ -7,16 +7,20 @@ element indices of the owning :class:`~cppforge.gf.FieldCtx`.
 
 Besides ring arithmetic this module provides cyclotomic polynomials (via the
 exact product recursion), deterministic irreducible factorization
-(distinct-degree gcd splitting followed by equal-degree trial division), and
-the text / JSON formats used by the CLI.
+(distinct-degree gcd splitting followed by equal-degree trial division),
+the enumeration of monic polynomials with the multiplicative orders of t and
+t + 1 modulo each of them (one numpy recurrence over all of them at once),
+and the text / JSON formats used by the CLI.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import CharacteristicDividesN, CtxMismatch, DivisionByZero, InvalidSpec
-from .gf import FElem, FieldCtx
+import numpy as np
+
+from .errors import CharacteristicDividesN, CtxMismatch, DivisionByZero, InvalidSpec, SizeCap
+from .gf import TABLE_CAP, FElem, FieldCtx, add_digits
 
 
 class Poly:
@@ -354,6 +358,84 @@ def monic_polys(ctx: FieldCtx, deg: int):
             cs.append(v % q)
             v //= q
         yield Poly(ctx, cs + [1])
+
+
+_ORDER_CACHE: dict = {}
+
+
+def monic_orders(ctx: FieldCtx, deg: int, shift: int) -> np.ndarray:
+    """ord(t + shift mod h) for every monic h of degree deg, as an array.
+
+    Entry v belongs to the v-th polynomial of :func:`monic_polys`, whose
+    coefficients are the base-q digits of v.  The entry is 0 where
+    h(-shift) = 0, as t + shift is then not invertible mod h.  Results are
+    cached per (field, degree, shift) and read-only.
+    """
+    key = (ctx.key, deg, shift)
+    got = _ORDER_CACHE.get(key)
+    if got is None:
+        got = _ORDER_CACHE[key] = _order_recurrence(ctx, deg, shift)
+    return got
+
+
+def _order_recurrence(ctx: FieldCtx, deg: int, shift: int) -> np.ndarray:
+    """All rows of :func:`monic_orders` at once: the powers of t + shift
+    mod every h, one row of deg coefficients per h, multiplied by t + shift
+    in lockstep until each row reaches 1."""
+    if deg < 1:
+        raise InvalidSpec(f"orders need degree >= 1 (got {deg})")
+    q, p = ctx.q, ctx.p
+    n = q ** deg
+    if n > TABLE_CAP:
+        raise SizeCap(f"{n} monic polynomials exceed the {TABLE_CAP} table cap")
+    mul = ctx.vmul
+    if ctx.m == 1:
+        def add(a, b):
+            return (a + b) % p
+    else:
+        def add(a, b):
+            return add_digits(p, ctx.m, a, b)
+    coeffs = np.arange(n, dtype=np.int64)[:, None] // q ** np.arange(deg) % q
+    neg_h = mul(coeffs, ctx.neg(1))
+    sh = ctx.from_int(shift)
+    x = ctx.neg(sh)
+    at = np.ones(n, dtype=np.int64)  # h(-shift) by Horner
+    for k in range(deg - 1, -1, -1):
+        at = add(mul(at, x), coeffs[:, k])
+    rows = np.nonzero(at)[0]
+    cur = np.zeros((len(rows), deg), dtype=np.int64)
+    if deg == 1:
+        cur[:, 0] = add(neg_h[rows, 0], sh)  # t = -h_0 mod h
+    else:
+        cur[:, 0], cur[:, 1] = sh, 1
+    neg_h = neg_h[rows]
+    one = np.zeros(deg, dtype=np.int64)
+    one[0] = 1
+    mult = 1
+    while mult < deg:
+        mult *= p
+    bound = (n - 1) * mult + 1
+    out = np.zeros(n, dtype=np.int64)
+    k = 1
+    while True:
+        done = (cur == one).all(axis=1)
+        if done.any():
+            out[rows[done]] = k
+            keep = ~done
+            rows, cur, neg_h = rows[keep], cur[keep], neg_h[keep]
+            if not len(rows):
+                break
+        # cur := cur * (t + shift) mod h
+        nxt = np.zeros_like(cur)
+        nxt[:, 1:] = cur[:, :-1]
+        if sh:
+            nxt = add(nxt, mul(cur, sh))
+        cur = add(nxt, mul(cur[:, -1:], neg_h))
+        k += 1
+        if k > bound:
+            raise RuntimeError("internal error: order search exceeded bound")
+    out.flags.writeable = False
+    return out
 
 
 def irreducible_factors(f: Poly) -> list[Poly]:

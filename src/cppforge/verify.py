@@ -22,6 +22,10 @@ skipped when no instance fits under the cap.  The section-4 rows use
 is not the claim id, and list its cases with their checks; r and d come
 from the construction's ``construct.CATALOG`` row.
 
+The theorem sweeps take the orders ord(t mod h) and ord(t + 1 mod h) of
+parts 2 and 4 from ``poly.monic_orders``, computed from h alone for all monic
+h of a degree at once, so they stay independent of the table under test.
+
 Reports are replayable: the verdict and witness are pure functions of
 (claim id, parameters, master seed).  The JSON-line stream therefore emits a
 deterministic ``work`` counter (table entries built) instead of wall-clock
@@ -47,7 +51,7 @@ from .errors import HypothesisViolated, InvalidSpec, UnknownClaim
 from .gf import FieldCtx, is_prime, parse_field_spec
 from .linalg import Mat, companion, random_invertible
 from .perm import TABLE_CAP, PermTable
-from .poly import Poly, cyclotomic, irreducible_factors, monic_polys
+from .poly import Poly, cyclotomic, irreducible_factors, monic_orders, monic_polys
 
 SCHEMA = "cppforge/1"
 QUICK_CAP = 1 << 12
@@ -95,49 +99,6 @@ def _collision(table: np.ndarray) -> dict:
             "y": int(vals[i])}
 
 
-def _ord_mod(h: Poly, shift: int) -> int:
-    """Multiplicative order of (t + shift*1) modulo h.
-
-    shift = 0 gives ord(t), shift = 1 gives ord(t+1); the base must be
-    invertible mod h (h(-shift) != 0), which callers ensure.
-    """
-    ctx = h.ctx
-    deg = h.degree
-    hc = h.coeffs
-    add, mul, sub = ctx.add, ctx.mul, ctx.sub
-    sh = ctx.from_int(shift)
-    g = [0] * deg
-    if deg == 1:
-        g[0] = add(ctx.neg(hc[0]), sh)  # t = -h0 mod h
-    else:
-        g[1] = 1
-        g[0] = sh
-    one = [1] + [0] * (deg - 1)
-    mult = 1
-    while mult < max(deg, 1):
-        mult *= ctx.p
-    bound = (ctx.q ** deg - 1) * mult + 1
-    k = 1
-    cur = list(g)
-    while cur != one:
-        # cur := cur * (t + shift) mod h
-        lead = cur[-1]
-        nxt = [0] * deg
-        for i in range(deg - 1):
-            nxt[i + 1] = cur[i]
-        if sh:
-            for i in range(deg):
-                nxt[i] = add(nxt[i], mul(sh, cur[i]))
-        if lead:
-            for i in range(deg):
-                nxt[i] = sub(nxt[i], mul(lead, hc[i]))
-        cur = nxt
-        k += 1
-        if k > bound:
-            raise RuntimeError("internal error: order search exceeded bound")
-    return k
-
-
 def _tau_general(ctx: FieldCtx, d: int, rng: Random) -> PermTable:
     tbl = list(range(ctx.q ** d))
     rng.shuffle(tbl)
@@ -161,6 +122,12 @@ def _off_length_cycle(tbl: PermTable, r: int):
 
 # ---------------------------------------------------------------------------
 # Theorem sweeps: the invertible-linear-map quartet and its tau versions
+#
+# Parts 2 and 4 check sigma^n = e with n = ord(t mod h), and
+# (sigma + e)^m = e with m = ord(t + 1 mod h).  Both orders come from
+# poly.monic_orders, one array per (field, degree, shift) shared by every
+# claim, never from the cycle lengths of the table under test: an order read
+# off sigma would make sigma^n = e true by construction.
 # ---------------------------------------------------------------------------
 
 def _thm31_sweep(part: int, cid, ctx, r, params, rng, cap):
@@ -169,7 +136,8 @@ def _thm31_sweep(part: int, cid, ctx, r, params, rng, cap):
     e = PermTable.identity(ctx, deg)
     s_tbl = PermTable.from_matrix(random_invertible(ctx, deg, rng))
     s_inv = s_tbl.invert()
-    for h in monic_polys(ctx, deg):
+    orders = monic_orders(ctx, deg, 0 if part == 2 else 1) if part in (2, 4) else None
+    for v, h in enumerate(monic_polys(ctx, deg)):
         h0 = h.coeffs[0]
         hm1 = h.eval_idx(ctx.neg(1))
         base = PermTable.from_matrix(companion(h))
@@ -181,7 +149,7 @@ def _thm31_sweep(part: int, cid, ctx, r, params, rng, cap):
                     bad = _collision(sig.table)
             elif part == 2:
                 if h0 != 0:
-                    n0 = _ord_mod(h, 0)
+                    n0 = int(orders[v])
                     work += sig.n
                     if sig.npower(n0) != e:
                         bad = {"n": n0, "kind": "npower!=e"}
@@ -192,7 +160,7 @@ def _thm31_sweep(part: int, cid, ctx, r, params, rng, cap):
                     bad = _collision(sige.table)
             elif hm1 != 0:  # part 4
                 sige = sig.add_pointwise(e)
-                m0 = _ord_mod(h, 1)
+                m0 = int(orders[v])
                 work += 2 * sige.n
                 if sige.npower(m0) != e:
                     bad = {"m": m0, "kind": "npower!=e"}
@@ -209,7 +177,8 @@ def _thm32_sweep(part: int, draw_tau, cid, ctx, r, params, rng, cap):
     t2i = draw_tau(ctx, deg, rng)
     t1_inv = t1.invert()
     work = 2 * n  # the two taus, counted with the first instance
-    for h in monic_polys(ctx, deg):
+    orders = monic_orders(ctx, deg, 0 if part == 2 else 1) if part in (2, 4) else None
+    for v, h in enumerate(monic_polys(ctx, deg)):
         h0 = h.coeffs[0]
         hm1 = h.eval_idx(ctx.neg(1))
         sig_m = PermTable.from_matrix(companion(h))
@@ -223,13 +192,13 @@ def _thm32_sweep(part: int, draw_tau, cid, ctx, r, params, rng, cap):
             sig = t1.compose(sig_m.compose(t1_inv))
             if part == 2:
                 if h0 != 0:
-                    n0 = _ord_mod(h, 0)
+                    n0 = int(orders[v])
                     if sig.npower(n0) != e:
                         bad = {"n": n0, "kind": "npower!=e"}
             elif hm1 != 0:  # parts 3 and 4, on sigma + e
                 sige = sig.add_pointwise(e)
                 if part == 4:
-                    m0 = _ord_mod(h, 1)
+                    m0 = int(orders[v])
                     if sige.npower(m0) != e:
                         bad = {"m": m0, "kind": "npower!=e"}
                 elif not sige.bijective:

@@ -5,11 +5,10 @@ import pytest
 from cppforge import gf
 from cppforge.errors import DimMismatch, NotMonic, Singular
 from cppforge.linalg import (
-    Mat, char_poly, companion, eval_poly_at_matrix, min_poly,
-    random_invertible, random_matrix,
+    Mat, char_poly, companion, eval_poly_at_matrix, random_invertible, random_matrix,
 )
 from cppforge.perm import PermTable
-from cppforge.poly import Poly, cyclotomic, divides, parse_poly
+from cppforge.poly import Poly, cyclotomic, divides, irreducible_factors, parse_poly
 
 F2 = gf.field_new(2)
 F3 = gf.field_new(3)
@@ -183,6 +182,48 @@ def test_cayley_hamilton_seeded():
                 cp = char_poly(m)
                 assert cp.is_monic and cp.degree == d
                 assert eval_poly_at_matrix(cp, m) == Mat.zero(ctx, d)
+
+
+# --- The minimal polynomial: no library code needs it, so it lives here -----
+
+def min_poly(m: Mat) -> Poly:
+    """Least-degree monic annihilator of M; divides char_poly(M).
+
+    Found by testing monic divisors of the characteristic polynomial in
+    increasing (degree, digits) order; the minimal polynomial shares every
+    irreducible factor of the characteristic polynomial, which prunes the
+    divisor lattice.
+    """
+    cp = char_poly(m)
+    factors = irreducible_factors(cp)
+    distinct: list[Poly] = []
+    mult: list[int] = []
+    for f in factors:
+        if distinct and f == distinct[-1]:
+            mult[-1] += 1
+        else:
+            distinct.append(f)
+            mult.append(1)
+    candidates = []
+
+    def rec(i: int, cur: Poly):
+        if i == len(distinct):
+            candidates.append(cur)
+            return
+        term = distinct[i]
+        acc = cur * term
+        for _ in range(mult[i]):
+            rec(i + 1, acc)
+            acc = acc * term
+            if acc.degree is not None and acc.degree > cp.degree:
+                break
+
+    rec(0, Poly.one(m.ctx))
+    candidates.sort(key=Poly.sort_key)
+    for cand in candidates:
+        if eval_poly_at_matrix(cand, m) == Mat.zero(m.ctx, m.n):
+            return cand
+    raise RuntimeError("internal error: no annihilating divisor found")
 
 
 def test_min_poly_examples():

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cppforge import gf
-from cppforge.errors import CharacteristicDividesN, DivisionByZero
+from cppforge.errors import CharacteristicDividesN, DivisionByZero, InvalidSpec, SizeCap
 from cppforge.linalg import char_poly, random_matrix
 from cppforge.poly import (
     Poly, cyclotomic, divides, gcd, irreducible_factors, is_irreducible,
-    monic_polys, parse_poly,
+    monic_orders, monic_polys, parse_poly,
 )
 
 F2 = gf.field_new(2)
@@ -236,6 +236,76 @@ def test_monic_polys_order():
     # integer-value order: t^3, 1+t^3, t+t^3, 1+t+t^3, ...
     assert texts[0] == "1*t^3"
     assert texts.index("1+1*t+1*t^3") < texts.index("1+1*t^2+1*t^3")
+
+
+# --- Oracle: the per-polynomial order loop that monic_orders replaced ------
+
+def _ord_mod(h, shift):
+    """Multiplicative order of (t + shift*1) modulo h, one scalar step at a time.
+
+    The base must be invertible mod h (h(-shift) != 0).
+    """
+    ctx = h.ctx
+    deg = h.degree
+    hc = h.coeffs
+    add, mul, sub = ctx.add, ctx.mul, ctx.sub
+    sh = ctx.from_int(shift)
+    g = [0] * deg
+    if deg == 1:
+        g[0] = add(ctx.neg(hc[0]), sh)  # t = -h0 mod h
+    else:
+        g[1] = 1
+        g[0] = sh
+    one = [1] + [0] * (deg - 1)
+    mult = 1
+    while mult < max(deg, 1):
+        mult *= ctx.p
+    bound = (ctx.q ** deg - 1) * mult + 1
+    k = 1
+    cur = list(g)
+    while cur != one:
+        # cur := cur * (t + shift) mod h
+        lead = cur[-1]
+        nxt = [0] * deg
+        for i in range(deg - 1):
+            nxt[i + 1] = cur[i]
+        if sh:
+            for i in range(deg):
+                nxt[i] = add(nxt[i], mul(sh, cur[i]))
+        if lead:
+            for i in range(deg):
+                nxt[i] = sub(nxt[i], mul(lead, hc[i]))
+        cur = nxt
+        k += 1
+        if k > bound:
+            raise RuntimeError("internal error: order search exceeded bound")
+    return k
+
+
+@pytest.mark.parametrize("spec, degs", [
+    ("2^1", (1, 2, 3, 4)), ("3^1", (1, 2, 3, 4)), ("2^2", (1, 2, 3, 4)),
+    ("5^1", (1, 2, 3, 4)), ("7^1", (1, 2)), ("2^3", (1, 2)), ("3^2", (1, 2)),
+    ("3^2/2,1,1", (1, 2)),
+])
+def test_monic_orders_vs_scalar_loop(spec, degs):
+    ctx = gf.parse_field_spec(spec)
+    for deg in degs:
+        for shift in (0, 1):
+            got = monic_orders(ctx, deg, shift)
+            assert got.shape == (ctx.q ** deg,) and not got.flags.writeable
+            root = ctx.neg(ctx.from_int(shift))
+            for v, h in enumerate(monic_polys(ctx, deg)):
+                if h.eval_idx(root) == 0:
+                    assert got[v] == 0, (spec, deg, shift, h)
+                else:
+                    assert got[v] == _ord_mod(h, shift), (spec, deg, shift, h)
+
+
+def test_monic_orders_rejects_degree_and_size():
+    with pytest.raises(InvalidSpec):
+        monic_orders(F2, 0, 0)
+    with pytest.raises(SizeCap):
+        monic_orders(F2, 21, 0)
 
 
 # --- sympy as an independent oracle over the prime fields (optional) -------

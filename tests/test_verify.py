@@ -5,10 +5,10 @@ import json
 import pytest
 
 import cppforge
-from cppforge import construct, linalg, verify
+from cppforge import construct, linalg, poly, verify
 from cppforge.errors import UnknownClaim
 from cppforge.linalg import Mat
-from cppforge.gf import field_new
+from cppforge.gf import field_new, parse_field_spec
 from cppforge.perm import PermTable
 from cppforge.poly import Poly, cyclotomic, gcd, irreducible_factors
 
@@ -38,6 +38,12 @@ KNOWN_FALSE = {"p4.4.2"}
 # any claim changes them.
 QUICK_42_SHA256 = "8580b055bbf9684e8dd6ad1f1b47ec40cb2bd1a668b3c8ac06e5e6762a5be33a"
 SABOTAGED_P4_SHA256 = "f6d9a98362b9fb464a26adde63aa9999ca88bdcb0aa24d41370b7ce9826e23e9"
+
+# sha256 of the full-grid report lines (seed 42) of the ten theorem claims,
+# 96 points.  Recorded while the orders of parts 2 and 4 came from a scalar
+# loop per polynomial, before they became one array per (field, degree,
+# shift).
+THM_FULL_42_SHA256 = "9c81458b3758d122b400ef5d712e6f54d67734532a07e2a30600588085bf678c"
 
 # sha256 of every theorem and section-3 quick-grid report line (seed 42) under
 # each sabotage of test_section3_and_theorem_fail_witnesses_pinned, with the
@@ -172,6 +178,40 @@ def test_verify_all_quick_stream_pinned():
     buf = io.StringIO()
     verify.verify_all("quick", master_seed=42, stream=buf)
     assert _sha256(buf.getvalue()) == QUICK_42_SHA256
+
+
+def test_theorem_full_stream_pinned():
+    lines = [rep.to_json_line()
+             for cid in sorted(c for c in verify.REGISTRY if c.startswith("thm3."))
+             for rep in verify.verify_claim(cid, master_seed=42, profile="full")]
+    assert len(lines) == 96
+    assert _sha256("\n".join(lines)) == THM_FULL_42_SHA256
+
+
+def test_theorem_orders_computed_once_per_field_degree_shift(monkeypatch):
+    real = poly._order_recurrence
+    calls = []
+
+    def counted(ctx, deg, shift):
+        calls.append((ctx.key, deg, shift))
+        return real(ctx, deg, shift)
+
+    monkeypatch.setattr(poly, "_order_recurrence", counted)
+    monkeypatch.setattr(poly, "_ORDER_CACHE", {})
+    want = set()
+    for cid, shift in (("thm3.1.2", 0), ("thm3.1.4", 1), ("thm3.2.2", 0),
+                       ("thm3.2.4", 1), ("thm3.3.2", 0)):
+        reports = verify.verify_claim(cid, master_seed=42, profile="full")
+        assert all(r.verdict == "pass" for r in reports), cid
+        want |= {(parse_field_spec(p["field"]).key, p["deg"], shift)
+                 for p in verify.REGISTRY[cid].full}
+    assert len(want) == 24  # F_2, F_3, F_4, F_5 x deg 2..4 x shift 0, 1
+    assert sorted(calls) == sorted(want)
+    # the two moduli of F_9 are two fields with two order arrays
+    for spec in ("3^2", "3^2/2,1,1"):
+        poly.monic_orders(parse_field_spec(spec), 2, 0)
+    assert len(calls) == len(set(calls)) == 26
+    assert calls[-2][0] != calls[-1][0]
 
 
 def test_section4_fail_witnesses_pinned(monkeypatch):
