@@ -30,7 +30,7 @@ from .errors import (
     SizeCap,
     UnknownClaim,
 )
-from .gf import FElem, FieldCtx, field_from_order, field_new, parse_field_spec, trace
+from .gf import FieldCtx, field_from_order, field_new, parse_field_spec, trace
 from .poly import Poly, cyclotomic, divides, gcd, irreducible_factors
 from .linalg import Mat, char_poly, companion, eval_poly_at_matrix
 from .perm import CycleStructure, PermTable

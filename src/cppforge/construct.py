@@ -6,19 +6,20 @@ Everything here produces dense tables out of three ingredients:
   polynomial of M controls the cycle structure;
 * outer permutations tau built either coordinatewise from single-coordinate
   permutations of F_q or as F_p-linear (additive) bijections;
-* the sandwich sigma = tau1 o sigma_M o tau2, with tau2 derived as tau1^{-1}
-  in conjugation mode.
+* the sandwich sigma = tau1 o sigma_M o tau2; a spec without tau2 is in
+  conjugation mode, where tau2 is tau1^{-1}.
 
 ``CATALOG`` holds the named constructions of Section 4 (ids like ``p4.1.3``
 or ``p4.10``), one :class:`Construction` row each, and ``named_construction``
 is the one runner that reads a row.  To add a construction, add one row: r
 (None when r is a parameter), the table dimension d (None for r - 1), the
-hypothesis on (p, r), where h comes from (a ``pick_h`` strategy or the text
-of h), the parameters the row reads and a builder that returns M and the
-taus (no tau2 means conjugation).  The runner raises InvalidSpec for any
-other parameter and HypothesisViolated for a violated hypothesis, eagerly,
-because the harness treats the claimed conclusions as oracles and silent
-parameter drift would poison verification.  A builder draws from the RNG
+hypothesis on (p, r), where h comes from (the ``pick_h`` strategy
+"full-cyclotomic" or "quotient", or the text of h), the parameters the row
+reads and a builder that returns M and the taus (no tau2 means
+conjugation).  The runner raises InvalidSpec for any other parameter and
+HypothesisViolated for a violated hypothesis, eagerly, because the harness
+treats the claimed conclusions as oracles and silent parameter drift would
+poison verification.  A builder draws from the RNG
 in a fixed order, which the specs and the verify streams depend on.
 """
 
@@ -35,7 +36,7 @@ from .errors import CharacteristicDividesR, HypothesisViolated, InvalidSpec
 from .gf import FieldCtx, field_from_order, field_new, parse_field_spec
 from .linalg import Mat, companion, char_poly, random_invertible
 from .perm import PermTable, linear_table, space
-from .poly import Poly, cyclotomic, irreducible_factors, parse_poly
+from .poly import Poly, cyclotomic, parse_poly
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +47,6 @@ from .poly import Poly, cyclotomic, irreducible_factors, parse_poly
 class TauSpec:
     """An outer permutation of F_q^d.
 
-    kind "identity": the identity map.
     kind "coordinate": d single-coordinate permutations a_1..a_d of F_q,
         acting as (x_1, ..., x_d) -> (a_1(x_1), ..., a_d(x_d)).
     kind "additive-linear": an invertible (m*d) x (m*d) matrix over F_p
@@ -74,10 +74,6 @@ class TauSpec:
         )
 
     @classmethod
-    def identity(cls) -> "TauSpec":
-        return cls("identity")
-
-    @classmethod
     def coordinate(cls, perms: Sequence[Sequence[int]]) -> "TauSpec":
         return cls("coordinate", perms=tuple(tuple(p) for p in perms))
 
@@ -89,8 +85,6 @@ class TauSpec:
 def tau_to_table(spec: TauSpec, ctx: FieldCtx, d: int) -> PermTable:
     """Materialize a TauSpec as a bijective PermTable."""
     space(ctx, d)  # raises SizeCap before any table is built
-    if spec.kind == "identity":
-        return PermTable.identity(ctx, d)
     if spec.kind == "coordinate":
         if spec.perms is None or len(spec.perms) != d:
             raise InvalidSpec(f"coordinate spec needs {d} permutations")
@@ -127,9 +121,7 @@ def random_pp(q: int, rng: Random) -> tuple[int, ...]:
 
 
 def random_odd_pp(ctx: FieldCtx, rng: Random) -> tuple[int, ...]:
-    """Seeded permutation a with a(-x) = -a(x); fixes 0, odd characteristic."""
-    if ctx.p == 2:
-        return random_pp(ctx.q, rng)
+    """Seeded permutation a of F_q with a(-x) = -a(x); it fixes 0."""
     reps = []
     seen = set()
     for x in range(1, ctx.q):
@@ -176,7 +168,11 @@ class ConstructionSpec:
     matrix: Mat
     tau1: TauSpec
     tau2: Optional[TauSpec]  # None in conjugation mode (derived as tau1^{-1})
-    mode: str  # "conjugation" | "sandwich"
+
+    @property
+    def mode(self) -> str:
+        """"conjugation" when there is no tau2, else "sandwich"."""
+        return "conjugation" if self.tau2 is None else "sandwich"
 
     def to_json(self) -> dict:
         return {
@@ -195,7 +191,7 @@ class ConstructionSpec:
     @classmethod
     def from_json(cls, data: dict) -> "ConstructionSpec":
         ctx = parse_field_spec(data["field"])
-        return cls(
+        spec = cls(
             claim=data["claim"],
             field=ctx,
             d=data["d"],
@@ -204,45 +200,41 @@ class ConstructionSpec:
             matrix=Mat.from_json(data["matrix"]),
             tau1=TauSpec.from_json(data["tau1"]),
             tau2=TauSpec.from_json(data["tau2"]) if data["tau2"] is not None else None,
-            mode=data["mode"],
         )
+        if data["mode"] != spec.mode:
+            raise InvalidSpec(f"mode {data['mode']!r} contradicts tau2 "
+                              f"(expected {spec.mode!r})")
+        return spec
 
 
 def build(spec: ConstructionSpec) -> PermTable:
     """Materialize tau1 o sigma_M o tau2 as a table."""
     t1 = tau_to_table(spec.tau1, spec.field, spec.d)
     sig = PermTable.from_matrix(spec.matrix)
-    if spec.mode == "conjugation":
+    if spec.tau2 is None:
         t2 = t1.invert()
     else:
         t2 = tau_to_table(spec.tau2, spec.field, spec.d)
     return t1.compose(sig.compose(t2))
 
 
-def pick_h(r: int, ctx: FieldCtx, strategy: str, explicit: Optional[Poly] = None) -> Poly:
+def pick_h(r: int, ctx: FieldCtx, strategy: str) -> Poly:
     """Choose the control polynomial h for a target cycle length r.
 
-    Strategies: ``full-cyclotomic`` (h = Q_r), ``irreducible-factor`` (the
-    smallest-degree, lexicographically-first irreducible factor of Q_r),
-    ``quotient`` (h = (t^r - 1)/(t - 1)), ``explicit``.
+    Strategies: ``full-cyclotomic`` (h = Q_r) and ``quotient``
+    (h = (t^r - 1)/(t - 1)).
     """
     if r % ctx.p == 0:
         raise CharacteristicDividesR(
             f"characteristic {ctx.p} divides r = {r}")
     if strategy == "full-cyclotomic":
         return cyclotomic(r, ctx)
-    if strategy == "irreducible-factor":
-        return irreducible_factors(cyclotomic(r, ctx))[0]
     if strategy == "quotient":
         num = Poly.x_pow_n_minus_1(ctx, r)
         q, rem = divmod(num, Poly(ctx, [ctx.neg(1), 1]))
         if not rem.is_zero:
             raise RuntimeError("internal error: (t-1) does not divide t^r - 1")
         return q
-    if strategy == "explicit":
-        if explicit is None:
-            raise InvalidSpec("explicit strategy needs a polynomial")
-        return explicit
     raise InvalidSpec(f"unknown pick_h strategy {strategy!r}")
 
 
@@ -461,5 +453,4 @@ def named_construction(claim_id: str, params: dict) -> ConstructionSpec:
     m, tau1, tau2 = row.builder(ctx, h, d, params, rng)
     if char_poly(m) != h:
         raise RuntimeError("internal error: matrix charpoly != h")
-    return ConstructionSpec(claim_id, ctx, d, r, h, m, tau1, tau2,
-                            "conjugation" if tau2 is None else "sandwich")
+    return ConstructionSpec(claim_id, ctx, d, r, h, m, tau1, tau2)

@@ -6,7 +6,10 @@ generator to the smallest-index root of its modulus (see
 :func:`cppforge.gf.subfield_embedding`).  A basis alpha_1..alpha_d over F_q
 determines the dual basis beta_1..beta_d through the trace bilinear form:
 Tr(alpha_i * beta_j) is 1 when i = j and 0 otherwise, so the coordinates of
-x in the alpha basis are x_j = Tr(x * beta_j).
+x in the alpha basis are x_j = Tr(x * beta_j).  Elements and coordinates are
+plain indices: ``BasisPair.encode`` maps an index of F_{q^d} to d indices of
+F_q, ``decode`` maps them back, and both raise ValueError for an index out of
+range.
 
 ``to_univariate`` interpolates a dense table into the unique polynomial of
 degree < q^d over F_{q^d} agreeing with it everywhere.  Big-field indices and
@@ -26,12 +29,20 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CtxMismatch, DependentBasis, SizeCap, Singular
-from .gf import FElem, FieldCtx, field_new, subfield_embedding, trace
+from .gf import FieldCtx, field_new, subfield_embedding, trace
 from .linalg import Mat
 from .perm import PermTable, linear_table, space
 from .poly import Poly
 
 UNIVARIATE_CAP = 1 << 12
+
+
+def _index(ctx: FieldCtx, x) -> int:
+    """x as an index of ctx; ValueError when it is out of range."""
+    x = int(x)
+    if not 0 <= x < ctx.q:
+        raise ValueError(f"index {x} out of range [0, {ctx.q})")
+    return x
 
 
 class BasisPair:
@@ -48,23 +59,19 @@ class BasisPair:
         self.beta = tuple(beta)
         self._emb = subfield_embedding(big, sub)
 
-    def encode(self, x) -> tuple[int, ...]:
+    def encode(self, x: int) -> tuple[int, ...]:
         """Coordinates (x_1, ..., x_d) of x in the alpha basis, via the dual."""
-        if isinstance(x, FElem) and x.ctx.key != self.big.key:
-            raise CtxMismatch("encode argument must live in the big field")
         big, sub = self.big, self.sub
-        xi = big.elem(int(x)).idx
-        return tuple(trace(big, sub, big.mul(xi, b)).idx for b in self.beta)
+        xi = _index(big, x)
+        return tuple(trace(big, sub, big.mul(xi, b)) for b in self.beta)
 
-    def decode(self, coords: Sequence) -> FElem:
+    def decode(self, coords: Sequence[int]) -> int:
         """x = alpha_1 x_1 + ... + alpha_d x_d."""
         big = self.big
         acc = 0
         for a, c in zip(self.alpha, coords, strict=True):
-            if isinstance(c, FElem) and c.ctx.key != self.sub.key:
-                raise CtxMismatch("decode coordinates must live in the subfield")
-            acc = big.add(acc, big.mul(a, self._emb[self.sub.elem(int(c)).idx]))
-        return FElem(big, acc)
+            acc = big.add(acc, big.mul(a, self._emb[_index(self.sub, c)]))
+        return acc
 
 
 def make_basis(big: FieldCtx, sub: FieldCtx, alpha: Optional[Sequence] = None) -> BasisPair:
@@ -86,20 +93,20 @@ def make_basis(big: FieldCtx, sub: FieldCtx, alpha: Optional[Sequence] = None) -
         for _ in range(d - 1):
             alpha.append(big.mul(alpha[-1], gen))
     else:
-        alpha = [big.elem(int(a)).idx for a in alpha]
+        alpha = [_index(big, a) for a in alpha]
         if len(alpha) != d:
             raise DependentBasis(f"need {d} basis elements, got {len(alpha)}")
-    gram = [[trace(big, sub, big.mul(ai, aj)).idx for aj in alpha] for ai in alpha]
+    gram = [[trace(big, sub, big.mul(ai, aj)) for aj in alpha] for ai in alpha]
     try:
         ginv = Mat(sub, gram).inv()
     except Singular:
         raise DependentBasis("candidate basis is F_q-linearly dependent") from None
     # beta_j = sum_i ginv[i][j] * alpha_i: column j of ginv decoded in alpha
     draft = BasisPair(big, sub, alpha, ())
-    bp = BasisPair(big, sub, alpha, [draft.decode(col).idx for col in zip(*ginv.rows)])
+    bp = BasisPair(big, sub, alpha, [draft.decode(col) for col in zip(*ginv.rows)])
     for i in range(d):
         for j in range(d):
-            got = trace(big, sub, big.mul(bp.alpha[i], bp.beta[j])).idx
+            got = trace(big, sub, big.mul(bp.alpha[i], bp.beta[j]))
             if got != (1 if i == j else 0):
                 raise RuntimeError("internal error: dual basis property failed")
     return bp
@@ -123,7 +130,7 @@ def _lift_tables(bp: BasisPair) -> tuple[np.ndarray, np.ndarray]:
     sp = space(sub, d)
     units = [sub.p ** k for k in range(sub.m * d)]
     enc = linear_table(sub, d, [sp.pack_point(bp.encode(u)) for u in units])
-    dec = linear_table(sub, d, [bp.decode(sp.unpack_point(u)).idx for u in units])
+    dec = linear_table(sub, d, [bp.decode(sp.unpack_point(u)) for u in units])
     return enc, dec
 
 

@@ -1,9 +1,11 @@
-"""Arithmetic and enumeration for prime fields F_p and extension fields F_{p^m}.
+"""Arithmetic for prime fields F_p and extension fields F_{p^m}.
 
 Elements are canonical integer indices in ``[0, q)``: the index encodes the
 coefficient vector of the residue polynomial in base p (the coefficient of
 degree k contributes ``digit * p**k``).  Index 0 is the additive identity and
-index 1 the multiplicative identity.  All arithmetic is exact.
+index 1 the multiplicative identity.  There is no element object: every
+function here, ``trace`` included, takes and returns plain indices.  All
+arithmetic is exact.
 
 Prime fields multiply as ``a * b % p``.  An extension field (m >= 2) builds
 two tables in its constructor from its smallest-index primitive element g:
@@ -43,7 +45,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    CtxMismatch,
     DegreeMismatch,
     DivisionByZero,
     InvalidSpec,
@@ -187,7 +188,7 @@ def add_digits(p: int, ndigits: int, a, b):
 
 
 # ---------------------------------------------------------------------------
-# Field contexts and elements
+# Field contexts
 # ---------------------------------------------------------------------------
 
 class FieldCtx:
@@ -377,101 +378,10 @@ class FieldCtx:
             w *= p
         return acc
 
-    # -- element objects and enumeration -------------------------------------
-
-    def elem(self, idx: int) -> "FElem":
-        if not 0 <= idx < self.q:
-            raise ValueError(f"index {idx} out of range [0, {self.q})")
-        return FElem(self, idx)
-
-    def zero(self) -> "FElem":
-        return FElem(self, 0)
-
-    def one(self) -> "FElem":
-        return FElem(self, 1)
-
-    def elements(self) -> list["FElem"]:
-        """All q elements in canonical index order."""
-        return [FElem(self, i) for i in range(self.q)]
-
 
 def _coeffs_of(modulus) -> Sequence[int]:
     coeffs = getattr(modulus, "coeffs", modulus)
     return list(coeffs)
-
-
-class FElem:
-    """A field element: an owning context plus a canonical index.
-
-    Arithmetic operators accept another element of the same context or a
-    plain int, which is interpreted as a canonical index.
-    """
-
-    __slots__ = ("ctx", "idx")
-
-    def __init__(self, ctx: FieldCtx, idx: int):
-        self.ctx = ctx
-        self.idx = idx
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FElem):
-            if other.ctx.key != self.ctx.key:
-                raise CtxMismatch(f"{self.ctx.spec()} vs {other.ctx.spec()}")
-            return other.idx
-        if isinstance(other, int):
-            if not 0 <= other < self.ctx.q:
-                raise ValueError(f"index {other} out of range [0, {self.ctx.q})")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return FElem(self.ctx, self.ctx.add(self.idx, o))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return FElem(self.ctx, self.ctx.sub(self.idx, o))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return FElem(self.ctx, self.ctx.sub(o, self.idx))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return FElem(self.ctx, self.ctx.mul(self.idx, o))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return FElem(self.ctx, self.ctx.mul(self.idx, self.ctx.inv(o)))
-
-    def __neg__(self):
-        return FElem(self.ctx, self.ctx.neg(self.idx))
-
-    def __pow__(self, n: int):
-        return FElem(self.ctx, self.ctx.pow(self.idx, n))
-
-    def inv(self) -> "FElem":
-        return FElem(self.ctx, self.ctx.inv(self.idx))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FElem):
-            return self.ctx.key == other.ctx.key and self.idx == other.idx
-        if isinstance(other, int):
-            return self.idx == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ctx.key, self.idx))
-
-    def __int__(self) -> int:
-        return self.idx
-
-    def __repr__(self) -> str:
-        return f"F{self.ctx.q}:{self.idx}"
 
 
 _CTX_CACHE: dict = {}
@@ -563,25 +473,17 @@ def subfield_embedding(big: FieldCtx, sub: FieldCtx) -> list[int]:
     return table
 
 
-def trace(big: FieldCtx, sub: FieldCtx, x) -> FElem:
+def trace(big: FieldCtx, sub: FieldCtx, x: int) -> int:
     """Relative trace Tr(x) = x + x^q + ... + x^(q^(d-1)) down to sub.
 
-    The result is returned as an element of ``sub``.
+    x is an index of ``big``; the result is an index of ``sub``.
     """
     subfield_embedding(big, sub)
     back = big._embeddings[sub.key][1]
-    d = big.m // sub.m
-    if isinstance(x, FElem):
-        if x.ctx.key != big.key:
-            raise CtxMismatch("trace argument must live in the big field")
-        xi = x.idx
-    else:
-        xi = int(x)
-    acc = 0
-    t = xi
-    for _ in range(d):
+    acc, t = 0, int(x)
+    for _ in range(big.m // sub.m):
         acc = big.add(acc, t)
         t = big.pow(t, sub.q)
     if acc not in back:
         raise RuntimeError("internal error: trace left the subfield")
-    return FElem(sub, back[acc])
+    return back[acc]

@@ -15,7 +15,7 @@ from random import Random
 from typing import Sequence
 
 from .errors import CtxMismatch, DimMismatch, NotMonic, Singular
-from .gf import FElem, FieldCtx
+from .gf import FieldCtx
 from .poly import Poly
 
 
@@ -23,18 +23,7 @@ class Mat:
     __slots__ = ("ctx", "n", "rows")
 
     def __init__(self, ctx: FieldCtx, rows: Sequence[Sequence]):
-        grid = []
-        for row in rows:
-            r = []
-            for c in row:
-                if isinstance(c, FElem):
-                    if c.ctx.key != ctx.key:
-                        raise CtxMismatch(
-                            f"entry from {c.ctx.spec()} in a {ctx.spec()} matrix")
-                    r.append(c.idx)
-                else:
-                    r.append(int(c))
-            grid.append(tuple(r))
+        grid = [tuple(int(c) for c in row) for row in rows]
         n = len(grid)
         if any(len(r) != n for r in grid):
             raise DimMismatch("matrix must be square")
@@ -122,7 +111,7 @@ class Mat:
 
     def apply(self, vec: Sequence) -> tuple[int, ...]:
         """Matrix-vector product on index vectors."""
-        v = tuple(c.idx if isinstance(c, FElem) else int(c) for c in vec)
+        v = tuple(int(c) for c in vec)
         if len(v) != self.n:
             raise DimMismatch(f"vector length {len(v)} vs dimension {self.n}")
         ctx = self.ctx

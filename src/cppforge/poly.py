@@ -20,25 +20,17 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CharacteristicDividesN, CtxMismatch, DivisionByZero, InvalidSpec, SizeCap
-from .gf import TABLE_CAP, FElem, FieldCtx, add_digits
+from .gf import TABLE_CAP, FieldCtx, add_digits
 
 
 class Poly:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: FieldCtx, coeffs: Iterable):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, FElem):
-                if c.ctx.key != ctx.key:
-                    raise CtxMismatch(
-                        f"coefficient from {c.ctx.spec()} in a {ctx.spec()} polynomial")
-                idx = c.idx
-            else:
-                idx = int(c)
-            if not 0 <= idx < ctx.q:
-                raise ValueError(f"coefficient index {idx} out of range for {ctx.spec()}")
-            cs.append(idx)
+        cs = [int(c) for c in coeffs]
+        for c in cs:
+            if not 0 <= c < ctx.q:
+                raise ValueError(f"coefficient index {c} out of range for {ctx.spec()}")
         while cs and cs[-1] == 0:
             cs.pop()
         self.ctx = ctx
@@ -200,12 +192,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = ctx.add(ctx.mul(acc, x), c)
         return acc
-
-    def __call__(self, x) -> FElem:
-        xi = x.idx if isinstance(x, FElem) else int(x)
-        if isinstance(x, FElem) and x.ctx.key != self.ctx.key:
-            raise CtxMismatch("evaluation point lives in a different field")
-        return FElem(self.ctx, self.eval_idx(xi))
 
     # -- text and JSON formats ------------------------------------------------
 

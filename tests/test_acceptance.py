@@ -180,7 +180,7 @@ def test_criterion_7_univariate_export():
         biggest = max(biggest, n)
         for x in range(n):
             want = bp.decode(sp.unpack_point(
-                int(tbl.table[sp.pack_point(bp.encode(x))]))).idx
+                int(tbl.table[sp.pack_point(bp.encode(x))])))
             assert pol.eval_idx(x) == want, (cid, x)
         if cid in additive_claims:
             p = spec.field.p

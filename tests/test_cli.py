@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import cppforge
 from cppforge import gf
 from cppforge.cli import main
 from cppforge.perm import PermTable
@@ -258,3 +263,26 @@ def test_explore_negative_count_exit_2(capsys):
 def test_usage_error_exit_2(capsys):
     assert run(capsys, "construct")[0] == 2
     assert run(capsys, "nonsense-command")[0] == 2
+
+
+def test_runtime_needs_numpy_only():
+    # the test extra (sympy, hypothesis, pytest) made unimportable in a fresh process
+    script = """
+import json, sys
+for name in ("sympy", "hypothesis", "pytest"):
+    sys.modules[name] = None
+from cppforge.cli import main
+codes = [main(argv) for argv in (
+    ["verify", "p4.3"],
+    ["construct", "p4.1.3", "--q", "4", "--m", "2", "--emit", "univariate"],
+    ["explore", "--r", "5", "--q", "4", "--count", "2"],
+)]
+print(json.dumps(codes))
+"""
+    src = str(Path(cppforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.strip().splitlines()[-1]) == [0, 0, 0]

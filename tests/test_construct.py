@@ -84,7 +84,7 @@ def test_from_matrix_at_table_cap_matches_apply():
 
 
 def test_tau_to_table_examples():
-    assert tau_to_table(TauSpec.identity(), F4, 2) == PermTable.identity(F4, 2)
+    assert tau_to_table(TauSpec.coordinate([range(4)] * 2), F4, 2) == PermTable.identity(F4, 2)
     rng = Random(0)
     a1 = random_non_additive_pp(F4, rng)
     spec = TauSpec.coordinate((a1, tuple(range(4))))
@@ -107,8 +107,8 @@ def test_tau_to_table_invalid_specs():
 def test_build_trivial_taus_is_sigma():
     h = cyclotomic(3, F5)
     m = companion(h)
-    spec = ConstructionSpec("x", F5, 2, 3, h, m, TauSpec.identity(),
-                            TauSpec.identity(), "sandwich")
+    e = TauSpec.coordinate([range(5)] * 2)
+    spec = ConstructionSpec("x", F5, 2, 3, h, m, e, e)
     assert build(spec) == PermTable.from_matrix(m)
 
 
@@ -176,12 +176,10 @@ def test_parameters_a_construction_does_not_read(cid, params):
 
 
 def test_pick_h_examples():
-    assert pick_h(7, F2, "irreducible-factor") == parse_poly("t^3+t+1", F2)
     assert pick_h(3, F2, "full-cyclotomic") == parse_poly("t^2+t+1", F2)
     q9 = pick_h(9, F2, "quotient")
     assert q9.degree == 8
     assert q9 * parse_poly("t-1", F2) == parse_poly("t^9-1", F2)
-    assert pick_h(5, F3, "explicit", explicit=cyclotomic(5, F3)) == cyclotomic(5, F3)
     with pytest.raises(CharacteristicDividesR):
         pick_h(9, F3, "quotient")
     with pytest.raises(InvalidSpec):
@@ -210,6 +208,14 @@ def test_random_generators():
     assert not PermTable(F4, 1, na).is_additive()
 
 
+def test_random_odd_pp_characteristic_2():
+    for ctx in (F2, F4):
+        for seed in range(8):
+            a = random_odd_pp(ctx, Random(seed))
+            assert sorted(a) == list(range(ctx.q)) and a[0] == 0
+            assert all(a[ctx.neg(x)] == ctx.neg(a[x]) for x in range(ctx.q))
+
+
 def test_additive_conjugation_identity():
     # additive tau1: sigma + e equals the conjugate of sigma_{M+I}
     for ctx, r in ((F5, 4), (F2, 3), (F4, 3)):
@@ -236,9 +242,18 @@ def test_construction_spec_json_round_trip():
         assert build(rt) == build(spec)
 
 
+def test_spec_mode_must_match_tau2():
+    conj = named_construction("p4.3", {"q": 2}).to_json()
+    sand = named_construction("p4.8.1", {"q": 2}).to_json()
+    assert (conj["mode"], sand["mode"]) == ("conjugation", "sandwich")
+    for data, mode in ((conj, "sandwich"), (sand, "conjugation"),
+                       (conj, "bogus"), (sand, "bogus")):
+        with pytest.raises(InvalidSpec, match="contradicts tau2"):
+            ConstructionSpec.from_json({**data, "mode": mode})
+
+
 def test_tau_spec_json_round_trip():
-    specs = [TauSpec.identity(),
-             TauSpec.coordinate(((1, 0), (0, 1))),
+    specs = [TauSpec.coordinate(((1, 0), (0, 1))),
              random_additive_pp(F4, 2, 7)]
     for s in specs:
         assert TauSpec.from_json(json.loads(json.dumps(s.to_json()))) == s

@@ -315,9 +315,3 @@ def test_matrix_json_round_trip():
     assert Mat.from_json(m.to_json()) == m
 
 
-def test_foreign_entries_rejected():
-    from cppforge.errors import CtxMismatch
-
-    with pytest.raises(CtxMismatch):
-        Mat(F7, [[F4.elem(1), 0], [0, 1]])
-    assert Mat(F7, [[F7.elem(3)]]).rows == ((3,),)

@@ -274,7 +274,7 @@ def test_table_constructors_are_read_only_int32():
         tables = [
             e, sig, PermTable.from_fn(ctx, d, lambda v: v[::-1]),
             sig.compose(sig), sig.invert(), sig.add_pointwise(e), sig.npower(5),
-            tau_to_table(TauSpec.identity(), ctx, d),
+            tau_to_table(TauSpec.coordinate([range(ctx.q)] * d), ctx, d),
             tau_to_table(TauSpec.coordinate([random_pp(ctx.q, rng) for _ in range(d)]), ctx, d),
             tau_to_table(random_additive_pp(ctx, d, rng), ctx, d),
             PermTable.from_json(sig.to_json()),

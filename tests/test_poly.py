@@ -68,9 +68,9 @@ def test_gcd_examples():
 
 
 def test_eval_examples():
-    assert parse_poly("t^2+t+1", F2)(0).idx == 1
-    assert parse_poly("t^2+t+1", F7)(F7.neg(1)).idx == 1  # 1 - 1 + 1
-    assert Poly.zero(F5)(3).idx == 0
+    assert parse_poly("t^2+t+1", F2).eval_idx(0) == 1
+    assert parse_poly("t^2+t+1", F7).eval_idx(F7.neg(1)) == 1  # 1 - 1 + 1
+    assert Poly.zero(F5).eval_idx(3) == 0
 
 
 def test_divmod_property_seeded():
@@ -220,14 +220,6 @@ def test_degree_marker():
     assert Poly.zero(F2).degree is None
     assert Poly.one(F2).degree == 0
     assert parse_poly("t^3", F2).degree == 3
-
-
-def test_foreign_coefficients_rejected():
-    from cppforge.errors import CtxMismatch
-
-    with pytest.raises(CtxMismatch):
-        Poly(F4, [F7.elem(3)])
-    assert Poly(F4, [F4.elem(2), 1]).coeffs == (2, 1)
 
 
 def test_monic_polys_order():
