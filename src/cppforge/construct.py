@@ -113,10 +113,30 @@ def tau_to_table(spec: TauSpec, ctx: FieldCtx, d: int) -> PermTable:
 # Seeded generators
 # ---------------------------------------------------------------------------
 
+def shuffle(x: list, rng: Random) -> None:
+    """Shuffle x in place exactly as ``rng.shuffle(x)`` does.
+
+    Fisher-Yates from the top, drawing j <= i as getrandbits(k) with
+    k = (i + 1).bit_length() and rejecting draws above i: the same calls as
+    ``Random.shuffle``, so the permutation and the generator state after it
+    are the same, with k computed once per power of two.
+    """
+    getrandbits = rng.getrandbits
+    i = len(x) - 1
+    while i > 0:
+        k = (i + 1).bit_length()
+        for i in range(i, (1 << (k - 1)) - 2, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        i -= 1
+
+
 def random_pp(q: int, rng: Random) -> tuple[int, ...]:
     """A seeded permutation of [0, q) (Fisher-Yates)."""
     table = list(range(q))
-    rng.shuffle(table)
+    shuffle(table, rng)
     return tuple(table)
 
 
@@ -130,7 +150,7 @@ def random_odd_pp(ctx: FieldCtx, rng: Random) -> tuple[int, ...]:
             seen.add(x)
             seen.add(ctx.neg(x))
     images = reps[:]
-    rng.shuffle(images)
+    shuffle(images, rng)
     table = [0] * ctx.q
     for x, y in zip(reps, images):
         if rng.random() < 0.5:

@@ -6,13 +6,16 @@ The characteristic polynomial has one path in every characteristic: a
 reduction to Hessenberg form with the same pivot rule, followed by the
 recurrence on its leading blocks (Cohen, A Course in Computational Algebraic
 Number Theory, GTM 138, Alg. 2.2.9).  The tests keep Faddeev-LeVerrier and a
-Laplace expansion of det(tI - M) as oracles.
+Laplace expansion of det(tI - M) as oracles.  Companion matrices come one at
+a time (a ``Mat``) or as an (H, k, k) index array for H polynomials.
 """
 
 from __future__ import annotations
 
 from random import Random
 from typing import Sequence
+
+import numpy as np
 
 from .errors import CtxMismatch, DimMismatch, NotMonic, Singular
 from .gf import FieldCtx
@@ -232,21 +235,27 @@ def char_poly(m: Mat) -> Poly:
     return ps[n]
 
 
+def companions(ctx: FieldCtx, coeffs) -> np.ndarray:
+    """Stacked companion matrices: entry i is M(h_i) for the monic
+    h_i = t^k + sum_j coeffs[i, j] t^j, as an (H, k, k) int64 index array
+    with superdiagonal ones and last row the negated coefficients."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    h, k = coeffs.shape
+    out = np.zeros((h, k, k), dtype=np.int64)
+    out[:, np.arange(k - 1), np.arange(1, k)] = 1
+    out[:, k - 1] = ctx.vmul(coeffs, ctx.neg(1))
+    return out
+
+
 def companion(h: Poly) -> Mat:
-    """Companion matrix of a monic polynomial: superdiagonal ones and last
-    row the negated coefficients."""
+    """Companion matrix of a monic polynomial (one row of :func:`companions`)."""
     if not h.is_monic:
         raise NotMonic("companion matrix needs a monic polynomial")
     k = h.degree
     if k is None or k < 1:
         raise NotMonic("companion matrix needs degree >= 1")
-    ctx = h.ctx
-    rows = [[0] * k for _ in range(k)]
-    for i in range(k - 1):
-        rows[i][i + 1] = 1
-    for j in range(k):
-        rows[k - 1][j] = ctx.neg(h.coeffs[j])
-    return Mat(ctx, rows)
+    rows = companions(h.ctx, [h.coeffs[:k]])[0].tolist()
+    return Mat._raw(h.ctx, tuple(map(tuple, rows)))
 
 
 def eval_poly_at_matrix(h: Poly, m: Mat) -> Mat:

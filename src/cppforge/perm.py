@@ -8,7 +8,13 @@ addition a digitwise base-p operation on packed indices (XOR when p = 2).
 
 Every F_p-linear map on F_q^d -- v -> Mv, an additive outer map, the
 reference map of the additivity test -- is tabulated by ``linear_table``
-from the images of the m*d digit basis vectors p^k.
+from the images of the m*d digit basis vectors p^k.  It builds one table,
+or an (H, q^d) stack of them from H rows of images in the same passes;
+``matrix_tables`` gives the images of a matrix or of an (H, d, d) stack of
+matrices, and ``PermTable.from_matrix`` is its one-matrix case.  A stack
+has row-wise checks too, ``bijective_rows`` and ``npower_rows``, so a sweep
+over many small maps runs as array passes over the stack instead of one
+``PermTable`` per map.
 
 Every cycle question (the census, r-regularity, witness cycles) is answered
 from one pointer-jumping pass over whole arrays, ``PermTable.cycle_lengths``.
@@ -90,23 +96,68 @@ def linear_table(ctx: FieldCtx, d: int, images) -> np.ndarray:
     p^k (k < m*d) is the packed index whose only nonzero base-p digit is
     digit k; images[k] is its packed image.  The table doubles block by
     block: entries [c*p^k, (c+1)*p^k) are entries [0, p^k) plus
-    c*images[k], for c = 1..p-1.
+    c*images[k], for c = 1..p-1.  A stack of H image rows, shape
+    (H, m*d), gives the (H, q^d) stack of their tables in the same passes.
     """
     sp = space(ctx, d)
     p = ctx.p
     imgs = np.asarray(images, dtype=np.int64)
-    if imgs.shape != (ctx.m * d,):
-        raise DimMismatch(f"need {ctx.m * d} digit images, got shape {imgs.shape}")
+    if imgs.ndim not in (1, 2) or imgs.shape[-1] != ctx.m * d:
+        raise DimMismatch(f"need {ctx.m * d} digit images per row, got shape {imgs.shape}")
+    lead = imgs.shape[:-1]
     pw = p ** np.arange(ctx.m * d)
-    digits = imgs[:, None] // pw % p
-    # mults[k, c-1] = c * images[k], scaled digit by digit
-    mults = (np.arange(1, p)[:, None] * digits[:, None, :] % p * pw).sum(axis=2)
-    out = np.empty(sp.n, dtype=np.int32)
-    out[0] = 0
+    digits = imgs[..., None] // pw % p
+    # mults[..., k, c-1] = c * images[k], scaled digit by digit
+    mults = (np.arange(1, p)[:, None] * digits[..., None, :] % p * pw).sum(axis=-1).astype(np.int32)
+    out = np.empty(lead + (sp.n,), dtype=np.int32)
+    out[..., 0] = 0
     size = 1
-    for row in mults.astype(np.int32):
-        out[size:p * size] = sp.vadd(out[:size], row[:, None]).ravel()
+    for k in range(ctx.m * d):
+        out[..., size:p * size] = sp.vadd(out[..., None, :size], mults[..., k, :, None]).reshape(
+            lead + ((p - 1) * size,))
         size *= p
+    return out
+
+
+def matrix_tables(ctx: FieldCtx, mats) -> np.ndarray:
+    """Tables of v -> Mv: one (q^d,) int32 table for a d x d index matrix,
+    or the (H, q^d) stack for an (H, d, d) stack of them."""
+    mats = np.asarray(mats, dtype=np.int64)
+    d = mats.shape[-1]
+    p, q, m = ctx.p, ctx.q, ctx.m
+    # digit j*m + t of v is the p^t component of coordinate j; its image
+    # is column j of M scaled by the field element with index p^t
+    scaled = ctx.vmul(mats[..., None, :, :], (p ** np.arange(m))[:, None, None])
+    images = (scaled * q ** np.arange(d)[:, None]).sum(axis=-2)  # [..., t, j]
+    return linear_table(ctx, d, np.swapaxes(images, -1, -2).reshape(mats.shape[:-2] + (d * m,)))
+
+
+def _gather_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Row i of the result is a[i][idx[i]], for stacks of equal shape."""
+    offs = np.arange(0, a.size, a.shape[1], dtype=np.int64)[:, None]
+    return a.ravel().take(idx + offs)
+
+
+def bijective_rows(tables: np.ndarray) -> np.ndarray:
+    """Which rows of an (H, n) stack with outputs in [0, n) are bijections."""
+    h, n = tables.shape
+    hit = np.zeros(h * n, dtype=bool)
+    hit[tables + np.arange(0, h * n, n, dtype=np.int64)[:, None]] = True
+    return hit.reshape(h, n).all(axis=1)
+
+
+def npower_rows(tables: np.ndarray, exps) -> np.ndarray:
+    """Row i of an (H, n) stack composed with itself exps[i] >= 0 times."""
+    exps = np.array(exps, dtype=np.int64)
+    out = np.empty_like(tables)
+    out[:] = np.arange(tables.shape[1], dtype=tables.dtype)
+    acc = tables
+    while exps.any():
+        odd = np.flatnonzero(exps & 1)
+        out[odd] = _gather_rows(out[odd], acc[odd])
+        exps >>= 1
+        if exps.any():
+            acc = _gather_rows(acc, acc)
     return out
 
 
@@ -178,13 +229,7 @@ class PermTable:
     @classmethod
     def from_matrix(cls, m: Mat) -> "PermTable":
         """Table of v -> Mv.  Bijective exactly when det(M) != 0."""
-        ctx = m.ctx
-        p, q = ctx.p, ctx.q
-        # digit j*m + t of v is the p^t component of coordinate j; its image
-        # is column j of M scaled by the field element with index p^t
-        images = [sum(ctx.mul(row[j], p ** t) * q ** i for i, row in enumerate(m.rows))
-                  for j in range(m.n) for t in range(ctx.m)]
-        return cls(ctx, m.n, linear_table(ctx, m.n, images))
+        return cls(m.ctx, m.n, matrix_tables(m.ctx, m.rows))
 
     # -- protocol ---------------------------------------------------------------
 

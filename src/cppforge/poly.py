@@ -8,7 +8,8 @@ element indices of the owning :class:`~cppforge.gf.FieldCtx`.
 Besides ring arithmetic this module provides cyclotomic polynomials (via the
 exact product recursion), deterministic irreducible factorization
 (distinct-degree gcd splitting followed by equal-degree trial division),
-the enumeration of monic polynomials with the multiplicative orders of t and
+the enumeration of monic polynomials -- one at a time, or as coefficient
+rows with their values at a point -- with the multiplicative orders of t and
 t + 1 modulo each of them (one numpy recurrence over all of them at once),
 and the text / JSON formats used by the CLI.
 """
@@ -346,6 +347,31 @@ def monic_polys(ctx: FieldCtx, deg: int):
         yield Poly(ctx, cs + [1])
 
 
+def monic_coeffs(ctx: FieldCtx, deg: int, lo: int = 0, hi=None) -> np.ndarray:
+    """Coefficient rows c_0..c_(deg-1) of the monic h number lo..hi - 1 of
+    :func:`monic_polys` (default: all q^deg), as an int64 index array."""
+    q = ctx.q
+    hi = q ** deg if hi is None else hi
+    return np.arange(lo, hi, dtype=np.int64)[:, None] // q ** np.arange(deg) % q
+
+
+def _vadd(ctx: FieldCtx):
+    """Elementwise field addition on index arrays."""
+    p = ctx.p
+    if ctx.m == 1:
+        return lambda a, b: (a + b) % p
+    return lambda a, b: add_digits(p, ctx.m, a, b)
+
+
+def monic_values(ctx: FieldCtx, coeffs: np.ndarray, x: int) -> np.ndarray:
+    """h(x) for each monic h = t^deg + sum_k coeffs[:, k] t^k, by Horner."""
+    add = _vadd(ctx)
+    at = np.ones(len(coeffs), dtype=np.int64)
+    for k in range(coeffs.shape[1] - 1, -1, -1):
+        at = add(ctx.vmul(at, x), coeffs[:, k])
+    return at
+
+
 _ORDER_CACHE: dict = {}
 
 
@@ -374,21 +400,11 @@ def _order_recurrence(ctx: FieldCtx, deg: int, shift: int) -> np.ndarray:
     n = q ** deg
     if n > TABLE_CAP:
         raise SizeCap(f"{n} monic polynomials exceed the {TABLE_CAP} table cap")
-    mul = ctx.vmul
-    if ctx.m == 1:
-        def add(a, b):
-            return (a + b) % p
-    else:
-        def add(a, b):
-            return add_digits(p, ctx.m, a, b)
-    coeffs = np.arange(n, dtype=np.int64)[:, None] // q ** np.arange(deg) % q
+    mul, add = ctx.vmul, _vadd(ctx)
+    coeffs = monic_coeffs(ctx, deg)
     neg_h = mul(coeffs, ctx.neg(1))
     sh = ctx.from_int(shift)
-    x = ctx.neg(sh)
-    at = np.ones(n, dtype=np.int64)  # h(-shift) by Horner
-    for k in range(deg - 1, -1, -1):
-        at = add(mul(at, x), coeffs[:, k])
-    rows = np.nonzero(at)[0]
+    rows = np.nonzero(monic_values(ctx, coeffs, ctx.neg(sh)))[0]
     cur = np.zeros((len(rows), deg), dtype=np.int64)
     if deg == 1:
         cur[:, 0] = add(neg_h[rows, 0], sh)  # t = -h_0 mod h

@@ -22,9 +22,13 @@ skipped when no instance fits under the cap.  The section-4 rows use
 is not the claim id, and list its cases with their checks; r and d come
 from the construction's ``construct.CATALOG`` row.
 
-The theorem sweeps take the orders ord(t mod h) and ord(t + 1 mod h) of
-parts 2 and 4 from ``poly.monic_orders``, computed from h alone for all monic
-h of a degree at once, so they stay independent of the table under test.
+The theorem sweeps check every monic h of a degree as one stack of tables
+per row block (``linalg.companions``, ``perm.matrix_tables`` and the
+row-wise checks of ``perm``), and still yield one step per (h, kind) with
+the work of building that instance's tables.  They take the orders
+ord(t mod h) and ord(t + 1 mod h) of parts 2 and 4 from
+``poly.monic_orders``, computed from h alone for all monic h of a degree at
+once, so they stay independent of the table under test.
 
 Reports are replayable: the verdict and witness are pure functions of
 (claim id, parameters, master seed).  The JSON-line stream therefore emits a
@@ -48,10 +52,10 @@ import numpy as np
 from . import construct
 from .construct import TauSpec, matrix_with_char_poly, random_additive_pp, tau_to_table
 from .errors import HypothesisViolated, InvalidSpec, UnknownClaim
-from .gf import FieldCtx, is_prime, parse_field_spec
-from .linalg import Mat, companion, random_invertible
-from .perm import TABLE_CAP, PermTable
-from .poly import Poly, cyclotomic, irreducible_factors, monic_orders, monic_polys
+from .gf import FieldCtx, add_digits, is_prime, parse_field_spec
+from .linalg import companions, random_invertible
+from .perm import TABLE_CAP, PermTable, bijective_rows, matrix_tables, npower_rows, space
+from .poly import Poly, cyclotomic, irreducible_factors, monic_coeffs, monic_orders, monic_values
 
 SCHEMA = "cppforge/1"
 QUICK_CAP = 1 << 12
@@ -101,7 +105,7 @@ def _collision(table: np.ndarray) -> dict:
 
 def _tau_general(ctx: FieldCtx, d: int, rng: Random) -> PermTable:
     tbl = list(range(ctx.q ** d))
-    rng.shuffle(tbl)
+    construct.shuffle(tbl, rng)
     return PermTable(ctx, d, np.array(tbl, dtype=np.int32), bijective=True)
 
 
@@ -123,6 +127,14 @@ def _off_length_cycle(tbl: PermTable, r: int):
 # ---------------------------------------------------------------------------
 # Theorem sweeps: the invertible-linear-map quartet and its tau versions
 #
+# Every monic h of the degree is checked, in monic_polys order, in row
+# blocks of at most _BLOCK table entries: the block's companion matrices
+# come from linalg.companions, their tables from one perm.matrix_tables
+# call, and bijectivity, sigma + e, conjugation by the fixed tables and the
+# powers are array passes over the whole stack.  The steps and their work
+# counts are those of one table per (h, kind); a failing row's witness is
+# read from that row alone.
+#
 # Parts 2 and 4 check sigma^n = e with n = ord(t mod h), and
 # (sigma + e)^m = e with m = ord(t + 1 mod h).  Both orders come from
 # poly.monic_orders, one array per (field, degree, shift) shared by every
@@ -130,87 +142,93 @@ def _off_length_cycle(tbl: PermTable, r: int):
 # off sigma would make sigma^n = e true by construction.
 # ---------------------------------------------------------------------------
 
+_BLOCK = 1 << 16
+
+
+def _monic_blocks(part: int, ctx: FieldCtx, deg: int):
+    """(coefficient rows, live rows, orders or None) of the monic h of degree
+    deg, in blocks whose q^deg-entry tables hold at most _BLOCK entries in
+    all.  A row is live when the hypothesis of part ``part`` holds: h(0) != 0
+    for parts 1 and 2, h(-1) != 0 for parts 3 and 4."""
+    count = ctx.q ** deg
+    orders = monic_orders(ctx, deg, 0 if part == 2 else 1) if part in (2, 4) else None
+    step = max(1, _BLOCK // count)
+    for lo in range(0, count, step):
+        coeffs = monic_coeffs(ctx, deg, lo, min(count, lo + step))
+        live = coeffs[:, 0] if part <= 2 else monic_values(ctx, coeffs, ctx.neg(1))
+        yield coeffs, live != 0, None if orders is None else orders[lo:lo + len(coeffs)]
+
+
+def _row_failures(part: int, sig, live, orders, sp) -> tuple[dict, np.ndarray]:
+    """({row: witness part} for the live rows of the stack ``sig`` that fail
+    part ``part``, and the checked stack of live rows).  Part 1 needs a
+    bijection and part 2 sigma^n = e with n = orders[row]; parts 3 and 4 ask
+    the same of sigma + e."""
+    rows = np.flatnonzero(live)
+    tbl = sig[rows]
+    if part >= 3:
+        tbl = sp.vadd(tbl, sp.arange)
+    if part % 2:
+        bad = np.flatnonzero(~bijective_rows(tbl))
+        return {int(rows[i]): _collision(tbl[i]) for i in bad}, tbl
+    n = orders[rows]
+    bad = np.flatnonzero((npower_rows(tbl, n) != sp.arange).any(axis=1))
+    key = "n" if part == 2 else "m"
+    return {int(rows[i]): {key: int(n[i]), "kind": "npower!=e"} for i in bad}, tbl
+
+
 def _thm31_sweep(part: int, cid, ctx, r, params, rng, cap):
     """Theorem 3.1, part ``part``, for M(h) and S M(h) S^-1 over every monic h."""
     deg = params["deg"]
-    e = PermTable.identity(ctx, deg)
+    sp = space(ctx, deg)
+    n = sp.n
     s_tbl = PermTable.from_matrix(random_invertible(ctx, deg, rng))
-    s_inv = s_tbl.invert()
-    orders = monic_orders(ctx, deg, 0 if part == 2 else 1) if part in (2, 4) else None
-    for v, h in enumerate(monic_polys(ctx, deg)):
-        h0 = h.coeffs[0]
-        hm1 = h.eval_idx(ctx.neg(1))
-        base = PermTable.from_matrix(companion(h))
-        for kind, sig in (("companion", base),
-                          ("conjugate", s_tbl.compose(base.compose(s_inv)))):
-            work, bad = sig.n, None
-            if part == 1:
-                if h0 != 0 and not sig.bijective:
-                    bad = _collision(sig.table)
-            elif part == 2:
-                if h0 != 0:
-                    n0 = int(orders[v])
-                    work += sig.n
-                    if sig.npower(n0) != e:
-                        bad = {"n": n0, "kind": "npower!=e"}
-            elif part == 3:
-                sige = sig.add_pointwise(e)
-                work += sige.n
-                if hm1 != 0 and not sige.bijective:
-                    bad = _collision(sige.table)
-            elif hm1 != 0:  # part 4
-                sige = sig.add_pointwise(e)
-                m0 = int(orders[v])
-                work += 2 * sige.n
-                if sige.npower(m0) != e:
-                    bad = {"m": m0, "kind": "npower!=e"}
-            wit = {"h": h.to_json(), "matrix": kind}
-            yield (FAIL, {**wit, **bad}, work) if bad else (PASS, None, work)
+    s, s_inv = s_tbl.table, s_tbl.invert().table
+    # entries counted per step besides sigma: sigma^n (part 2), sigma + e
+    # (part 3, for every h, as the recorded work counts have it), and
+    # sigma + e with its power (part 4)
+    extra = (0, n, n, 2 * n)[part - 1]
+    for coeffs, live, ords in _monic_blocks(part, ctx, deg):
+        base = matrix_tables(ctx, companions(ctx, coeffs))
+        fails = [_row_failures(part, sig, live, ords, sp)[0]
+                 for sig in (base, s[base[:, s_inv]])]
+        for i, (c, checked) in enumerate(zip(coeffs.tolist(), live.tolist())):
+            work = n + (extra if checked or part == 3 else 0)
+            for kind, bad in zip(_MODES, fails):
+                yield ((FAIL, {"h": c + [1], "matrix": kind, **bad[i]}, work) if i in bad
+                       else (PASS, None, work))
 
 
 def _thm32_sweep(part: int, draw_tau, cid, ctx, r, params, rng, cap):
     """Theorem 3.2 with additive taus; with ``_tau_general``, Theorem 3.3 (parts 1, 2)."""
     deg = params["deg"]
-    n = ctx.q ** deg
-    e = PermTable.identity(ctx, deg)
+    sp = space(ctx, deg)
+    n = sp.n
     t1 = draw_tau(ctx, deg, rng)
-    t2i = draw_tau(ctx, deg, rng)
-    t1_inv = t1.invert()
+    t2i = draw_tau(ctx, deg, rng).table
+    t1, t1_inv = t1.table, t1.invert().table
     work = 2 * n  # the two taus, counted with the first instance
-    orders = monic_orders(ctx, deg, 0 if part == 2 else 1) if part in (2, 4) else None
-    for v, h in enumerate(monic_polys(ctx, deg)):
-        h0 = h.coeffs[0]
-        hm1 = h.eval_idx(ctx.neg(1))
-        sig_m = PermTable.from_matrix(companion(h))
-        work += n
-        bad = None
-        if part == 1:
-            sig = t1.compose(sig_m.compose(t2i))
-            if h0 != 0 and not sig.bijective:
-                bad = _collision(sig.table)
-        else:
-            sig = t1.compose(sig_m.compose(t1_inv))
-            if part == 2:
-                if h0 != 0:
-                    n0 = int(orders[v])
-                    if sig.npower(n0) != e:
-                        bad = {"n": n0, "kind": "npower!=e"}
-            elif hm1 != 0:  # parts 3 and 4, on sigma + e
-                sige = sig.add_pointwise(e)
-                if part == 4:
-                    m0 = int(orders[v])
-                    if sige.npower(m0) != e:
-                        bad = {"m": m0, "kind": "npower!=e"}
-                elif not sige.bijective:
-                    bad = _collision(sige.table)
-                else:
-                    mpi = companion(h) + Mat.identity(ctx, deg)
-                    lhs = t1.compose(PermTable.from_matrix(mpi).compose(t1_inv))
-                    work += n
-                    if sige != lhs:
-                        bad = {"kind": "conjugation identity failed"}
-        yield (FAIL, {"h": h.to_json(), **bad}, work) if bad else (PASS, None, work)
-        work = 0
+    for coeffs, live, ords in _monic_blocks(part, ctx, deg):
+        comp = companions(ctx, coeffs)
+        sig = t1[matrix_tables(ctx, comp)[:, t2i if part == 1 else t1_inv]]
+        fails, sige = _row_failures(part, sig, live, ords, sp)
+        ident = np.zeros(len(coeffs), dtype=bool)  # rows that build M + I
+        if part == 3:
+            # sigma + e = tau1 o sigma_(M+I) o tau1^-1, on the bijective rows
+            ok = np.isin(np.flatnonzero(live), list(fails), invert=True)
+            rows = np.flatnonzero(live)[ok]
+            ident[rows] = True
+            diag = np.arange(deg)
+            comp = comp[rows]
+            comp[:, diag, diag] = add_digits(ctx.p, ctx.m, comp[:, diag, diag], 1)
+            lhs = t1[matrix_tables(ctx, comp)[:, t1_inv]]
+            for i in np.flatnonzero((sige[ok] != lhs).any(axis=1)):
+                fails[int(rows[i])] = {"kind": "conjugation identity failed"}
+        for i, (c, built) in enumerate(zip(coeffs.tolist(), ident.tolist())):
+            work += n * (1 + built)
+            bad = fails.get(i)
+            yield (FAIL, {"h": c + [1], **bad}, work) if bad else (PASS, None, work)
+            work = 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from cppforge import gf
 from cppforge.construct import (
     ConstructionSpec, TauSpec, build, matrix_with_char_poly, named_construction,
-    pick_h, random_additive_pp, random_odd_pp, random_pp, tau_to_table, CATALOG,
+    pick_h, random_additive_pp, random_odd_pp, random_pp, shuffle, tau_to_table, CATALOG,
     NAMED_IDS,
 )
 from cppforge.errors import (
@@ -22,6 +22,23 @@ F3 = gf.field_new(3)
 F4 = gf.field_new(2, 2)
 F5 = gf.field_new(5)
 F7 = gf.field_new(7)
+
+
+SHUFFLE_SIZES = sorted({0, 1, 2, 3, 3 ** 7} | {1 << k for k in range(13)}
+                       | {(1 << k) + 1 for k in range(13)})
+
+
+@pytest.mark.parametrize("n", SHUFFLE_SIZES)
+def test_shuffle_matches_random_shuffle(n):
+    # the oracle is Random.shuffle: the same permutation, and the same
+    # generator state after it
+    for seed in (n, f"cppforge:{n}"):
+        want, got = list(range(n)), list(range(n))
+        oracle, rng = Random(seed), Random(seed)
+        oracle.shuffle(want)
+        shuffle(got, rng)
+        assert got == want
+        assert rng.random() == oracle.random()
 
 
 def random_non_additive_pp(ctx, rng):

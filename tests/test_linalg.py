@@ -5,10 +5,12 @@ import pytest
 from cppforge import gf
 from cppforge.errors import DimMismatch, NotMonic, Singular
 from cppforge.linalg import (
-    Mat, char_poly, companion, eval_poly_at_matrix, random_invertible, random_matrix,
+    Mat, char_poly, companion, companions, eval_poly_at_matrix, random_invertible, random_matrix,
 )
 from cppforge.perm import PermTable
-from cppforge.poly import Poly, cyclotomic, divides, irreducible_factors, parse_poly
+from cppforge.poly import (
+    Poly, cyclotomic, divides, irreducible_factors, monic_coeffs, monic_polys, parse_poly,
+)
 
 F2 = gf.field_new(2)
 F3 = gf.field_new(3)
@@ -262,6 +264,27 @@ def test_companion_examples():
         companion(parse_poly("2*t^2+1", F5))
     with pytest.raises(NotMonic):
         companion(Poly.one(F5))
+
+
+def _companion_oracle(h: Poly) -> list[list[int]]:
+    """Companion matrix entry by entry: superdiagonal ones and last row the
+    negated coefficients."""
+    k, ctx = h.degree, h.ctx
+    rows = [[1 if j == i + 1 else 0 for j in range(k)] for i in range(k)]
+    rows[k - 1] = [ctx.neg(c) for c in h.coeffs[:k]]
+    return rows
+
+
+@pytest.mark.parametrize("spec", ("2^1", "3^1", "2^2", "5^1", "3^2", "3^2/2,1,1"))
+def test_companions_match_entrywise_oracle(spec):
+    ctx = gf.parse_field_spec(spec)
+    for deg in (1, 2, 3):
+        stack = companions(ctx, monic_coeffs(ctx, deg))
+        assert stack.shape == (ctx.q ** deg, deg, deg)
+        for m, h in zip(stack, monic_polys(ctx, deg)):
+            assert m.tolist() == _companion_oracle(h), (spec, h)
+            assert companion(h).rows == tuple(map(tuple, _companion_oracle(h)))
+            assert char_poly(companion(h)) == h
 
 
 def test_eval_poly_at_matrix_examples():

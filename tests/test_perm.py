@@ -7,10 +7,12 @@ import pytest
 
 from cppforge import gf, verify
 from cppforge.construct import TauSpec, random_additive_pp, random_pp, tau_to_table
-from cppforge.errors import NotBijective, SizeCap
-from cppforge.linalg import Mat, companion, random_invertible, random_matrix
-from cppforge.perm import CycleStructure, PermTable, space
-from cppforge.poly import Poly, cyclotomic
+from cppforge.errors import DimMismatch, NotBijective, SizeCap
+from cppforge.linalg import Mat, companion, companions, random_invertible, random_matrix
+from cppforge.perm import (
+    CycleStructure, PermTable, bijective_rows, linear_table, matrix_tables, npower_rows, space,
+)
+from cppforge.poly import Poly, cyclotomic, monic_coeffs, monic_orders, monic_polys
 
 F2 = gf.field_new(2)
 F3 = gf.field_new(3)
@@ -503,3 +505,85 @@ def test_out_of_range_entries_raise_before_narrowing():
         PermTable(F2, 2, np.array([0, 1, 2, 2**63], dtype=np.uint64))
     with pytest.raises(ValueError, match="out of range"):
         PermTable.from_fn(F2, 2, lambda v: (v[0], 2**40))
+
+
+# --- The stacked layer: one table per row of a stack ----------------------
+
+STACK_FIELDS = ("2^1", "3^1", "2^2", "5^1", "3^2", "3^2/2,1,1")
+
+
+@pytest.mark.parametrize("spec", STACK_FIELDS)
+def test_stacked_companion_tables_match_from_matrix(spec):
+    ctx = gf.parse_field_spec(spec)
+    rng = Random(spec)
+    for deg in (1, 2, 3):
+        sp = space(ctx, deg)
+        stack = matrix_tables(ctx, companions(ctx, monic_coeffs(ctx, deg)))
+        assert stack.shape == (sp.n, sp.n) and stack.dtype == np.int32
+        for row, h in zip(stack, monic_polys(ctx, deg)):
+            assert np.array_equal(row, PermTable.from_matrix(companion(h)).table), (spec, h)
+        # and against the point map of M(h), on a sample of rows and points
+        for v, h in enumerate(monic_polys(ctx, deg)):
+            if v % 7 == 0:
+                m = companion(h)
+                for x in rng.sample(range(sp.n), min(sp.n, 20)):
+                    assert stack[v, x] == sp.pack_point(m.apply(sp.unpack_point(x)))
+
+
+@pytest.mark.parametrize("spec", STACK_FIELDS)
+def test_stacked_linear_tables_match_one_row_builds(spec):
+    ctx = gf.parse_field_spec(spec)
+    rng = Random(spec)
+    for d in (1, 2, 3):
+        mats = [random_matrix(ctx, d, rng) for _ in range(6)]
+        stack = matrix_tables(ctx, [m.rows for m in mats])
+        for row, m in zip(stack, mats):
+            assert np.array_equal(row, PermTable.from_matrix(m).table)
+        images = [[rng.randrange(ctx.q ** d) for _ in range(ctx.m * d)] for _ in range(5)]
+        lin = linear_table(ctx, d, images)
+        for row, img in zip(lin, images):
+            assert np.array_equal(row, linear_table(ctx, d, img))
+        assert matrix_tables(ctx, np.zeros((0, d, d), dtype=np.int64)).shape == (0, ctx.q ** d)
+        for bad in (images[0][1:], [images], np.zeros((2, ctx.m * d + 1))):
+            with pytest.raises(DimMismatch):
+                linear_table(ctx, d, bad)
+
+
+def test_one_row_builders_own_their_tables():
+    # PermTable copies any table that is a view; the builders hand over their own
+    m = random_invertible(F3, 4, Random(2))
+    assert matrix_tables(F3, m.rows).flags.owndata
+    assert linear_table(F3, 4, [3 ** k for k in range(4)]).flags.owndata
+
+
+def test_bijective_rows_match_permtable():
+    rng = Random(8)
+    for ctx, d in ((F2, 3), (F3, 2), (F4, 2), (F5, 2)):
+        mats = [random_matrix(ctx, d, rng) for _ in range(40)]
+        stack = matrix_tables(ctx, [m.rows for m in mats])
+        got = bijective_rows(stack)
+        want = [PermTable(ctx, d, row).bijective for row in stack]
+        assert got.tolist() == want
+        assert 0 < sum(want) < len(want), (ctx, d)  # both kinds of row occur
+
+
+@pytest.mark.parametrize("spec, deg", [("2^1", 4), ("3^1", 3), ("2^2", 3), ("5^1", 2),
+                                       ("3^2", 2)])
+def test_npower_rows_match_permtable_npower(spec, deg):
+    ctx = gf.parse_field_spec(spec)
+    stack = matrix_tables(ctx, companions(ctx, monic_coeffs(ctx, deg)))
+    orders = monic_orders(ctx, deg, 0)
+    # the orders themselves, on the rows where they exist, give e
+    live = np.flatnonzero(orders)
+    got = npower_rows(stack[live], orders[live])
+    assert (got == np.arange(stack.shape[1])).all()
+    exps = [0, 1] + [1 << k for k in range(6)]
+    for x in exps + [None]:
+        n = orders if x is None else np.full(len(stack), x)
+        got = npower_rows(stack, n)
+        for row, v, k in zip(got, stack, n.tolist()):
+            assert np.array_equal(row, PermTable(ctx, deg, v).npower(k).table), (spec, k)
+    # a different exponent on each row
+    mixed = np.array([exps[i % len(exps)] for i in range(len(stack))])
+    for row, v, k in zip(npower_rows(stack, mixed), stack, mixed.tolist()):
+        assert np.array_equal(row, PermTable(ctx, deg, v).npower(k).table)

@@ -9,7 +9,7 @@ from cppforge.errors import CharacteristicDividesN, DivisionByZero, InvalidSpec,
 from cppforge.linalg import char_poly, random_matrix
 from cppforge.poly import (
     Poly, cyclotomic, divides, gcd, irreducible_factors, is_irreducible,
-    monic_orders, monic_polys, parse_poly,
+    monic_coeffs, monic_orders, monic_polys, monic_values, parse_poly,
 )
 
 F2 = gf.field_new(2)
@@ -291,6 +291,20 @@ def test_monic_orders_vs_scalar_loop(spec, degs):
                     assert got[v] == 0, (spec, deg, shift, h)
                 else:
                     assert got[v] == _ord_mod(h, shift), (spec, deg, shift, h)
+
+
+@pytest.mark.parametrize("spec", ("2^1", "3^1", "2^2", "5^1", "3^2", "3^2/2,1,1", "7^1"))
+def test_monic_values_match_eval_idx(spec):
+    ctx = gf.parse_field_spec(spec)
+    for deg in (1, 2, 3):
+        hs = list(monic_polys(ctx, deg))
+        coeffs = monic_coeffs(ctx, deg)
+        assert [list(c) + [1] for c in coeffs.tolist()] == [list(h.coeffs) for h in hs]
+        lo, hi = ctx.q // 2, len(hs) - 1
+        assert monic_coeffs(ctx, deg, lo, hi).tolist() == coeffs[lo:hi].tolist()
+        for x in {0, 1, ctx.neg(1), ctx.q - 1}:
+            got = monic_values(ctx, coeffs, x)
+            assert got.tolist() == [h.eval_idx(x) for h in hs], (spec, deg, x)
 
 
 def test_monic_orders_rejects_degree_and_size():

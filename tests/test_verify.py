@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 import cppforge
@@ -69,6 +70,7 @@ def _sha256(text: str) -> str:
 
 
 _REAL_FROM_MATRIX = PermTable.from_matrix.__func__
+_REAL_MATRIX_TABLES = verify.matrix_tables
 
 
 @classmethod
@@ -76,6 +78,17 @@ def _squared_from_matrix(cls, m):
     """Sabotage: sigma_M o sigma_M, still bijective, with off-length cycles."""
     tbl = _REAL_FROM_MATRIX(cls, m)
     return tbl.compose(tbl)
+
+
+def _rowwise(edit, real, with_exps=False):
+    """The stacked version of a table sabotage: ``edit`` applied to each row
+    of what ``real`` returns (with the row's exponent when ``with_exps``)."""
+    def stacked(a, b):
+        out = real(a, b).copy()
+        for i in range(len(out)):
+            out[i] = edit(out[i], b[i]) if with_exps else edit(out[i])
+        return out
+    return stacked
 
 
 def test_registry_is_complete_with_quick_grids():
@@ -181,11 +194,93 @@ def test_verify_all_quick_stream_pinned():
 
 
 def test_theorem_full_stream_pinned():
-    lines = [rep.to_json_line()
-             for cid in sorted(c for c in verify.REGISTRY if c.startswith("thm3."))
-             for rep in verify.verify_claim(cid, master_seed=42, profile="full")]
+    lines = _theorem_full_lines()
     assert len(lines) == 96
     assert _sha256("\n".join(lines)) == THM_FULL_42_SHA256
+
+
+def _theorem_full_lines():
+    return [rep.to_json_line()
+            for cid in sorted(c for c in verify.REGISTRY if c.startswith("thm3."))
+            for rep in verify.verify_claim(cid, master_seed=42, profile="full")]
+
+
+def test_theorem_full_stream_pinned_across_block_boundaries(monkeypatch):
+    # the sweeps stack the monic h in row blocks of at most _BLOCK table
+    # entries; with 2000, each point of more than 44 h has several blocks,
+    # the last one ragged, and the stream must not change
+    bound = 2000
+    monkeypatch.setattr(verify, "_BLOCK", bound)
+    ragged = set()
+    for cid in ("thm3.1.1", "thm3.2.1"):
+        for point in verify.REGISTRY[cid].full:
+            count = parse_field_spec(point["field"]).q ** point["deg"]
+            rows = max(1, bound // count)
+            if count > rows and count % rows:
+                ragged.add((point["field"], point["deg"]))
+    assert len(ragged) >= 5
+    lines = _theorem_full_lines()
+    assert len(lines) == 96
+    assert _sha256("\n".join(lines)) == THM_FULL_42_SHA256
+
+
+def test_theorem_sweeps_build_no_table_per_polynomial(monkeypatch):
+    # the sweeps build their tables as stacks; the PermTables left are the
+    # fixed ones of a point (S and S^-1, or tau1, tau2 and tau1^-1)
+    real = PermTable.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermTable, "__init__", counted)
+    for cid in sorted(c for c in verify.REGISTRY if c.startswith("thm3.")):
+        built.clear()
+        points = verify.REGISTRY[cid].full
+        assert all(r.verdict == "pass"
+                   for r in verify.verify_claim(cid, master_seed=42, profile="full"))
+        polys = sum(parse_field_spec(p["field"]).q ** p["deg"] for p in points)
+        assert len(built) <= 3 * len(points) < polys, cid
+
+
+def test_thm323_builds_m_plus_i_from_the_matrix(monkeypatch):
+    # sigma + e = tau1 o sigma_(M+I) o tau1^-1 compares against a table built
+    # from the matrix M + I, not one derived from sigma + e
+    stacks = []
+
+    def recording(ctx, mats):
+        stacks.append(np.array(mats))
+        return _REAL_MATRIX_TABLES(ctx, mats)
+
+    monkeypatch.setattr(verify, "matrix_tables", recording)
+    for spec in ("3^1", "2^2"):
+        ctx = parse_field_spec(spec)
+        stacks.clear()
+        (rep,) = verify.verify_claim("thm3.2.3", grid=[{"field": spec, "deg": 2}])
+        assert rep.verdict == "pass"
+        comps, plus_i = stacks  # one block: M(h) for every h, then M + I
+        hs = list(poly.monic_polys(ctx, 2))
+        assert [m.tolist() for m in comps] == [[list(r) for r in linalg.companion(h).rows]
+                                               for h in hs]
+        checked = [h for h in hs if h.eval_idx(ctx.neg(1)) != 0]
+        assert [m.tolist() for m in plus_i] == [
+            [list(r) for r in (linalg.companion(h) + Mat.identity(ctx, 2)).rows]
+            for h in checked]
+
+    def shifted(ctx, mats):  # M + I built as M + 2I: the identity must fail
+        mats = np.array(mats)
+        if len(stacks):
+            d = np.arange(mats.shape[1])
+            mats[:, d, d] = [[ctx.add(int(x), 1) for x in row] for row in mats[:, d, d]]
+        stacks.append(mats)
+        return _REAL_MATRIX_TABLES(ctx, mats)
+
+    monkeypatch.setattr(verify, "matrix_tables", shifted)
+    stacks.clear()
+    (rep,) = verify.verify_claim("thm3.2.3", grid=[{"field": "3^1", "deg": 2}])
+    assert rep.verdict == "fail"
+    assert rep.witness["kind"] == "conjugation identity failed"
 
 
 def test_theorem_orders_computed_once_per_field_degree_shift(monkeypatch):
@@ -237,36 +332,57 @@ def test_section4_fail_witnesses_pinned(monkeypatch):
 
 def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
     # each sabotage keeps tables bijective, so the checks report witnesses
-    # instead of crashing on an inverse
+    # instead of crashing on an inverse.  The theorem sweeps build their
+    # tables as stacks, so every sabotage also applies, row by row, to the
+    # stacked entry point that verify calls in its place.
     real_npower = PermTable.npower
-    real_companion = linalg.companion
+
+    def swap12(t):
+        t = t.copy()
+        t[1], t[2] = t[2], t[1]
+        return t
 
     def from_matrix(cls, m):
         tbl = _REAL_FROM_MATRIX(cls, m)
-        t = tbl.table.copy()
-        t[1], t[2] = t[2], t[1]
-        return PermTable(tbl.ctx, tbl.d, t)
+        return PermTable(tbl.ctx, tbl.d, swap12(tbl.table))
+
+    def swap01_past_one(t, n):
+        if n <= 1:
+            return t
+        t = t.copy()
+        t[0], t[1] = t[1], t[0]
+        return t
 
     def npower(self, n):
         tbl = real_npower(self, n)
-        if n <= 1:
-            return tbl
-        t = tbl.table.copy()
-        t[0], t[1] = t[1], t[0]
-        return PermTable(tbl.ctx, tbl.d, t, bijective=tbl.bijective)
+        return PermTable(tbl.ctx, tbl.d, swap01_past_one(tbl.table, n),
+                         bijective=tbl.bijective)
+
+    def bump(rows, ctx):
+        rows = [list(r) for r in rows]
+        rows[0][0] = ctx.add(int(rows[0][0]), 1)
+        return rows
 
     def companion(h):
         c = real_companion(h)
-        rows = [list(r) for r in c.rows]
-        rows[0][0] = c.ctx.add(rows[0][0], 1)
-        return Mat(c.ctx, rows)
+        return Mat(c.ctx, bump(c.rows, c.ctx))
 
+    def companions(ctx, coeffs):
+        return np.array([bump(m, ctx) for m in real_companions(ctx, coeffs)])
+
+    def square(t):
+        return t[t]
+
+    real_companion, real_companions = linalg.companion, verify.companions
     patches = {
-        "from_matrix": [(PermTable, "from_matrix", classmethod(from_matrix))],
-        "npower": [(PermTable, "npower", npower)],
-        "companion": [(mod, "companion", companion)
-                      for mod in (linalg, verify, construct, cppforge)],
-        "square": [(PermTable, "from_matrix", _squared_from_matrix)],
+        "from_matrix": [(PermTable, "from_matrix", classmethod(from_matrix)),
+                        (verify, "matrix_tables", _rowwise(swap12, _REAL_MATRIX_TABLES))],
+        "npower": [(PermTable, "npower", npower),
+                   (verify, "npower_rows", _rowwise(swap01_past_one, verify.npower_rows, True))],
+        "companion": [(mod, "companion", companion) for mod in (linalg, construct, cppforge)]
+                     + [(verify, "companions", companions)],
+        "square": [(PermTable, "from_matrix", _squared_from_matrix),
+                   (verify, "matrix_tables", _rowwise(square, _REAL_MATRIX_TABLES))],
     }
     cids = sorted(c for c in verify.REGISTRY if not c.startswith("p4."))
     for name, (want_fails, want_sha) in SABOTAGED_NON_P4.items():
