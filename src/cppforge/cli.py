@@ -95,6 +95,8 @@ def cmd_verify(args) -> int:
     cap = args.cap
     if cap is not None and cap < 1:
         raise InvalidSpec(f"--cap must be >= 1, got {cap}")
+    if args.r is not None and args.r < 1:
+        raise InvalidSpec(f"--r must be >= 1, got {args.r}")
     ctx = _field_arg(args, required=False)
     if args.claim == "all":
         if ctx is not None or args.r is not None:

@@ -21,6 +21,11 @@ HypothesisViolated for a violated hypothesis, eagerly, because the harness
 treats the claimed conclusions as oracles and silent parameter drift would
 poison verification.  A builder draws from the RNG
 in a fixed order, which the specs and the verify streams depend on.
+
+The seeded permutations are those of ``Random.shuffle``: ``shuffle`` makes
+the same ``getrandbits`` calls, and ``permutation`` reads the same generator
+words in bulk (``getrandbits(32 * m)``, whose first word is the lowest) and
+applies the swaps as array passes, leaving the generator in the same state.
 """
 
 from __future__ import annotations
@@ -133,11 +138,108 @@ def shuffle(x: list, rng: Random) -> None:
         i -= 1
 
 
+_TAIL = 1 << 10  # permutation: the steps below this run in shuffle
+
+
+def _targets(n: int, rng: Random) -> np.ndarray:
+    """The swap targets j_i of the Fisher-Yates steps i = _TAIL..n-1 (int64,
+    to be widened in place into sort keys), drawn from the generator words
+    exactly as ``shuffle`` draws them.
+
+    Within the band of steps with k = (i + 1).bit_length(), a word w reads
+    as w >> (32 - k), and word t of a block that starts at step i is read at
+    a step in [i - t, i]: r <= i - t accepts for sure, r > i rejects for
+    sure, and only the words in between are decided in order.  A block never
+    holds more words than the band has steps left, so no word is over-drawn.
+    """
+    j = np.empty(n - _TAIL, dtype=np.int64)
+    i = n - 1
+    while i >= _TAIL:
+        k = (i + 1).bit_length()
+        lo = max(_TAIL, (1 << (k - 1)) - 1)
+        # about m^2 / 2^(k+1) words of a block of m are ambiguous: 16 to 32 here
+        block = min(1 << 16, 8 << (k // 2))
+        while i >= lo:
+            m = min(block, i - lo + 1)
+            words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+            r = (words >> (32 - k)).astype(np.int32)
+            take = r <= i - np.arange(m, dtype=np.int32)
+            ambiguous = np.flatnonzero(~take & (r <= i))
+            if ambiguous.size:
+                before = np.cumsum(take, dtype=np.int32)
+                extra = 0
+                for t in ambiguous.tolist():
+                    if r[t] <= i - (before[t] + extra):
+                        take[t] = True
+                        extra += 1
+            got = r[take]
+            j[i - _TAIL - len(got) + 1:i - _TAIL + 1] = got[::-1]
+            i -= len(got)
+    return j
+
+
+def permutation(n: int, rng: Random) -> np.ndarray:
+    """``shuffle(list(range(n)), rng)`` as an int32 array, leaving ``rng`` in
+    the same state.
+
+    The steps i >= 2^10 take their targets from ``_targets`` and are applied
+    at once (after Shun, Gu, Blelloch, Fineman and Gibbons, SODA 2015).  No
+    later step touches position i, so it ends holding what position j_i held
+    just before step i: v(i'), for the next larger step i' on the same
+    target, or j_i itself when there is none.  Here v(p) is what position p
+    holds just before its own step (for p < 2^10, after all of them):
+    v(i'') for the smallest step i'' > p that targets p, or p.  These chains
+    resolve by pointer doubling.  The steps below 2^10 then run in
+    ``shuffle`` on the first 2^10 positions.
+    """
+    if n <= _TAIL:
+        x = list(range(n))
+        shuffle(x, rng)
+        return np.array(x, dtype=np.int32)
+    if n >= 1 << 31:
+        raise ValueError(f"permutation needs n < 2^31 (got {n})")
+    # the steps sorted by (target, step): runs of equal targets, steps rising;
+    # the two 32-bit halves of each key are its target and its step.  Arrays
+    # are int32 and dropped once used, to keep the peak near 22 bytes a point.
+    key = _targets(n, rng)
+    key <<= 32
+    key |= np.arange(_TAIL, n, dtype=np.int32)
+    key.sort()
+    halves = key.view(np.int32).reshape(-1, 2)
+    js, ks = (halves[:, 1], halves[:, 0]) if np.little_endian else (halves[:, 0], halves[:, 1])
+    same = js[1:] == js[:-1]
+    # nxt[p]: the smallest step i'' > p that targets p, or -1; only a run
+    # whose first step is p itself (j_p = p) starts at its second step
+    head = np.concatenate(([True], ~same))
+    target = js[head]
+    nxt = np.full(n, -1, dtype=np.int32)
+    nxt[target] = ks[head]
+    for t in np.flatnonzero(head & (ks == js)).tolist():
+        nxt[js[t]] = ks[t + 1] if t + 1 < len(ks) and same[t] else -1
+    del head
+    val = np.arange(n, dtype=np.int32)  # v, once the chains are resolved
+    live = target[nxt[target] >= 0]
+    del target
+    while live.size:
+        on = nxt[live]
+        val[live] = val[on]
+        nxt[live] = nxt[on]
+        live = live[nxt[live] >= 0]
+    del nxt
+    # step ks[t] ends holding v(ks[t + 1]) on the same target, else js[t]
+    took = val[ks[1:]]
+    np.copyto(took, js[:-1], where=~same)
+    val[ks[:-1]] = took
+    val[ks[-1]] = js[-1]
+    low = val[:_TAIL].tolist()
+    shuffle(low, rng)
+    val[:_TAIL] = low
+    return val
+
+
 def random_pp(q: int, rng: Random) -> tuple[int, ...]:
     """A seeded permutation of [0, q) (Fisher-Yates)."""
-    table = list(range(q))
-    shuffle(table, rng)
-    return tuple(table)
+    return tuple(permutation(q, rng).tolist())
 
 
 def random_odd_pp(ctx: FieldCtx, rng: Random) -> tuple[int, ...]:
@@ -232,9 +334,8 @@ def build(spec: ConstructionSpec) -> PermTable:
     t1 = tau_to_table(spec.tau1, spec.field, spec.d)
     sig = PermTable.from_matrix(spec.matrix)
     if spec.tau2 is None:
-        t2 = t1.invert()
-    else:
-        t2 = tau_to_table(spec.tau2, spec.field, spec.d)
+        return sig.conjugate(t1)
+    t2 = tau_to_table(spec.tau2, spec.field, spec.d)
     return t1.compose(sig.compose(t2))
 
 

@@ -271,6 +271,17 @@ class PermTable:
         inv[self.table] = space(self.ctx, self.d).arange
         return PermTable(self.ctx, self.d, inv, bijective=True, _in_range=True)
 
+    def conjugate(self, tau: "PermTable") -> "PermTable":
+        """tau o self o tau^-1 for a bijective tau, with no inverse built: the
+        image of tau(x) is tau(self(x))."""
+        self._check(tau)
+        if not tau.bijective:
+            raise NotBijective("cannot conjugate by a non-bijective table")
+        out = np.empty_like(tau.table)
+        out[tau.table] = tau.table[self.table]
+        return PermTable(self.ctx, self.d, out, bijective=self.bijective or None,
+                         _in_range=True)
+
     def add_pointwise(self, other: "PermTable") -> "PermTable":
         """x -> self(x) + other(x); bijectivity is recomputed eagerly."""
         self._check(other)

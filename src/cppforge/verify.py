@@ -104,17 +104,11 @@ def _collision(table: np.ndarray) -> dict:
 
 
 def _tau_general(ctx: FieldCtx, d: int, rng: Random) -> PermTable:
-    tbl = list(range(ctx.q ** d))
-    construct.shuffle(tbl, rng)
-    return PermTable(ctx, d, np.array(tbl, dtype=np.int32), bijective=True)
+    return PermTable(ctx, d, construct.permutation(ctx.q ** d, rng), bijective=True)
 
 
 def _tau_additive(ctx: FieldCtx, d: int, rng: Random) -> PermTable:
     return tau_to_table(random_additive_pp(ctx, d, rng), ctx, d)
-
-
-def _conjugated(sig: PermTable, tau: PermTable) -> PermTable:
-    return tau.compose(sig.compose(tau.invert()))
 
 
 _MODES = ("companion", "conjugate")
@@ -270,7 +264,7 @@ def _p3_tables(hs, kinds, tau_kind: str, ctx: FieldCtx, rng: Random):
                 if d not in taus:
                     draw = _tau_additive if tau_kind == "additive" else _tau_general
                     taus[d] = draw(ctx, d, rng)
-                sig = _conjugated(sig, taus[d])
+                sig = sig.conjugate(taus[d])
             yield h, kind, sig
 
 
@@ -791,7 +785,7 @@ def explore_quadratic(r: int, field: str, count: int = 8,
         perms = [construct.random_pp(ctx.q, rng)] + \
                 [tuple(range(ctx.q)) for _ in range(d - 1)]
         tau = tau_to_table(TauSpec.coordinate(perms), ctx, d)
-        sig = _conjugated(PermTable.from_matrix(m), tau)
+        sig = PermTable.from_matrix(m).conjugate(tau)
         out.append({"r": r, "field": field, "h": h.to_json(), "draw": i,
                     "cpp": sig.is_cpp(), "regular": sig.is_r_regular(r)})
     return out

@@ -181,6 +181,17 @@ def test_verify_cap_below_1_exit_2(capsys):
         assert err.startswith("error: InvalidSpec:") and err.count("\n") == 1
 
 
+def test_verify_r_below_1_exit_2(capsys):
+    for argv in (("p3.9", "--q", "5", "--r", "0"), ("p3.9", "--q", "5", "--r", "-3"),
+                 ("p4.10", "--q", "2", "--r", "-7")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: InvalidSpec:") and err.count("\n") == 1, argv
+    for r in ("1", "2"):
+        code, out, _ = run(capsys, "verify", "p3.9", "--q", "5", "--r", r)
+        assert code == 0 and out.startswith("HYPOTHESIS-SKIPPED"), r
+
+
 def test_extension_field_above_cap_exit_2(capsys):
     for argv in (("cyclotomic", "5", "2^21"), ("verify", "p4.3", "--q", "2097152")):
         t0 = time.perf_counter()
@@ -265,6 +276,32 @@ def test_usage_error_exit_2(capsys):
     assert run(capsys, "nonsense-command")[0] == 2
 
 
+def _run_fresh(script: str) -> str:
+    """The last stdout line of ``script`` run in a fresh interpreter."""
+    src = str(Path(cppforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip().splitlines()[-1]
+
+
+def test_general_tau_does_not_import_numpy_random():
+    # numpy.random alone adds about 6 MB of resident memory; the bulk
+    # permutation reads the words of Random instead
+    script = """
+import json, sys
+from cppforge import construct
+from cppforge.cli import main
+sizes, draw = [], construct.permutation
+construct.permutation = lambda n, rng: sizes.append(n) or draw(n, rng)
+code = main(["verify", "p3.9", "--q", "5", "--r", "9", "--profile", "full"])
+print(json.dumps([code, max(sizes), "numpy.random" in sys.modules]))
+"""
+    assert json.loads(_run_fresh(script)) == [0, 5 ** 8, False]
+
+
 def test_runtime_needs_numpy_only():
     # the test extra (sympy, hypothesis, pytest) made unimportable in a fresh process
     script = """
@@ -279,10 +316,4 @@ codes = [main(argv) for argv in (
 )]
 print(json.dumps(codes))
 """
-    src = str(Path(cppforge.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, env=env, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout.strip().splitlines()[-1]) == [0, 0, 0]
+    assert json.loads(_run_fresh(script)) == [0, 0, 0]

@@ -2,13 +2,14 @@ import hashlib
 import json
 from random import Random
 
+import numpy as np
 import pytest
 
 from cppforge import gf
 from cppforge.construct import (
     ConstructionSpec, TauSpec, build, matrix_with_char_poly, named_construction,
-    pick_h, random_additive_pp, random_odd_pp, random_pp, shuffle, tau_to_table, CATALOG,
-    NAMED_IDS,
+    permutation, pick_h, random_additive_pp, random_odd_pp, random_pp, shuffle, tau_to_table,
+    CATALOG, NAMED_IDS,
 )
 from cppforge.errors import (
     CharacteristicDividesR, CppforgeError, HypothesisViolated, InvalidSpec,
@@ -28,17 +29,44 @@ SHUFFLE_SIZES = sorted({0, 1, 2, 3, 3 ** 7} | {1 << k for k in range(13)}
                        | {(1 << k) + 1 for k in range(13)})
 
 
+def _seeded(seed, gauss: bool) -> Random:
+    rng = Random(seed)
+    if gauss:
+        rng.gauss()  # leaves gauss_next set, which getstate() includes
+    return rng
+
+
 @pytest.mark.parametrize("n", SHUFFLE_SIZES)
 def test_shuffle_matches_random_shuffle(n):
     # the oracle is Random.shuffle: the same permutation, and the same
     # generator state after it
-    for seed in (n, f"cppforge:{n}"):
+    for seed, gauss in ((n, False), (f"cppforge:{n}", False), (n, True)):
         want, got = list(range(n)), list(range(n))
-        oracle, rng = Random(seed), Random(seed)
+        oracle, rng = _seeded(seed, gauss), _seeded(seed, gauss)
         oracle.shuffle(want)
         shuffle(got, rng)
         assert got == want
-        assert rng.random() == oracle.random()
+        assert rng.getstate() == oracle.getstate()
+
+
+# around the 2^10 steps that run in shuffle, and the power-of-two band edges
+# of the bulk draw
+PERMUTATION_SIZES = sorted(set(SHUFFLE_SIZES) | {(1 << 10) - 1, 5 ** 8}
+                           | {(1 << k) + e for k in (11, 12, 13, 16, 17) for e in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("n", PERMUTATION_SIZES)
+def test_permutation_matches_random_shuffle(n):
+    # the large sizes take one seed, to keep the pure-Python oracle short
+    seeds = ((f"cppforge:{n}", False),) + (((n, True),) if n <= 1 << 13 else ())
+    for seed, gauss in seeds:
+        want = list(range(n))
+        oracle, rng = _seeded(seed, gauss), _seeded(seed, gauss)
+        oracle.shuffle(want)
+        got = permutation(n, rng)
+        assert got.dtype == np.int32
+        assert got.tolist() == want
+        assert rng.getstate() == oracle.getstate()
 
 
 def random_non_additive_pp(ctx, rng):

@@ -201,6 +201,23 @@ def test_compose_invert_examples():
     assert s.compose(s).bijective and s.invert().bijective
 
 
+@pytest.mark.parametrize("ctx,d", [(F2, 4), (F3, 3), (F4, 2), (F5, 2)])
+def test_conjugate_matches_compose_with_inverse(ctx, d):
+    # oracle: tau o sigma o tau^-1 through compose and invert, for bijective
+    # and non-bijective sigma
+    rng = Random(f"conjugate:{ctx.q}:{d}")
+    n = ctx.q ** d
+    tau = PermTable(ctx, d, random_pp(n, rng), bijective=True)
+    for sig in (PermTable.from_matrix(random_invertible(ctx, d, rng)),
+                PermTable(ctx, d, [rng.randrange(n) for _ in range(n)])):
+        want = tau.compose(sig.compose(tau.invert()))
+        got = sig.conjugate(tau)
+        assert got == want and got.table.dtype == np.int32
+        assert got.bijective == want.bijective == sig.bijective
+    with pytest.raises(NotBijective):
+        sig.conjugate(PermTable(ctx, d, [0] * n))
+
+
 def test_add_pointwise_examples():
     e = PermTable.identity(F2, 2)
     doubled = e.add_pointwise(e)
