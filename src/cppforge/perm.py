@@ -279,7 +279,7 @@ class PermTable:
             raise NotBijective("cannot conjugate by a non-bijective table")
         out = np.empty_like(tau.table)
         out[tau.table] = tau.table[self.table]
-        return PermTable(self.ctx, self.d, out, bijective=self.bijective or None,
+        return PermTable(self.ctx, self.d, out, bijective=self.bijective,
                          _in_range=True)
 
     def add_pointwise(self, other: "PermTable") -> "PermTable":

@@ -32,7 +32,7 @@ SHUFFLE_SIZES = sorted({0, 1, 2, 3, 3 ** 7} | {1 << k for k in range(13)}
 def _seeded(seed, gauss: bool) -> Random:
     rng = Random(seed)
     if gauss:
-        rng.gauss()  # leaves gauss_next set, which getstate() includes
+        rng.gauss(0.0, 1.0)  # leaves gauss_next set, which getstate() includes
     return rng
 
 
