@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a claim (or 'all')")
     p.add_argument("claim", help="claim id, prefix (p4.10), or 'all'")
-    p.add_argument("--profile", choices=("quick", "full"), default="quick")
+    p.add_argument("--profile", choices=verify.PROFILES, default="quick")
     p.add_argument("--cap", type=int, help="override the table size cap")
     p.add_argument("--r", type=int,
                    help="override r on the first grid point (claims whose grid has r)")

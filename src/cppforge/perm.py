@@ -12,12 +12,13 @@ from the images of the m*d digit basis vectors p^k.  It builds one table,
 or an (H, q^d) stack of them from H rows of images in the same passes;
 ``matrix_tables`` gives the images of a matrix or of an (H, d, d) stack of
 matrices, and ``PermTable.from_matrix`` is its one-matrix case.  A stack
-has row-wise checks too, ``bijective_rows`` and ``npower_rows``, so a sweep
-over many small maps runs as array passes over the stack instead of one
-``PermTable`` per map.
+has row-wise checks too, ``bijective_rows`` and ``npower_rows`` (whose
+one-row case is ``PermTable.npower``), so a sweep over many small maps runs
+as array passes over the stack instead of one ``PermTable`` per map.
 
-Every cycle question (the census, r-regularity, witness cycles) is answered
-from one pointer-jumping pass over whole arrays, ``PermTable.cycle_lengths``.
+Every cycle question (sigma^r = e, the census, r-regularity, witness cycles)
+is answered from one pointer-jumping pass over whole arrays,
+``PermTable.cycle_lengths``, which runs once per table and is kept on it.
 
 Coordinatewise addition is ``gf.add_digits``, the one digitwise adder.
 
@@ -184,7 +185,7 @@ class CycleStructure:
 class PermTable:
     """A map F_q^d -> F_q^d as a dense table over packed indices."""
 
-    __slots__ = ("ctx", "d", "table", "bijective")
+    __slots__ = ("ctx", "d", "table", "bijective", "_lengths")
 
     def __init__(self, ctx: FieldCtx, d: int, table, bijective=None, *,
                  _in_range=False):  # True: gathered from valid tables, skip the check
@@ -212,6 +213,7 @@ class PermTable:
             hit[arr] = True
             bijective = bool(hit.all())
         self.bijective = bijective
+        self._lengths = None  # cycle_lengths, computed on first use
 
     # -- constructors ---------------------------------------------------------
 
@@ -219,12 +221,6 @@ class PermTable:
     def identity(cls, ctx: FieldCtx, d: int) -> "PermTable":
         sp = space(ctx, d)
         return cls(ctx, d, sp.arange, bijective=True)
-
-    @classmethod
-    def from_fn(cls, ctx: FieldCtx, d: int, rule) -> "PermTable":
-        """Tabulate a coordinate rule (tuple of d indices -> sequence of d)."""
-        sp = space(ctx, d)
-        return cls(ctx, d, [sp.pack_point(rule(sp.unpack_point(i))) for i in range(sp.n)])
 
     @classmethod
     def from_matrix(cls, m: Mat) -> "PermTable":
@@ -289,35 +285,31 @@ class PermTable:
         return PermTable(self.ctx, self.d, sp.vadd(self.table, other.table))
 
     def npower(self, n: int) -> "PermTable":
-        """n-th composite power; negative n uses the inverse."""
+        """n-th composite power, the one-row case of ``npower_rows``; negative
+        n uses the inverse."""
         if n < 0:
             return self.invert().npower(-n)
-        result = PermTable.identity(self.ctx, self.d)
-        acc = self
-        while n:
-            if n & 1:
-                result = result.compose(acc)
-            acc = acc.compose(acc)
-            n >>= 1
-        return result
+        return PermTable(self.ctx, self.d, npower_rows(self.table[None], [n])[0],
+                         bijective=self.bijective or None, _in_range=True)
 
     def cycle_lengths(self) -> np.ndarray:
-        """The length of the cycle through each point.
+        """The length of the cycle through each point, as a read-only int32
+        array computed by the first call and kept on the table.
 
         Pointer jumping (Hillis & Steele, CACM 29(12), 1986): after round k,
         low[x] is the least of x, f(x), ..., f^(2^k - 1)(x).  A round that
         changes nothing leaves low constant on each cycle, hence its least
         point; that takes about log2(L) + 1 rounds for a longest cycle L.
         """
-        if not self.bijective:
-            raise NotBijective("cycle lengths need a bijective table")
-        low = space(self.ctx, self.d).arange
-        step = self.table
-        while True:
-            nxt = np.minimum(low, low.take(step))
-            if np.array_equal(nxt, low):
-                return np.bincount(low, minlength=self.n).take(low)
-            low, step = nxt, step.take(step)
+        if self._lengths is None:
+            if not self.bijective:
+                raise NotBijective("cycle lengths need a bijective table")
+            low, step = space(self.ctx, self.d).arange, self.table
+            while not np.array_equal(nxt := np.minimum(low, low.take(step)), low):
+                low, step = nxt, step.take(step)
+            self._lengths = np.bincount(low, minlength=self.n).astype(np.int32).take(low)
+            self._lengths.flags.writeable = False
+        return self._lengths
 
     def cycle_structure(self) -> CycleStructure:
         points = np.bincount(self.cycle_lengths())  # points on cycles of each length
@@ -336,6 +328,10 @@ class PermTable:
         while len(orbit) < lengths[orbit[0]]:
             orbit.append(self(orbit[-1]))
         return orbit
+
+    def is_r_cycle(self, r: int) -> bool:
+        """sigma^r = e: every cycle length divides r."""
+        return all(r % l == 0 for l, _ in self.cycle_structure().cycles)
 
     def is_r_regular(self, r: int) -> bool:
         """All non-fixed cycles have length exactly r (fixed points ignored)."""

@@ -30,6 +30,10 @@ ord(t mod h) and ord(t + 1 mod h) of parts 2 and 4 from
 ``poly.monic_orders``, computed from h alone for all monic h of a degree at
 once, so they stay independent of the table under test.
 
+The section-3 and section-4 checks read sigma^r = e (every cycle length
+divides r, with r from the claim), the census, regularity and witness cycles
+of a table from its one ``PermTable.cycle_lengths`` array.
+
 Reports are replayable: the verdict and witness are pure functions of
 (claim id, parameters, master seed).  The JSON-line stream therefore emits a
 deterministic ``work`` counter (table entries built) instead of wall-clock
@@ -58,8 +62,7 @@ from .perm import TABLE_CAP, PermTable, bijective_rows, matrix_tables, npower_ro
 from .poly import Poly, cyclotomic, irreducible_factors, monic_coeffs, monic_orders, monic_values
 
 SCHEMA = "cppforge/1"
-QUICK_CAP = 1 << 12
-FULL_CAP = 1 << 20
+PROFILES = {"quick": 1 << 12, "full": 1 << 20}  # the instance size cap of each profile
 DEFAULT_SEED = 42
 
 PASS = "pass"
@@ -271,12 +274,12 @@ def _p3_tables(hs, kinds, tau_kind: str, ctx: FieldCtx, rng: Random):
 def _r_cycle_failure(sig: PermTable, r: int, wit: dict, cpp: bool):
     """Witness of the first check to fail of PP, CPP (when ``cpp``) and
     sigma^r = e; None when all hold."""
-    e = PermTable.identity(sig.ctx, sig.d)
     if not sig.bijective:
         return {**wit, **_collision(sig.table)}
     if cpp and not sig.is_cpp():
+        e = PermTable.identity(sig.ctx, sig.d)
         return {**wit, "part": "cpp", **_collision(sig.add_pointwise(e).table)}
-    if sig.npower(r) != e:
+    if not sig.is_r_cycle(r):
         return {**wit, "kind": f"npower({r}) != e"}
     return None
 
@@ -367,13 +370,12 @@ def _regular_cpp(tbl: PermTable, r: int, wit: dict, sig_e=False, census=False):
     if p2 and cs.fixed_points != 1:
         return FAIL, {**wit, "part": "fixed-points", "census": cs.to_json()}
     if sig_e and p2:
-        cs_e = sige.cycle_structure()
-        if any(l != r for l, _ in cs_e.cycles):
-            return FAIL, {**wit, "part": "sigma+e regular",
-                          "cycle": _off_length_cycle(sige, r)}
+        cyc = _off_length_cycle(sige, r)
+        if cyc is not None:
+            return FAIL, {**wit, "part": "sigma+e regular", "cycle": cyc}
         if not sige.is_cpp():
             return FAIL, {**wit, "part": "sigma+e cpp"}
-        if cs_e.fixed_points != 1:
+        if sige.cycle_structure().fixed_points != 1:
             return FAIL, {**wit, "part": "sigma+e fixed-points"}
     if census and (cs.fixed_points != 1 or cs.cycles != ((r, (tbl.n - 1) // r),)):
         return FAIL, {**wit, "kind": "census mismatch", "census": cs.to_json()}
@@ -395,12 +397,11 @@ def _short_cycle(tbl: PermTable, r: int, wit: dict):
     """CPP and an r-cycle, but not r-regular: exhibits a cycle of length l | r."""
     if not tbl.is_cpp():
         return FAIL, {**wit, "part": "cpp"}
-    if tbl.npower(r) != PermTable.identity(tbl.ctx, tbl.d):
+    if not tbl.is_r_cycle(r):
         return FAIL, {**wit, "part": f"npower({r}) != e"}
     cyc = tbl.find_cycle(lambda L: 1 < L < r and r % L == 0)
-    if cyc is None:
-        part = "unexpectedly regular" if tbl.is_r_regular(r) else "no short-cycle witness"
-        return FAIL, {**wit, "part": part}
+    if cyc is None:  # every cycle length divides r, so all are 1 or r
+        return FAIL, {**wit, "part": "unexpectedly regular"}
     return PASS, {**wit, "cycle_length": len(cyc), "cycle": cyc[:16]}
 
 
@@ -704,10 +705,11 @@ def verify_claim(claim_id: str, grid=None, master_seed=DEFAULT_SEED,
     """Run one claim over a grid; deterministic under a fixed master seed."""
     if claim_id not in REGISTRY:
         raise UnknownClaim(f"unknown claim id {claim_id!r}")
+    if profile not in PROFILES:
+        raise InvalidSpec(f"unknown profile {profile!r} (expected quick or full)")
     c = REGISTRY[claim_id]
-    if cap is None:
-        cap = QUICK_CAP if profile == "quick" else FULL_CAP
-    cap = min(cap, TABLE_CAP)  # larger points are skipped, never built
+    # larger points are skipped, never built
+    cap = min(PROFILES[profile] if cap is None else cap, TABLE_CAP)
     if grid is None:
         grid = c.quick if profile == "quick" else c.full
     reports = []

@@ -18,6 +18,8 @@ from cppforge.linalg import Mat, companion, char_poly, random_invertible, random
 from cppforge.perm import PermTable, space
 from cppforge.poly import cyclotomic, parse_poly
 
+from test_perm import from_fn
+
 F2 = gf.field_new(2)
 F3 = gf.field_new(3)
 F4 = gf.field_new(2, 2)
@@ -100,7 +102,7 @@ def test_linear_tables_match_point_maps(q, dims):
         rows[-1] = rows[0] if d > 1 else [0]
         for mm in (mat, Mat(ctx, rows)):
             tbl = PermTable.from_matrix(mm)
-            assert tbl == PermTable.from_fn(ctx, d, mm.apply)
+            assert tbl == from_fn(ctx, d, mm.apply)
             assert tbl.bijective == (mm.det() != 0)
 
         spec = random_additive_pp(ctx, d, rng)
@@ -110,11 +112,11 @@ def test_linear_tables_match_point_maps(q, dims):
             out = [sum(a * b for a, b in zip(row, digits)) % p for row in spec.matrix]
             return [sum(out[j * m + t] * p ** t for t in range(m)) for j in range(d)]
 
-        assert tau_to_table(spec, ctx, d) == PermTable.from_fn(ctx, d, additive_rule)
+        assert tau_to_table(spec, ctx, d) == from_fn(ctx, d, additive_rule)
 
         perms = [random_pp(q, rng) for _ in range(d)]
         coord = tau_to_table(TauSpec.coordinate(perms), ctx, d)
-        assert coord == PermTable.from_fn(
+        assert coord == from_fn(
             ctx, d, lambda v: [perms[j][x] for j, x in enumerate(v)])
 
 

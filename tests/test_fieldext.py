@@ -8,6 +8,8 @@ from cppforge.linalg import companion
 from cppforge.perm import PermTable, space
 from cppforge.poly import Poly, cyclotomic
 
+from test_perm import from_fn
+
 F2 = gf.field_new(2)
 F3 = gf.field_new(3)
 F4 = gf.field_new(2, 2)
@@ -117,7 +119,7 @@ def test_to_univariate_reproduces_table():
         (F2, 2, lambda: PermTable.from_matrix(companion(cyclotomic(3, F2)))),
         (F3, 2, lambda: PermTable.from_matrix(companion(cyclotomic(4, F3)))),
         (F4, 2, lambda: PermTable.from_matrix(companion(cyclotomic(3, F4)))),
-        (F5, 2, lambda: PermTable.from_fn(F5, 2, lambda v: (v[1], F5.mul(2, v[0])))),
+        (F5, 2, lambda: from_fn(F5, 2, lambda v: (v[1], F5.mul(2, v[0])))),
     ):
         bp = default_basis(sub, d)
         tbl = build()
@@ -138,7 +140,7 @@ def test_additive_tables_are_linearized():
     assert support <= {1, 2}  # q-polynomial over F_{2^2}
     # additive but not F_4-linear example over F_4^1: Frobenius
     bp4 = default_basis(F4, 1)
-    frob = PermTable.from_fn(F4, 1, lambda v: (F4.pow(v[0], 2),))
+    frob = from_fn(F4, 1, lambda v: (F4.pow(v[0], 2),))
     polf = to_univariate(bp4, frob)
     sup = {k for k, c in enumerate(polf.coeffs) if c}
     assert sup <= {1, 2}  # p-power exponents

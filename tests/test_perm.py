@@ -23,6 +23,13 @@ F9 = gf.field_new(3, 2)
 F25 = gf.field_new(5, 2)
 
 
+def from_fn(ctx, d, rule) -> PermTable:
+    """Oracle: the table of a coordinate rule (tuple of d indices -> sequence
+    of d), built one point at a time."""
+    sp = space(ctx, d)
+    return PermTable(ctx, d, [sp.pack_point(rule(sp.unpack_point(i))) for i in range(sp.n)])
+
+
 def naive_vadd(ctx, d, a, b):
     """Oracle: coordinatewise addition on packed F_q^d indices, one base-p
     digit per step (XOR when p = 2)."""
@@ -176,13 +183,13 @@ def _census(cs: CycleStructure) -> dict:
 
 
 def test_from_fn_examples():
-    e = PermTable.from_fn(F4, 2, lambda v: v)
+    e = from_fn(F4, 2, lambda v: v)
     assert e.bijective and e == PermTable.identity(F4, 2)
-    const = PermTable.from_fn(F4, 2, lambda v: (0, 0))
+    const = from_fn(F4, 2, lambda v: (0, 0))
     assert not const.bijective
     m = Mat(F5, [[2, 1], [1, 1]])
     assert m.det() != 0
-    tbl = PermTable.from_fn(F5, 2, m.apply)
+    tbl = from_fn(F5, 2, m.apply)
     assert tbl.bijective and tbl == PermTable.from_matrix(m)
 
 
@@ -192,7 +199,7 @@ def test_compose_invert_examples():
     assert s.compose(s.invert()) == e
     assert s.invert().invert() == s
     with pytest.raises(NotBijective):
-        PermTable.from_fn(F2, 2, lambda v: (0, 0)).invert()
+        from_fn(F2, 2, lambda v: (0, 0)).invert()
     # compose and invert skip the range check, so bijectivity must still be
     # recomputed when either factor is not a bijection
     z = PermTable(F2, 2, [0, 0, 1, 1])
@@ -291,7 +298,7 @@ def test_table_constructors_are_read_only_int32():
         sig = PermTable.from_matrix(random_invertible(ctx, d, rng))
         e = PermTable.identity(ctx, d)
         tables = [
-            e, sig, PermTable.from_fn(ctx, d, lambda v: v[::-1]),
+            e, sig, from_fn(ctx, d, lambda v: v[::-1]),
             sig.compose(sig), sig.invert(), sig.add_pointwise(e), sig.npower(5),
             tau_to_table(TauSpec.coordinate([range(ctx.q)] * d), ctx, d),
             tau_to_table(TauSpec.coordinate([random_pp(ctx.q, rng) for _ in range(d)]), ctx, d),
@@ -318,7 +325,7 @@ def test_npower_examples():
     for a, b in ((2, 3), (4, 5), (0, 6)):
         assert f.npower(a + b) == f.npower(a).compose(f.npower(b))
     with pytest.raises(NotBijective):
-        PermTable.from_fn(F2, 2, lambda v: (0, 0)).npower(-1)
+        from_fn(F2, 2, lambda v: (0, 0)).npower(-1)
 
 
 def test_cycle_structure_examples():
@@ -329,8 +336,8 @@ def test_cycle_structure_examples():
     assert s2.cycle_structure().to_json() == {"fixed": 1, "cycles": {"3": 1}}
     s4 = PermTable.from_matrix(companion(cyclotomic(3, F4)))
     assert s4.cycle_structure().to_json() == {"fixed": 1, "cycles": {"3": 5}}
-    const = PermTable.from_fn(F2, 2, lambda v: (0, 0))
-    for method in (const.cycle_lengths, const.cycle_structure,
+    const = from_fn(F2, 2, lambda v: (0, 0))
+    for method in (const.cycle_lengths, const.cycle_structure, lambda: const.is_r_cycle(2),
                    lambda: const.find_cycle(lambda L: True)):
         with pytest.raises(NotBijective):
             method()
@@ -341,6 +348,10 @@ def test_cycle_structure_matches_naive_oracle():
         cs = t.cycle_structure()
         assert cs == naive_cycle_structure(t.table.tolist())
         assert cs.total() == t.n
+        # the lengths are computed once and kept, read-only, as int32
+        lengths = t.cycle_lengths()
+        assert t.cycle_lengths() is lengths
+        assert lengths.dtype == np.int32 and not lengths.flags.writeable
 
 
 def test_find_cycle_matches_scan_oracle():
@@ -406,7 +417,7 @@ def test_is_cpp_examples():
     assert not e2.is_cpp()  # x + x is constant in characteristic 2
     s = PermTable.from_matrix(companion(cyclotomic(3, F2)))
     assert s.is_cpp()
-    assert not PermTable.from_fn(F2, 2, lambda v: (0, 0)).is_cpp()
+    assert not from_fn(F2, 2, lambda v: (0, 0)).is_cpp()
 
 
 def _is_additive_exhaustive(t: PermTable) -> bool:
@@ -421,8 +432,8 @@ def _is_additive_exhaustive(t: PermTable) -> bool:
 def test_is_additive_examples():
     e = PermTable.identity(F4, 1)
     assert e.is_additive() and _is_additive_exhaustive(e)
-    sq = PermTable.from_fn(F4, 1, lambda v: (F4.pow(v[0], 2),))
-    cube = PermTable.from_fn(F4, 1, lambda v: (F4.pow(v[0], 3),))
+    sq = from_fn(F4, 1, lambda v: (F4.pow(v[0], 2),))
+    cube = from_fn(F4, 1, lambda v: (F4.pow(v[0], 3),))
     assert sq.is_additive() and _is_additive_exhaustive(sq)
     assert not cube.is_additive() and not _is_additive_exhaustive(cube)
 
@@ -461,13 +472,19 @@ def test_conjugation_preserves_cycle_structure():
 def test_n_cycle_iff_lengths_divide():
     rng = Random(7)
     e = PermTable.identity(F3, 2)
+    fs = [e]
     for _ in range(40):
         perm = list(range(9))
         rng.shuffle(perm)
-        f = PermTable(F3, 2, perm)
+        fs.append(PermTable(F3, 2, perm))
+    for f in fs:
         lengths = [l for l, _ in f.cycle_structure().cycles]
-        for n in (2, 3, 4, 6, 12):
-            assert (f.npower(n) == e) == all(n % l == 0 for l in lengths)
+        for n in (1, 2, 3, 4, 6, 12, 1 << 40, 2520 << 40):  # 2520 = lcm(1, ..., 9)
+            want = all(n % l == 0 for l in lengths)
+            assert (f.npower(n) == e) == want
+            assert f.is_r_cycle(n) == want, (f.table.tolist(), n)
+    assert [f.is_r_cycle(1) for f in fs] == [f == e for f in fs]
+    assert sum(f == e for f in fs) == 1
 
 
 def test_prime_r_cycle_implies_regular():
@@ -521,7 +538,7 @@ def test_out_of_range_entries_raise_before_narrowing():
     with pytest.raises(ValueError, match="out of range"):
         PermTable(F2, 2, np.array([0, 1, 2, 2**63], dtype=np.uint64))
     with pytest.raises(ValueError, match="out of range"):
-        PermTable.from_fn(F2, 2, lambda v: (v[0], 2**40))
+        from_fn(F2, 2, lambda v: (v[0], 2**40))
 
 
 # --- The stacked layer: one table per row of a stack ----------------------
@@ -595,12 +612,20 @@ def test_npower_rows_match_permtable_npower(spec, deg):
     got = npower_rows(stack[live], orders[live])
     assert (got == np.arange(stack.shape[1])).all()
     exps = [0, 1] + [1 << k for k in range(6)]
-    for x in exps + [None]:
-        n = orders if x is None else np.full(len(stack), x)
-        got = npower_rows(stack, n)
-        for row, v, k in zip(got, stack, n.tolist()):
-            assert np.array_equal(row, PermTable(ctx, deg, v).npower(k).table), (spec, k)
-    # a different exponent on each row
-    mixed = np.array([exps[i % len(exps)] for i in range(len(stack))])
-    for row, v, k in zip(npower_rows(stack, mixed), stack, mixed.tolist()):
-        assert np.array_equal(row, PermTable(ctx, deg, v).npower(k).table)
+    # one exponent for all rows, the orders, and a different exponent on each row
+    runs = [np.full(len(stack), x) for x in exps] + [
+        orders, np.array([exps[i % len(exps)] for i in range(len(stack))])]
+    # oracle: powers[i][k] is row i composed with itself k times, one compose per step
+    top = max(int(n.max()) for n in runs)
+    fs = [PermTable(ctx, deg, v) for v in stack]
+    powers = []
+    for f in fs:
+        acc = [PermTable.identity(ctx, deg)]
+        for _ in range(top):
+            acc.append(f.compose(acc[-1]))
+        powers.append(acc)
+    for n in runs:
+        for row, f, acc, k in zip(npower_rows(stack, n), fs, powers, n.tolist()):
+            assert np.array_equal(row, acc[k].table), (spec, k)
+            power = f.npower(k)
+            assert power == acc[k] and power.bijective == acc[k].bijective, (spec, k)

@@ -7,7 +7,7 @@ import pytest
 
 import cppforge
 from cppforge import construct, linalg, poly, verify
-from cppforge.errors import UnknownClaim
+from cppforge.errors import InvalidSpec, UnknownClaim
 from cppforge.linalg import Mat
 from cppforge.gf import field_new, parse_field_spec
 from cppforge.perm import PermTable
@@ -129,6 +129,15 @@ def test_unknown_claim():
         verify.verify_claim("nosuch")
     with pytest.raises(UnknownClaim):
         verify.expand_claim_id("p99")
+
+
+def test_unknown_profile_is_invalid_spec():
+    with pytest.raises(InvalidSpec, match="unknown profile 'ful'"):
+        verify.verify_claim("p4.3", profile="ful")
+    stream = io.StringIO()
+    with pytest.raises(InvalidSpec):
+        verify.verify_all(profile="ful", stream=stream)
+    assert stream.getvalue() == ""
 
 
 def test_expand_claim_id():
@@ -334,8 +343,10 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
     # each sabotage keeps tables bijective, so the checks report witnesses
     # instead of crashing on an inverse.  The theorem sweeps build their
     # tables as stacks, so every sabotage also applies, row by row, to the
-    # stacked entry point that verify calls in its place.
-    real_npower = PermTable.npower
+    # stacked entry point that verify calls in its place.  The section-3
+    # checks read sigma^r = e from the cycle lengths, so the npower sabotage
+    # applies to is_r_cycle too.
+    real_npower, real_is_r_cycle = PermTable.npower, PermTable.is_r_cycle
 
     def swap12(t):
         t = t.copy()
@@ -358,6 +369,9 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
         return PermTable(tbl.ctx, tbl.d, swap01_past_one(tbl.table, n),
                          bijective=tbl.bijective)
 
+    def is_r_cycle(self, r):  # what npower(r) == e reads under the npower sabotage
+        return r <= 1 and real_is_r_cycle(self, r)
+
     def bump(rows, ctx):
         rows = [list(r) for r in rows]
         rows[0][0] = ctx.add(int(rows[0][0]), 1)
@@ -377,7 +391,7 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
     patches = {
         "from_matrix": [(PermTable, "from_matrix", classmethod(from_matrix)),
                         (verify, "matrix_tables", _rowwise(swap12, _REAL_MATRIX_TABLES))],
-        "npower": [(PermTable, "npower", npower),
+        "npower": [(PermTable, "npower", npower), (PermTable, "is_r_cycle", is_r_cycle),
                    (verify, "npower_rows", _rowwise(swap01_past_one, verify.npower_rows, True))],
         "companion": [(mod, "companion", companion) for mod in (linalg, construct, cppforge)]
                      + [(verify, "companions", companions)],
@@ -411,6 +425,35 @@ def test_section4_off_length_witnesses_pinned(monkeypatch):
     off_length = {r.claim for r in reports if r.verdict == "fail"
                   and r.witness.get("part") == "regular"}
     assert off_length == {"p4.4.1", "p4.4.2"}
+
+
+@pytest.mark.parametrize("cid, point", [
+    ("p3.2", {"field": "3^1", "r": 8}),
+    ("p3.3", {"field": "2^1", "r": 15}),
+    ("p3.9", {"field": "3^1", "r": 10}),
+    ("p4.10.3", {"field": "2^2", "r": 9}),
+])
+def test_one_cycle_pass_per_checked_table(monkeypatch, cid, point):
+    # sigma^r = e, the census, regularity and the witness cycle of a table
+    # all read its one cycle_lengths array; no check takes a composite power
+    real = PermTable.cycle_lengths
+    asked, passes = {}, {}
+
+    def counted(self):
+        asked[id(self)] = self  # held, so that no id is reused
+        passes[id(self)] = passes.get(id(self), 0) + (self._lengths is None)
+        return real(self)
+
+    def no_npower(self, n):
+        raise AssertionError("verify took a composite power")
+
+    monkeypatch.setattr(PermTable, "cycle_lengths", counted)
+    monkeypatch.setattr(PermTable, "npower", no_npower)
+    (rep,) = verify.verify_claim(cid, grid=[point], master_seed=42, profile="full")
+    assert rep.verdict == "pass", rep.to_json()
+    assert len(asked) >= 2 and set(passes.values()) == {1}
+    # each instance checks one table and counts 2n work for it
+    assert rep.work == sum(2 * t.n for t in asked.values())
 
 
 def test_short_cycle_check_on_a_3_regular_cpp():
