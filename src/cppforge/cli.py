@@ -15,6 +15,7 @@ seed is 42).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -158,7 +159,9 @@ def cmd_claims(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every ``main``."""
     ap = argparse.ArgumentParser(
         prog="cppforge",
         description="regular (complete) permutation polynomial constructions "

@@ -12,29 +12,36 @@ F_q, ``decode`` maps them back, and both raise ValueError for an index out of
 range.
 
 ``to_univariate`` interpolates a dense table into the unique polynomial of
-degree < q^d over F_{q^d} agreeing with it everywhere.  Big-field indices and
-packed F_q^d vectors are both strings of m*d base-p digits, and encode and
-decode are F_p-linear, so the lift is ``dec[table[enc]]`` with two
-``perm.linear_table`` maps.  Interpolation is plain Lagrange over all q^d
-points, specialized to the full domain: the master product is t^N - t whose
-derivative is the constant -1, so the interpolant is
--sum_a y_a * (t^N - t)/(t - a), whose coefficient at degree k >= 1 is
--sum_a y_a * a^(N-1-k): N steps of ``FieldCtx.vmul``/``vsum`` on length-N arrays.
+degree < N = q^d over F_{q^d} agreeing with it everywhere.  Big-field indices
+and packed F_q^d vectors are both strings of m*d base-p digits, and encode
+and decode are F_p-linear, so the lift is ``dec[table[enc]]`` with two
+``perm.linear_table`` maps.  With M = N - 1 and a primitive element g, the
+coefficients are one length-M DFT over F_N of the values at a = g^i:
+Y_e = sum_i y(g^i) g^(ie), c_0 = y(0), c_k = -Y_(M-k) for 0 < k < M and
+c_M = -(Y_0 + y(0)), since the sum of a^j over F_N^* is -1 when M | j and 0
+otherwise.  The DFT is a mixed-radix Cooley-Tukey (Math. Comp. 19, 1965):
+decimation in time over the prime factors f of M, each radix f - 1 Horner
+steps of one array multiply and one add of length M.  That is 26 steps at
+M = 4095 = 3^2*5*7*13, where evaluating each Y_e directly takes M.  A prime
+M, such as 127 = 2^7 - 1, is one radix and still costs O(N^2).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import CtxMismatch, DependentBasis, SizeCap, Singular
-from .gf import FieldCtx, field_new, subfield_embedding, trace
+from .gf import FieldCtx, add_digits, field_new, subfield_embedding, trace
 from .linalg import Mat
 from .perm import PermTable, linear_table, space
 from .poly import Poly
 
 UNIVARIATE_CAP = 1 << 12
+
+_BASES: dict = {}
 
 
 def _index(ctx: FieldCtx, x) -> int:
@@ -113,9 +120,14 @@ def make_basis(big: FieldCtx, sub: FieldCtx, alpha: Optional[Sequence] = None) -
 
 
 def default_basis(sub: FieldCtx, d: int) -> BasisPair:
-    """Polynomial-basis pair for F_{q^d} over the given subfield."""
-    big = field_new(sub.p, sub.m * d)
-    return make_basis(big, sub)
+    """Polynomial-basis pair for F_{q^d} over the given subfield (memoized
+    per subfield and d: every call returns the same pair)."""
+    key = (sub.key, d)
+    bp = _BASES.get(key)
+    if bp is None:
+        bp = make_basis(field_new(sub.p, sub.m * d), sub)
+        _BASES[key] = bp
+    return bp
 
 
 def check_univariate_cap(n: int) -> None:
@@ -134,6 +146,70 @@ def _lift_tables(bp: BasisPair) -> tuple[np.ndarray, np.ndarray]:
     return enc, dec
 
 
+@functools.lru_cache(maxsize=None)
+def _dft_plan(big: FieldCtx) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``(pw, radices)``: pw[i] = g^i for a primitive element g of big and
+    i < N - 1, read-only, and the prime factors of N - 1, with multiplicity,
+    largest first."""
+    n = big.q - 1
+    radices, rest, f = [], n, 2
+    while f * f <= rest:
+        while rest % f == 0:
+            radices.append(f)
+            rest //= f
+        f += 1
+    if rest > 1:
+        radices.append(rest)
+    radices.sort(reverse=True)
+    # g is primitive iff g^(n/l) != 1 for each prime l | n (g = 1 when n = 1)
+    g = next(x for x in range(1, big.q)
+             if all(big.pow(x, n // l) != 1 for l in set(radices)))
+    pw = np.ones(n, dtype=np.int64)
+    s = 1
+    while s < n:  # pw[s:2s] = pw[:s] * g^s
+        t = min(s, n - s)
+        pw[s:s + t] = big.vmul(pw[:t], big.pow(g, s))
+        s += t
+    pw.flags.writeable = False
+    return pw, tuple(radices)
+
+
+def _dft(big: FieldCtx, y: np.ndarray) -> np.ndarray:
+    """Y_e = sum_i y(g^i) g^(ie) for e < M = N - 1, with g of ``_dft_plan``.
+
+    Decimation in time over the prime factors f of M.  A stage holds the B
+    interleaved sub-DFTs of length L = M/B (root g^B) as the rows of a B x L
+    array; row c is the DFT of x[c::B] for x_i = y(g^i), so the first stage
+    is x as an M x 1 array.  A radix f joins rows c + B'r (r < f, B' = B/f)
+    into row c of length fL by Horner in r: Y = Y * w + Z_r, with
+    w_e = g^(B'e), which is pw[::B'], and Z_r read at e mod L.  That is
+    f - 1 multiplies and adds on arrays of M entries.
+    """
+    pw, radices = _dft_plan(big)
+    p, m = big.p, big.m
+    a = y[pw].reshape(len(pw), 1)
+    for f in radices:
+        b, ln = a.shape[0] // f, a.shape[1]
+        # the step arrays are (b, f, ln) less their length-1 axes, which
+        # slow numpy's calls on small arrays
+        drop = tuple(axis for axis, size in ((0, b), (2, ln)) if size == 1)
+        zs = a.reshape(f, b, 1, ln).squeeze(tuple(axis + 1 for axis in drop))
+        w = pw[::b].reshape(1, f, ln).squeeze(drop)
+        if m == 1:  # prime field: three in-place passes per step
+            acc = np.empty((b, f, ln), dtype=np.int64).squeeze(drop)
+            acc[...] = zs[f - 1]
+            for r in range(f - 2, -1, -1):
+                acc *= w
+                acc += zs[r]
+                acc %= p
+        else:
+            acc = zs[f - 1]
+            for r in range(f - 2, -1, -1):
+                acc = add_digits(p, m, big.vmul(acc, w), zs[r])
+        a = acc.reshape(b, f * ln)
+    return a[0]
+
+
 def to_univariate(bp: BasisPair, f: PermTable) -> Poly:
     """The unique polynomial of degree < q^d matching the table everywhere.
 
@@ -145,16 +221,13 @@ def to_univariate(bp: BasisPair, f: PermTable) -> Poly:
         raise CtxMismatch("table does not match the basis pair")
     n = big.q
     check_univariate_cap(n)
-    sp = space(sub, d)
     enc, dec = _lift_tables(bp)
     y = dec[f.table[enc]]
-    # f(t) = -sum_a y_a * (t^N - t)/(t - a); the quotient at a has
-    # coefficient a^(N-1-k) at degree k >= 1 and a^(N-1) - 1 at degree 0.
-    sums = np.zeros(n, dtype=np.int64)
-    r = y
-    for e in range(n - 1):
-        sums[n - 1 - e] = big.vsum(r)
-        r = big.vmul(r, sp.arange)
-    coeffs = big.vmul(sums, big.p - 1)  # -1 has index p - 1 in every field
-    coeffs[0] = big.sub(big.vsum(y), big.vsum(r))
+    ys = _dft(big, y)
+    # c_0 = y(0), c_k = -Y_(N-1-k) for 0 < k < N-1 and c_(N-1) = -(Y_0 + y(0))
+    coeffs = np.empty(n, dtype=np.int64)
+    coeffs[0] = y[0]
+    coeffs[1:] = ys[::-1]
+    coeffs[n - 1] = big.add(int(ys[0]), int(y[0]))
+    coeffs[1:] = big.vmul(coeffs[1:], big.p - 1)  # -1 has index p - 1 in every field
     return Poly(big, coeffs.tolist())

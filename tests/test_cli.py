@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 import cppforge
-from cppforge import gf
+from cppforge import cli, gf
 from cppforge.cli import main
 from cppforge.perm import PermTable
 from cppforge.poly import cyclotomic, parse_poly
@@ -274,6 +274,21 @@ def test_explore_negative_count_exit_2(capsys):
 def test_usage_error_exit_2(capsys):
     assert run(capsys, "construct")[0] == 2
     assert run(capsys, "nonsense-command")[0] == 2
+
+
+def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    construct = ("construct", "p4.1.3", "--q", "4", "--m", "2", "--emit", "univariate")
+    # p3.9's first quick point has r = 9, so --r 4 changes the point
+    seq = (("construct",), ("--help",),
+           ("verify", "p3.9", "--q", "5", "--r", "4"), ("verify", "p3.9", "--q", "5"),
+           construct + ("--format", "text"), construct + ("--format", "json"))
+    shared = [run(capsys, *argv) for argv in seq]
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0]
+    assert '"r": 4' in shared[2][1] and '"r": 9' in shared[3][1]
+    # the same calls, each through a parser built for it alone
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [run(capsys, *argv) for argv in seq] == shared
 
 
 def _run_fresh(script: str) -> str:

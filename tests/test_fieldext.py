@@ -47,6 +47,24 @@ def naive_to_univariate(bp, f):
     return Poly(big, coeffs)
 
 
+def recurrence_to_univariate(bp, f):
+    """The O(N^2) array recurrence that the transform replaced: N steps of
+    ``vmul``/``vsum`` on the lifted table, one per coefficient."""
+    big = bp.big
+    n = big.q
+    enc, dec = _lift_tables(bp)
+    y = dec[f.table[enc]]
+    a = space(bp.sub, bp.d).arange
+    sums = np.zeros(n, dtype=np.int64)
+    r = y
+    for e in range(n - 1):
+        sums[n - 1 - e] = big.vsum(r)
+        r = big.vmul(r, a)
+    coeffs = big.vmul(sums, big.p - 1)  # -1 has index p - 1 in every field
+    coeffs[0] = big.sub(big.vsum(y), big.vsum(r))
+    return Poly(big, coeffs.tolist())
+
+
 def random_tables(sub, d, seed):
     """A seeded random permutation table and a seeded random map."""
     n = sub.q ** d
@@ -151,7 +169,6 @@ def test_to_univariate_mismatch_and_cap():
     with pytest.raises(CtxMismatch):
         to_univariate(bp, PermTable.identity(F2, 3))
     big_tbl = PermTable.identity(F2, 13)  # 8192 entries: fine as a table
-    bp13 = None
     with pytest.raises(SizeCap):
         to_univariate(default_basis(F2, 13), big_tbl)
 
@@ -185,25 +202,48 @@ def test_lift_tables_match_scalar_encode_decode(sub, d):
         assert dec[v] == bp.decode(sp.unpack_point(v))
 
 
+# Fields by the shape of M = N - 1, the transform's length: N = 2 (M = 1),
+# prime M (F_2^7), two primes (F_2^9, F_2^11), a prime power times a prime
+# (F_3^4), a large prime factor (F_3^7, F_4079), mixed radices (F_3, F_5^5,
+# F_13^3, F_1019) and both fields at the cap.
+@pytest.mark.parametrize("sub,d", [(F2, 1), (F3, 1), (F2, 7), (F2, 9), (F3, 4),
+                                   (F2, 11), (F3, 7), (F5, 5),
+                                   (gf.field_new(13), 3), (gf.field_new(1019), 1),
+                                   (gf.field_new(4079), 1), (F2, 12), (F4, 6)],
+                         ids=_tower_id)
+def test_to_univariate_matches_recurrence_oracle(sub, d):
+    bp = default_basis(sub, d)
+    n = bp.big.q
+    zero = PermTable(sub, d, np.zeros(n, dtype=np.int64))
+    for tbl in (zero, PermTable.identity(sub, d), *random_tables(sub, d, seed=n)):
+        assert to_univariate(bp, tbl) == recurrence_to_univariate(bp, tbl)
+    assert to_univariate(bp, zero) == Poly.zero(bp.big)
+    assert to_univariate(bp, PermTable.identity(sub, d)) == Poly.t(bp.big)
+
+
 @pytest.mark.parametrize("sub,d", [(F2, 12), (F4, 6)], ids=_tower_id)
 def test_to_univariate_at_cap(sub, d, monkeypatch):
     bp = default_basis(sub, d)
     n = bp.big.q
     assert n == 1 << 12
     tbl = random_tables(sub, d, seed=d)[0]
-    calls = [0]
+    calls = {"scalar": 0, "vmul": 0}
 
-    def counted(fn):
+    def counted(fn, kind):
         def wrapper(*args):
-            calls[0] += 1
+            calls[kind] += 1
             return fn(*args)
         return wrapper
 
-    # a return of the N^2 scalar loop would make ~N^2 calls, not < 2N
-    monkeypatch.setattr(gf.FieldCtx, "mul", counted(gf.FieldCtx.mul))
-    monkeypatch.setattr(gf.FieldCtx, "add", counted(gf.FieldCtx.add))
+    monkeypatch.setattr(gf.FieldCtx, "mul", counted(gf.FieldCtx.mul, "scalar"))
+    monkeypatch.setattr(gf.FieldCtx, "add", counted(gf.FieldCtx.add, "scalar"))
+    monkeypatch.setattr(gf.FieldCtx, "vmul", counted(gf.FieldCtx.vmul, "vmul"))
     pol = to_univariate(bp, tbl)
-    assert calls[0] < 2 * n
+    # a return of the N^2 scalar loop would make ~N^2 calls, not < 2N
+    assert calls["scalar"] < 2 * n
+    # the transform makes about one vmul per prime factor of N - 1 (their
+    # sum is 31 at 4095 = 3^2*5*7*13); the N-step recurrence made N
+    assert calls["vmul"] < 64
     monkeypatch.undo()
     assert len(pol.coeffs) <= n
     rng = np.random.default_rng(64)
