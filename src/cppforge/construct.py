@@ -108,8 +108,7 @@ def tau_to_table(spec: TauSpec, ctx: FieldCtx, d: int) -> PermTable:
         if m.det() == 0:
             raise InvalidSpec("additive-linear matrix is singular")
         # column k of the F_p matrix, read as base-p digits, is the image of p^k
-        images = [sum(row[k] * ctx.p ** i for i, row in enumerate(m.rows))
-                  for k in range(total)]
+        images = ctx.p ** np.arange(total) @ m.a
         return PermTable(ctx, d, linear_table(ctx, d, images), bijective=True)
     raise InvalidSpec(f"unknown tau kind {spec.kind!r}")
 

@@ -13,17 +13,19 @@ range.
 
 ``to_univariate`` interpolates a dense table into the unique polynomial of
 degree < N = q^d over F_{q^d} agreeing with it everywhere.  Big-field indices
-and packed F_q^d vectors are both strings of m*d base-p digits, and encode
-and decode are F_p-linear, so the lift is ``dec[table[enc]]`` with two
-``perm.linear_table`` maps.  With M = N - 1 and a primitive element g, the
-coefficients are one length-M DFT over F_N of the values at a = g^i:
-Y_e = sum_i y(g^i) g^(ie), c_0 = y(0), c_k = -Y_(M-k) for 0 < k < M and
-c_M = -(Y_0 + y(0)), since the sum of a^j over F_N^* is -1 when M | j and 0
-otherwise.  The DFT is a mixed-radix Cooley-Tukey (Math. Comp. 19, 1965):
-decimation in time over the prime factors f of M, each radix f - 1 Horner
-steps of one array multiply and one add of length M.  That is 26 steps at
-M = 4095 = 3^2*5*7*13, where evaluating each Y_e directly takes M.  A prime
-M, such as 127 = 2^7 - 1, is one radix and still costs O(N^2).
+and packed F_q^d vectors are both strings of m*d base-p digits, and decode
+is an F_p-linear bijection, one ``perm.linear_table`` map ``dec``.  The lift
+conjugates the table by it, ``y[dec] = dec[table]``, as
+``PermTable.conjugate`` does, so no encode table is built.  With M = N - 1
+and a primitive element g, the coefficients are one length-M DFT over F_N
+of the values at a = g^i: Y_e = sum_i y(g^i) g^(ie), c_0 = y(0),
+c_k = -Y_(M-k) for 0 < k < M and c_M = -(Y_0 + y(0)), since the sum of a^j
+over F_N^* is -1 when M | j and 0 otherwise.  The DFT is a mixed-radix
+Cooley-Tukey (Math. Comp. 19, 1965): decimation in time over the prime
+factors f of M, each radix f - 1 Horner steps of one array multiply and one
+add of length M.  That is 26 steps at M = 4095 = 3^2*5*7*13, where
+evaluating each Y_e directly takes M.  A prime M, such as 127 = 2^7 - 1, is
+one radix and still costs O(N^2).
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def make_basis(big: FieldCtx, sub: FieldCtx, alpha: Optional[Sequence] = None) -
         raise DependentBasis("candidate basis is F_q-linearly dependent") from None
     # beta_j = sum_i ginv[i][j] * alpha_i: column j of ginv decoded in alpha
     draft = BasisPair(big, sub, alpha, ())
-    bp = BasisPair(big, sub, alpha, [draft.decode(col) for col in zip(*ginv.rows)])
+    bp = BasisPair(big, sub, alpha, [draft.decode(col) for col in ginv.a.T])
     for i in range(d):
         for j in range(d):
             got = trace(big, sub, big.mul(bp.alpha[i], bp.beta[j]))
@@ -136,14 +138,12 @@ def check_univariate_cap(n: int) -> None:
         raise SizeCap(f"q^d = {n} exceeds the univariate cap {UNIVARIATE_CAP}")
 
 
-def _lift_tables(bp: BasisPair) -> tuple[np.ndarray, np.ndarray]:
-    """Tables of x -> packed encode(x) and packed v -> decode(v), on indices."""
+def _decode_table(bp: BasisPair) -> np.ndarray:
+    """The table of packed v -> decode(v), on indices."""
     sub, d = bp.sub, bp.d
     sp = space(sub, d)
-    units = [sub.p ** k for k in range(sub.m * d)]
-    enc = linear_table(sub, d, [sp.pack_point(bp.encode(u)) for u in units])
-    dec = linear_table(sub, d, [bp.decode(sp.unpack_point(u)) for u in units])
-    return enc, dec
+    return linear_table(sub, d, [bp.decode(sp.unpack_point(sub.p ** k))
+                                 for k in range(sub.m * d)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,8 +221,9 @@ def to_univariate(bp: BasisPair, f: PermTable) -> Poly:
         raise CtxMismatch("table does not match the basis pair")
     n = big.q
     check_univariate_cap(n)
-    enc, dec = _lift_tables(bp)
-    y = dec[f.table[enc]]
+    dec = _decode_table(bp)
+    y = np.empty_like(dec)  # y(dec[v]) = dec[f(v)]: f conjugated by decode
+    y[dec] = dec[f.table]
     ys = _dft(big, y)
     # c_0 = y(0), c_k = -Y_(N-1-k) for 0 < k < N-1 and c_(N-1) = -(Y_0 + y(0))
     coeffs = np.empty(n, dtype=np.int64)

@@ -24,8 +24,9 @@ above the table bound).
 
 On index arrays, ``vmul`` is the elementwise ``mul`` (``exp[log a + log b]``
 with a zero mask, on numpy copies of the tables made on first use) and
-``vsum`` the field sum (``sum % p`` in a prime field, an XOR reduce when
-p = 2, else each base-p digit summed mod p).
+``vsum`` the field sum, of a whole array or along one axis (``sum % p`` in
+a prime field, an XOR reduce when p = 2, else each base-p digit summed
+mod p).
 
 The modulus search, the primitive-element test, the g matrix and the
 subfield root search use :class:`cppforge.poly.Poly`, imported locally
@@ -149,11 +150,12 @@ def add_digits(p: int, ndigits: int, a, b):
     This is field addition on indices of F_{p^m} (ndigits = m) and
     coordinatewise addition on packed F_q^d vectors (ndigits = m*d).  ``a``
     and ``b`` are ints, whose sum is an int, or index arrays, whose
-    (broadcast) sum is an int32 array; the strings must lie below
-    ``TABLE_CAP``.  For p = 2 the sum is XOR.  Otherwise the strings are cut
-    into chunks of k digits, and each chunk pair is added through the cached
-    p^k x p^k lookup table of ``_digit_lut``, or as ``(a + b) % p`` when a
-    chunk is one digit without a table.
+    (broadcast) sum is an int32 array, so for odd p array sums need
+    p^ndigits <= 2^31 (SizeCap otherwise).  For p = 2 the sum is XOR.
+    Otherwise the strings are cut into chunks of k digits, and each chunk
+    pair is added through the cached p^k x p^k lookup table of
+    ``_digit_lut``, or as ``(a + b) % p`` when a chunk is one digit without
+    a table.
     """
     if p == 2:
         return a ^ b
@@ -169,6 +171,8 @@ def add_digits(p: int, ndigits: int, a, b):
             acc += (view[ca * w + cb] if view is not None else (ca + cb) % p) * scale
             scale *= w
         return acc
+    if p ** ndigits > 1 << 31:
+        raise SizeCap(f"array sums need p^{ndigits} <= 2^31, got p = {p}")
     out, scale = None, 1
     for i in range(chunks):
         if i < chunks - 1:
@@ -363,20 +367,22 @@ class FieldCtx:
         exp, log = self._np_tables
         return np.where((a == 0) | (b == 0), 0, exp[log[a] + log[b]])
 
-    def vsum(self, a) -> int:
-        """Field sum of an index array."""
+    def vsum(self, a, axis=None):
+        """Field sum of an index array: an int, or with ``axis`` the array
+        of sums along that axis."""
         a = np.asarray(a, dtype=np.int64)
         p = self.p
         if self.m == 1:
-            return int(a.sum() % p)
-        if p == 2:
-            return int(np.bitwise_xor.reduce(a, axis=None))
-        acc, w = 0, 1
-        for _ in range(self.m):
-            a, digit = np.divmod(a, p)
-            acc += int(digit.sum() % p) * w
-            w *= p
-        return acc
+            out = a.sum(axis) % p
+        elif p == 2:
+            out = np.bitwise_xor.reduce(a, axis=axis)
+        else:
+            out, w = 0, 1
+            for _ in range(self.m):
+                a, digit = np.divmod(a, p)
+                out = out + digit.sum(axis) % p * w
+                w *= p
+        return int(out) if axis is None else out
 
 
 def _coeffs_of(modulus) -> Sequence[int]:

@@ -1,13 +1,16 @@
 """Exact d x d matrix algebra over a finite field.
 
-Determinant and inverse use Gaussian elimination with leftmost-nonzero
-pivoting (fields are exact, the pivot rule is fixed only for determinism).
-The characteristic polynomial has one path in every characteristic: a
-reduction to Hessenberg form with the same pivot rule, followed by the
-recurrence on its leading blocks (Cohen, A Course in Computational Algebraic
-Number Theory, GTM 138, Alg. 2.2.9).  The tests keep Faddeev-LeVerrier and a
-Laplace expansion of det(tI - M) as oracles.  Companion matrices come one at
-a time (a ``Mat``) or as an (H, k, k) index array for H polynomials.
+A ``Mat`` is one read-only (d, d) int64 index array, ``Mat.a``.  Sums,
+products, ``apply`` and ``eval_poly_at_matrix`` are array expressions over
+``FieldCtx.vmul``, ``FieldCtx.vsum`` and ``gf.add_digits``.  Determinant and
+inverse use Gaussian elimination with leftmost-nonzero pivoting (the pivot
+rule is fixed only for determinism), and the characteristic polynomial a
+reduction to Hessenberg form with the same rule, then the recurrence on its
+leading blocks (Cohen, A Course in Computational Algebraic Number Theory,
+GTM 138, Alg. 2.2.9), in every characteristic; these three run on scalars.
+The tests keep the scalar loops, Faddeev-LeVerrier and a Laplace expansion
+of det(tI - M) as oracles.  Companion matrices come one at a time (a
+``Mat``) or as an (H, k, k) index array for H polynomials.
 """
 
 from __future__ import annotations
@@ -18,43 +21,53 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CtxMismatch, DimMismatch, NotMonic, Singular
-from .gf import FieldCtx
+from .gf import FieldCtx, add_digits, parse_field_spec
 from .poly import Poly
 
 
+def _indices(ctx: FieldCtx, x) -> np.ndarray:
+    """x as a new int64 array of indices of ctx, or ValueError / DimMismatch."""
+    try:
+        a = np.array(x, dtype=np.int64)
+    except OverflowError:
+        a = None
+    except ValueError as ex:  # ragged rows
+        raise DimMismatch(f"not a rectangular integer array: {ex}") from None
+    if a is None or a.size and a.view(np.uint64).max() >= ctx.q:  # negatives wrap above q
+        raise ValueError(f"entry index out of range for {ctx.spec()}")
+    return a
+
+
+def _product(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of (n, n) index arrays: (i, j) is the field sum of a[i, k] b[k, j]."""
+    return ctx.vsum(ctx.vmul(a[:, :, None], b[None]), axis=1)
+
+
 class Mat:
-    __slots__ = ("ctx", "n", "rows")
+    """A d x d matrix over a field: one read-only (d, d) int64 index array."""
 
-    def __init__(self, ctx: FieldCtx, rows: Sequence[Sequence]):
-        grid = [tuple(int(c) for c in row) for row in rows]
-        n = len(grid)
-        if any(len(r) != n for r in grid):
+    __slots__ = ("ctx", "n", "a")
+
+    def __init__(self, ctx: FieldCtx, rows):
+        a = _indices(ctx, rows)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimMismatch("matrix must be square")
-        for r in grid:
-            for c in r:
-                if not 0 <= c < ctx.q:
-                    raise ValueError(f"entry index {c} out of range for {ctx.spec()}")
+        a.flags.writeable = False
         self.ctx = ctx
-        self.n = n
-        self.rows = tuple(grid)
-
-    @classmethod
-    def _raw(cls, ctx: FieldCtx, rows: tuple) -> "Mat":
-        # internal fast path: entries are already validated indices
-        m = cls.__new__(cls)
-        m.ctx = ctx
-        m.n = len(rows)
-        m.rows = rows
-        return m
+        self.n = a.shape[0]
+        self.a = a
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "Mat":
-        return cls._raw(ctx, tuple(tuple(1 if i == j else 0 for j in range(n))
-                                   for i in range(n)))
+        return cls(ctx, np.eye(n, dtype=np.int64))
 
     @classmethod
     def zero(cls, ctx: FieldCtx, n: int) -> "Mat":
-        return cls._raw(ctx, ((0,) * n,) * n)
+        return cls(ctx, np.zeros((n, n), dtype=np.int64))
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.a.tolist()))
 
     def _check(self, other: "Mat") -> None:
         if self.ctx.key != other.ctx.key:
@@ -64,80 +77,41 @@ class Mat:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Mat) and self.ctx.key == other.ctx.key
-                and self.rows == other.rows)
+                and np.array_equal(self.a, other.a))
 
     def __hash__(self) -> int:
-        return hash((self.ctx.key, self.rows))
+        return hash((self.ctx.key, self.a.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Mat({self.ctx.spec()}, {[list(r) for r in self.rows]})"
+        return f"Mat({self.ctx.spec()}, {self.a.tolist()})"
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check(other)
-        add = self.ctx.add
-        return Mat._raw(self.ctx, tuple(
-            tuple(add(a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
+        return Mat(self.ctx, add_digits(self.ctx.p, self.ctx.m, self.a, other.a))
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._check(other)
-        sub = self.ctx.sub
-        return Mat._raw(self.ctx, tuple(
-            tuple(sub(a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
+        return self + other.scale(other.ctx.p - 1)  # -1 has index p - 1 in every field
 
     def __mul__(self, other: "Mat") -> "Mat":
         self._check(other)
-        ctx = self.ctx
-        n = self.n
-        add, mul = ctx.add, ctx.mul
-        cols = list(zip(*other.rows))
-        out = []
-        for i in range(n):
-            row = self.rows[i]
-            out_row = []
-            for j in range(n):
-                col = cols[j]
-                acc = 0
-                for k in range(n):
-                    a = row[k]
-                    if a:
-                        acc = add(acc, mul(a, col[k]))
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return Mat._raw(ctx, tuple(out))
+        return Mat(self.ctx, _product(self.ctx, self.a, other.a))
 
     def scale(self, c: int) -> "Mat":
-        mul = self.ctx.mul
-        return Mat._raw(self.ctx,
-                        tuple(tuple(mul(c, a) for a in row) for row in self.rows))
+        return Mat(self.ctx, self.ctx.vmul(self.a, _indices(self.ctx, c)))
 
     def apply(self, vec: Sequence) -> tuple[int, ...]:
         """Matrix-vector product on index vectors."""
-        v = tuple(int(c) for c in vec)
-        if len(v) != self.n:
-            raise DimMismatch(f"vector length {len(v)} vs dimension {self.n}")
-        ctx = self.ctx
-        out = []
-        for row in self.rows:
-            acc = 0
-            for a, x in zip(row, v):
-                if a and x:
-                    acc = ctx.add(acc, ctx.mul(a, x))
-            out.append(acc)
-        return tuple(out)
+        v = _indices(self.ctx, vec)
+        if v.shape != (self.n,):
+            raise DimMismatch(f"vector shape {v.shape} vs dimension {self.n}")
+        return tuple(self.ctx.vsum(self.ctx.vmul(self.a, v), axis=1).tolist())
 
     def det(self) -> int:
-        ctx = self.ctx
-        n = self.n
-        a = [list(r) for r in self.rows]
+        ctx, n = self.ctx, self.n
+        a = self.a.tolist()
         det = 1
         for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if a[r][col]:
-                    pivot = r
-                    break
+            pivot = next((r for r in range(col, n) if a[r][col]), None)
             if pivot is None:
                 return 0
             if pivot != col:
@@ -154,16 +128,10 @@ class Mat:
         return det
 
     def inv(self) -> "Mat":
-        ctx = self.ctx
-        n = self.n
-        a = [list(r) + [1 if i == j else 0 for j in range(n)]
-             for i, r in enumerate(self.rows)]
+        ctx, n = self.ctx, self.n
+        a = [r + [int(i == j) for j in range(n)] for i, r in enumerate(self.a.tolist())]
         for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if a[r][col]:
-                    pivot = r
-                    break
+            pivot = next((r for r in range(col, n) if a[r][col]), None)
             if pivot is None:
                 raise Singular("matrix is singular")
             if pivot != col:
@@ -178,13 +146,10 @@ class Mat:
         return Mat(ctx, [row[n:] for row in a])
 
     def to_json(self) -> dict:
-        return {"d": self.n, "field": self.ctx.spec(),
-                "rows": [list(r) for r in self.rows]}
+        return {"d": self.n, "field": self.ctx.spec(), "rows": self.a.tolist()}
 
     @classmethod
     def from_json(cls, data: dict) -> "Mat":
-        from .gf import parse_field_spec
-
         return cls(parse_field_spec(data["field"]), data["rows"])
 
 
@@ -201,10 +166,9 @@ def char_poly(m: Mat) -> Poly:
     p_k = (t - h_kk) p_{k-1} - sum_{i<k} h_ik h_{i+1,i} ... h_{k,k-1} p_{i-1}
     (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
     """
-    ctx = m.ctx
-    n = m.n
+    ctx, n = m.ctx, m.n
     add, sub, mul = ctx.add, ctx.sub, ctx.mul
-    h = [list(r) for r in m.rows]
+    h = m.a.tolist()
     for c in range(n - 2):
         k = c + 1
         pivot = next((r for r in range(k, n) if h[r][c]), None)
@@ -254,8 +218,7 @@ def companion(h: Poly) -> Mat:
     k = h.degree
     if k is None or k < 1:
         raise NotMonic("companion matrix needs degree >= 1")
-    rows = companions(h.ctx, [h.coeffs[:k]])[0].tolist()
-    return Mat._raw(h.ctx, tuple(map(tuple, rows)))
+    return Mat(h.ctx, companions(h.ctx, [h.coeffs[:k]])[0])
 
 
 def eval_poly_at_matrix(h: Poly, m: Mat) -> Mat:
@@ -263,14 +226,13 @@ def eval_poly_at_matrix(h: Poly, m: Mat) -> Mat:
     if h.ctx.key != m.ctx.key:
         raise CtxMismatch("polynomial and matrix over different fields")
     ctx = m.ctx
-    acc = Mat.zero(ctx, m.n)
+    acc = np.zeros_like(m.a)
+    diag = np.arange(m.n)
     for c in reversed(h.coeffs):
-        acc = acc * m
+        acc = _product(ctx, acc, m.a)
         if c:  # acc += c * I
-            acc = Mat._raw(ctx, tuple(
-                row[:i] + (ctx.add(row[i], c),) + row[i + 1:]
-                for i, row in enumerate(acc.rows)))
-    return acc
+            acc[diag, diag] = add_digits(ctx.p, ctx.m, acc[diag, diag], c)
+    return Mat(ctx, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ class PermTable:
     @classmethod
     def from_matrix(cls, m: Mat) -> "PermTable":
         """Table of v -> Mv.  Bijective exactly when det(M) != 0."""
-        return cls(m.ctx, m.n, matrix_tables(m.ctx, m.rows))
+        return cls(m.ctx, m.n, matrix_tables(m.ctx, m.a))
 
     # -- protocol ---------------------------------------------------------------
 

@@ -1,9 +1,12 @@
+import functools
+import json
 from random import Random
 
+import numpy as np
 import pytest
 
 from cppforge import gf
-from cppforge.errors import DimMismatch, NotMonic, Singular
+from cppforge.errors import CtxMismatch, DimMismatch, NotMonic, Singular, SizeCap
 from cppforge.linalg import (
     Mat, char_poly, companion, companions, eval_poly_at_matrix, random_invertible, random_matrix,
 )
@@ -19,6 +22,40 @@ F5 = gf.field_new(5)
 F7 = gf.field_new(7)
 F8 = gf.field_new(2, 3)
 F9 = gf.field_new(3, 2)
+ACCEPT_FIELDS = (F2, F3, F4, F5, F7, F8, F9)
+
+
+# --- Oracles: the scalar loops that the array arithmetic replaced -----------
+
+def _mul_oracle(x: Mat, y: Mat) -> tuple:
+    """Triple-loop product, one scalar add and mul per term."""
+    ctx, n, a, b = x.ctx, x.n, x.rows, y.rows
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] = ctx.add(out[i][j], ctx.mul(a[i][k], b[k][j]))
+    return tuple(map(tuple, out))
+
+
+def _entrywise_oracle(op, x: Mat, y: Mat) -> tuple:
+    return tuple(tuple(op(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(x.rows, y.rows))
+
+
+def _apply_oracle(m: Mat, v) -> tuple:
+    return tuple(functools.reduce(m.ctx.add, map(m.ctx.mul, row, v), 0) for row in m.rows)
+
+
+def _eval_oracle(h: Poly, m: Mat) -> tuple:
+    """Horner on the triple-loop product, c * I added entry by entry."""
+    ctx, n = m.ctx, m.n
+    acc = Mat.zero(ctx, n)
+    for c in reversed(h.coeffs):
+        acc = [list(r) for r in _mul_oracle(acc, m)]
+        for i in range(n):
+            acc[i][i] = ctx.add(acc[i][i], c)
+        acc = Mat(ctx, acc)
+    return acc.rows
 
 
 # --- Oracles: the two char-poly algorithms used before the Hessenberg path --
@@ -106,6 +143,102 @@ def test_apply_and_inverse():
         Mat(F5, [[1, 2], [2, 4]]).inv()
     with pytest.raises(DimMismatch):
         m.apply((1, 2, 3))
+
+
+@pytest.mark.parametrize("ctx", ACCEPT_FIELDS, ids=lambda c: c.spec())
+def test_array_arithmetic_matches_scalar_oracles(ctx):
+    rng = Random(f"mat-arith:{ctx.spec()}")
+    for d in range(1, 7):
+        mats = [Mat.identity(ctx, d), Mat.zero(ctx, d)]
+        mats += [random_matrix(ctx, d, rng) for _ in range(3)]
+        for x in mats:
+            for y in mats:
+                assert (x * y).rows == _mul_oracle(x, y), (x, y)
+                assert (x + y).rows == _entrywise_oracle(ctx.add, x, y), (x, y)
+                assert (x - y).rows == _entrywise_oracle(ctx.sub, x, y), (x, y)
+            c = rng.randrange(ctx.q)
+            assert x.scale(c).rows == tuple(tuple(ctx.mul(c, a) for a in r) for r in x.rows)
+            v = [rng.randrange(ctx.q) for _ in range(d)]
+            assert x.apply(v) == _apply_oracle(x, v), (x, v)
+            h = Poly(ctx, [rng.randrange(ctx.q) for _ in range(rng.randrange(d + 3))])
+            assert eval_poly_at_matrix(h, x).rows == _eval_oracle(h, x), (h, x)
+
+
+@pytest.mark.parametrize("rows,err", [
+    ([[1, 2], [3]], DimMismatch),          # ragged
+    ([[1, 2, 3], [4, 5, 6]], DimMismatch),  # 2 x 3
+    ([1, 2], DimMismatch),                 # a vector
+    ([[1, 7], [0, 1]], ValueError),        # entry q
+    ([[1, -1], [0, 1]], ValueError),       # entry -1
+    ([[1 << 70]], ValueError),             # beyond int64
+], ids=["ragged", "2x3", "vector", "entry-q", "entry-minus-1", "huge"])
+def test_constructor_rejects(rows, err):
+    with pytest.raises(err):
+        Mat(F7, rows)
+
+
+def test_matrix_array_is_read_only_and_owned():
+    src = np.array([[1, 2], [3, 4]])
+    m = Mat(F7, src)
+    src[0, 0] = 5
+    assert m.rows == ((1, 2), (3, 4))
+    assert m.a.dtype == np.int64 and not m.a.flags.writeable
+    with pytest.raises(ValueError):
+        m.a[0, 0] = 0
+
+
+@pytest.mark.parametrize("ctx", ACCEPT_FIELDS, ids=lambda c: c.spec())
+def test_rows_and_json_hold_python_ints(ctx):
+    rows = [[(3 * i + j) % ctx.q for j in range(3)] for i in range(3)]
+    m = Mat(ctx, rows)
+    assert m.rows == tuple(map(tuple, rows))
+    assert all(type(c) is int for r in m.rows for c in r)
+    assert all(type(c) is int for r in m.to_json()["rows"] for c in r)
+    assert json.loads(json.dumps(m.to_json()))["rows"] == rows
+    for arr in (np.array(rows), np.array(rows, dtype=np.int32)):
+        assert Mat(ctx, arr) == m and hash(Mat(ctx, arr)) == hash(m)
+    other = np.array(rows)
+    other[2, 1] = (other[2, 1] + 1) % ctx.q
+    assert Mat(ctx, other) != m
+
+
+def test_arithmetic_rejects_mixed_fields_and_sizes():
+    m = Mat(F7, [[1, 2], [3, 4]])
+    for other, err in ((Mat(F4, [[1, 2], [3, 1]]), CtxMismatch),
+                       (Mat.identity(F7, 3), DimMismatch)):
+        for op in (m.__add__, m.__sub__, m.__mul__):
+            with pytest.raises(err):
+                op(other)
+
+
+def test_array_arithmetic_needs_p_below_2_31():
+    big = gf.field_new(2147483659)  # the least prime above 2^31
+    m = Mat(big, [[1, 2], [3, 4]])
+    assert m.det() == big.sub(4, 6)  # the scalar elimination has no bound
+    for op in (lambda: m + m, lambda: m - m, lambda: m * m, lambda: m.apply([1, 1])):
+        with pytest.raises(SizeCap):
+            op()
+
+
+def test_apply_and_scale_reject_out_of_range_entries():
+    # each used to answer without an error, answer wrongly or raise a bare IndexError
+    for ctx, rows, v in ((F7, [[1, 2], [3, 4]], [8, 1]), (F9, [[1, 2], [3, 1]], [-1, 1]),
+                         (F4, [[1, 2], [3, 1]], [5, 1])):
+        with pytest.raises(ValueError):
+            Mat(ctx, rows).apply(v)
+        with pytest.raises(ValueError):
+            Mat(ctx, rows).scale(v[0])
+
+
+@pytest.mark.parametrize("ctx", ACCEPT_FIELDS, ids=lambda c: c.spec())
+def test_vsum_axis_matches_scalar_fold(ctx):
+    a = np.random.default_rng(ctx.q).integers(0, ctx.q, size=(3, 4, 5))
+    fold = lambda s: functools.reduce(ctx.add, s.tolist(), 0)  # noqa: E731
+    got = ctx.vsum(a)
+    assert type(got) is int and got == fold(a.ravel())
+    for axis in (0, 1, 2):
+        assert ctx.vsum(a, axis=axis).tolist() == \
+            np.apply_along_axis(fold, axis, a).tolist(), axis
 
 
 def test_char_poly_examples():
