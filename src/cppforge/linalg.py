@@ -164,7 +164,8 @@ def char_poly(m: Mat) -> Poly:
     the characteristic polynomials p_k of the leading k x k blocks of H
     follow from the recurrence
     p_k = (t - h_kk) p_{k-1} - sum_{i<k} h_ik h_{i+1,i} ... h_{k,k-1} p_{i-1}
-    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9),
+    run on coefficient lists with one ``Poly`` at the end.
     """
     ctx, n = m.ctx, m.n
     add, sub, mul = ctx.add, ctx.sub, ctx.mul
@@ -186,17 +187,21 @@ def char_poly(m: Mat) -> Poly:
                 h[r] = [sub(a, mul(u, b)) for a, b in zip(h[r], h[k])]
                 for row in h:
                     row[k] = add(row[k], mul(u, row[r]))
-    ps = [Poly.one(ctx)]
+    ps = [[1]]  # coefficient lists, low degree first
     for k in range(n):
-        acc = Poly(ctx, [ctx.neg(h[k][k]), 1]) * ps[k]
+        c, prev = ctx.neg(h[k][k]), ps[k]
+        acc = [mul(c, prev[0])] + [add(a, mul(c, b)) for a, b in zip(prev, prev[1:])] + [1]
         prod = 1
         for i in range(k, 0, -1):
             prod = mul(prod, h[i][i - 1])
             if not prod:  # every longer product has this factor too
                 break
-            acc = acc + ps[i - 1].scale(ctx.neg(mul(prod, h[i - 1][k])))
+            f = ctx.neg(mul(prod, h[i - 1][k]))
+            if f:
+                for j, b in enumerate(ps[i - 1]):
+                    acc[j] = add(acc[j], mul(f, b))
         ps.append(acc)
-    return ps[n]
+    return Poly(ctx, ps[n])
 
 
 def companions(ctx: FieldCtx, coeffs) -> np.ndarray:

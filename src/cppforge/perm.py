@@ -17,8 +17,11 @@ one-row case is ``PermTable.npower``), so a sweep over many small maps runs
 as array passes over the stack instead of one ``PermTable`` per map.
 
 Every cycle question (sigma^r = e, the census, r-regularity, witness cycles)
-is answered from one pointer-jumping pass over whole arrays,
-``PermTable.cycle_lengths``, which runs once per table and is kept on it.
+is answered from one pointer-jumping pass over whole arrays:
+``cycle_lengths_rows`` gives the cycle lengths of every row of a stack of
+bijections at once, and ``PermTable.cycle_lengths`` is its one-row case,
+run once per table and kept on it.  ``CycleStructure.from_lengths`` and
+``first_cycle`` read the census and a witness cycle off one row of lengths.
 
 Coordinatewise addition is ``gf.add_digits``, the one digitwise adder.
 
@@ -133,17 +136,27 @@ def matrix_tables(ctx: FieldCtx, mats) -> np.ndarray:
     return linear_table(ctx, d, np.swapaxes(images, -1, -2).reshape(mats.shape[:-2] + (d * m,)))
 
 
+def _flat_rows(tables: np.ndarray) -> np.ndarray:
+    """An (H, n) stack with outputs in [0, n) as one flat map on [0, H*n):
+    row i is offset into its own slice [i*n, (i+1)*n).  The offsets are
+    int32 while H*n fits; one row needs none."""
+    h, n = tables.shape
+    if h == 1:
+        return tables.ravel()
+    dtype = np.int32 if h * n <= np.iinfo(np.int32).max else np.int64
+    return (tables + np.arange(0, h * n, n, dtype=dtype)[:, None]).ravel()
+
+
 def _gather_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Row i of the result is a[i][idx[i]], for stacks of equal shape."""
-    offs = np.arange(0, a.size, a.shape[1], dtype=np.int64)[:, None]
-    return a.ravel().take(idx + offs)
+    return a.ravel().take(_flat_rows(idx)).reshape(idx.shape)
 
 
 def bijective_rows(tables: np.ndarray) -> np.ndarray:
     """Which rows of an (H, n) stack with outputs in [0, n) are bijections."""
     h, n = tables.shape
     hit = np.zeros(h * n, dtype=bool)
-    hit[tables + np.arange(0, h * n, n, dtype=np.int64)[:, None]] = True
+    hit[_flat_rows(tables)] = True
     return hit.reshape(h, n).all(axis=1)
 
 
@@ -160,6 +173,42 @@ def npower_rows(tables: np.ndarray, exps) -> np.ndarray:
         if exps.any():
             acc = _gather_rows(acc, acc)
     return out
+
+
+def cycle_lengths_rows(tables: np.ndarray) -> np.ndarray:
+    """The (H, n) int32 array whose row i holds, for each point, the length
+    of its cycle under row i of an (H, n) stack of bijections.
+
+    Pointer jumping (Hillis & Steele, CACM 29(12), 1986) over the stack as
+    one flat map, each row offset into its own slice, so no cycle crosses
+    rows: after round k, low[x] is the least of x, f(x), ...,
+    f^(2^k - 1)(x).  A round that changes nothing leaves low constant on
+    each cycle, hence its least point; that takes about log2(L) + 1 rounds
+    for a longest cycle L of the stack.
+    """
+    step = _flat_rows(tables)
+    low = np.arange(step.size, dtype=step.dtype)
+    np.minimum(low, step, out=low)  # round 1 gathers nothing: low[f(x)] = f(x)
+    step = step.take(step)
+    while ((nxt := low.take(step)) < low).any():
+        np.minimum(low, nxt, out=low)
+        del nxt
+        step = step.take(step)
+    del step, nxt  # freed before the count, which sets the peak
+    return np.bincount(low).astype(np.int32).take(low).reshape(tables.shape)
+
+
+def first_cycle(table: np.ndarray, lengths: np.ndarray, predicate) -> list[int] | None:
+    """The cycle of ``table`` through the least point whose cycle length
+    (from ``lengths``, the table's cycle lengths) satisfies ``predicate``,
+    listed from that point (the least point of the cycle)."""
+    wanted = [l for l in np.flatnonzero(np.bincount(lengths)).tolist() if predicate(l)]
+    if not wanted:
+        return None
+    orbit = [int(np.argmax(np.isin(lengths, wanted)))]
+    while len(orbit) < lengths[orbit[0]]:
+        orbit.append(int(table[orbit[-1]]))
+    return orbit
 
 
 @dataclass(frozen=True)
@@ -180,6 +229,14 @@ class CycleStructure:
     def from_json(cls, data: dict) -> "CycleStructure":
         return cls(data["fixed"],
                    tuple(sorted((int(l), c) for l, c in data["cycles"].items())))
+
+    @classmethod
+    def from_lengths(cls, lengths: np.ndarray) -> "CycleStructure":
+        """The census of a bijection from the cycle length of each point."""
+        points = np.bincount(lengths)  # points on cycles of each length
+        cycles = np.flatnonzero(points[2:]) + 2
+        return cls(int(points[1]), tuple(zip(
+            cycles.tolist(), (points[cycles] // cycles).tolist())))
 
 
 class PermTable:
@@ -294,40 +351,22 @@ class PermTable:
 
     def cycle_lengths(self) -> np.ndarray:
         """The length of the cycle through each point, as a read-only int32
-        array computed by the first call and kept on the table.
-
-        Pointer jumping (Hillis & Steele, CACM 29(12), 1986): after round k,
-        low[x] is the least of x, f(x), ..., f^(2^k - 1)(x).  A round that
-        changes nothing leaves low constant on each cycle, hence its least
-        point; that takes about log2(L) + 1 rounds for a longest cycle L.
-        """
+        array: the one-row case of ``cycle_lengths_rows``, computed by the
+        first call and kept on the table."""
         if self._lengths is None:
             if not self.bijective:
                 raise NotBijective("cycle lengths need a bijective table")
-            low, step = space(self.ctx, self.d).arange, self.table
-            while not np.array_equal(nxt := np.minimum(low, low.take(step)), low):
-                low, step = nxt, step.take(step)
-            self._lengths = np.bincount(low, minlength=self.n).astype(np.int32).take(low)
+            self._lengths = cycle_lengths_rows(self.table[None])[0]
             self._lengths.flags.writeable = False
         return self._lengths
 
     def cycle_structure(self) -> CycleStructure:
-        points = np.bincount(self.cycle_lengths())  # points on cycles of each length
-        lengths = np.flatnonzero(points[2:]) + 2
-        return CycleStructure(int(points[1]), tuple(zip(
-            lengths.tolist(), (points[lengths] // lengths).tolist())))
+        return CycleStructure.from_lengths(self.cycle_lengths())
 
     def find_cycle(self, predicate) -> list[int] | None:
         """The cycle through the least point whose cycle length satisfies
         ``predicate``, listed from that point (the least point of the cycle)."""
-        lengths = self.cycle_lengths()
-        wanted = [l for l in np.flatnonzero(np.bincount(lengths)).tolist() if predicate(l)]
-        if not wanted:
-            return None
-        orbit = [int(np.argmax(np.isin(lengths, wanted)))]
-        while len(orbit) < lengths[orbit[0]]:
-            orbit.append(self(orbit[-1]))
-        return orbit
+        return first_cycle(self.table, self.cycle_lengths(), predicate)
 
     def is_r_cycle(self, r: int) -> bool:
         """sigma^r = e: every cycle length divides r."""

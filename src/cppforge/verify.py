@@ -30,9 +30,15 @@ ord(t mod h) and ord(t + 1 mod h) of parts 2 and 4 from
 ``poly.monic_orders``, computed from h alone for all monic h of a degree at
 once, so they stay independent of the table under test.
 
-The section-3 and section-4 checks read sigma^r = e (every cycle length
-divides r, with r from the claim), the census, regularity and witness cycles
-of a table from its one ``PermTable.cycle_lengths`` array.
+The section-3 sweeps build the instances of one degree as stacks too, in
+blocks of at most ``_BLOCK`` table entries (or one instance): one
+``perm.matrix_tables`` call per block, one scatter that conjugates every row
+by the degree's tau, row-wise bijectivity of sigma and sigma + e, and one
+``perm.cycle_lengths_rows`` pass, and they still yield one step per
+instance, in the order its matrix was drawn.  The section-3 and section-4
+checks read sigma^r = e (every cycle length divides r, with r from the
+claim), the census, regularity and witness cycles of a table from its cycle
+lengths, computed once per block or per table.
 
 Reports are replayable: the verdict and witness are pure functions of
 (claim id, parameters, master seed).  The JSON-line stream therefore emits a
@@ -47,7 +53,7 @@ import time
 from math import isqrt
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations
+from itertools import groupby, permutations
 from random import Random
 from typing import Callable, Optional
 
@@ -55,10 +61,11 @@ import numpy as np
 
 from . import construct
 from .construct import TauSpec, matrix_with_char_poly, random_additive_pp, tau_to_table
-from .errors import HypothesisViolated, InvalidSpec, UnknownClaim
-from .gf import FieldCtx, add_digits, is_prime, parse_field_spec
+from .errors import HypothesisViolated, InvalidSpec, SizeCap, UnknownClaim
+from .gf import FieldCtx, _prime_divisors, add_digits, is_prime, parse_field_spec
 from .linalg import companions, random_invertible
-from .perm import TABLE_CAP, PermTable, bijective_rows, matrix_tables, npower_rows, space
+from .perm import (TABLE_CAP, CycleStructure, PermTable, bijective_rows, cycle_lengths_rows,
+                   first_cycle, matrix_tables, npower_rows, space)
 from .poly import Poly, cyclotomic, irreducible_factors, monic_coeffs, monic_orders, monic_values
 
 SCHEMA = "cppforge/1"
@@ -230,7 +237,27 @@ def _thm32_sweep(part: int, draw_tau, cid, ctx, r, params, rng, cap):
 
 # ---------------------------------------------------------------------------
 # Section-3 sweeps
+#
+# The instances of a point are (h, kind) pairs, h in degree order, each kind
+# drawing one matrix with P_M = h from the point's RNG, and the tau of a
+# degree drawn right after its first matrix.  _p3_tables draws them in that
+# order and builds them in row blocks of one degree, as one int32 stack per
+# block; _r_cycle_failures checks a whole block, and a failing instance's
+# witness is read from its row alone.
 # ---------------------------------------------------------------------------
+
+_FACTORS: dict = {}
+
+
+def _factors_of_cyclotomic(ctx: FieldCtx, l: int) -> list[Poly]:
+    """irreducible_factors(cyclotomic(l, ctx)), computed once per process for
+    each field and l."""
+    key = (ctx.key, l)
+    got = _FACTORS.get(key)
+    if got is None:
+        got = _FACTORS[key] = irreducible_factors(cyclotomic(l, ctx))
+    return got
+
 
 def _cyclotomic_factors(ctx: FieldCtx, ls, cap: int) -> list[tuple[int, Poly]]:
     """(l, f) for every irreducible factor f of Q_l, l in ls, with q^deg(f) <= cap.
@@ -241,7 +268,7 @@ def _cyclotomic_factors(ctx: FieldCtx, ls, cap: int) -> list[tuple[int, Poly]]:
     """
     ks = [k for k in range(1, cap.bit_length()) if ctx.q ** k <= cap]
     return [(l, f) for l in ls if any(pow(ctx.q, k, l) == 1 % l for k in ks)
-            for f in irreducible_factors(cyclotomic(l, ctx))]
+            for f in _factors_of_cyclotomic(ctx, l)]
 
 
 def _products(factors: list[Poly], cap: int) -> list[tuple[Poly, tuple]]:
@@ -255,33 +282,94 @@ def _products(factors: list[Poly], cap: int) -> list[tuple[Poly, tuple]]:
 
 
 def _p3_tables(hs, kinds, tau_kind: str, ctx: FieldCtx, rng: Random):
-    """(h, kind, sigma) per instance: sigma_M for M of each kind with P_M = h,
-    conjugated (unless tau_kind is linear) by one tau per dimension, drawn on
-    its first use."""
-    taus: dict = {}
-    for h in hs:
-        d = h.degree
-        for kind in kinds:
-            sig = PermTable.from_matrix(matrix_with_char_poly(h, kind, rng))
-            if tau_kind != "linear":
-                if d not in taus:
-                    draw = _tau_additive if tau_kind == "additive" else _tau_general
-                    taus[d] = draw(ctx, d, rng)
-                sig = sig.conjugate(taus[d])
-            yield h, kind, sig
+    """(instances, stack) per block: the (h, kind) of each instance, and the
+    (H, q^d) int32 stack of their tables sigma_M, M of that kind with
+    P_M = h, conjugated (unless tau_kind is linear) by one tau per
+    dimension.  hs is sorted by degree, so each degree is one run of blocks
+    of at most _BLOCK entries, or of one instance."""
+    draw = {"additive": _tau_additive, "general": _tau_general}.get(tau_kind)
+    for d, group in groupby(hs, key=lambda h: h.degree):
+        todo = [(h, kind) for h in group for kind in kinds]
+        rows = max(1, _BLOCK // ctx.q ** d)
+        tau = None
+        for lo in range(0, len(todo), rows):
+            block = todo[lo:lo + rows]
+            mats = []
+            for h, kind in block:
+                mats.append(matrix_with_char_poly(h, kind, rng).a)
+                if tau is None and draw:  # drawn at the first instance
+                    tau = draw(ctx, d, rng).table
+            sig = matrix_tables(ctx, np.stack(mats))
+            if tau is not None:  # tau o sigma o tau^-1 sends tau(x) to tau(sigma(x))
+                sig[:, tau] = tau.take(sig)
+            yield block, sig
 
 
-def _r_cycle_failure(sig: PermTable, r: int, wit: dict, cpp: bool):
-    """Witness of the first check to fail of PP, CPP (when ``cpp``) and
-    sigma^r = e; None when all hold."""
-    if not sig.bijective:
-        return {**wit, **_collision(sig.table)}
-    if cpp and not sig.is_cpp():
-        e = PermTable.identity(sig.ctx, sig.d)
-        return {**wit, "part": "cpp", **_collision(sig.add_pointwise(e).table)}
-    if not sig.is_r_cycle(r):
-        return {**wit, "kind": f"npower({r}) != e"}
-    return None
+def _r_cycle_failures(sig: np.ndarray, r: int, cpp: bool, sp) -> tuple:
+    """Check a block: ({row: witness part} for the rows of the stack ``sig``
+    that fail the first of PP, CPP (when ``cpp``) and sigma^r = e, the rows
+    that pass all three, and their cycle lengths."""
+    good = bijective_rows(sig)
+    fails = {i: _collision(sig[i]) for i in np.flatnonzero(~good).tolist()}
+    if cpp:
+        # sigma + e, added in at most q column slices of at least _BLOCK
+        # entries: the digitwise adder makes about ten temporaries the size
+        # of its operands, which set the peak memory of a large table
+        sige = np.empty_like(sig)
+        width = max(_BLOCK, sp.n // sp.ctx.q)
+        for lo in range(0, sp.n, width):
+            sige[:, lo:lo + width] = sp.vadd(sig[:, lo:lo + width], sp.arange[lo:lo + width])
+        cpp_ok = bijective_rows(sige)
+        for i in np.flatnonzero(good & ~cpp_ok).tolist():
+            fails[i] = {"part": "cpp", **_collision(sige[i])}
+        del sige
+        good &= cpp_ok
+    rows = np.flatnonzero(good)
+    lengths = cycle_lengths_rows(sig if len(rows) == len(sig) else sig[rows])
+    r_cycle = (r % lengths == 0).all(axis=1)
+    if not r_cycle.all():
+        for i in rows[~r_cycle].tolist():
+            fails[i] = {"kind": f"npower({r}) != e"}
+        rows, lengths = rows[r_cycle], lengths[r_cycle]
+    return fails, rows, lengths
+
+
+def _p3_steps(block, sig, r: int, cpp: bool, sp, judge, wit) -> list:
+    """(verdict, witness, work) of each instance of a block: the first failed
+    check of PP, CPP (when ``cpp``) and sigma^r = e, else what
+    ``judge(table row, cycle lengths row)`` returns as (verdict, witness
+    part or None).  ``wit(h, kind)`` is the base of a witness."""
+    fails, rows, lengths = _r_cycle_failures(sig, r, cpp, sp)
+    got = {i: (FAIL, bad) for i, bad in fails.items()}
+    for j, i in enumerate(rows.tolist()):
+        got[i] = judge(sig[i], lengths[j])
+    work = 2 * sig.shape[1]
+    steps = []
+    for i, inst in enumerate(block):
+        verdict, part = got[i]
+        steps.append((verdict, None if part is None else {**wit(*inst), **part}, work))
+    return steps
+
+
+def _regular(r: int, composite: bool, row, lengths):
+    """r-regular, and with census 1 fixed point + (n - 1)/r r-cycles when
+    ``composite``; every cycle length divides r already."""
+    if ((lengths != 1) & (lengths != r)).any():
+        return FAIL, {"kind": "not regular",
+                      "cycle": first_cycle(row, lengths, lambda L: L > 1 and L != r)}
+    # every cycle length is 1 or r, so the census holds exactly when one
+    # point is fixed
+    if composite and np.count_nonzero(lengths == 1) != 1:
+        return FAIL, {"kind": "census mismatch",
+                      "census": CycleStructure.from_lengths(lengths).to_json()}
+    return PASS, None
+
+
+def _short_cycle_witness(r: int, row, lengths):
+    cyc = first_cycle(row, lengths, lambda L: 1 < L < r and r % L == 0)
+    if cyc is None:
+        return FAIL, {"kind": "no short-cycle witness found"}
+    return PASS, {"cycle_length": len(cyc), "cycle": cyc[:16]}
 
 
 def _p3_regular_sweep(tau_kind: str, composite: bool, cid, ctx, r, params, rng, cap):
@@ -293,17 +381,10 @@ def _p3_regular_sweep(tau_kind: str, composite: bool, cid, ctx, r, params, rng, 
         # h != t-1 per the hypothesis; h(-1) != 0 restricts the p = 2
         # divisors containing t-1 (see the claim statement)
         hs = [h for h in hs if h != tm1 and h.eval_idx(ctx.neg(1)) != 0]
-    for h, kind, sig in _p3_tables(hs, _MODES, tau_kind, ctx, rng):
-        wit = {"h": h.to_json(), "matrix": kind, "d": h.degree}
-        bad = _r_cycle_failure(sig, r, wit, tau_kind != "general")
-        if bad is None:
-            cs = sig.cycle_structure()
-            if not all(l == r for l, _ in cs.cycles):
-                bad = {**wit, "kind": "not regular", "cycle": _off_length_cycle(sig, r)}
-            elif composite and (cs.fixed_points != 1
-                                or cs.cycles != ((r, (sig.n - 1) // r),)):
-                bad = {**wit, "kind": "census mismatch", "census": cs.to_json()}
-        yield (FAIL, bad, 2 * sig.n) if bad else (PASS, None, 2 * sig.n)
+    judge, cpp = partial(_regular, r, composite), tau_kind != "general"
+    for block, sig in _p3_tables(hs, _MODES, tau_kind, ctx, rng):
+        yield from _p3_steps(block, sig, r, cpp, space(ctx, block[0][0].degree), judge,
+                             lambda h, kind: {"h": h.to_json(), "matrix": kind, "d": h.degree})
 
 
 def _p3_negative_sweep(tau_kind: str, cid, ctx, r, params, rng, cap):
@@ -319,15 +400,10 @@ def _p3_negative_sweep(tau_kind: str, cid, ctx, r, params, rng, cap):
           if len(s) >= 2 and short.intersection(s)
           and not (cpp and h.eval_idx(ctx.neg(1)) == 0)]
     # the minimal-polynomial argument needs M(h)
-    for h, _, sig in _p3_tables(hs, ("companion",), tau_kind, ctx, rng):
-        wit = {"h": h.to_json(), "d": h.degree}
-        bad = _r_cycle_failure(sig, r, wit, cpp)
-        if bad is None:
-            cyc = sig.find_cycle(lambda L: 1 < L < r and r % L == 0)
-            if cyc is None:
-                bad = {**wit, "kind": "no short-cycle witness found"}
-        yield ((FAIL, bad, 2 * sig.n) if bad else
-               (PASS, {**wit, "cycle_length": len(cyc), "cycle": cyc[:16]}, 2 * sig.n))
+    judge = partial(_short_cycle_witness, r)
+    for block, sig in _p3_tables(hs, ("companion",), tau_kind, ctx, rng):
+        yield from _p3_steps(block, sig, r, cpp, space(ctx, block[0][0].degree), judge,
+                             lambda h, kind: {"h": h.to_json(), "d": h.degree})
 
 
 def _not_composite(ctx: FieldCtx, r: int) -> Optional[str]:
@@ -765,7 +841,9 @@ def explore_quadratic(r: int, field: str, count: int = 8,
 
     Covers the open territory: arbitrary M with P_M = h (not just the
     companion) and coordinatewise non-additive tau.  Returns finding dicts;
-    nothing here is asserted.
+    nothing here is asserted.  Every factor of Q_r has degree k = ord_r(q),
+    read before anything is factored: Q_r has no proper-degree factor when
+    k >= r - 1, and raises SizeCap when q^k exceeds the table cap.
     """
     if r < 1 or count < 0:
         raise InvalidSpec(f"explore needs r >= 1 and count >= 0 "
@@ -773,12 +851,21 @@ def explore_quadratic(r: int, field: str, count: int = 8,
     ctx = parse_field_spec(field)
     if r % ctx.p == 0:
         return [{"r": r, "field": field, "note": "characteristic divides r"}]
-    factors = irreducible_factors(cyclotomic(r, ctx))
-    small = [f for f in factors if f.degree < r - 1]
-    if not small:
+    # k = ord_r(q): start from phi(r), which k divides as gcd(q, r) = 1, and
+    # take out each prime factor f while q^(k/f) = 1 (mod r)
+    k = r
+    for f in _prime_divisors(r):
+        k -= k // f
+    for f in _prime_divisors(k):
+        while k % f == 0 and pow(ctx.q, k // f, r) == 1 % r:
+            k //= f
+    if k >= r - 1:
         return [{"r": r, "field": field,
                  "note": f"Q_{r} has no proper-degree factor over this field"}]
-    h = small[0]
+    if k >= TABLE_CAP.bit_length() or ctx.q ** k > TABLE_CAP:
+        raise SizeCap(f"the factors of Q_{r} have degree {k}: q^{k} exceeds "
+                      f"the {TABLE_CAP} table cap")
+    h = _factors_of_cyclotomic(ctx, r)[0]
     d = h.degree
     rng = Random(f"cppforge:explore:{seed}:{r}:{field}")
     out = []

@@ -271,6 +271,27 @@ def test_explore_negative_count_exit_2(capsys):
     assert run(capsys, "explore", "--count", "0")[:2] == (0, "")
 
 
+def test_explore_factor_degree_over_the_cap_exit_2(capsys):
+    # the factors of Q_47 over F_2 have degree 23, those of Q_1009 degree
+    # 504: none is factored nor tabulated, and ord_r(q) is found without a
+    # walk over the r residues
+    for r, k in (("47", 23), ("1009", 504), ("1000000007", 500000003)):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "explore", "--r", r, "--field", "2^1", "--count", "1")
+        assert time.perf_counter() - t0 < 1.0, r
+        assert code == 2 and out == "", r
+        assert err.startswith("error: SizeCap:") and err.count("\n") == 1, r
+        assert f"degree {k}" in err
+
+
+def test_explore_note_without_a_proper_degree_factor(capsys):
+    # 2 is a primitive root mod 101, so Q_101 is irreducible over F_2
+    code, out, err = run(capsys, "explore", "--r", "101", "--field", "2^1")
+    assert code == 0 and err == ""
+    (row,) = [json.loads(line) for line in out.splitlines()]
+    assert row["note"] == "Q_101 has no proper-degree factor over this field"
+
+
 def test_usage_error_exit_2(capsys):
     assert run(capsys, "construct")[0] == 2
     assert run(capsys, "nonsense-command")[0] == 2

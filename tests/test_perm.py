@@ -10,7 +10,8 @@ from cppforge.construct import TauSpec, random_additive_pp, random_pp, tau_to_ta
 from cppforge.errors import DimMismatch, NotBijective, SizeCap
 from cppforge.linalg import Mat, companion, companions, random_invertible, random_matrix
 from cppforge.perm import (
-    CycleStructure, PermTable, bijective_rows, linear_table, matrix_tables, npower_rows, space,
+    CycleStructure, PermTable, bijective_rows, cycle_lengths_rows, linear_table, matrix_tables,
+    npower_rows, space,
 )
 from cppforge.poly import Poly, cyclotomic, monic_coeffs, monic_orders, monic_polys
 
@@ -367,17 +368,79 @@ def test_find_cycle_matches_scan_oracle():
     assert found > 300
 
 
+def walked_cycle_lengths(tbl):
+    """Oracle: the length of each point's cycle, by walking the cycle."""
+    out = [0] * len(tbl)
+    for start in range(len(tbl)):
+        if not out[start]:
+            orbit = [start]
+            while tbl[orbit[-1]] != start:
+                orbit.append(tbl[orbit[-1]])
+            for x in orbit:
+                out[x] = len(orbit)
+    return out
+
+
+def _cycle_type_rows(n):
+    """Bijections of [0, n) of several cycle types, each as a list."""
+    rng = Random(11)
+    rows = [list(range(n)),                                  # identity
+            [(x + 1) % n for x in range(n)],                 # one n-cycle
+            [x ^ 1 if x >= 4 and x ^ 1 < n else x for x in range(n)]]  # fixed + 2-cycles
+    for _ in range(5):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rows.append(perm)
+    return rows
+
+
+def test_cycle_lengths_rows_match_per_table_and_walk_oracles():
+    for n in (1, 2, 7, 64, 1000):
+        rows = _cycle_type_rows(n)
+        got = cycle_lengths_rows(np.array(rows, dtype=np.int32))
+        assert got.shape == (len(rows), n) and got.dtype == np.int32
+        for row, lengths in zip(rows, got):
+            assert lengths.tolist() == walked_cycle_lengths(row)
+            if n in (2, 64):  # tables on F_2^1 and F_2^6
+                tbl = PermTable(F2, n.bit_length() - 1, row)
+                assert np.array_equal(tbl.cycle_lengths(), lengths)
+        # a one-row stack, and each row alone, give the same lengths
+        for i, row in enumerate(rows):
+            assert np.array_equal(cycle_lengths_rows(np.array([row], dtype=np.int32))[0],
+                                  got[i])
+    # the identity, one n-cycle and fixed points plus 2-cycles
+    n = 64
+    id_, cyc, swaps = cycle_lengths_rows(np.array(_cycle_type_rows(n)[:3], dtype=np.int32))
+    assert set(id_.tolist()) == {1} and set(cyc.tolist()) == {n}
+    assert swaps[:4].tolist() == [1] * 4 and set(swaps[4:].tolist()) == {2}
+
+
+def test_cycle_lengths_rows_on_seeded_tables_of_a_space():
+    # rows of different cycle types in one stack: seeded linear bijections
+    # and random permutations of F_3^3
+    rng = Random(5)
+    tables = [PermTable.from_matrix(random_invertible(F3, 3, rng)) for _ in range(6)]
+    tables += [PermTable(F3, 3, random_pp(27, rng)) for _ in range(6)]
+    stack = np.array([t.table for t in tables])
+    got = cycle_lengths_rows(stack)
+    assert len({tuple(sorted(g)) for g in got.tolist()}) > 6
+    for t, lengths in zip(tables, got):
+        assert np.array_equal(t.cycle_lengths(), lengths)
+        assert lengths.tolist() == walked_cycle_lengths(t.table.tolist())
+        assert CycleStructure.from_lengths(lengths) == naive_cycle_structure(t.table.tolist())
+
+
 def test_rank_census_matches_table_census(monkeypatch):
-    # every sigma_M that the full-profile p3.2 grid builds
+    # every sigma_M that the full-profile p3.2 grid builds, as rows of stacks
     built = []
-    real_from_matrix = PermTable.from_matrix.__func__
+    real_matrix_tables = verify.matrix_tables
 
-    def recording(cls, m):
-        tbl = real_from_matrix(cls, m)
-        built.append((m, tbl))
-        return tbl
+    def recording(ctx, mats):
+        tables = real_matrix_tables(ctx, mats)
+        built.extend((Mat(ctx, m), PermTable(ctx, len(m), t)) for m, t in zip(mats, tables))
+        return tables
 
-    monkeypatch.setattr(PermTable, "from_matrix", classmethod(recording))
+    monkeypatch.setattr(verify, "matrix_tables", recording)
     checked = 0
     for point in verify.REGISTRY["p3.2"].full:
         built.clear()

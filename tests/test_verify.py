@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cppforge
-from cppforge import construct, linalg, poly, verify
+from cppforge import construct, linalg, perm, poly, verify
 from cppforge.errors import InvalidSpec, UnknownClaim
 from cppforge.linalg import Mat
 from cppforge.gf import field_new, parse_field_spec
@@ -59,6 +59,11 @@ SABOTAGED_NON_P4 = {
     "square": (37, "afe00e0e55dd891a9a9b6b833e34f60b612a8a0ac1c4f46989f601ab88a815b8"),
 }
 
+# sha256 of the full-grid report lines (seed 42) of the nine section-3
+# claims, 97 points.  Recorded while every instance built and checked its own
+# table, before the sweeps stacked the instances of a degree in blocks.
+P3_FULL_42_SHA256 = "1e47dcc2361823b54a480102d85e076c75453e61d03888239f31ad17f428b090"
+
 # The number of the 51 section-4 quick-grid points (seed 42) that fail under
 # the "square" sabotage, and the sha256 of all their report lines.  Recorded
 # with the pure-Python cycle walks of perm.
@@ -82,11 +87,12 @@ def _squared_from_matrix(cls, m):
 
 def _rowwise(edit, real, with_exps=False):
     """The stacked version of a table sabotage: ``edit`` applied to each row
-    of what ``real`` returns (with the row's exponent when ``with_exps``)."""
-    def stacked(a, b):
-        out = real(a, b).copy()
+    of what ``real`` returns (with the row's exponent, the last argument,
+    when ``with_exps``)."""
+    def stacked(*args):
+        out = real(*args).copy()
         for i in range(len(out)):
-            out[i] = edit(out[i], b[i]) if with_exps else edit(out[i])
+            out[i] = edit(out[i], args[-1][i]) if with_exps else edit(out[i])
         return out
     return stacked
 
@@ -233,6 +239,39 @@ def test_theorem_full_stream_pinned_across_block_boundaries(monkeypatch):
     assert _sha256("\n".join(lines)) == THM_FULL_42_SHA256
 
 
+def _section3_lines(profile):
+    return [rep.to_json_line()
+            for cid in sorted(c for c in verify.REGISTRY if c.startswith("p3."))
+            for rep in verify.verify_claim(cid, master_seed=42, profile=profile)]
+
+
+def test_section3_full_stream_pinned(monkeypatch):
+    # each Q_l is factored once per field and process, however many points
+    # and claims ask for it
+    factored = []
+
+    def counted(f):
+        factored.append((f.ctx.key, tuple(f.coeffs)))
+        return irreducible_factors(f)
+
+    monkeypatch.setattr(verify, "irreducible_factors", counted)
+    monkeypatch.setattr(verify, "_FACTORS", {})
+    lines = _section3_lines("full")
+    assert len(lines) == 97
+    assert _sha256("\n".join(lines)) == P3_FULL_42_SHA256
+    assert len(factored) == len(set(factored)) == 37
+
+
+@pytest.mark.parametrize("bound", [1, 1 << 20])
+def test_section3_streams_pinned_across_block_bounds(monkeypatch, bound):
+    # a bound of 1 makes every instance a block of one (and adds sigma + e
+    # in q slices); 2^20 puts each degree of a point in one block
+    quick = _section3_lines("quick")
+    monkeypatch.setattr(verify, "_BLOCK", bound)
+    assert _section3_lines("quick") == quick
+    assert _sha256("\n".join(_section3_lines("full"))) == P3_FULL_42_SHA256
+
+
 def test_theorem_sweeps_build_no_table_per_polynomial(monkeypatch):
     # the sweeps build their tables as stacks; the PermTables left are the
     # fixed ones of a point (S and S^-1, or tau1, tau2 and tau1^-1)
@@ -344,8 +383,8 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
     # instead of crashing on an inverse.  The theorem sweeps build their
     # tables as stacks, so every sabotage also applies, row by row, to the
     # stacked entry point that verify calls in its place.  The section-3
-    # checks read sigma^r = e from the cycle lengths, so the npower sabotage
-    # applies to is_r_cycle too.
+    # checks read sigma^r = e from the cycle lengths of a stack, so the
+    # npower sabotage applies to is_r_cycle and cycle_lengths_rows too.
     real_npower, real_is_r_cycle = PermTable.npower, PermTable.is_r_cycle
 
     def swap12(t):
@@ -372,6 +411,11 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
     def is_r_cycle(self, r):  # what npower(r) == e reads under the npower sabotage
         return r <= 1 and real_is_r_cycle(self, r)
 
+    def longer_than_any_table(lengths):  # a cycle length that divides no r > 1
+        lengths = lengths.copy()
+        lengths[0] = np.iinfo(lengths.dtype).max
+        return lengths
+
     def bump(rows, ctx):
         rows = [list(r) for r in rows]
         rows[0][0] = ctx.add(int(rows[0][0]), 1)
@@ -392,7 +436,9 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
         "from_matrix": [(PermTable, "from_matrix", classmethod(from_matrix)),
                         (verify, "matrix_tables", _rowwise(swap12, _REAL_MATRIX_TABLES))],
         "npower": [(PermTable, "npower", npower), (PermTable, "is_r_cycle", is_r_cycle),
-                   (verify, "npower_rows", _rowwise(swap01_past_one, verify.npower_rows, True))],
+                   (verify, "npower_rows", _rowwise(swap01_past_one, verify.npower_rows, True)),
+                   (verify, "cycle_lengths_rows",
+                    _rowwise(longer_than_any_table, verify.cycle_lengths_rows))],
         "companion": [(mod, "companion", companion) for mod in (linalg, construct, cppforge)]
                      + [(verify, "companions", companions)],
         "square": [(PermTable, "from_matrix", _squared_from_matrix),
@@ -435,25 +481,38 @@ def test_section4_off_length_witnesses_pinned(monkeypatch):
 ])
 def test_one_cycle_pass_per_checked_table(monkeypatch, cid, point):
     # sigma^r = e, the census, regularity and the witness cycle of a table
-    # all read its one cycle_lengths array; no check takes a composite power
-    real = PermTable.cycle_lengths
-    asked, passes = {}, {}
+    # all read its cycle lengths; no check takes a composite power.  The
+    # section-3 sweeps check a block of tables with one stacked pass; a
+    # section-4 table is a stack of one
+    real = perm.cycle_lengths_rows
+    passes, blocks = [], []
 
-    def counted(self):
-        asked[id(self)] = self  # held, so that no id is reused
-        passes[id(self)] = passes.get(id(self), 0) + (self._lengths is None)
-        return real(self)
+    def counted(tables):
+        passes.append(tables.shape)
+        return real(tables)
+
+    def recorded(*args):
+        for block, sig in real_tables(*args):
+            blocks.append(sig.shape)
+            yield block, sig
 
     def no_npower(self, n):
         raise AssertionError("verify took a composite power")
 
-    monkeypatch.setattr(PermTable, "cycle_lengths", counted)
+    real_tables = verify._p3_tables
+    for mod in (perm, verify):
+        monkeypatch.setattr(mod, "cycle_lengths_rows", counted)
+    monkeypatch.setattr(verify, "_p3_tables", recorded)
     monkeypatch.setattr(PermTable, "npower", no_npower)
     (rep,) = verify.verify_claim(cid, grid=[point], master_seed=42, profile="full")
     assert rep.verdict == "pass", rep.to_json()
-    assert len(asked) >= 2 and set(passes.values()) == {1}
-    # each instance checks one table and counts 2n work for it
-    assert rep.work == sum(2 * t.n for t in asked.values())
+    assert len(passes) >= 2
+    if cid.startswith("p3."):
+        assert passes == blocks and any(h > 1 for h, _ in blocks)
+    else:
+        assert blocks == [] and {h for h, _ in passes} == {1}
+    # each instance checks one table (one row) and counts 2n work for it
+    assert rep.work == sum(2 * h * n for h, n in passes)
 
 
 def test_short_cycle_check_on_a_3_regular_cpp():
