@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CharacteristicDividesR, HypothesisViolated, InvalidSpec
-from .gf import FieldCtx, field_from_order, field_new, parse_field_spec
+from .gf import TABLE_CAP, FieldCtx, field_from_order, field_new, parse_field_spec
 from .linalg import Mat, companion, char_poly, random_invertible
 from .perm import PermTable, linear_table, space
 from .poly import Poly, cyclotomic, parse_poly
@@ -568,8 +568,10 @@ def named_construction(claim_id: str, params: dict) -> ConstructionSpec:
     text, holds = row.hypothesis
     if not holds(ctx.p, r):
         raise HypothesisViolated(f"{claim_id} requires {text} (got p={ctx.p}, r={r})")
-    h = pick_h(r, ctx, row.h) if row.h in (_Q, "quotient") else parse_poly(row.h, ctx)
     d = row.dim(r)
+    if d >= TABLE_CAP.bit_length():  # no q^d fits: SizeCap before h or M is built
+        space(ctx, d)
+    h = pick_h(r, ctx, row.h) if row.h in (_Q, "quotient") else parse_poly(row.h, ctx)
     m, tau1, tau2 = row.builder(ctx, h, d, params, rng)
     if char_poly(m) != h:
         raise RuntimeError("internal error: matrix charpoly != h")

@@ -15,8 +15,8 @@ range.
 degree < N = q^d over F_{q^d} agreeing with it everywhere.  Big-field indices
 and packed F_q^d vectors are both strings of m*d base-p digits, and decode
 is an F_p-linear bijection, one ``perm.linear_table`` map ``dec``.  The lift
-conjugates the table by it, ``y[dec] = dec[table]``, as
-``PermTable.conjugate`` does, so no encode table is built.  With M = N - 1
+conjugates the table by it with ``perm.conjugate_rows``, y(dec[v]) =
+dec[table[v]], so no encode table is built.  With M = N - 1
 and a primitive element g, the coefficients are one length-M DFT over F_N
 of the values at a = g^i: Y_e = sum_i y(g^i) g^(ie), c_0 = y(0),
 c_k = -Y_(M-k) for 0 < k < M and c_M = -(Y_0 + y(0)), since the sum of a^j
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import CtxMismatch, DependentBasis, SizeCap, Singular
 from .gf import FieldCtx, add_digits, field_new, subfield_embedding, trace
 from .linalg import Mat
-from .perm import PermTable, linear_table, space
+from .perm import PermTable, conjugate_rows, linear_table, space
 from .poly import Poly
 
 UNIVARIATE_CAP = 1 << 12
@@ -222,8 +222,7 @@ def to_univariate(bp: BasisPair, f: PermTable) -> Poly:
     n = big.q
     check_univariate_cap(n)
     dec = _decode_table(bp)
-    y = np.empty_like(dec)  # y(dec[v]) = dec[f(v)]: f conjugated by decode
-    y[dec] = dec[f.table]
+    y = conjugate_rows(f.table.copy(), dec)
     ys = _dft(big, y)
     # c_0 = y(0), c_k = -Y_(N-1-k) for 0 < k < N-1 and c_(N-1) = -(Y_0 + y(0))
     coeffs = np.empty(n, dtype=np.int64)

@@ -11,10 +11,11 @@ reference map of the additivity test -- is tabulated by ``linear_table``
 from the images of the m*d digit basis vectors p^k.  It builds one table,
 or an (H, q^d) stack of them from H rows of images in the same passes;
 ``matrix_tables`` gives the images of a matrix or of an (H, d, d) stack of
-matrices, and ``PermTable.from_matrix`` is its one-matrix case.  A stack
-has row-wise checks too, ``bijective_rows`` and ``npower_rows`` (whose
-one-row case is ``PermTable.npower``), so a sweep over many small maps runs
-as array passes over the stack instead of one ``PermTable`` per map.
+matrices, and ``PermTable.from_matrix`` is its one-matrix case.  Each
+table question has one row-wise kernel over a stack, whose one-row case is
+the ``PermTable`` method: ``bijective_rows``, ``conjugate_rows`` (tau o f o
+tau^-1 by one scatter, with no inverse built), ``add_rows`` (sigma + e) and
+``npower_rows``, so a sweep over many small maps runs as array passes.
 
 Every cycle question (sigma^r = e, the census, r-regularity, witness cycles)
 is answered from one pointer-jumping pass over whole arrays:
@@ -24,11 +25,13 @@ run once per table and kept on it.  ``CycleStructure.from_lengths`` and
 ``first_cycle`` read the census and a witness cycle off one row of lengths.
 
 Coordinatewise addition is ``gf.add_digits``, the one digitwise adder.
+``add_rows`` runs it in column slices, as its temporaries would otherwise
+set the peak memory of a large table.
 
 Tables are stored as immutable numpy int32 arrays of length q^d, hard-capped
 at 2^20 entries, so every index fits and gathers move half the bytes of
-int64.  The table builders produce int32 directly; ``PermTable`` checks any
-other input in int64, where no value can wrap, before it narrows it.  Tables
+int64.  ``PermTable`` checks the range of every table, and of any input
+but int32 in int64, where no value can wrap, before it narrows it.  Tables
 are immutable after construction; building a table is single-threaded but
 independent tables can be built concurrently.
 """
@@ -36,6 +39,7 @@ independent tables can be built concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -44,17 +48,26 @@ from .gf import TABLE_CAP, FieldCtx, add_digits
 from .linalg import Mat
 
 _SPACES: dict = {}
+_SLICE = 1 << 16  # the least column-slice width of add_rows
+
+
+def over_cap(q: int, d: int, cap: int = TABLE_CAP) -> Optional[str]:
+    """q^d as text when it exceeds ``cap`` <= TABLE_CAP, else None.  Any d
+    >= TABLE_CAP.bit_length() exceeds every cap: "{q}^{d}", not computed."""
+    if d >= TABLE_CAP.bit_length():
+        return f"{q}^{d}"
+    return str(q ** d) if q ** d > cap else None
 
 
 class VecSpace:
     """Packed-index plumbing for F_q^d (memoized per context and dimension)."""
 
     def __init__(self, ctx: FieldCtx, d: int):
+        if over := over_cap(ctx.q, d):
+            raise SizeCap(f"q^d = {over} exceeds the {TABLE_CAP} table cap")
         self.ctx = ctx
         self.d = d
         self.n = ctx.q ** d
-        if self.n > TABLE_CAP:
-            raise SizeCap(f"q^d = {self.n} exceeds the {TABLE_CAP} table cap")
         self._arange = None
 
     @property
@@ -160,9 +173,28 @@ def bijective_rows(tables: np.ndarray) -> np.ndarray:
     return hit.reshape(h, n).all(axis=1)
 
 
+def conjugate_rows(tables: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """tau o f o tau^-1 for each row f of an (H, n) stack (or one table) and
+    a bijection tau, in place and returned: tau(x) maps to tau(f(x))."""
+    tables[..., tau] = tau.take(tables)
+    return tables
+
+
+def add_rows(sp: VecSpace, tables: np.ndarray, addend: np.ndarray) -> np.ndarray:
+    """x -> f(x) + addend(x) for each row f of an (H, n) stack (or one
+    table), in at most q column slices of at least _SLICE entries."""
+    out = np.empty_like(tables)
+    width = max(_SLICE, sp.n // sp.ctx.q)
+    for lo in range(0, sp.n, width):
+        out[..., lo:lo + width] = sp.vadd(tables[..., lo:lo + width], addend[..., lo:lo + width])
+    return out
+
+
 def npower_rows(tables: np.ndarray, exps) -> np.ndarray:
     """Row i of an (H, n) stack composed with itself exps[i] >= 0 times."""
     exps = np.array(exps, dtype=np.int64)
+    if (exps < 0).any():
+        raise ValueError("npower_rows needs exponents >= 0")
     out = np.empty_like(tables)
     out[:] = np.arange(tables.shape[1], dtype=tables.dtype)
     acc = tables
@@ -244,8 +276,7 @@ class PermTable:
 
     __slots__ = ("ctx", "d", "table", "bijective", "_lengths")
 
-    def __init__(self, ctx: FieldCtx, d: int, table, bijective=None, *,
-                 _in_range=False):  # True: gathered from valid tables, skip the check
+    def __init__(self, ctx: FieldCtx, d: int, table, bijective=None):
         sp = space(ctx, d)
         if isinstance(table, np.ndarray) and table.dtype == np.int32:
             arr = table
@@ -256,7 +287,7 @@ class PermTable:
                 raise ValueError("table outputs out of range") from None
         if arr.shape != (sp.n,):
             raise DimMismatch(f"table length {arr.shape} != q^d = {sp.n}")
-        if not _in_range and arr.size and (arr.min() < 0 or arr.max() >= sp.n):
+        if arr.size and (arr.min() < 0 or arr.max() >= sp.n):
             raise ValueError("table outputs out of range")
         arr = arr.astype(np.int32, copy=False)
         if not arr.flags.owndata:
@@ -265,10 +296,8 @@ class PermTable:
         self.ctx = ctx
         self.d = d
         self.table = arr
-        if bijective is None:  # n outputs in range: a bijection hits every point
-            hit = np.zeros(sp.n, dtype=bool)
-            hit[arr] = True
-            bijective = bool(hit.all())
+        if bijective is None:
+            bijective = bool(bijective_rows(arr[None])[0])
         self.bijective = bijective
         self._lengths = None  # cycle_lengths, computed on first use
 
@@ -314,32 +343,28 @@ class PermTable:
         """(self o other)(x) = self(other(x))."""
         self._check(other)
         bij = self.bijective and other.bijective or None
-        return PermTable(self.ctx, self.d, self.table[other.table], bijective=bij,
-                         _in_range=True)
+        return PermTable(self.ctx, self.d, self.table[other.table], bijective=bij)
 
     def invert(self) -> "PermTable":
         if not self.bijective:
             raise NotBijective("cannot invert a non-bijective table")
         inv = np.empty_like(self.table)
         inv[self.table] = space(self.ctx, self.d).arange
-        return PermTable(self.ctx, self.d, inv, bijective=True, _in_range=True)
+        return PermTable(self.ctx, self.d, inv, bijective=True)
 
     def conjugate(self, tau: "PermTable") -> "PermTable":
-        """tau o self o tau^-1 for a bijective tau, with no inverse built: the
-        image of tau(x) is tau(self(x))."""
+        """tau o self o tau^-1 for a bijective tau (``conjugate_rows``)."""
         self._check(tau)
         if not tau.bijective:
             raise NotBijective("cannot conjugate by a non-bijective table")
-        out = np.empty_like(tau.table)
-        out[tau.table] = tau.table[self.table]
-        return PermTable(self.ctx, self.d, out, bijective=self.bijective,
-                         _in_range=True)
+        return PermTable(self.ctx, self.d, conjugate_rows(self.table.copy(), tau.table),
+                         bijective=self.bijective)
 
     def add_pointwise(self, other: "PermTable") -> "PermTable":
-        """x -> self(x) + other(x); bijectivity is recomputed eagerly."""
+        """x -> self(x) + other(x) (``add_rows``); bijectivity is recomputed eagerly."""
         self._check(other)
-        sp = space(self.ctx, self.d)
-        return PermTable(self.ctx, self.d, sp.vadd(self.table, other.table))
+        return PermTable(self.ctx, self.d,
+                         add_rows(space(self.ctx, self.d), self.table, other.table))
 
     def npower(self, n: int) -> "PermTable":
         """n-th composite power, the one-row case of ``npower_rows``; negative
@@ -347,7 +372,7 @@ class PermTable:
         if n < 0:
             return self.invert().npower(-n)
         return PermTable(self.ctx, self.d, npower_rows(self.table[None], [n])[0],
-                         bijective=self.bijective or None, _in_range=True)
+                         bijective=self.bijective or None)
 
     def cycle_lengths(self) -> np.ndarray:
         """The length of the cycle through each point, as a read-only int32

@@ -33,12 +33,13 @@ once, so they stay independent of the table under test.
 The section-3 sweeps build the instances of one degree as stacks too, in
 blocks of at most ``_BLOCK`` table entries (or one instance): one
 ``perm.matrix_tables`` call per block, one scatter that conjugates every row
-by the degree's tau, row-wise bijectivity of sigma and sigma + e, and one
-``perm.cycle_lengths_rows`` pass, and they still yield one step per
-instance, in the order its matrix was drawn.  The section-3 and section-4
-checks read sigma^r = e (every cycle length divides r, with r from the
-claim), the census, regularity and witness cycles of a table from its cycle
-lengths, computed once per block or per table.
+by the degree's tau (``perm.conjugate_rows``), row-wise bijectivity of sigma
+and sigma + e (``perm.add_rows``), and one ``perm.cycle_lengths_rows``
+pass, and they still yield one step per instance, in the order its matrix
+was drawn.  The section-3 and section-4 checks read sigma^r = e (every
+cycle length divides r, with r from the claim), the census, regularity and
+witness cycles of a table from its cycle lengths, computed once per block
+or per table.
 
 Reports are replayable: the verdict and witness are pure functions of
 (claim id, parameters, master seed).  The JSON-line stream therefore emits a
@@ -64,8 +65,9 @@ from .construct import TauSpec, matrix_with_char_poly, random_additive_pp, tau_t
 from .errors import HypothesisViolated, InvalidSpec, SizeCap, UnknownClaim
 from .gf import FieldCtx, _prime_divisors, add_digits, is_prime, parse_field_spec
 from .linalg import companions, random_invertible
-from .perm import (TABLE_CAP, CycleStructure, PermTable, bijective_rows, cycle_lengths_rows,
-                   first_cycle, matrix_tables, npower_rows, space)
+from .perm import (TABLE_CAP, CycleStructure, PermTable, add_rows, bijective_rows,
+                   conjugate_rows, cycle_lengths_rows, first_cycle, matrix_tables, npower_rows,
+                   over_cap, space)
 from .poly import Poly, cyclotomic, irreducible_factors, monic_coeffs, monic_orders, monic_values
 
 SCHEMA = "cppforge/1"
@@ -171,7 +173,7 @@ def _row_failures(part: int, sig, live, orders, sp) -> tuple[dict, np.ndarray]:
     rows = np.flatnonzero(live)
     tbl = sig[rows]
     if part >= 3:
-        tbl = sp.vadd(tbl, sp.arange)
+        tbl = add_rows(sp, tbl, sp.arange)
     if part % 2:
         bad = np.flatnonzero(~bijective_rows(tbl))
         return {int(rows[i]): _collision(tbl[i]) for i in bad}, tbl
@@ -186,8 +188,7 @@ def _thm31_sweep(part: int, cid, ctx, r, params, rng, cap):
     deg = params["deg"]
     sp = space(ctx, deg)
     n = sp.n
-    s_tbl = PermTable.from_matrix(random_invertible(ctx, deg, rng))
-    s, s_inv = s_tbl.table, s_tbl.invert().table
+    s = PermTable.from_matrix(random_invertible(ctx, deg, rng)).table
     # entries counted per step besides sigma: sigma^n (part 2), sigma + e
     # (part 3, for every h, as the recorded work counts have it), and
     # sigma + e with its power (part 4)
@@ -195,7 +196,7 @@ def _thm31_sweep(part: int, cid, ctx, r, params, rng, cap):
     for coeffs, live, ords in _monic_blocks(part, ctx, deg):
         base = matrix_tables(ctx, companions(ctx, coeffs))
         fails = [_row_failures(part, sig, live, ords, sp)[0]
-                 for sig in (base, s[base[:, s_inv]])]
+                 for sig in (base, conjugate_rows(base.copy(), s))]
         for i, (c, checked) in enumerate(zip(coeffs.tolist(), live.tolist())):
             work = n + (extra if checked or part == 3 else 0)
             for kind, bad in zip(_MODES, fails):
@@ -208,13 +209,13 @@ def _thm32_sweep(part: int, draw_tau, cid, ctx, r, params, rng, cap):
     deg = params["deg"]
     sp = space(ctx, deg)
     n = sp.n
-    t1 = draw_tau(ctx, deg, rng)
+    t1 = draw_tau(ctx, deg, rng).table
     t2i = draw_tau(ctx, deg, rng).table
-    t1, t1_inv = t1.table, t1.invert().table
     work = 2 * n  # the two taus, counted with the first instance
     for coeffs, live, ords in _monic_blocks(part, ctx, deg):
         comp = companions(ctx, coeffs)
-        sig = t1[matrix_tables(ctx, comp)[:, t2i if part == 1 else t1_inv]]
+        sig = matrix_tables(ctx, comp)
+        sig = t1[sig[:, t2i]] if part == 1 else conjugate_rows(sig, t1)
         fails, sige = _row_failures(part, sig, live, ords, sp)
         ident = np.zeros(len(coeffs), dtype=bool)  # rows that build M + I
         if part == 3:
@@ -225,7 +226,7 @@ def _thm32_sweep(part: int, draw_tau, cid, ctx, r, params, rng, cap):
             diag = np.arange(deg)
             comp = comp[rows]
             comp[:, diag, diag] = add_digits(ctx.p, ctx.m, comp[:, diag, diag], 1)
-            lhs = t1[matrix_tables(ctx, comp)[:, t1_inv]]
+            lhs = conjugate_rows(matrix_tables(ctx, comp), t1)
             for i in np.flatnonzero((sige[ok] != lhs).any(axis=1)):
                 fails[int(rows[i])] = {"kind": "conjugation identity failed"}
         for i, (c, built) in enumerate(zip(coeffs.tolist(), ident.tolist())):
@@ -242,8 +243,8 @@ def _thm32_sweep(part: int, draw_tau, cid, ctx, r, params, rng, cap):
 # drawing one matrix with P_M = h from the point's RNG, and the tau of a
 # degree drawn right after its first matrix.  _p3_tables draws them in that
 # order and builds them in row blocks of one degree, as one int32 stack per
-# block; _r_cycle_failures checks a whole block, and a failing instance's
-# witness is read from its row alone.
+# block; _p3_steps checks a whole block, and a failing instance's witness is
+# read from its row alone.
 # ---------------------------------------------------------------------------
 
 _FACTORS: dict = {}
@@ -300,38 +301,7 @@ def _p3_tables(hs, kinds, tau_kind: str, ctx: FieldCtx, rng: Random):
                 if tau is None and draw:  # drawn at the first instance
                     tau = draw(ctx, d, rng).table
             sig = matrix_tables(ctx, np.stack(mats))
-            if tau is not None:  # tau o sigma o tau^-1 sends tau(x) to tau(sigma(x))
-                sig[:, tau] = tau.take(sig)
-            yield block, sig
-
-
-def _r_cycle_failures(sig: np.ndarray, r: int, cpp: bool, sp) -> tuple:
-    """Check a block: ({row: witness part} for the rows of the stack ``sig``
-    that fail the first of PP, CPP (when ``cpp``) and sigma^r = e, the rows
-    that pass all three, and their cycle lengths."""
-    good = bijective_rows(sig)
-    fails = {i: _collision(sig[i]) for i in np.flatnonzero(~good).tolist()}
-    if cpp:
-        # sigma + e, added in at most q column slices of at least _BLOCK
-        # entries: the digitwise adder makes about ten temporaries the size
-        # of its operands, which set the peak memory of a large table
-        sige = np.empty_like(sig)
-        width = max(_BLOCK, sp.n // sp.ctx.q)
-        for lo in range(0, sp.n, width):
-            sige[:, lo:lo + width] = sp.vadd(sig[:, lo:lo + width], sp.arange[lo:lo + width])
-        cpp_ok = bijective_rows(sige)
-        for i in np.flatnonzero(good & ~cpp_ok).tolist():
-            fails[i] = {"part": "cpp", **_collision(sige[i])}
-        del sige
-        good &= cpp_ok
-    rows = np.flatnonzero(good)
-    lengths = cycle_lengths_rows(sig if len(rows) == len(sig) else sig[rows])
-    r_cycle = (r % lengths == 0).all(axis=1)
-    if not r_cycle.all():
-        for i in rows[~r_cycle].tolist():
-            fails[i] = {"kind": f"npower({r}) != e"}
-        rows, lengths = rows[r_cycle], lengths[r_cycle]
-    return fails, rows, lengths
+            yield block, sig if tau is None else conjugate_rows(sig, tau)
 
 
 def _p3_steps(block, sig, r: int, cpp: bool, sp, judge, wit) -> list:
@@ -339,10 +309,21 @@ def _p3_steps(block, sig, r: int, cpp: bool, sp, judge, wit) -> list:
     check of PP, CPP (when ``cpp``) and sigma^r = e, else what
     ``judge(table row, cycle lengths row)`` returns as (verdict, witness
     part or None).  ``wit(h, kind)`` is the base of a witness."""
-    fails, rows, lengths = _r_cycle_failures(sig, r, cpp, sp)
-    got = {i: (FAIL, bad) for i, bad in fails.items()}
+    good = bijective_rows(sig)
+    got = {i: (FAIL, _collision(sig[i])) for i in np.flatnonzero(~good).tolist()}
+    if cpp:
+        sige = add_rows(sp, sig, sp.arange)
+        cpp_ok = bijective_rows(sige)
+        for i in np.flatnonzero(good & ~cpp_ok).tolist():
+            got[i] = (FAIL, {"part": "cpp", **_collision(sige[i])})
+        del sige  # freed before the cycle pass, which sets the peak
+        good &= cpp_ok
+    rows = np.flatnonzero(good)
+    lengths = cycle_lengths_rows(sig if len(rows) == len(sig) else sig[rows])
+    r_cycle = (r % lengths == 0).all(axis=1)
     for j, i in enumerate(rows.tolist()):
-        got[i] = judge(sig[i], lengths[j])
+        got[i] = (judge(sig[i], lengths[j]) if r_cycle[j]
+                  else (FAIL, {"kind": f"npower({r}) != e"}))
     work = 2 * sig.shape[1]
     steps = []
     for i, inst in enumerate(block):
@@ -557,10 +538,8 @@ def _run(cid: str, row: Claim, params: dict, rng: Random, cap: int):
     with the last step's witness."""
     ctx = parse_field_spec(params["field"])
     r = row.r or params.get("r")
-    if row.d:
-        n = ctx.q ** row.d(params, r)
-        if n > cap:
-            return SKIP, {"reason": f"q^d = {n} exceeds cap {cap}"}, 0
+    if row.d and (over := over_cap(ctx.q, row.d(params, r), cap)):
+        return SKIP, {"reason": f"q^d = {over} exceeds cap {cap}"}, 0
     reason = row.guard(ctx, r) if row.guard else None
     if reason:
         return SKIP, {"reason": reason}, 0
@@ -862,7 +841,7 @@ def explore_quadratic(r: int, field: str, count: int = 8,
     if k >= r - 1:
         return [{"r": r, "field": field,
                  "note": f"Q_{r} has no proper-degree factor over this field"}]
-    if k >= TABLE_CAP.bit_length() or ctx.q ** k > TABLE_CAP:
+    if over_cap(ctx.q, k):
         raise SizeCap(f"the factors of Q_{r} have degree {k}: q^{k} exceeds "
                       f"the {TABLE_CAP} table cap")
     h = _factors_of_cyclotomic(ctx, r)[0]

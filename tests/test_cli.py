@@ -193,7 +193,11 @@ def test_verify_r_below_1_exit_2(capsys):
 
 
 def test_extension_field_above_cap_exit_2(capsys):
-    for argv in (("cyclotomic", "5", "2^21"), ("verify", "p4.3", "--q", "2097152")):
+    # a construction whose q^d is past every cap is refused before its h,
+    # M and characteristic polynomial are built
+    for argv in (("cyclotomic", "5", "2^21"), ("verify", "p4.3", "--q", "2097152"),
+                 *(("construct", "p4.10", "--q", "2", "--r", r, "--emit", "cycles")
+                   for r in ("2001", "20001", "16000001"))):
         t0 = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - t0 < 1.0
@@ -204,18 +208,21 @@ def test_extension_field_above_cap_exit_2(capsys):
 def test_verify_section3_large_r_finishes_fast(capsys):
     # no p3.1 (r = 10007), p3.2 (r = 1001) or p3.3 (r = 17 * 5882353)
     # instance fits under the quick cap; the one p3.3 instance at r = 1001
-    # that does is h = Q_7 (degree 6)
-    for claim, r, want in (("p3.1", "10007", "HYPOTHESIS-SKIPPED"),
-                           ("p3.2", "1001", "HYPOTHESIS-SKIPPED"),
-                           ("p3.3", "100000001", "HYPOTHESIS-SKIPPED"),
-                           ("p3.3", "1001", "PASS")):
+    # that does is h = Q_7 (degree 6).  The p4.10 rows have d = r - 1, too
+    # large for q^d to be written out
+    for claim, r, want in (("p3.1", "10007", "all instances exceed the size cap"),
+                           ("p3.2", "1001", "all instances exceed the size cap"),
+                           ("p3.3", "100000001", "all instances exceed the size cap"),
+                           ("p3.3", "1001", None),
+                           ("p4.10.1", "14291", "q^d = 2^14290 exceeds cap 4096"),
+                           ("p4.10.3", "20001", "q^d = 2^20000 exceeds cap 4096")):
         t0 = time.perf_counter()
         code, out, _ = run(capsys, "verify", claim, "--q", "2", "--r", r)
         assert time.perf_counter() - t0 < 1.0, claim
         assert code == 0 and len(out.splitlines()) == 1
-        assert out.startswith(want), out
-        if want != "PASS":
-            assert "all instances exceed the size cap" in out
+        assert out.startswith("PASS" if want is None else "HYPOTHESIS-SKIPPED"), out
+        if want is not None:
+            assert want in out
 
 
 def test_extension_field_at_cap_works(capsys):

@@ -10,8 +10,8 @@ from cppforge.construct import TauSpec, random_additive_pp, random_pp, tau_to_ta
 from cppforge.errors import DimMismatch, NotBijective, SizeCap
 from cppforge.linalg import Mat, companion, companions, random_invertible, random_matrix
 from cppforge.perm import (
-    CycleStructure, PermTable, bijective_rows, cycle_lengths_rows, linear_table, matrix_tables,
-    npower_rows, space,
+    CycleStructure, PermTable, add_rows, bijective_rows, conjugate_rows, cycle_lengths_rows,
+    linear_table, matrix_tables, npower_rows, space,
 )
 from cppforge.poly import Poly, cyclotomic, monic_coeffs, monic_orders, monic_polys
 
@@ -224,6 +224,23 @@ def test_conjugate_matches_compose_with_inverse(ctx, d):
         assert got.bijective == want.bijective == sig.bijective
     with pytest.raises(NotBijective):
         sig.conjugate(PermTable(ctx, d, [0] * n))
+
+
+@pytest.mark.parametrize("ctx,d", [(F2, 4), (F3, 3), (F4, 2), (F5, 2)])
+def test_conjugate_rows_match_compose_with_inverse(ctx, d):
+    # the stacked kernel, on H > 1 rows and on one row, against compose and
+    # invert row by row; it writes the conjugates into the stack it is given
+    rng = Random(f"conjugate_rows:{ctx.q}:{d}")
+    n = ctx.q ** d
+    tau = PermTable(ctx, d, random_pp(n, rng), bijective=True)
+    rows = [random_pp(n, rng) for _ in range(3)] + [[rng.randrange(n) for _ in range(n)]]
+    stack = np.array(rows, dtype=np.int32)
+    for tables in (stack, stack[:1].copy()):
+        want = [tau.compose(PermTable(ctx, d, row).compose(tau.invert())).table
+                for row in tables]
+        got = conjugate_rows(tables, tau.table)
+        assert got is tables and got.dtype == np.int32
+        assert [row.tolist() for row in got] == [w.tolist() for w in want]
 
 
 def test_add_pointwise_examples():
@@ -654,14 +671,20 @@ def test_one_row_builders_own_their_tables():
 
 
 def test_bijective_rows_match_permtable():
+    # PermTable's bijectivity is bijective_rows on one row, so the oracle is
+    # the sorted outputs
     rng = Random(8)
     for ctx, d in ((F2, 3), (F3, 2), (F4, 2), (F5, 2)):
         mats = [random_matrix(ctx, d, rng) for _ in range(40)]
         stack = matrix_tables(ctx, [m.rows for m in mats])
         got = bijective_rows(stack)
-        want = [PermTable(ctx, d, row).bijective for row in stack]
+        want = [sorted(row.tolist()) == list(range(stack.shape[1])) for row in stack]
         assert got.tolist() == want
+        assert [PermTable(ctx, d, row).bijective for row in stack] == want
         assert 0 < sum(want) < len(want), (ctx, d)  # both kinds of row occur
+    # rows that miss only their last or only their first point
+    edge = np.array([[0, 1, 2, 2], [1, 1, 2, 3], [3, 2, 1, 0]], dtype=np.int32)
+    assert bijective_rows(edge).tolist() == [False, False, True]
 
 
 @pytest.mark.parametrize("spec, deg", [("2^1", 4), ("3^1", 3), ("2^2", 3), ("5^1", 2),
@@ -692,3 +715,33 @@ def test_npower_rows_match_permtable_npower(spec, deg):
             assert np.array_equal(row, acc[k].table), (spec, k)
             power = f.npower(k)
             assert power == acc[k] and power.bijective == acc[k].bijective, (spec, k)
+    # a negative exponent is refused, not halved forever
+    for n in (np.full(len(stack), -1), np.array([2] * (len(stack) - 1) + [-3])):
+        with pytest.raises(ValueError):
+            npower_rows(stack, n)
+
+
+@pytest.mark.parametrize("ctx, d, widths", [(F3, 11, [65536, 65536, 46075]),
+                                            (F2, 17, [65536, 65536]),
+                                            (F5, 2, [25])])
+def test_add_rows_match_naive_vadd(monkeypatch, ctx, d, widths):
+    # sigma + e in column slices of at least 2^16 entries, the last one
+    # ragged, against the digit-loop adder on the whole rows
+    sp = space(ctx, d)
+    rng = np.random.default_rng(ctx.q + d)
+    stack = rng.integers(0, sp.n, size=(2, sp.n), dtype=np.int32)
+    slices = []
+    real = sp.vadd
+
+    def recording(a, b):
+        slices.append(a.shape[-1])
+        return real(a, b)
+
+    monkeypatch.setattr(sp, "vadd", recording)
+    got = add_rows(sp, stack, sp.arange)
+    assert slices == widths and got.dtype == np.int32
+    want = naive_vadd(ctx, d, stack.astype(np.int64), sp.arange.astype(np.int64))
+    assert np.array_equal(got, want)
+    # one table is the one-row case, and add_pointwise runs through it
+    one = PermTable(ctx, d, stack[1])
+    assert np.array_equal(one.add_pointwise(PermTable.identity(ctx, d)).table, want[1])

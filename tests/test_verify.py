@@ -264,8 +264,9 @@ def test_section3_full_stream_pinned(monkeypatch):
 
 @pytest.mark.parametrize("bound", [1, 1 << 20])
 def test_section3_streams_pinned_across_block_bounds(monkeypatch, bound):
-    # a bound of 1 makes every instance a block of one (and adds sigma + e
-    # in q slices); 2^20 puts each degree of a point in one block
+    # a bound of 1 makes every instance a block of one; 2^20 puts each
+    # degree of a point in one block.  perm.add_rows slices sigma + e by
+    # its own width, whatever the bound
     quick = _section3_lines("quick")
     monkeypatch.setattr(verify, "_BLOCK", bound)
     assert _section3_lines("quick") == quick
