@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CtxMismatch, DependentBasis, SizeCap, Singular
-from .gf import FieldCtx, add_digits, field_new, subfield_embedding, trace
+from .gf import FieldCtx, add_digits, factor, field_new, subfield_embedding, trace
 from .linalg import Mat
 from .perm import PermTable, conjugate_rows, linear_table, space
 from .poly import Poly
@@ -152,15 +152,7 @@ def _dft_plan(big: FieldCtx) -> tuple[np.ndarray, tuple[int, ...]]:
     i < N - 1, read-only, and the prime factors of N - 1, with multiplicity,
     largest first."""
     n = big.q - 1
-    radices, rest, f = [], n, 2
-    while f * f <= rest:
-        while rest % f == 0:
-            radices.append(f)
-            rest //= f
-        f += 1
-    if rest > 1:
-        radices.append(rest)
-    radices.sort(reverse=True)
+    radices = factor(n)[::-1]
     # g is primitive iff g^(n/l) != 1 for each prime l | n (g = 1 when n = 1)
     g = next(x for x in range(1, big.q)
              if all(big.pow(x, n // l) != 1 for l in set(radices)))
@@ -183,7 +175,8 @@ def _dft(big: FieldCtx, y: np.ndarray) -> np.ndarray:
     is x as an M x 1 array.  A radix f joins rows c + B'r (r < f, B' = B/f)
     into row c of length fL by Horner in r: Y = Y * w + Z_r, with
     w_e = g^(B'e), which is pw[::B'], and Z_r read at e mod L.  That is
-    f - 1 multiplies and adds on arrays of M entries.
+    f - 1 steps of one ``vmul`` and one ``add_digits`` on arrays of M
+    entries, in every field, prime fields included.
     """
     pw, radices = _dft_plan(big)
     p, m = big.p, big.m
@@ -195,17 +188,9 @@ def _dft(big: FieldCtx, y: np.ndarray) -> np.ndarray:
         drop = tuple(axis for axis, size in ((0, b), (2, ln)) if size == 1)
         zs = a.reshape(f, b, 1, ln).squeeze(tuple(axis + 1 for axis in drop))
         w = pw[::b].reshape(1, f, ln).squeeze(drop)
-        if m == 1:  # prime field: three in-place passes per step
-            acc = np.empty((b, f, ln), dtype=np.int64).squeeze(drop)
-            acc[...] = zs[f - 1]
-            for r in range(f - 2, -1, -1):
-                acc *= w
-                acc += zs[r]
-                acc %= p
-        else:
-            acc = zs[f - 1]
-            for r in range(f - 2, -1, -1):
-                acc = add_digits(p, m, big.vmul(acc, w), zs[r])
+        acc = zs[f - 1]
+        for r in range(f - 2, -1, -1):
+            acc = add_digits(p, m, big.vmul(acc, w), zs[r])
         a = acc.reshape(b, f * ln)
     return a[0]
 

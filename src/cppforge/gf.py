@@ -28,6 +28,9 @@ with a zero mask, on numpy copies of the tables made on first use) and
 a prime field, an XOR reduce when p = 2, else each base-p digit summed
 mod p).
 
+Integers are factored in one place, ``factor``: trial division that stops
+once the cofactor is prime by ``is_prime``, a Miller-Rabin test.
+
 The modulus search, the primitive-element test, the g matrix and the
 subfield root search use :class:`cppforge.poly.Poly`, imported locally
 because ``poly`` imports this module.
@@ -67,29 +70,41 @@ _CHUNK = 1 << 14  # rows per numpy block of the exp table build
 _LUT_CAP = 1 << 18
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Miller-Rabin with the first 13 primes, 2 through 41, as bases.
+
+    Exact below 3317044064679887385961981 > 3.3 * 10^24 (Sorenson & Webster,
+    Math. Comp. 86, 2017).  Above that bound False is still exact, but True
+    means only that n is a strong probable prime to the 13 bases: no such
+    composite is known, and none is ruled out.
+    """
+    if n <= _MR_BASES[-1]:
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # b witnesses that n is composite when b^d != 1 and b^(d 2^i) != -1, i < s
+    return not any(pow(b, d, n) != 1 and all(pow(b, d << i, n) != n - 1 for i in range(s))
+                   for b in _MR_BASES)
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out, f = [], 2
-    while f * f <= n:
-        if n % f == 0:
+def factor(n: int) -> list[int]:
+    """The prime factors of n >= 1, with multiplicity, in ascending order.
+
+    Trial division, which stops once the cofactor is prime (``is_prime``),
+    so its cost is set by the second-largest prime factor of n.
+    """
+    out, f, prime = [], 2, is_prime(n)
+    while not prime and f * f <= n:
+        if n % f:
+            f += 1
+        else:
+            n //= f
             out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
+            prime = is_prime(n)
     if n > 1:
         out.append(n)
     return out
@@ -251,7 +266,7 @@ class FieldCtx:
         n = q - 1
         # g is primitive iff g^(n/l) != 1 for every prime l | n; indices
         # below p are the constants F_p^*, whose orders divide p - 1 < n.
-        ls = _prime_divisors(n)
+        ls = sorted(set(factor(n)))
         g = next(x for x in range(p, q)
                  if all(Poly(fp, self.digits(x)).pow_mod(n // l, mod) != one
                         for l in ls))
@@ -430,19 +445,10 @@ def parse_field_spec(spec: str) -> FieldCtx:
 
 def field_from_order(q: int) -> FieldCtx:
     """The canonical field with q elements; q must be a prime power."""
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            m = 0
-            v = q
-            while v % p == 0:
-                v //= p
-                m += 1
-            if v != 1:
-                raise NotPrime(f"{q} is not a prime power")
-            return field_new(p, m)
-        p += 1
-    return field_new(q, 1)
+    ps = factor(q) if q > 1 else [q]
+    if ps[0] != ps[-1]:
+        raise NotPrime(f"{q} is not a prime power")
+    return field_new(ps[0], len(ps))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ or an (H, q^d) stack of them from H rows of images in the same passes;
 matrices, and ``PermTable.from_matrix`` is its one-matrix case.  Each
 table question has one row-wise kernel over a stack, whose one-row case is
 the ``PermTable`` method: ``bijective_rows``, ``conjugate_rows`` (tau o f o
-tau^-1 by one scatter, with no inverse built), ``add_rows`` (sigma + e) and
-``npower_rows``, so a sweep over many small maps runs as array passes.
+tau^-1 by one scatter, with no inverse built) and ``add_rows`` (sigma + e),
+so a sweep over many small maps runs as array passes.  ``PermTable.npower``
+is plain repeated squaring on one table; no check takes powers.
 
 Every cycle question (sigma^r = e, the census, r-regularity, witness cycles)
 is answered from one pointer-jumping pass over whole arrays:
@@ -150,7 +151,8 @@ def matrix_tables(ctx: FieldCtx, mats) -> np.ndarray:
 
 
 def _flat_rows(tables: np.ndarray) -> np.ndarray:
-    """An (H, n) stack with outputs in [0, n) as one flat map on [0, H*n):
+    """An (H, n) stack with outputs in [0, n) as one flat map on [0, H*n),
+    for the one-pass kernels ``bijective_rows`` and ``cycle_lengths_rows``:
     row i is offset into its own slice [i*n, (i+1)*n).  The offsets are
     int32 while H*n fits; one row needs none."""
     h, n = tables.shape
@@ -158,11 +160,6 @@ def _flat_rows(tables: np.ndarray) -> np.ndarray:
         return tables.ravel()
     dtype = np.int32 if h * n <= np.iinfo(np.int32).max else np.int64
     return (tables + np.arange(0, h * n, n, dtype=dtype)[:, None]).ravel()
-
-
-def _gather_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Row i of the result is a[i][idx[i]], for stacks of equal shape."""
-    return a.ravel().take(_flat_rows(idx)).reshape(idx.shape)
 
 
 def bijective_rows(tables: np.ndarray) -> np.ndarray:
@@ -187,23 +184,6 @@ def add_rows(sp: VecSpace, tables: np.ndarray, addend: np.ndarray) -> np.ndarray
     width = max(_SLICE, sp.n // sp.ctx.q)
     for lo in range(0, sp.n, width):
         out[..., lo:lo + width] = sp.vadd(tables[..., lo:lo + width], addend[..., lo:lo + width])
-    return out
-
-
-def npower_rows(tables: np.ndarray, exps) -> np.ndarray:
-    """Row i of an (H, n) stack composed with itself exps[i] >= 0 times."""
-    exps = np.array(exps, dtype=np.int64)
-    if (exps < 0).any():
-        raise ValueError("npower_rows needs exponents >= 0")
-    out = np.empty_like(tables)
-    out[:] = np.arange(tables.shape[1], dtype=tables.dtype)
-    acc = tables
-    while exps.any():
-        odd = np.flatnonzero(exps & 1)
-        out[odd] = _gather_rows(out[odd], acc[odd])
-        exps >>= 1
-        if exps.any():
-            acc = _gather_rows(acc, acc)
     return out
 
 
@@ -367,12 +347,18 @@ class PermTable:
                          add_rows(space(self.ctx, self.d), self.table, other.table))
 
     def npower(self, n: int) -> "PermTable":
-        """n-th composite power, the one-row case of ``npower_rows``; negative
-        n uses the inverse."""
+        """n-th composite power, by repeated squaring; negative n uses the
+        inverse."""
         if n < 0:
             return self.invert().npower(-n)
-        return PermTable(self.ctx, self.d, npower_rows(self.table[None], [n])[0],
-                         bijective=self.bijective or None)
+        out, acc = space(self.ctx, self.d).arange, self.table
+        while n:
+            if n & 1:
+                out = acc.take(out)
+            n >>= 1
+            if n:
+                acc = acc.take(acc)
+        return PermTable(self.ctx, self.d, out, bijective=self.bijective or None)
 
     def cycle_lengths(self) -> np.ndarray:
         """The length of the cycle through each point, as a read-only int32

@@ -11,7 +11,9 @@ exact product recursion), deterministic irreducible factorization
 the enumeration of monic polynomials -- one at a time, or as coefficient
 rows with their values at a point -- with the multiplicative orders of t and
 t + 1 modulo each of them (one numpy recurrence over all of them at once),
-and the text / JSON formats used by the CLI.
+and the text / JSON formats used by the CLI.  The array passes add with
+``gf.add_digits`` and multiply with ``FieldCtx.vmul`` in every field, prime
+fields included.
 """
 
 from __future__ import annotations
@@ -355,20 +357,11 @@ def monic_coeffs(ctx: FieldCtx, deg: int, lo: int = 0, hi=None) -> np.ndarray:
     return np.arange(lo, hi, dtype=np.int64)[:, None] // q ** np.arange(deg) % q
 
 
-def _vadd(ctx: FieldCtx):
-    """Elementwise field addition on index arrays."""
-    p = ctx.p
-    if ctx.m == 1:
-        return lambda a, b: (a + b) % p
-    return lambda a, b: add_digits(p, ctx.m, a, b)
-
-
 def monic_values(ctx: FieldCtx, coeffs: np.ndarray, x: int) -> np.ndarray:
     """h(x) for each monic h = t^deg + sum_k coeffs[:, k] t^k, by Horner."""
-    add = _vadd(ctx)
     at = np.ones(len(coeffs), dtype=np.int64)
     for k in range(coeffs.shape[1] - 1, -1, -1):
-        at = add(ctx.vmul(at, x), coeffs[:, k])
+        at = add_digits(ctx.p, ctx.m, ctx.vmul(at, x), coeffs[:, k])
     return at
 
 
@@ -400,14 +393,14 @@ def _order_recurrence(ctx: FieldCtx, deg: int, shift: int) -> np.ndarray:
     n = q ** deg
     if n > TABLE_CAP:
         raise SizeCap(f"{n} monic polynomials exceed the {TABLE_CAP} table cap")
-    mul, add = ctx.vmul, _vadd(ctx)
+    mul = ctx.vmul
     coeffs = monic_coeffs(ctx, deg)
     neg_h = mul(coeffs, ctx.neg(1))
     sh = ctx.from_int(shift)
     rows = np.nonzero(monic_values(ctx, coeffs, ctx.neg(sh)))[0]
     cur = np.zeros((len(rows), deg), dtype=np.int64)
     if deg == 1:
-        cur[:, 0] = add(neg_h[rows, 0], sh)  # t = -h_0 mod h
+        cur[:, 0] = add_digits(p, ctx.m, neg_h[rows, 0], sh)  # t = -h_0 mod h
     else:
         cur[:, 0], cur[:, 1] = sh, 1
     neg_h = neg_h[rows]
@@ -431,8 +424,8 @@ def _order_recurrence(ctx: FieldCtx, deg: int, shift: int) -> np.ndarray:
         nxt = np.zeros_like(cur)
         nxt[:, 1:] = cur[:, :-1]
         if sh:
-            nxt = add(nxt, mul(cur, sh))
-        cur = add(nxt, mul(cur[:, -1:], neg_h))
+            nxt = add_digits(p, ctx.m, nxt, mul(cur, sh))
+        cur = add_digits(p, ctx.m, nxt, mul(cur[:, -1:], neg_h))
         k += 1
         if k > bound:
             raise RuntimeError("internal error: order search exceeded bound")

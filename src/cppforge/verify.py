@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import json
 import time
-from math import isqrt
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby, permutations
@@ -63,11 +62,11 @@ import numpy as np
 from . import construct
 from .construct import TauSpec, matrix_with_char_poly, random_additive_pp, tau_to_table
 from .errors import HypothesisViolated, InvalidSpec, SizeCap, UnknownClaim
-from .gf import FieldCtx, _prime_divisors, add_digits, is_prime, parse_field_spec
+from .gf import FieldCtx, add_digits, factor, is_prime, parse_field_spec
 from .linalg import companions, random_invertible
 from .perm import (TABLE_CAP, CycleStructure, PermTable, add_rows, bijective_rows,
-                   conjugate_rows, cycle_lengths_rows, first_cycle, matrix_tables, npower_rows,
-                   over_cap, space)
+                   conjugate_rows, cycle_lengths_rows, first_cycle, matrix_tables, over_cap,
+                   space)
 from .poly import Poly, cyclotomic, irreducible_factors, monic_coeffs, monic_orders, monic_values
 
 SCHEMA = "cppforge/1"
@@ -137,12 +136,13 @@ def _off_length_cycle(tbl: PermTable, r: int):
 # blocks of at most _BLOCK table entries: the block's companion matrices
 # come from linalg.companions, their tables from one perm.matrix_tables
 # call, and bijectivity, sigma + e, conjugation by the fixed tables and the
-# powers are array passes over the whole stack.  The steps and their work
-# counts are those of one table per (h, kind); a failing row's witness is
-# read from that row alone.
+# cycle lengths are array passes over the whole stack.  The steps and their
+# work counts are those of one table per (h, kind); a failing row's witness
+# is read from that row alone.
 #
 # Parts 2 and 4 check sigma^n = e with n = ord(t mod h), and
-# (sigma + e)^m = e with m = ord(t + 1 mod h).  Both orders come from
+# (sigma + e)^m = e with m = ord(t + 1 mod h): a bijective row passes when
+# each of its cycle lengths divides n (or m).  Both orders come from
 # poly.monic_orders, one array per (field, degree, shift) shared by every
 # claim, never from the cycle lengths of the table under test: an order read
 # off sigma would make sigma^n = e true by construction.
@@ -178,9 +178,11 @@ def _row_failures(part: int, sig, live, orders, sp) -> tuple[dict, np.ndarray]:
         bad = np.flatnonzero(~bijective_rows(tbl))
         return {int(rows[i]): _collision(tbl[i]) for i in bad}, tbl
     n = orders[rows]
-    bad = np.flatnonzero((npower_rows(tbl, n) != sp.arange).any(axis=1))
+    good = np.flatnonzero(bijective_rows(tbl))
+    ok = np.zeros(len(rows), dtype=bool)
+    ok[good] = (n[good, None] % cycle_lengths_rows(tbl[good]) == 0).all(axis=1)
     key = "n" if part == 2 else "m"
-    return {int(rows[i]): {key: int(n[i]), "kind": "npower!=e"} for i in bad}, tbl
+    return {int(rows[i]): {key: int(n[i]), "kind": "npower!=e"} for i in np.flatnonzero(~ok)}, tbl
 
 
 def _thm31_sweep(part: int, cid, ctx, r, params, rng, cap):
@@ -371,7 +373,9 @@ def _p3_regular_sweep(tau_kind: str, composite: bool, cid, ctx, r, params, rng, 
 def _p3_negative_sweep(tau_kind: str, cid, ctx, r, params, rng, cap):
     """Props 3.3/3.6/3.9: r-cycle but not r-regular, witnessed by a short cycle."""
     cpp = tau_kind != "general"
-    divisors = {l for k in range(1, isqrt(r) + 1) if r % k == 0 for l in (k, r // k)}
+    divisors = {1}
+    for f in factor(r):
+        divisors |= {l * f for l in divisors}
     # h has two or more factors, so each has q^deg <= cap / q
     factors = _cyclotomic_factors(ctx, divisors, cap // ctx.q)
     short = {f for l, f in factors if 1 < l < r}
@@ -833,9 +837,9 @@ def explore_quadratic(r: int, field: str, count: int = 8,
     # k = ord_r(q): start from phi(r), which k divides as gcd(q, r) = 1, and
     # take out each prime factor f while q^(k/f) = 1 (mod r)
     k = r
-    for f in _prime_divisors(r):
+    for f in set(factor(r)):
         k -= k // f
-    for f in _prime_divisors(k):
+    for f in set(factor(k)):
         while k % f == 0 and pow(ctx.q, k // f, r) == 1 % r:
             k //= f
     if k >= r - 1:

@@ -209,15 +209,23 @@ def test_verify_section3_large_r_finishes_fast(capsys):
     # no p3.1 (r = 10007), p3.2 (r = 1001) or p3.3 (r = 17 * 5882353)
     # instance fits under the quick cap; the one p3.3 instance at r = 1001
     # that does is h = Q_7 (degree 6).  The p4.10 rows have d = r - 1, too
-    # large for q^d to be written out
-    for claim, r, want in (("p3.1", "10007", "all instances exceed the size cap"),
-                           ("p3.2", "1001", "all instances exceed the size cap"),
-                           ("p3.3", "100000001", "all instances exceed the size cap"),
-                           ("p3.3", "1001", None),
-                           ("p4.10.1", "14291", "q^d = 2^14290 exceeds cap 4096"),
-                           ("p4.10.3", "20001", "q^d = 2^20000 exceeds cap 4096")):
+    # large for q^d to be written out.  r = 10^18 + 3 is prime and
+    # 10^18 + 1 = 101 * 9901 * 999999000001: is_prime and factor decide
+    # them without a walk up to sqrt(r)
+    big, big_composite = "1000000000000000003", "1000000000000000001"
+    for claim, q, r, want in (
+            ("p3.1", "2", "10007", "all instances exceed the size cap"),
+            ("p3.2", "2", "1001", "all instances exceed the size cap"),
+            ("p3.3", "2", "100000001", "all instances exceed the size cap"),
+            ("p3.3", "2", "1001", None),
+            ("p4.10.1", "2", "14291", "q^d = 2^14290 exceeds cap 4096"),
+            ("p4.10.3", "2", "20001", "q^d = 2^20000 exceeds cap 4096"),
+            ("p3.1", "2", big, "all instances exceed the size cap"),
+            ("p3.2", "2", big, f"r = {big} is not composite"),
+            ("p3.3", "2", big_composite, "all instances exceed the size cap"),
+            ("p3.9", "3", big_composite, "all instances exceed the size cap")):
         t0 = time.perf_counter()
-        code, out, _ = run(capsys, "verify", claim, "--q", "2", "--r", r)
+        code, out, _ = run(capsys, "verify", claim, "--q", q, "--r", r)
         assert time.perf_counter() - t0 < 1.0, claim
         assert code == 0 and len(out.splitlines()) == 1
         assert out.startswith("PASS" if want is None else "HYPOTHESIS-SKIPPED"), out
@@ -292,11 +300,16 @@ def test_explore_factor_degree_over_the_cap_exit_2(capsys):
 
 
 def test_explore_note_without_a_proper_degree_factor(capsys):
-    # 2 is a primitive root mod 101, so Q_101 is irreducible over F_2
-    code, out, err = run(capsys, "explore", "--r", "101", "--field", "2^1")
-    assert code == 0 and err == ""
-    (row,) = [json.loads(line) for line in out.splitlines()]
-    assert row["note"] == "Q_101 has no proper-degree factor over this field"
+    # 2 is a primitive root mod 101, so Q_101 is irreducible over F_2; for
+    # the prime r = 10^18 + 3, ord_r(2) = r - 1 is found from the factors
+    # 2 * 3 * 17 * 131 * 1427 * 52445056723 of r - 1, not a walk up to sqrt(r)
+    for r in ("101", "1000000000000000003"):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "explore", "--r", r, "--field", "2^1")
+        assert time.perf_counter() - t0 < 1.0, r
+        assert code == 0 and err == ""
+        (row,) = [json.loads(line) for line in out.splitlines()]
+        assert row["note"] == f"Q_{r} has no proper-degree factor over this field"
 
 
 def test_usage_error_exit_2(capsys):

@@ -301,5 +301,47 @@ def test_field_spec_strings():
 def test_field_from_order():
     assert gf.field_from_order(8).key == gf.field_new(2, 3).key
     assert gf.field_from_order(49).key == gf.field_new(7, 2).key
-    with pytest.raises(NotPrime):
-        gf.field_from_order(12)
+    assert gf.field_from_order(2 ** 61 - 1).key == gf.field_new(2 ** 61 - 1).key
+    for q, err, msg in ((12, NotPrime, "12 is not a prime power"),
+                        (0, NotPrime, "0 is not prime"),
+                        (1, NotPrime, "1 is not prime"),
+                        (1 << 21, SizeCap, "F_2^21 has 2097152 elements, above the "
+                                           "1048576 extension field cap")):
+        with pytest.raises(err) as info:
+            gf.field_from_order(q)
+        assert str(info.value) == msg, q
+
+
+def _trial_division(n):
+    """Oracle: the prime factors of n >= 1, dividing by every f up to sqrt(n)."""
+    out, f = [], 2
+    while f * f <= n:
+        while n % f == 0:
+            out.append(f)
+            n //= f
+        f += 1
+    return out + [n] if n > 1 else out
+
+
+def test_factor_and_is_prime_match_trial_division():
+    # 2047 = 23 * 89 is the least strong pseudoprime to base 2
+    for n in range(1, 20000):
+        want = _trial_division(n)
+        assert gf.factor(n) == want, n
+        assert gf.is_prime(n) == (want == [n]), n
+    assert not any(gf.is_prime(n) for n in (0, -1, -2, -7))
+
+
+# the least strong pseudoprimes to all of the bases 2..7, 2..19 and 2..31
+_STRONG_PSEUDOPRIMES = (3215031751, 341550071728321, 3825123056546413051)
+
+
+def test_factor_and_is_prime_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2017)
+    ns = [rng.randrange(2, 10 ** 12) for _ in range(200)]
+    ns += [10 ** 18 + 2, 10 ** 18 + 3, 2 ** 61 - 1, *_STRONG_PSEUDOPRIMES]
+    for n in ns:
+        want = [p for p, e in sorted(sympy.factorint(n).items()) for _ in range(e)]
+        assert gf.factor(n) == want, n
+        assert gf.is_prime(n) == bool(sympy.isprime(n)), n

@@ -11,7 +11,7 @@ from cppforge.errors import DimMismatch, NotBijective, SizeCap
 from cppforge.linalg import Mat, companion, companions, random_invertible, random_matrix
 from cppforge.perm import (
     CycleStructure, PermTable, add_rows, bijective_rows, conjugate_rows, cycle_lengths_rows,
-    linear_table, matrix_tables, npower_rows, space,
+    linear_table, matrix_tables, space,
 )
 from cppforge.poly import Poly, cyclotomic, monic_coeffs, monic_orders, monic_polys
 
@@ -690,35 +690,24 @@ def test_bijective_rows_match_permtable():
 @pytest.mark.parametrize("spec, deg", [("2^1", 4), ("3^1", 3), ("2^2", 3), ("5^1", 2),
                                        ("3^2", 2)])
 def test_npower_rows_match_permtable_npower(spec, deg):
+    # PermTable.npower of every companion table, bijective or not, against
+    # a compose chain, at the small exponents, the powers of two and the
+    # order of t mod h, which gives e
     ctx = gf.parse_field_spec(spec)
     stack = matrix_tables(ctx, companions(ctx, monic_coeffs(ctx, deg)))
-    orders = monic_orders(ctx, deg, 0)
-    # the orders themselves, on the rows where they exist, give e
-    live = np.flatnonzero(orders)
-    got = npower_rows(stack[live], orders[live])
-    assert (got == np.arange(stack.shape[1])).all()
-    exps = [0, 1] + [1 << k for k in range(6)]
-    # one exponent for all rows, the orders, and a different exponent on each row
-    runs = [np.full(len(stack), x) for x in exps] + [
-        orders, np.array([exps[i % len(exps)] for i in range(len(stack))])]
-    # oracle: powers[i][k] is row i composed with itself k times, one compose per step
-    top = max(int(n.max()) for n in runs)
-    fs = [PermTable(ctx, deg, v) for v in stack]
-    powers = []
-    for f in fs:
-        acc = [PermTable.identity(ctx, deg)]
-        for _ in range(top):
-            acc.append(f.compose(acc[-1]))
-        powers.append(acc)
-    for n in runs:
-        for row, f, acc, k in zip(npower_rows(stack, n), fs, powers, n.tolist()):
-            assert np.array_equal(row, acc[k].table), (spec, k)
+    orders = monic_orders(ctx, deg, 0).tolist()
+    exps = [0, 1, 2, 3, 5] + [1 << k for k in range(6)]
+    for v, order in zip(stack, orders):
+        f = PermTable(ctx, deg, v)
+        # oracle: chain[k] is f composed with itself k times, one compose per step
+        chain = [PermTable.identity(ctx, deg)]
+        for _ in range(max(exps + [order])):
+            chain.append(f.compose(chain[-1]))
+        for k in exps + [order]:
             power = f.npower(k)
-            assert power == acc[k] and power.bijective == acc[k].bijective, (spec, k)
-    # a negative exponent is refused, not halved forever
-    for n in (np.full(len(stack), -1), np.array([2] * (len(stack) - 1) + [-3])):
-        with pytest.raises(ValueError):
-            npower_rows(stack, n)
+            assert power == chain[k] and power.bijective == chain[k].bijective, (spec, k)
+        if order:
+            assert f.npower(order) == PermTable.identity(ctx, deg)
 
 
 @pytest.mark.parametrize("ctx, d, widths", [(F3, 11, [65536, 65536, 46075]),

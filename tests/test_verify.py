@@ -85,14 +85,13 @@ def _squared_from_matrix(cls, m):
     return tbl.compose(tbl)
 
 
-def _rowwise(edit, real, with_exps=False):
+def _rowwise(edit, real):
     """The stacked version of a table sabotage: ``edit`` applied to each row
-    of what ``real`` returns (with the row's exponent, the last argument,
-    when ``with_exps``)."""
+    of what ``real`` returns."""
     def stacked(*args):
         out = real(*args).copy()
         for i in range(len(out)):
-            out[i] = edit(out[i], args[-1][i]) if with_exps else edit(out[i])
+            out[i] = edit(out[i])
         return out
     return stacked
 
@@ -383,9 +382,9 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
     # each sabotage keeps tables bijective, so the checks report witnesses
     # instead of crashing on an inverse.  The theorem sweeps build their
     # tables as stacks, so every sabotage also applies, row by row, to the
-    # stacked entry point that verify calls in its place.  The section-3
-    # checks read sigma^r = e from the cycle lengths of a stack, so the
-    # npower sabotage applies to is_r_cycle and cycle_lengths_rows too.
+    # stacked entry point that verify calls in its place.  The theorem and
+    # section-3 checks read sigma^n = e from the cycle lengths of a stack, so
+    # the npower sabotage applies to is_r_cycle and cycle_lengths_rows too.
     real_npower, real_is_r_cycle = PermTable.npower, PermTable.is_r_cycle
 
     def swap12(t):
@@ -437,7 +436,6 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
         "from_matrix": [(PermTable, "from_matrix", classmethod(from_matrix)),
                         (verify, "matrix_tables", _rowwise(swap12, _REAL_MATRIX_TABLES))],
         "npower": [(PermTable, "npower", npower), (PermTable, "is_r_cycle", is_r_cycle),
-                   (verify, "npower_rows", _rowwise(swap01_past_one, verify.npower_rows, True)),
                    (verify, "cycle_lengths_rows",
                     _rowwise(longer_than_any_table, verify.cycle_lengths_rows))],
         "companion": [(mod, "companion", companion) for mod in (linalg, construct, cppforge)]
@@ -479,12 +477,15 @@ def test_section4_off_length_witnesses_pinned(monkeypatch):
     ("p3.3", {"field": "2^1", "r": 15}),
     ("p3.9", {"field": "3^1", "r": 10}),
     ("p4.10.3", {"field": "2^2", "r": 9}),
+    ("thm3.1.2", {"field": "3^1", "deg": 3}),
+    ("thm3.2.4", {"field": "2^2", "deg": 2}),
 ])
 def test_one_cycle_pass_per_checked_table(monkeypatch, cid, point):
-    # sigma^r = e, the census, regularity and the witness cycle of a table
-    # all read its cycle lengths; no check takes a composite power.  The
-    # section-3 sweeps check a block of tables with one stacked pass; a
-    # section-4 table is a stack of one
+    # sigma^r = e (sigma^n = e in the theorems), the census, regularity and
+    # the witness cycle of a table all read its cycle lengths; no check
+    # takes a composite power.  The section-3 and theorem sweeps check a
+    # block of tables with one stacked pass per kind of matrix; a section-4
+    # table is a stack of one
     real = perm.cycle_lengths_rows
     passes, blocks = [], []
 
@@ -492,24 +493,35 @@ def test_one_cycle_pass_per_checked_table(monkeypatch, cid, point):
         passes.append(tables.shape)
         return real(tables)
 
-    def recorded(*args):
-        for block, sig in real_tables(*args):
-            blocks.append(sig.shape)
-            yield block, sig
+    def recorded(real_blocks):
+        def blocks_of(*args):
+            for block in real_blocks(*args):
+                blocks.append(block)
+                yield block
+        return blocks_of
 
     def no_npower(self, n):
         raise AssertionError("verify took a composite power")
 
-    real_tables = verify._p3_tables
     for mod in (perm, verify):
         monkeypatch.setattr(mod, "cycle_lengths_rows", counted)
-    monkeypatch.setattr(verify, "_p3_tables", recorded)
+    for name in ("_p3_tables", "_monic_blocks"):
+        monkeypatch.setattr(verify, name, recorded(getattr(verify, name)))
     monkeypatch.setattr(PermTable, "npower", no_npower)
     (rep,) = verify.verify_claim(cid, grid=[point], master_seed=42, profile="full")
     assert rep.verdict == "pass", rep.to_json()
+    if cid.startswith("thm"):
+        # parts 2 and 4 check the live rows of a block, every one of them a
+        # bijection, in one pass per kind: M(h) and S M(h) S^-1 in thm3.1,
+        # the conjugate by tau in thm3.2
+        n = parse_field_spec(point["field"]).q ** point["deg"]
+        kinds = 2 if cid.startswith("thm3.1") else 1
+        assert passes == [(int(live.sum()), n) for _, live, _ in blocks for _ in range(kinds)]
+        assert any(h > 1 for h, _ in passes)
+        return
     assert len(passes) >= 2
     if cid.startswith("p3."):
-        assert passes == blocks and any(h > 1 for h, _ in blocks)
+        assert passes == [sig.shape for _, sig in blocks] and any(h > 1 for h, _ in passes)
     else:
         assert blocks == [] and {h for h, _ in passes} == {1}
     # each instance checks one table (one row) and counts 2n work for it
