@@ -1,9 +1,12 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 import cppforge
 from cppforge import cli, gf
@@ -257,6 +260,46 @@ def test_verify_output_byte_identical(capsys):
     _, out1, _ = run(capsys, "verify", "p3.2", "--seed", "42", "--format", "json")
     _, out2, _ = run(capsys, "verify", "p3.2", "--seed", "42", "--format", "json")
     assert out1 == out2
+
+
+# sha256 of stdout under --format text and --format json; each command
+# exits 0.  These pin the text forms of construct --emit table|cycles,
+# claims and explore too, which no other test pins byte for byte.
+STDOUT_SHA256 = {
+    "cyclotomic 6 7^1": (
+        "8cc283fb59f0a902ae1f84abc76df063d5a5de14d71e62a77c6e41dba6376c18",
+        "1a47defd4eac872dacd9bdb16e5ed362002ec4d1b5b063341229306b8578a53d"),
+    "construct p4.3 --q 2 --emit table": (
+        "0859cd012e650ef202183cca6652f9212e4d1f6ff4d8d45b396b2127f77fa8b0",
+        "7d8daac60af3337355eb4f0af764253ce78bdce26e6eeb47741b0b612766f1ec"),
+    "construct p4.3 --q 2 --emit cycles": (
+        "d44590928ea05405688757a617d626c22eb636c993cb9c89f16de7efa2cc7167",
+        "9518ab92d91f4ebd54fcdccb6eb8f905fb1127b592717ba7be6e6c3b4c75b30a"),
+    "construct p4.3 --q 2 --emit univariate": (
+        "8213bae6cb74f38cf38c8893c373785817799e8f9903dd32bcc88a41d5fe19d0",
+        "607738b38cebb294a6d4c0604075bcfa488486bca44bcab38e59da04bdca26b6"),
+    "construct p4.3 --q 2 --emit spec": (
+        "f4ef555ab6fcc5c69138798274b340be0cd1f9e15faf94d0d30f93d849638632",
+        "f4ef555ab6fcc5c69138798274b340be0cd1f9e15faf94d0d30f93d849638632"),
+    "verify p4.10 --r 9 --q 2": (
+        "ad8a46dd0a5d79a7157018e8a7bab9703c667da766165ded541dcf558627c9e0",
+        "5cc5065f9a5a10c01c303d05da3f44f3e08be1459e579ff873e81712bb265ff5"),
+    "explore --r 5 --q 4 --count 2": (
+        "579285f0b26a9b3f0889a640743da2f019b6968f437ed39f9280c42274ccdfe5",
+        "579285f0b26a9b3f0889a640743da2f019b6968f437ed39f9280c42274ccdfe5"),
+    "claims": (
+        "45c40d113e8f7dc0a65b188d0840aa4b1e5d8e28f7f4a0037c56beb2799813fa",
+        "2fc3eb3dd31f3b7f068ab07d0f8b1d8705dd6ba41c7f11c409ce91d82a781086"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_stdout_bytes_pinned(capsys, command, fmt):
+    code, out, _ = run(capsys, *command.split(), "--format", fmt)
+    assert code == 0
+    want = STDOUT_SHA256[command][fmt == "json"]
+    assert hashlib.sha256(out.encode()).hexdigest() == want, (command, fmt)
 
 
 def test_claims_listing(capsys):
