@@ -42,15 +42,20 @@ def _field_arg(args, required=True):
     return None
 
 
+def _emit(args, record: dict, text=None) -> None:
+    """Print one record: tagged canonical JSON under --format json or when
+    the record has no text form, else its text."""
+    if args.format == "json" or text is None:
+        print(verify.canonical_json({"schema": SCHEMA, **record}))
+    else:
+        print(text)
+
+
 def cmd_cyclotomic(args) -> int:
     ctx = _field_arg(args)
     q = cyclotomic(args.n, ctx)
-    if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, "n": args.n, "field": ctx.spec(),
-                          "coeffs": q.to_json(), "text": q.to_text()},
-                         sort_keys=True, separators=(",", ":")))
-    else:
-        print(q.to_text())
+    text = q.to_text()
+    _emit(args, {"n": args.n, "field": ctx.spec(), "coeffs": q.to_json(), "text": text}, text)
     return 0
 
 
@@ -65,30 +70,14 @@ def cmd_construct(args) -> int:
         fieldext.check_univariate_cap(ctx.q ** spec.d)
     table = construct.build(spec)
     if args.emit == "spec":
-        print(json.dumps(spec.to_json(), sort_keys=True, separators=(",", ":")))
-    elif args.emit == "table":
-        out = table.to_json()
-        if args.format == "json":
-            print(json.dumps({"schema": SCHEMA, **out}, sort_keys=True,
-                             separators=(",", ":")))
-        else:
-            print(out)
-    elif args.emit == "cycles":
-        cs = table.cycle_structure().to_json()
-        if args.format == "json":
-            print(json.dumps({"schema": SCHEMA, **cs}, sort_keys=True,
-                             separators=(",", ":")))
-        else:
-            print(cs)
+        _emit(args, spec.to_json())
     elif args.emit == "univariate":
         bp = fieldext.default_basis(ctx, spec.d)
         pol = fieldext.to_univariate(bp, table)
-        if args.format == "json":
-            print(json.dumps({"schema": SCHEMA, "field": bp.big.spec(),
-                              "coeffs": pol.to_json()},
-                             sort_keys=True, separators=(",", ":")))
-        else:
-            print(pol.to_text())
+        _emit(args, {"field": bp.big.spec(), "coeffs": pol.to_json()}, pol.to_text())
+    else:
+        out = table.to_json() if args.emit == "table" else table.cycle_structure().to_json()
+        _emit(args, out, str(out))  # the text form of table and cycles is the dict repr
     return 0
 
 
@@ -127,13 +116,11 @@ def cmd_verify(args) -> int:
             grid = [base]
         for rep in verify.verify_claim(cid, grid=grid, master_seed=args.seed,
                                        profile=args.profile, cap=cap):
-            if args.format == "json":
-                print(rep.to_json_line())
-            else:
-                print(f"{rep.verdict.upper():20s} {rep.claim} "
-                      f"{json.dumps(rep.params, sort_keys=True)}"
-                      + (f" witness={json.dumps(rep.witness, sort_keys=True)}"
-                         if rep.witness else ""))
+            _emit(args, rep.to_json(),
+                  f"{rep.verdict.upper():20s} {rep.claim} "
+                  f"{json.dumps(rep.params, sort_keys=True)}"
+                  + (f" witness={json.dumps(rep.witness, sort_keys=True)}"
+                     if rep.witness else ""))
             failures += rep.verdict == verify.FAIL
     return 1 if failures else 0
 
@@ -143,19 +130,14 @@ def cmd_explore(args) -> int:
     findings = verify.explore_quadratic(args.r, field=ctx.spec() if ctx else "2^2",
                                         count=args.count, seed=args.seed)
     for f in findings:
-        print(json.dumps({"schema": SCHEMA, **f}, sort_keys=True,
-                         separators=(",", ":")))
+        _emit(args, f)
     return 0
 
 
 def cmd_claims(args) -> int:
     for row in verify.claims():
-        if args.format == "json":
-            print(json.dumps({"schema": SCHEMA, **row}, sort_keys=True,
-                             separators=(",", ":")))
-        else:
-            print(f"{row['claim']:10s} [{row['quick_points']}/{row['full_points']} pts] "
-                  f"{row['statement']}")
+        _emit(args, row, f"{row['claim']:10s} [{row['quick_points']}/{row['full_points']} pts] "
+                         f"{row['statement']}")
     return 0
 
 

@@ -342,7 +342,7 @@ def pick_h(r: int, ctx: FieldCtx, strategy: str) -> Poly:
     """Choose the control polynomial h for a target cycle length r.
 
     Strategies: ``full-cyclotomic`` (h = Q_r) and ``quotient``
-    (h = (t^r - 1)/(t - 1)).
+    (h = (t^r - 1)/(t - 1) = 1 + t + ... + t^(r-1)).
     """
     if r % ctx.p == 0:
         raise CharacteristicDividesR(
@@ -350,11 +350,7 @@ def pick_h(r: int, ctx: FieldCtx, strategy: str) -> Poly:
     if strategy == "full-cyclotomic":
         return cyclotomic(r, ctx)
     if strategy == "quotient":
-        num = Poly.x_pow_n_minus_1(ctx, r)
-        q, rem = divmod(num, Poly(ctx, [ctx.neg(1), 1]))
-        if not rem.is_zero:
-            raise RuntimeError("internal error: (t-1) does not divide t^r - 1")
-        return q
+        return Poly(ctx, [1] * r)
     raise InvalidSpec(f"unknown pick_h strategy {strategy!r}")
 
 

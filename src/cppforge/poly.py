@@ -18,12 +18,13 @@ fields included.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
 
 from .errors import CharacteristicDividesN, CtxMismatch, DivisionByZero, InvalidSpec, SizeCap
-from .gf import TABLE_CAP, FieldCtx, add_digits
+from .gf import TABLE_CAP, FieldCtx, add_digits, factor
 
 
 class Poly:
@@ -283,34 +284,35 @@ def divides(a: Poly, b: Poly) -> bool:
 # Cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
-_CYCLO_CACHE: dict = {}
-
-
 def cyclotomic(n: int, ctx: FieldCtx) -> Poly:
-    """The n-th cyclotomic polynomial Q_n over ctx.
+    """The n-th cyclotomic polynomial Q_n over ctx; requires gcd(n, p) = 1.
 
-    Computed by the product identity x^n - 1 = prod_{d | n} Q_d, peeling off
-    the proper divisors by exact division.  Requires gcd(n, p) = 1.
+    Moebius inversion (Lidl and Niederreiter, Thm 3.27): Q_n(t) = Q_k(t^(n/k))
+    for k the radical of n, and Q_k = prod (t^(k/s) - 1)^mu(s) over the
+    divisors s of k read off ``gf.factor``, all multiplications first so that
+    each division is exact.  Coefficients are integers mod p (prime-field indices).
     """
     if n < 1:
         raise InvalidSpec(f"cyclotomic index must be positive (got {n})")
     if n % ctx.p == 0:
         raise CharacteristicDividesN(
             f"characteristic {ctx.p} divides cyclotomic index {n}")
-    key = (ctx.key, n)
-    got = _CYCLO_CACHE.get(key)
-    if got is not None:
-        return got
-    num = Poly.x_pow_n_minus_1(ctx, n)
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = divmod(num, cyclotomic(d, ctx))
-            if not r.is_zero:
-                raise RuntimeError(
-                    f"internal error: inexact division in cyclotomic({n})")
-            num = q
-    _CYCLO_CACHE[key] = num
-    return num
+    primes = set(factor(n))
+    k = math.prod(primes)
+    ups, downs = [k], []  # k/s over the divisors s of k with mu(s) = 1, and -1
+    for q in primes:
+        ups, downs = ups + [e // q for e in downs], downs + [e // q for e in ups]
+    p, cs = ctx.p, [1]
+    for e in ups:  # cs * (t^e - 1), one pass
+        cs = [(a - b) % p for a, b in zip([0] * e + cs, cs + [0] * e)]
+    for e in downs:  # the exact quotient by t^e - 1, one pass: g_i = g_(i-e) - cs_i
+        g = [0] * e
+        for c in cs[:-e]:
+            g.append((g[-e] - c) % p)
+        cs = g[e:]
+    out = [0] * ((len(cs) - 1) * (n // k) + 1)
+    out[::n // k] = cs
+    return Poly(ctx, out)
 
 
 # ---------------------------------------------------------------------------

@@ -92,15 +92,16 @@ class VerificationReport:
                 "verdict": self.verdict, "witness": self.witness, "work": self.work}
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json())
 
 
-def _canon(params: dict) -> str:
-    return json.dumps(params, sort_keys=True, separators=(",", ":"))
+def canonical_json(obj) -> str:
+    """The one canonical encoding: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _rng_for(master_seed, claim: str, params: dict) -> Random:
-    return Random(f"cppforge:{master_seed}:{claim}:{_canon(params)}")
+    return Random(f"cppforge:{master_seed}:{claim}:{canonical_json(params)}")
 
 
 def _collision(table: np.ndarray) -> dict:
@@ -801,7 +802,7 @@ def verify_all(profile: str = "quick", master_seed=DEFAULT_SEED, stream=None,
                 counts["pass"] += 1
             elif rep.verdict == FAIL:
                 counts["fail"] += 1
-                failed.append(f"{rep.claim} {_canon(rep.params)}")
+                failed.append(f"{rep.claim} {canonical_json(rep.params)}")
             else:
                 counts["skipped"] += 1
             if stream is not None:
@@ -809,8 +810,7 @@ def verify_all(profile: str = "quick", master_seed=DEFAULT_SEED, stream=None,
     summary = {"schema": SCHEMA, "profile": profile, "seed": master_seed,
                "points": total, **counts, "failed": failed}
     if stream is not None:
-        stream.write(json.dumps(summary, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+        stream.write(canonical_json(summary) + "\n")
     return summary
 
 

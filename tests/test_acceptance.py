@@ -17,7 +17,7 @@ from cppforge import construct, gf, verify
 from cppforge.fieldext import default_basis, to_univariate
 from cppforge.linalg import Mat, char_poly, eval_poly_at_matrix, random_matrix
 from cppforge.perm import PermTable, space
-from cppforge.poly import Poly, _CYCLO_CACHE, cyclotomic
+from cppforge.poly import Poly, cyclotomic
 
 ACCEPT_FIELDS = [gf.field_new(*pm) for pm in
                  ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
@@ -37,7 +37,6 @@ def totient(n: int) -> int:
 
 
 def test_criterion_1_cyclotomic_identity():
-    _CYCLO_CACHE.clear()
     t0 = time.perf_counter()
     for ctx in ACCEPT_FIELDS:
         for n in range(1, 31):
