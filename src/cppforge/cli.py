@@ -7,9 +7,11 @@ no-claim research sweep) and ``claims`` (the traceability listing).
 
 Exit codes: 0 all checks passed, 1 at least one claim verification failed,
 2 usage error / malformed spec / unknown claim / hypothesis violation /
-size cap.  All JSON output is tagged ``schema: cppforge/1`` and identical
-invocations with identical seeds produce byte-identical output (the default
-seed is 42).
+size cap.  Every record goes through one writer, ``_emit``: tagged
+``schema: cppforge/1`` in the canonical encoding of ``verify.canonical_json``
+under ``--format json`` (and always for ``explore`` and ``construct --emit
+spec``), else its text form.  Identical invocations with identical seeds
+produce byte-identical output (the default seed is 42).
 """
 
 from __future__ import annotations

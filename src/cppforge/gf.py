@@ -28,8 +28,9 @@ with a zero mask, on numpy copies of the tables made on first use) and
 a prime field, an XOR reduce when p = 2, else each base-p digit summed
 mod p).
 
-Integers are factored in one place, ``factor``: trial division that stops
-once the cofactor is prime by ``is_prime``, a Miller-Rabin test.
+Integers are factored in one place, ``factor``: trial division below 2^10
+that stops once the cofactor is prime by ``is_prime``, a Miller-Rabin test,
+then Pollard's rho on a cofactor that is still composite.
 
 The modulus search, the primitive-element test, the g matrix and the
 subfield root search use :class:`cppforge.poly.Poly`, imported locally
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -94,20 +96,37 @@ def is_prime(n: int) -> bool:
 def factor(n: int) -> list[int]:
     """The prime factors of n >= 1, with multiplicity, in ascending order.
 
-    Trial division, which stops once the cofactor is prime (``is_prime``),
-    so its cost is set by the second-largest prime factor of n.
+    Trial division below 2^10, which stops once the cofactor is prime
+    (``is_prime``); a cofactor still composite after it is split by
+    Pollard's rho: Floyd's cycle search on x -> x^2 + c, for c = 1, 2, ...
+    (Pollard, BIT 15, 1975).
     """
     out, f, prime = [], 2, is_prime(n)
-    while not prime and f * f <= n:
+    while not prime and f * f <= n and f < 1 << 10:
         if n % f:
             f += 1
         else:
             n //= f
             out.append(f)
             prime = is_prime(n)
-    if n > 1:
-        out.append(n)
-    return out
+    if prime or f * f > n:  # n is 1 or a prime
+        return out + [n] if n > 1 else out
+    rest = [n]
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            out.append(m)
+            continue
+        c, d = 0, m
+        while d == m:  # the cycle closed mod m itself: try the next c
+            c, x, y, d = c + 1, 2, 2, 1
+            while d == 1:
+                x = (x * x + c) % m
+                y = (y * y + c) % m
+                y = (y * y + c) % m
+                d = math.gcd(x - y, m)
+        rest += [d, m // d]
+    return sorted(out)
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,8 +5,8 @@ zeros; the zero polynomial has an empty tuple and its ``degree`` is None (a
 distinguished marker rather than a number).  Coefficients are canonical
 element indices of the owning :class:`~cppforge.gf.FieldCtx`.
 
-Besides ring arithmetic this module provides cyclotomic polynomials (via the
-exact product recursion), deterministic irreducible factorization
+Besides ring arithmetic this module provides cyclotomic polynomials (by
+Moebius inversion over ``gf.factor``), deterministic irreducible factorization
 (distinct-degree gcd splitting followed by equal-degree trial division),
 the enumeration of monic polynomials -- one at a time, or as coefficient
 rows with their values at a point -- with the multiplicative orders of t and

@@ -214,8 +214,10 @@ def test_verify_section3_large_r_finishes_fast(capsys):
     # that does is h = Q_7 (degree 6).  The p4.10 rows have d = r - 1, too
     # large for q^d to be written out.  r = 10^18 + 3 is prime and
     # 10^18 + 1 = 101 * 9901 * 999999000001: is_prime and factor decide
-    # them without a walk up to sqrt(r)
+    # them without a walk up to sqrt(r), and Pollard's rho splits
+    # 1000000007 * 1000000009
     big, big_composite = "1000000000000000003", "1000000000000000001"
+    two_primes = "1000000016000000063"
     for claim, q, r, want in (
             ("p3.1", "2", "10007", "all instances exceed the size cap"),
             ("p3.2", "2", "1001", "all instances exceed the size cap"),
@@ -226,7 +228,8 @@ def test_verify_section3_large_r_finishes_fast(capsys):
             ("p3.1", "2", big, "all instances exceed the size cap"),
             ("p3.2", "2", big, f"r = {big} is not composite"),
             ("p3.3", "2", big_composite, "all instances exceed the size cap"),
-            ("p3.9", "3", big_composite, "all instances exceed the size cap")):
+            ("p3.9", "3", big_composite, "all instances exceed the size cap"),
+            ("p3.3", "2", two_primes, "all instances exceed the size cap")):
         t0 = time.perf_counter()
         code, out, _ = run(capsys, "verify", claim, "--q", q, "--r", r)
         assert time.perf_counter() - t0 < 1.0, claim
@@ -234,6 +237,21 @@ def test_verify_section3_large_r_finishes_fast(capsys):
         assert out.startswith("PASS" if want is None else "HYPOTHESIS-SKIPPED"), out
         if want is not None:
             assert want in out
+
+
+def test_two_large_prime_factors_finish_fast(capsys):
+    # q = 1000000007 * 1000000009 is no prime power, and Q_r for that r has
+    # factors far past the cap: gf.factor settles both without trial
+    # division up to 10^9
+    two_primes = "1000000016000000063"
+    for argv, want in ((("cyclotomic", "3", "--q", two_primes),
+                        f"error: NotPrime: {two_primes} is not a prime power\n"),
+                       (("explore", "--r", two_primes, "--field", "2^1"),
+                        "error: SizeCap: the factors of Q_")):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert code == 2 and out == "" and err.startswith(want), err
 
 
 def test_extension_field_at_cap_works(capsys):
@@ -420,3 +438,12 @@ codes = [main(argv) for argv in (
 print(json.dumps(codes))
 """
     assert json.loads(_run_fresh(script)) == [0, 0, 0]
+
+
+def test_cyclotomic_large_index_subprocess():
+    # 55440 has 120 divisors; Q_55440 over F_13 has degree 11520
+    t0 = time.perf_counter()
+    out = _run_fresh("from cppforge.cli import main\n"
+                     "raise SystemExit(main(['cyclotomic', '55440', '13^1']))")
+    assert time.perf_counter() - t0 < 10.0
+    assert parse_poly(out, gf.field_new(13)) == cyclotomic(55440, gf.field_new(13))

@@ -233,6 +233,20 @@ def test_pick_h_examples():
         pick_h(5, F2, "nonsense")
 
 
+@pytest.mark.parametrize("ctx", [F2, F4, F5])
+def test_pick_h_quotient_matches_division(ctx):
+    # the closed form 1 + t + ... + t^(r-1) against the long division
+    # of t^r - 1 by t - 1, at every odd r <= 41
+    t_minus_1 = parse_poly("t-1", ctx)
+    for r in range(1, 42, 2):
+        if r % ctx.p == 0:
+            with pytest.raises(CharacteristicDividesR):
+                pick_h(r, ctx, "quotient")
+            continue
+        want, rem = divmod(parse_poly(f"t^{r}-1", ctx), t_minus_1)
+        assert rem.is_zero and pick_h(r, ctx, "quotient") == want, (ctx.spec(), r)
+
+
 def test_random_additive_pp_contract():
     s1 = random_additive_pp(F2, 1, 5)
     s2 = random_additive_pp(F2, 1, 5)

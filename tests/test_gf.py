@@ -341,6 +341,9 @@ def test_factor_and_is_prime_match_sympy():
     rng = random.Random(2017)
     ns = [rng.randrange(2, 10 ** 12) for _ in range(200)]
     ns += [10 ** 18 + 2, 10 ** 18 + 3, 2 ** 61 - 1, *_STRONG_PSEUDOPRIMES]
+    # two or three large prime factors, which Pollard's rho splits
+    ns += [1000000007 * 1000000009, (2 ** 31 - 1) ** 2, 1000003 * 1000033 * 1000037,
+           (2 ** 31 - 1) * (2 ** 61 - 1)]
     for n in ns:
         want = [p for p, e in sorted(sympy.factorint(n).items()) for _ in range(e)]
         assert gf.factor(n) == want, n

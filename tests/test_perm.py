@@ -689,7 +689,7 @@ def test_bijective_rows_match_permtable():
 
 @pytest.mark.parametrize("spec, deg", [("2^1", 4), ("3^1", 3), ("2^2", 3), ("5^1", 2),
                                        ("3^2", 2)])
-def test_npower_rows_match_permtable_npower(spec, deg):
+def test_npower_matches_compose_chain(spec, deg):
     # PermTable.npower of every companion table, bijective or not, against
     # a compose chain, at the small exponents, the powers of two and the
     # order of t mod h, which gives e

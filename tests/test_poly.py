@@ -1,4 +1,5 @@
 import itertools
+import time
 from random import Random
 
 import pytest
@@ -122,6 +123,46 @@ def test_cyclotomic_product_identity_and_degree(ctx):
                 prod = prod * cyclotomic(d, ctx)
         assert prod == Poly.x_pow_n_minus_1(ctx, n)
         assert cyclotomic(n, ctx).degree == totient(n)
+
+
+def _peeled_cyclotomic(n, ctx, memo):
+    """Oracle: t^n - 1 divided exactly by Q_d for every proper divisor d of
+    n, found by testing each d < n, each Q_d peeled the same way."""
+    if n not in memo:
+        num = Poly.x_pow_n_minus_1(ctx, n)
+        for d in range(1, n):
+            if n % d == 0:
+                num, rem = divmod(num, _peeled_cyclotomic(d, ctx, memo))
+                assert rem.is_zero, (ctx.spec(), n, d)
+        memo[n] = num
+    return memo[n]
+
+
+@pytest.mark.parametrize("spec", ["2^1", "3^1", "2^2", "5^1", "7^1", "3^2", "13^1"])
+def test_cyclotomic_matches_peeling_oracle(spec):
+    ctx = gf.parse_field_spec(spec)
+    memo = {}
+    for n in range(1, 150):
+        if n % ctx.p:
+            assert cyclotomic(n, ctx) == _peeled_cyclotomic(n, ctx, memo), (spec, n)
+
+
+def test_cyclotomic_large_index_vs_sympy():
+    # radicals with four and five primes, and a square factor
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    ctx = gf.field_new(13)
+    for n in (210, 1155, 2310, 4620):
+        want = sympy.Poly(sympy.cyclotomic_poly(n, t), t).all_coeffs()
+        assert cyclotomic(n, ctx).coeffs == tuple(int(c) % 13 for c in reversed(want)), n
+
+
+def test_cyclotomic_large_index_is_fast():
+    # 55440 = 2^4 * 3^2 * 5 * 7 * 11 has 120 divisors; Q_55440 has degree 11520
+    t0 = time.perf_counter()
+    q = cyclotomic(55440, gf.field_new(13))
+    assert time.perf_counter() - t0 < 1.0
+    assert q.degree == 11520 and q.coeffs[0] == q.coeffs[-1] == 1
 
 
 @pytest.mark.parametrize("ctx", [F2, F5])
