@@ -300,8 +300,8 @@ def cyclotomic(n: int, ctx: FieldCtx) -> Poly:
     primes = set(factor(n))
     k = math.prod(primes)
     ups, downs = [k], []  # k/s over the divisors s of k with mu(s) = 1, and -1
-    for q in primes:
-        ups, downs = ups + [e // q for e in downs], downs + [e // q for e in ups]
+    for prime in primes:
+        ups, downs = ups + [e // prime for e in downs], downs + [e // prime for e in ups]
     p, cs = ctx.p, [1]
     for e in ups:  # cs * (t^e - 1), one pass
         cs = [(a - b) % p for a, b in zip([0] * e + cs, cs + [0] * e)]
