@@ -143,7 +143,7 @@ def cmd_claims(args) -> int:
     return 0
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process and shared by every ``main``."""
     ap = argparse.ArgumentParser(

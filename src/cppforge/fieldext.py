@@ -43,8 +43,6 @@ from .poly import Poly
 
 UNIVARIATE_CAP = 1 << 12
 
-_BASES: dict = {}
-
 
 def _index(ctx: FieldCtx, x) -> int:
     """x as an index of ctx; ValueError when it is out of range."""
@@ -121,15 +119,11 @@ def make_basis(big: FieldCtx, sub: FieldCtx, alpha: Optional[Sequence] = None) -
     return bp
 
 
+@functools.cache
 def default_basis(sub: FieldCtx, d: int) -> BasisPair:
     """Polynomial-basis pair for F_{q^d} over the given subfield (memoized
     per subfield and d: every call returns the same pair)."""
-    key = (sub.key, d)
-    bp = _BASES.get(key)
-    if bp is None:
-        bp = make_basis(field_new(sub.p, sub.m * d), sub)
-        _BASES[key] = bp
-    return bp
+    return make_basis(field_new(sub.p, sub.m * d), sub)
 
 
 def check_univariate_cap(n: int) -> None:
@@ -146,7 +140,7 @@ def _decode_table(bp: BasisPair) -> np.ndarray:
                                  for k in range(sub.m * d)])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _dft_plan(big: FieldCtx) -> tuple[np.ndarray, tuple[int, ...]]:
     """``(pw, radices)``: pw[i] = g^i for a primitive element g of big and
     i < N - 1, read-only, and the prime factors of N - 1, with multiplicity,

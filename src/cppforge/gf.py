@@ -129,7 +129,7 @@ def factor(n: int) -> list[int]:
     return sorted(out)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over F_p.
 
@@ -152,7 +152,7 @@ def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
 # Digitwise addition
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _digit_lut(p: int) -> tuple[int, Optional[np.ndarray], Optional[memoryview]]:
     """``(k, lut, view)``: the sum table of k-digit base-p strings.
 
@@ -236,8 +236,7 @@ class FieldCtx:
     :func:`field_new`, which caches contexts and picks the canonical modulus.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "key", "_exp", "_log", "_np_tables",
-                 "_embeddings")
+    __slots__ = ("p", "m", "q", "modulus", "key", "_exp", "_log", "_np_tables")
 
     def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None):
         if not is_prime(p):
@@ -273,7 +272,6 @@ class FieldCtx:
         self.key = (p, m, self.modulus)
         self._exp, self._log = self._exp_log_tables() if m > 1 else (None, None)
         self._np_tables = None
-        self._embeddings: dict = {}
 
     def _exp_log_tables(self) -> tuple[list, list]:
         """``exp[k] = g^k`` for 0 <= k < 2(q-1) and ``log``, its inverse."""
@@ -424,7 +422,7 @@ def _coeffs_of(modulus) -> Sequence[int]:
     return list(coeffs)
 
 
-_CTX_CACHE: dict = {}
+_field = functools.cache(FieldCtx)
 
 
 def field_new(p: int, m: int = 1, modulus=None) -> FieldCtx:
@@ -432,16 +430,12 @@ def field_new(p: int, m: int = 1, modulus=None) -> FieldCtx:
 
     When ``modulus`` is omitted and m > 1 the lexicographically smallest
     monic irreducible of degree m is selected, so the context is fully
-    determined by (p, m).
+    determined by (p, m).  Contexts are cached per (p, m, modulus as
+    given): naming the canonical modulus gives a context equal to the
+    default one, not the same object.
     """
-    mod_key = None if modulus is None else tuple(int(c) % p for c in _coeffs_of(modulus))
-    cache_key = (p, m, mod_key)
-    ctx = _CTX_CACHE.get(cache_key)
-    if ctx is None:
-        ctx = FieldCtx(p, m, modulus)
-        _CTX_CACHE[cache_key] = ctx
-        _CTX_CACHE.setdefault((p, m, ctx.modulus), ctx)
-    return ctx
+    return _field(p, m, None if modulus is None else
+                  tuple(int(c) % p for c in _coeffs_of(modulus)))
 
 
 def parse_field_spec(spec: str) -> FieldCtx:
@@ -484,9 +478,13 @@ def subfield_embedding(big: FieldCtx, sub: FieldCtx) -> list[int]:
     if big.p != sub.p or big.m % sub.m != 0:
         raise NotASubfieldRelation(
             f"{sub.spec()} is not a subfield of {big.spec()}")
-    cached = big._embeddings.get(sub.key)
-    if cached is not None:
-        return cached[0]
+    return _embedding(big, sub)[0]
+
+
+@functools.cache
+def _embedding(big: FieldCtx, sub: FieldCtx) -> tuple[list[int], dict]:
+    """``(table, back)``: the embedding table of sub into big and its
+    inverse on the image; sub must be a subfield of big."""
     if sub.m == 1:
         table = list(range(sub.p))
     else:
@@ -499,9 +497,7 @@ def subfield_embedding(big: FieldCtx, sub: FieldCtx) -> list[int]:
         # x = sum_k c_k u^k maps to sum_k c_k root^k
         powers = [big.pow(root, k) for k in range(sub.m)]
         table = [big.vsum(big.vmul(sub.digits(x), powers)) for x in range(sub.q)]
-    back = {b: s for s, b in enumerate(table)}
-    big._embeddings[sub.key] = (table, back)
-    return table
+    return table, {b: s for s, b in enumerate(table)}
 
 
 def trace(big: FieldCtx, sub: FieldCtx, x: int) -> int:
@@ -510,7 +506,7 @@ def trace(big: FieldCtx, sub: FieldCtx, x: int) -> int:
     x is an index of ``big``; the result is an index of ``sub``.
     """
     subfield_embedding(big, sub)
-    back = big._embeddings[sub.key][1]
+    back = _embedding(big, sub)[1]
     acc, t = 0, int(x)
     for _ in range(big.m // sub.m):
         acc = big.add(acc, t)

@@ -39,6 +39,7 @@ independent tables can be built concurrently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,7 +49,6 @@ from .errors import DimMismatch, NotBijective, SizeCap
 from .gf import TABLE_CAP, FieldCtx, add_digits
 from .linalg import Mat
 
-_SPACES: dict = {}
 _SLICE = 1 << 16  # the least column-slice width of add_rows
 
 
@@ -69,15 +69,12 @@ class VecSpace:
         self.ctx = ctx
         self.d = d
         self.n = ctx.q ** d
-        self._arange = None
 
-    @property
+    @functools.cached_property
     def arange(self):
-        if self._arange is None:
-            a = np.arange(self.n, dtype=np.int32)
-            a.flags.writeable = False
-            self._arange = a
-        return self._arange
+        a = np.arange(self.n, dtype=np.int32)
+        a.flags.writeable = False
+        return a
 
     def pack_point(self, coords) -> int:
         q = self.ctx.q
@@ -99,13 +96,7 @@ class VecSpace:
         return add_digits(self.ctx.p, self.ctx.m * self.d, a, b)
 
 
-def space(ctx: FieldCtx, d: int) -> VecSpace:
-    key = (ctx.key, d)
-    sp = _SPACES.get(key)
-    if sp is None:
-        sp = VecSpace(ctx, d)
-        _SPACES[key] = sp
-    return sp
+space = functools.cache(VecSpace)
 
 
 def linear_table(ctx: FieldCtx, d: int, images) -> np.ndarray:

@@ -18,6 +18,7 @@ fields included.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable
 
@@ -367,28 +368,17 @@ def monic_values(ctx: FieldCtx, coeffs: np.ndarray, x: int) -> np.ndarray:
     return at
 
 
-_ORDER_CACHE: dict = {}
-
-
+@functools.cache
 def monic_orders(ctx: FieldCtx, deg: int, shift: int) -> np.ndarray:
     """ord(t + shift mod h) for every monic h of degree deg, as an array.
 
     Entry v belongs to the v-th polynomial of :func:`monic_polys`, whose
     coefficients are the base-q digits of v.  The entry is 0 where
-    h(-shift) = 0, as t + shift is then not invertible mod h.  Results are
-    cached per (field, degree, shift) and read-only.
+    h(-shift) = 0, as t + shift is then not invertible mod h.  All rows
+    at once: the powers of t + shift mod every h, one row of deg
+    coefficients per h, multiplied by t + shift in lockstep until each row
+    reaches 1.  Results are cached per (field, degree, shift) and read-only.
     """
-    key = (ctx.key, deg, shift)
-    got = _ORDER_CACHE.get(key)
-    if got is None:
-        got = _ORDER_CACHE[key] = _order_recurrence(ctx, deg, shift)
-    return got
-
-
-def _order_recurrence(ctx: FieldCtx, deg: int, shift: int) -> np.ndarray:
-    """All rows of :func:`monic_orders` at once: the powers of t + shift
-    mod every h, one row of deg coefficients per h, multiplied by t + shift
-    in lockstep until each row reaches 1."""
     if deg < 1:
         raise InvalidSpec(f"orders need degree >= 1 (got {deg})")
     q, p = ctx.q, ctx.p

@@ -52,7 +52,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import groupby, permutations
 from random import Random
 from typing import Callable, Optional
@@ -250,17 +250,11 @@ def _thm32_sweep(part: int, draw_tau, cid, ctx, r, params, rng, cap):
 # read from its row alone.
 # ---------------------------------------------------------------------------
 
-_FACTORS: dict = {}
-
-
+@cache
 def _factors_of_cyclotomic(ctx: FieldCtx, l: int) -> list[Poly]:
     """irreducible_factors(cyclotomic(l, ctx)), computed once per process for
     each field and l."""
-    key = (ctx.key, l)
-    got = _FACTORS.get(key)
-    if got is None:
-        got = _FACTORS[key] = irreducible_factors(cyclotomic(l, ctx))
-    return got
+    return irreducible_factors(cyclotomic(l, ctx))
 
 
 def _cyclotomic_factors(ctx: FieldCtx, ls, cap: int) -> list[tuple[int, Poly]]:

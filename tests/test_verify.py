@@ -254,7 +254,7 @@ def test_section3_full_stream_pinned(monkeypatch):
         return irreducible_factors(f)
 
     monkeypatch.setattr(verify, "irreducible_factors", counted)
-    monkeypatch.setattr(verify, "_FACTORS", {})
+    verify._factors_of_cyclotomic.cache_clear()
     lines = _section3_lines("full")
     assert len(lines) == 97
     assert _sha256("\n".join(lines)) == P3_FULL_42_SHA256
@@ -332,15 +332,15 @@ def test_thm323_builds_m_plus_i_from_the_matrix(monkeypatch):
 
 
 def test_theorem_orders_computed_once_per_field_degree_shift(monkeypatch):
-    real = poly._order_recurrence
+    real = poly.monic_orders
     calls = []
 
-    def counted(ctx, deg, shift):
+    def requested(ctx, deg, shift):
         calls.append((ctx.key, deg, shift))
         return real(ctx, deg, shift)
 
-    monkeypatch.setattr(poly, "_order_recurrence", counted)
-    monkeypatch.setattr(poly, "_ORDER_CACHE", {})
+    monkeypatch.setattr(verify, "monic_orders", requested)
+    real.cache_clear()
     want = set()
     for cid, shift in (("thm3.1.2", 0), ("thm3.1.4", 1), ("thm3.2.2", 0),
                        ("thm3.2.4", 1), ("thm3.3.2", 0)):
@@ -349,12 +349,14 @@ def test_theorem_orders_computed_once_per_field_degree_shift(monkeypatch):
         want |= {(parse_field_spec(p["field"]).key, p["deg"], shift)
                  for p in verify.REGISTRY[cid].full}
     assert len(want) == 24  # F_2, F_3, F_4, F_5 x deg 2..4 x shift 0, 1
-    assert sorted(calls) == sorted(want)
+    assert set(calls) == want
+    assert real.cache_info().misses == 24  # one miss per key
     # the two moduli of F_9 are two fields with two order arrays
-    for spec in ("3^2", "3^2/2,1,1"):
-        poly.monic_orders(parse_field_spec(spec), 2, 0)
-    assert len(calls) == len(set(calls)) == 26
-    assert calls[-2][0] != calls[-1][0]
+    f9 = [parse_field_spec(spec) for spec in ("3^2", "3^2/2,1,1")]
+    for ctx in f9:
+        requested(ctx, 2, 0)
+    assert real.cache_info().misses == len(set(calls)) == 26
+    assert f9[0].key != f9[1].key
 
 
 def test_section4_fail_witnesses_pinned(monkeypatch):
