@@ -354,19 +354,18 @@ def pick_h(r: int, ctx: FieldCtx, strategy: str) -> Poly:
     raise InvalidSpec(f"unknown pick_h strategy {strategy!r}")
 
 
-def matrix_with_char_poly(h: Poly, mode: str, rng: Optional[Random] = None) -> Mat:
+def matrix_with_char_poly(h: Poly, mode: str, rng: Random) -> Mat:
     """A matrix whose characteristic polynomial is h.
 
-    ``companion`` returns the companion matrix; ``conjugate`` conjugates it
-    by a seeded random invertible matrix, giving a genuine non-companion
-    witness with the same characteristic polynomial.
+    ``companion`` returns the companion matrix and draws nothing;
+    ``conjugate`` conjugates it by a random invertible matrix drawn from
+    ``rng``, giving a genuine non-companion witness with the same
+    characteristic polynomial.
     """
     c = companion(h)
     if mode == "companion":
         return c
     if mode == "conjugate":
-        if rng is None:
-            rng = Random(0)
         s = random_invertible(h.ctx, c.n, rng)
         return s * c * s.inv()
     raise InvalidSpec(f"unknown matrix mode {mode!r}")

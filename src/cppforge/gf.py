@@ -72,6 +72,14 @@ _CHUNK = 1 << 14  # rows per numpy block of the exp table build
 _LUT_CAP = 1 << 18
 
 
+def over_cap(q: int, d: int, cap: int = TABLE_CAP) -> Optional[str]:
+    """q^d as text when it exceeds ``cap`` <= TABLE_CAP, else None.  Any d
+    >= TABLE_CAP.bit_length() exceeds every cap: "{q}^{d}", not computed."""
+    if d >= TABLE_CAP.bit_length():
+        return f"{q}^{d}"
+    return str(q ** d) if q ** d > cap else None
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
@@ -243,6 +251,9 @@ class FieldCtx:
             raise NotPrime(f"{p} is not prime")
         if m < 1:
             raise DegreeMismatch(f"extension degree must be >= 1, got {m}")
+        if m > 1 and (over := over_cap(p, m)):
+            raise SizeCap(f"F_{p}^{m} has {over} elements, above the "
+                          f"{TABLE_CAP} extension field cap")
         self.p = p
         self.m = m
         self.q = p ** m
@@ -251,9 +262,6 @@ class FieldCtx:
                 raise DegreeMismatch("prime field takes no modulus")
             self.modulus = None
         else:
-            if self.q > TABLE_CAP:
-                raise SizeCap(f"F_{p}^{m} has {self.q} elements, above the "
-                              f"{TABLE_CAP} extension field cap")
             if modulus is None:
                 mod = _canonical_modulus(p, m)
             else:

@@ -41,23 +41,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import DimMismatch, NotBijective, SizeCap
-from .gf import TABLE_CAP, FieldCtx, add_digits
+from .gf import TABLE_CAP, FieldCtx, add_digits, over_cap
 from .linalg import Mat
 
 _SLICE = 1 << 16  # the least column-slice width of add_rows
-
-
-def over_cap(q: int, d: int, cap: int = TABLE_CAP) -> Optional[str]:
-    """q^d as text when it exceeds ``cap`` <= TABLE_CAP, else None.  Any d
-    >= TABLE_CAP.bit_length() exceeds every cap: "{q}^{d}", not computed."""
-    if d >= TABLE_CAP.bit_length():
-        return f"{q}^{d}"
-    return str(q ** d) if q ** d > cap else None
 
 
 class VecSpace:

@@ -292,12 +292,15 @@ def cyclotomic(n: int, ctx: FieldCtx) -> Poly:
     for k the radical of n, and Q_k = prod (t^(k/s) - 1)^mu(s) over the
     divisors s of k read off ``gf.factor``, all multiplications first so that
     each division is exact.  Coefficients are integers mod p (prime-field indices).
+    An index above the 2^20 table cap raises SizeCap.
     """
     if n < 1:
         raise InvalidSpec(f"cyclotomic index must be positive (got {n})")
     if n % ctx.p == 0:
         raise CharacteristicDividesN(
             f"characteristic {ctx.p} divides cyclotomic index {n}")
+    if n > TABLE_CAP:
+        raise SizeCap(f"cyclotomic index {n} exceeds the {TABLE_CAP} table cap")
     primes = set(factor(n))
     k = math.prod(primes)
     ups, downs = [k], []  # k/s over the divisors s of k with mu(s) = 1, and -1

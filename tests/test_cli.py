@@ -44,10 +44,13 @@ def test_cyclotomic_char_divides(capsys):
 
 
 def test_cyclotomic_malformed_input_exit_2(capsys):
-    for argv in (("6", "abc"), ("0", "2^1")):
+    # an index above the 2^20 table cap is refused before t^n - 1 is built
+    for argv, kind in ((("6", "abc"), "InvalidSpec"), (("0", "2^1"), "InvalidSpec"),
+                       (("1000000000000000003", "2^1"), "SizeCap"),
+                       (("1048577", "2^1"), "SizeCap")):
         code, out, err = run(capsys, "cyclotomic", *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error: InvalidSpec:") and err.count("\n") == 1
+        assert err.startswith(f"error: {kind}:") and err.count("\n") == 1
 
 
 def test_construct_cycles_p43(capsys):
@@ -197,8 +200,11 @@ def test_verify_r_below_1_exit_2(capsys):
 
 def test_extension_field_above_cap_exit_2(capsys):
     # a construction whose q^d is past every cap is refused before its h,
-    # M and characteristic polynomial are built
+    # M and characteristic polynomial are built; a field named by a huge
+    # exponent is refused before p^m is computed
     for argv in (("cyclotomic", "5", "2^21"), ("verify", "p4.3", "--q", "2097152"),
+                 ("cyclotomic", "3", "2^100000"), ("cyclotomic", "3", "2^10000000000"),
+                 ("verify", "p4.3", "--field", "3^100000000000"),
                  *(("construct", "p4.10", "--q", "2", "--r", r, "--emit", "cycles")
                    for r in ("2001", "20001", "16000001"))):
         t0 = time.perf_counter()

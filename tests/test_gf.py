@@ -305,7 +305,7 @@ def test_field_from_order():
     for q, err, msg in ((12, NotPrime, "12 is not a prime power"),
                         (0, NotPrime, "0 is not prime"),
                         (1, NotPrime, "1 is not prime"),
-                        (1 << 21, SizeCap, "F_2^21 has 2097152 elements, above the "
+                        (1 << 21, SizeCap, "F_2^21 has 2^21 elements, above the "
                                            "1048576 extension field cap")):
         with pytest.raises(err) as info:
             gf.field_from_order(q)

@@ -165,6 +165,16 @@ def test_cyclotomic_large_index_is_fast():
     assert q.degree == 11520 and q.coeffs[0] == q.coeffs[-1] == 1
 
 
+def test_cyclotomic_index_capped_at_table_cap():
+    # Q_(2^20) = Q_2(t^(2^19)) = t^(2^19) + 1 is the largest index allowed
+    big = cyclotomic(1 << 20, F3)
+    assert big.degree == 1 << 19 and big.coeffs[0] == big.coeffs[-1] == 1
+    assert not any(big.coeffs[1:-1])
+    for n in (1048577, 1000000000000000003):
+        with pytest.raises(SizeCap):
+            cyclotomic(n, F2)
+
+
 @pytest.mark.parametrize("ctx", [F2, F5])
 def test_cyclotomic_divisibility_lemma(ctx):
     # Q_n | (x^n - 1)/(x^d - 1) for every proper divisor d of n

@@ -83,3 +83,61 @@ def test_dead_private_names_finds_unread_names():
 def test_no_dead_private_names_in_src():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+def hand_rolled_caches(sources: dict) -> list[str]:
+    """Module-level dicts of ``sources`` (module name -> source) that any
+    module item-assigns, or calls ``setdefault`` or ``update`` on, as
+    ``module.name``, sorted, plus ``module:lru_cache`` for each module that
+    names ``lru_cache``.  A dict that is only read, such as a registry built
+    once, passes: the one memo idiom is a ``functools.cache``d function."""
+    trees = {m: ast.parse(s) for m, s in sources.items()}
+    dicts = {}  # name -> defining module
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign):
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if isinstance(value, (ast.Dict, ast.DictComp)) or (
+                    isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                    and value.func.id == "dict"):
+                dicts.update((t.id, module) for t in targets if isinstance(t, ast.Name))
+    found = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                target = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in ("setdefault", "update"):
+                target = node.func.value
+            elif (isinstance(node, ast.Name) and node.id == "lru_cache") or \
+                    (isinstance(node, ast.Attribute) and node.attr == "lru_cache") or \
+                    (isinstance(node, ast.alias) and node.name == "lru_cache"):
+                found.add(f"{module}:lru_cache")
+                continue
+            else:
+                continue
+            name = getattr(target, "id", None) or getattr(target, "attr", None)
+            if name in dicts:
+                found.add(f"{dicts[name]}.{name}")
+    return sorted(found)
+
+
+def test_hand_rolled_caches_finds_written_dicts():
+    sources = {"a": "_CACHE: dict = {}\nTABLE = {'x': 1}\n_MEMO = dict()\n"
+                    "def f(k):\n    _CACHE[k] = TABLE['x']\n    return _CACHE[k]\n",
+               "b": "from . import a\nimport functools\n_SEEN = {}\n"
+                    "def g(k):\n    a._MEMO.setdefault(k, 2)\n    _SEEN.update({k: 1})\n"
+                    "@functools.lru_cache(maxsize=None)\ndef h(k):\n    return k\n",
+               "c": "from functools import cache, lru_cache\nPLAIN = {}\n"
+                    "@cache\ndef i(k):\n    out = {}\n    out[k] = PLAIN.get(k)\n    return out\n"}
+    assert hand_rolled_caches(sources) == ["a._CACHE", "a._MEMO", "b._SEEN",
+                                           "b:lru_cache", "c:lru_cache"]
+
+
+def test_one_memo_idiom_in_src():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert hand_rolled_caches(sources) == []

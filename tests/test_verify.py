@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cppforge
-from cppforge import construct, linalg, perm, poly, verify
+from cppforge import construct, fieldext, gf, linalg, perm, poly, verify
 from cppforge.errors import InvalidSpec, UnknownClaim
 from cppforge.linalg import Mat
 from cppforge.gf import field_new, parse_field_spec
@@ -357,6 +357,40 @@ def test_theorem_orders_computed_once_per_field_degree_shift(monkeypatch):
         requested(ctx, 2, 0)
     assert real.cache_info().misses == len(set(calls)) == 26
     assert f9[0].key != f9[1].key
+
+
+def test_memoized_functions_share_until_cleared():
+    # each per-process cache is a functools.cache'd function: a repeat call
+    # returns the same object, and after cache_clear() a fresh call builds
+    # an equal one
+    f2, f8 = field_new(2), field_new(2, 3)
+
+    def basis_fields(bp):
+        return bp.big, bp.sub, bp.alpha, bp.beta
+
+    for cache, call, same in (
+            (gf._field, lambda: field_new(2, 3), lambda a, b: a == b and a.spec() == b.spec()),
+            (perm.space, lambda: perm.space(f8, 2), lambda a, b: (a.ctx, a.d) == (b.ctx, b.d)),
+            (poly.monic_orders, lambda: poly.monic_orders(f8, 2, 1), np.array_equal),
+            (fieldext.default_basis, lambda: fieldext.default_basis(f2, 3),
+             lambda a, b: basis_fields(a) == basis_fields(b)),
+            (gf._embedding, lambda: gf.subfield_embedding(f8, f2), list.__eq__),
+            (verify._factors_of_cyclotomic, lambda: verify._factors_of_cyclotomic(f2, 7),
+             list.__eq__)):
+        first = call()
+        assert call() is first
+        cache.cache_clear()
+        fresh = call()
+        assert fresh is not first and same(fresh, first), cache
+    # F_8's canonical modulus, named or implied: equal contexts, one spec,
+    # one cache entry per spelling
+    f8 = field_new(2, 3)
+    named = field_new(2, 3, f8.modulus)
+    assert named == f8 and hash(named) == hash(f8) and named.spec() == f8.spec() == "2^3"
+    assert named is not f8
+    assert field_new(2, 3, list(f8.modulus)) is named
+    assert field_new(2, 3, Poly(f2, f8.modulus)) is named
+    assert perm.space(named, 2) is perm.space(f8, 2)
 
 
 def test_section4_fail_witnesses_pinned(monkeypatch):
