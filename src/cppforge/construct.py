@@ -88,7 +88,7 @@ class TauSpec:
 
 
 def tau_to_table(spec: TauSpec, ctx: FieldCtx, d: int) -> PermTable:
-    """Materialize a TauSpec as a bijective PermTable."""
+    """Materialize a TauSpec as a PermTable, a bijection for a valid spec."""
     space(ctx, d)  # raises SizeCap before any table is built
     if spec.kind == "coordinate":
         if spec.perms is None or len(spec.perms) != d:
@@ -99,7 +99,7 @@ def tau_to_table(spec: TauSpec, ctx: FieldCtx, d: int) -> PermTable:
             if sorted(a) != list(range(ctx.q)):
                 raise InvalidSpec("coordinate map is not a permutation of F_q")
             out = np.add.outer(np.array(a, dtype=np.int32) * ctx.q ** j, out).ravel()
-        return PermTable(ctx, d, out, bijective=True)
+        return PermTable(ctx, d, out)
     if spec.kind == "additive-linear":
         total = ctx.m * d
         if spec.matrix is None or len(spec.matrix) != total:
@@ -109,7 +109,7 @@ def tau_to_table(spec: TauSpec, ctx: FieldCtx, d: int) -> PermTable:
             raise InvalidSpec("additive-linear matrix is singular")
         # column k of the F_p matrix, read as base-p digits, is the image of p^k
         images = ctx.p ** np.arange(total) @ m.a
-        return PermTable(ctx, d, linear_table(ctx, d, images), bijective=True)
+        return PermTable(ctx, d, linear_table(ctx, d, images))
     raise InvalidSpec(f"unknown tau kind {spec.kind!r}")
 
 
@@ -408,7 +408,7 @@ def _coord_perm(params: dict, key: str, ctx: FieldCtx, rng: Random,
         raise HypothesisViolated(f"{key} is not a permutation of F_q")
     if want == "odd" and any(a[ctx.neg(x)] != ctx.neg(a[x]) for x in range(ctx.q)):
         raise HypothesisViolated(f"{key} must satisfy a(-x) = -a(x)")
-    if want == "additive" and not PermTable(ctx, 1, a, bijective=True).is_additive():
+    if want == "additive" and not PermTable(ctx, 1, a).is_additive():
         raise HypothesisViolated(f"{key} must be additive")
     return a
 

@@ -10,11 +10,11 @@ arithmetic is exact.
 Prime fields multiply as ``a * b % p``.  An extension field (m >= 2) builds
 two tables in its constructor from its smallest-index primitive element g:
 ``exp[k] = g^k`` for 0 <= k < 2(q-1), and ``log``, its inverse.  Then
-``a * b = exp[log a + log b]`` and ``1/a = exp[q-1 - log a]``: the standard
-log/antilog technique, also used by the ``galois`` package.  The build needs
-no scalar multiply: multiplication by g is an m x m matrix over F_p, and the
-digit vectors of g^k double block by block in numpy.  Extension fields with
-more than ``TABLE_CAP`` (2^20) elements raise SizeCap.
+``a * b = exp[log a + log b]``, ``1/a = exp[q-1 - log a]`` and ``a^n =
+exp[n log a mod (q-1)]``: the standard log/antilog technique, also used by
+the ``galois`` package.  The build needs no scalar multiply: multiplication
+by g is an m x m matrix over F_p, and the digit vectors of g^k double block
+by block in numpy.  Larger fields than ``TABLE_CAP`` (2^20) raise SizeCap.
 
 Addition in F_{p^m} (m >= 2) and coordinatewise addition of packed F_q^d
 vectors are one digitwise adder, ``add_digits``, on scalars and arrays: XOR
@@ -385,13 +385,11 @@ class FieldCtx:
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(a), -n)
-        result, acc = 1, a
-        while n:
-            if n & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            n >>= 1
-        return result
+        if self.m == 1:
+            return pow(a, n, self.p)
+        if a == 0:
+            return int(n == 0)
+        return self._exp[self._log[a] * n % (self.q - 1)]
 
     # -- arithmetic on index arrays ---------------------------------------------
 

@@ -3,8 +3,8 @@
 A ``Mat`` is one read-only (d, d) int64 index array, ``Mat.a``.  Sums,
 products, ``apply`` and ``eval_poly_at_matrix`` are array expressions over
 ``FieldCtx.vmul``, ``FieldCtx.vsum`` and ``gf.add_digits``.  Determinant and
-inverse use Gaussian elimination with leftmost-nonzero pivoting (the pivot
-rule is fixed only for determinism), and the characteristic polynomial a
+inverse share one forward elimination, ``_eliminate``, with leftmost-nonzero
+pivoting (fixed only for determinism), and the characteristic polynomial a
 reduction to Hessenberg form with the same rule, then the recurrence on its
 leading blocks (Cohen, A Course in Computational Algebraic Number Theory,
 GTM 138, Alg. 2.2.9), in every characteristic; these three run on scalars.
@@ -107,42 +107,18 @@ class Mat:
         return tuple(self.ctx.vsum(self.ctx.vmul(self.a, v), axis=1).tolist())
 
     def det(self) -> int:
-        ctx, n = self.ctx, self.n
-        a = self.a.tolist()
-        det = 1
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col]), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = ctx.neg(det)
-            det = ctx.mul(det, a[col][col])
-            inv_p = ctx.inv(a[col][col])
-            for r in range(col + 1, n):
-                f = a[r][col]
-                if f:
-                    f = ctx.mul(f, inv_p)
-                    for c in range(col, n):
-                        a[r][c] = ctx.sub(a[r][c], ctx.mul(f, a[col][c]))
-        return det
+        return _eliminate(self.ctx, self.a.tolist())
 
     def inv(self) -> "Mat":
+        """[M | I] reduced by ``_eliminate``, then back-substituted."""
         ctx, n = self.ctx, self.n
         a = [r + [int(i == j) for j in range(n)] for i, r in enumerate(self.a.tolist())]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col]), None)
-            if pivot is None:
-                raise Singular("matrix is singular")
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-            inv_p = ctx.inv(a[col][col])
-            a[col] = [ctx.mul(inv_p, c) for c in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [ctx.sub(c, ctx.mul(f, pc))
-                            for c, pc in zip(a[r], a[col])]
+        if not _eliminate(ctx, a):
+            raise Singular("matrix is singular")
+        for col in range(n - 1, 0, -1):
+            for row in a[:col]:
+                if f := ctx.neg(row[col]):
+                    row[n:] = [ctx.add(c, ctx.mul(f, b)) for c, b in zip(row[n:], a[col][n:])]
         return Mat(ctx, [row[n:] for row in a])
 
     def to_json(self) -> dict:
@@ -151,6 +127,27 @@ class Mat:
     @classmethod
     def from_json(cls, data: dict) -> "Mat":
         return cls(parse_field_spec(data["field"]), data["rows"])
+
+
+def _eliminate(ctx: FieldCtx, a: list) -> int:
+    """det of the leading square block of the rows ``a`` (index lists), by
+    forward elimination in place: each pivot row is scaled to a unit pivot
+    and clears the column below it, at or right of the pivot only."""
+    det = 1
+    for col in range(len(a)):
+        pivot = next((r for r in range(col, len(a)) if a[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = ctx.neg(det)
+        det = ctx.mul(det, a[col][col])
+        inv_p = ctx.inv(a[col][col])
+        top = a[col][col:] = [ctx.mul(inv_p, c) for c in a[col][col:]]
+        for row in a[col + 1:]:
+            if f := ctx.neg(row[col]):
+                row[col:] = [ctx.add(c, ctx.mul(f, b)) for c, b in zip(row[col:], top)]
+    return det
 
 
 # ---------------------------------------------------------------------------

@@ -236,9 +236,9 @@ class CycleStructure:
 class PermTable:
     """A map F_q^d -> F_q^d as a dense table over packed indices."""
 
-    __slots__ = ("ctx", "d", "table", "bijective", "_lengths")
+    __slots__ = ("ctx", "d", "table", "_bijective", "_lengths")
 
-    def __init__(self, ctx: FieldCtx, d: int, table, bijective=None):
+    def __init__(self, ctx: FieldCtx, d: int, table):
         sp = space(ctx, d)
         if isinstance(table, np.ndarray) and table.dtype == np.int32:
             arr = table
@@ -258,17 +258,14 @@ class PermTable:
         self.ctx = ctx
         self.d = d
         self.table = arr
-        if bijective is None:
-            bijective = bool(bijective_rows(arr[None])[0])
-        self.bijective = bijective
+        self._bijective = None  # bijective, computed on first read
         self._lengths = None  # cycle_lengths, computed on first use
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def identity(cls, ctx: FieldCtx, d: int) -> "PermTable":
-        sp = space(ctx, d)
-        return cls(ctx, d, sp.arange, bijective=True)
+        return cls(ctx, d, space(ctx, d).arange)
 
     @classmethod
     def from_matrix(cls, m: Mat) -> "PermTable":
@@ -285,8 +282,14 @@ class PermTable:
         return hash((self.ctx.key, self.d, self.table.tobytes()))
 
     def __repr__(self) -> str:
-        return (f"PermTable({self.ctx.spec()}^{self.d}, n={self.table.size}, "
-                f"bijective={self.bijective})")
+        return f"PermTable({self.ctx.spec()}^{self.d}, n={self.table.size})"
+
+    @property
+    def bijective(self) -> bool:
+        """The one-row case of ``bijective_rows``, computed by the first read."""
+        if self._bijective is None:
+            self._bijective = bool(bijective_rows(self.table[None])[0])
+        return self._bijective
 
     @property
     def n(self) -> int:
@@ -304,26 +307,24 @@ class PermTable:
     def compose(self, other: "PermTable") -> "PermTable":
         """(self o other)(x) = self(other(x))."""
         self._check(other)
-        bij = self.bijective and other.bijective or None
-        return PermTable(self.ctx, self.d, self.table[other.table], bijective=bij)
+        return PermTable(self.ctx, self.d, self.table[other.table])
 
     def invert(self) -> "PermTable":
         if not self.bijective:
             raise NotBijective("cannot invert a non-bijective table")
         inv = np.empty_like(self.table)
         inv[self.table] = space(self.ctx, self.d).arange
-        return PermTable(self.ctx, self.d, inv, bijective=True)
+        return PermTable(self.ctx, self.d, inv)
 
     def conjugate(self, tau: "PermTable") -> "PermTable":
         """tau o self o tau^-1 for a bijective tau (``conjugate_rows``)."""
         self._check(tau)
         if not tau.bijective:
             raise NotBijective("cannot conjugate by a non-bijective table")
-        return PermTable(self.ctx, self.d, conjugate_rows(self.table.copy(), tau.table),
-                         bijective=self.bijective)
+        return PermTable(self.ctx, self.d, conjugate_rows(self.table.copy(), tau.table))
 
     def add_pointwise(self, other: "PermTable") -> "PermTable":
-        """x -> self(x) + other(x) (``add_rows``); bijectivity is recomputed eagerly."""
+        """x -> self(x) + other(x) (``add_rows``)."""
         self._check(other)
         return PermTable(self.ctx, self.d,
                          add_rows(space(self.ctx, self.d), self.table, other.table))
@@ -340,7 +341,7 @@ class PermTable:
             n >>= 1
             if n:
                 acc = acc.take(acc)
-        return PermTable(self.ctx, self.d, out, bijective=self.bijective or None)
+        return PermTable(self.ctx, self.d, out)
 
     def cycle_lengths(self) -> np.ndarray:
         """The length of the cycle through each point, as a read-only int32
@@ -371,9 +372,8 @@ class PermTable:
 
     def is_cpp(self) -> bool:
         """Both the table and table + identity are bijections."""
-        if not self.bijective:
-            return False
-        return self.add_pointwise(PermTable.identity(self.ctx, self.d)).bijective
+        return self.bijective and self.add_pointwise(
+            PermTable.identity(self.ctx, self.d)).bijective
 
     def is_additive(self) -> bool:
         """Additivity f(x+y) = f(x)+f(y) for all x, y.

@@ -344,15 +344,13 @@ def monic_polys(ctx: FieldCtx, deg: int):
     """All monic polynomials of the given degree in deterministic order.
 
     The order is by integer value sum(c_k * q^k): coefficient digits compared
-    from the highest degree down.
+    from the highest degree down.  These are the rows of
+    :func:`monic_coeffs`, read in blocks of at most 2^14.
     """
-    q = ctx.q
-    for v in range(q ** deg):
-        cs = []
-        for _ in range(deg):
-            cs.append(v % q)
-            v //= q
-        yield Poly(ctx, cs + [1])
+    n = ctx.q ** deg
+    for lo in range(0, n, 1 << 14):
+        for cs in monic_coeffs(ctx, deg, lo, min(n, lo + (1 << 14))).tolist():
+            yield Poly(ctx, cs + [1])
 
 
 def monic_coeffs(ctx: FieldCtx, deg: int, lo: int = 0, hi=None) -> np.ndarray:
@@ -360,7 +358,10 @@ def monic_coeffs(ctx: FieldCtx, deg: int, lo: int = 0, hi=None) -> np.ndarray:
     :func:`monic_polys` (default: all q^deg), as an int64 index array."""
     q = ctx.q
     hi = q ** deg if hi is None else hi
-    return np.arange(lo, hi, dtype=np.int64)[:, None] // q ** np.arange(deg) % q
+    # every index is below hi, so powers and a modulus capped at hi give the
+    # same digits, in int64 for any q
+    pw = np.array([min(q ** k, hi) for k in range(deg)], dtype=np.int64)
+    return np.arange(lo, hi, dtype=np.int64)[:, None] // pw % min(q, hi)
 
 
 def monic_values(ctx: FieldCtx, coeffs: np.ndarray, x: int) -> np.ndarray:

@@ -115,12 +115,12 @@ def _collision(table: np.ndarray) -> dict:
             "y": int(vals[i])}
 
 
-def _tau_general(ctx: FieldCtx, d: int, rng: Random) -> PermTable:
-    return PermTable(ctx, d, construct.permutation(ctx.q ** d, rng), bijective=True)
+def _tau_general(ctx: FieldCtx, d: int, rng: Random) -> np.ndarray:
+    return construct.permutation(ctx.q ** d, rng)
 
 
-def _tau_additive(ctx: FieldCtx, d: int, rng: Random) -> PermTable:
-    return tau_to_table(random_additive_pp(ctx, d, rng), ctx, d)
+def _tau_additive(ctx: FieldCtx, d: int, rng: Random) -> np.ndarray:
+    return tau_to_table(random_additive_pp(ctx, d, rng), ctx, d).table
 
 
 _MODES = ("companion", "conjugate")
@@ -212,8 +212,8 @@ def _thm32_sweep(part: int, draw_tau, cid, ctx, r, params, rng, cap):
     deg = params["deg"]
     sp = space(ctx, deg)
     n = sp.n
-    t1 = draw_tau(ctx, deg, rng).table
-    t2i = draw_tau(ctx, deg, rng).table
+    t1 = draw_tau(ctx, deg, rng)
+    t2i = draw_tau(ctx, deg, rng)
     work = 2 * n  # the two taus, counted with the first instance
     for coeffs, live, ords in _monic_blocks(part, ctx, deg):
         comp = companions(ctx, coeffs)
@@ -296,7 +296,7 @@ def _p3_tables(hs, kinds, tau_kind: str, ctx: FieldCtx, rng: Random):
             for h, kind in block:
                 mats.append(matrix_with_char_poly(h, kind, rng).a)
                 if tau is None and draw:  # drawn at the first instance
-                    tau = draw(ctx, d, rng).table
+                    tau = draw(ctx, d, rng)
             sig = matrix_tables(ctx, np.stack(mats))
             yield block, sig if tau is None else conjugate_rows(sig, tau)
 
@@ -766,8 +766,11 @@ def verify_claim(claim_id: str, grid=None, master_seed=DEFAULT_SEED,
     cap = min(PROFILES[profile] if cap is None else cap, TABLE_CAP)
     if grid is None:
         grid = c.quick if profile == "quick" else c.full
+    keys = {k for point in c.quick + c.full for k in point}
     reports = []
     for point in grid:
+        if missing := sorted(keys.difference(point)):
+            raise InvalidSpec(f"{claim_id} grid point {point} lacks {', '.join(missing)}")
         rng = _rng_for(master_seed, claim_id, point)
         t0 = time.perf_counter()
         verdict, witness, work = _run(claim_id, c, dict(point), rng, cap)

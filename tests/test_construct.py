@@ -75,7 +75,7 @@ def random_non_additive_pp(ctx, rng):
     """Seeded permutation of F_q rejected until non-additive."""
     while True:
         table = random_pp(ctx.q, rng)
-        if not PermTable(ctx, 1, table, bijective=True).is_additive():
+        if not PermTable(ctx, 1, table).is_additive():
             return table
 
 

@@ -214,6 +214,39 @@ def test_inv_and_negative_pow_f4096():
     assert ctx.pow(2, -1) == ctx.inv(2)
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (7, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
+def test_pow_matches_repeated_mul(p, m):
+    # every a and every n in [-(q-1), 2q]: a^n by repeated mul of a, and of
+    # 1/a for negative n; 0^0 = 1, 0^n = 0 and 0^-n has no value
+    ctx = gf.field_new(p, m)
+    for a in range(ctx.q):
+        up, down = [1], [1]
+        for _ in range(2 * ctx.q):
+            up.append(ctx.mul(up[-1], a))
+            if a:
+                down.append(ctx.mul(down[-1], ctx.inv(a)))
+        for n in range(2 * ctx.q + 1):
+            assert ctx.pow(a, n) == up[n]
+        for n in range(1, ctx.q):
+            if a:
+                assert ctx.pow(a, -n) == down[n]
+            else:
+                with pytest.raises(DivisionByZero):
+                    ctx.pow(a, -n)
+    assert ctx.pow(0, 0) == 1 and ctx.pow(0, 1) == ctx.pow(0, 5) == 0
+
+
+def test_pow_in_a_large_prime_field():
+    p = (1 << 61) - 1
+    ctx = gf.field_new(p)
+    for a in (1, 2, 3, 12345, p - 1):
+        assert ctx.pow(a, p - 1) == 1
+    assert ctx.pow(2, 61) == 1 and ctx.pow(0, 0) == 1 and ctx.pow(0, p) == 0
+    assert ctx.mul(ctx.pow(3, -5), ctx.pow(3, 5)) == 1
+    with pytest.raises(DivisionByZero):
+        ctx.pow(0, -1)
+
+
 def test_extension_field_cap():
     with pytest.raises(SizeCap):
         gf.field_new(2, 21)

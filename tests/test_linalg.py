@@ -145,6 +145,42 @@ def test_apply_and_inverse():
         m.apply((1, 2, 3))
 
 
+@pytest.mark.parametrize("ctx", (F2, F3, F4, F5, F9), ids=lambda c: c.spec())
+def test_det_and_inv_seeded(ctx):
+    # M inv(M) = I, det(MN) = det M det N, det against the Laplace oracle
+    # (det(tI - M) at t = 0 is (-1)^n det M), and singular draws: plain
+    # draws, an invertible one, and one whose last row repeats its first
+    rng = Random(f"det-inv:{ctx.spec()}")
+    for n in (1, 2, 3, 4, 5, 6, 12, 20):
+        for _ in range(4 if n <= 6 else 2):
+            m, k = random_matrix(ctx, n, rng), random_matrix(ctx, n, rng)
+            rows = [list(r) for r in m.rows]
+            rows[-1] = [0] * n if n == 1 else rows[0]
+            for x in (m, random_invertible(ctx, n, rng), Mat(ctx, rows)):
+                det = x.det()
+                assert (x * k).det() == ctx.mul(det, k.det())
+                if n <= 5:
+                    const = _char_poly_expansion(x).coeffs[0]
+                    assert det == (const if n % 2 == 0 else ctx.neg(const))
+                if det:
+                    assert x * x.inv() == x.inv() * x == Mat.identity(ctx, n)
+                else:
+                    with pytest.raises(Singular):
+                        x.inv()
+            assert Mat(ctx, rows).det() == 0
+
+
+def test_det_and_inv_in_a_large_prime_field():
+    # no bound on p: det and inv run on scalars (the array product needs
+    # p < 2^31, so the check multiplies with the scalar oracle)
+    ctx = gf.field_new((1 << 61) - 1)
+    m = Mat(ctx, [[3, ctx.q - 1, 1 << 60], [5, 0, 7], [1 << 40, 11, 2]])
+    inv = m.inv()
+    assert _mul_oracle(m, inv) == _mul_oracle(inv, m) == Mat.identity(ctx, 3).rows
+    assert m.det() == ctx.neg(_char_poly_expansion(m).coeffs[0])
+    assert ctx.mul(m.det(), inv.det()) == 1
+
+
 @pytest.mark.parametrize("ctx", ACCEPT_FIELDS, ids=lambda c: c.spec())
 def test_array_arithmetic_matches_scalar_oracles(ctx):
     rng = Random(f"mat-arith:{ctx.spec()}")

@@ -209,13 +209,25 @@ def test_compose_invert_examples():
     assert s.compose(s).bijective and s.invert().bijective
 
 
+def test_bijective_is_derived_never_asserted():
+    # a table cannot claim a bijectivity it lacks: no census of a non-bijection
+    tbl = PermTable(F2, 2, [0, 0, 1, 2])
+    assert tbl.bijective is False
+    with pytest.raises(NotBijective):
+        tbl.cycle_structure()
+    with pytest.raises(TypeError):
+        PermTable(F2, 2, [0, 0, 1, 2], bijective=True)
+    with pytest.raises(AttributeError):
+        tbl.bijective = True
+
+
 @pytest.mark.parametrize("ctx,d", [(F2, 4), (F3, 3), (F4, 2), (F5, 2)])
 def test_conjugate_matches_compose_with_inverse(ctx, d):
     # oracle: tau o sigma o tau^-1 through compose and invert, for bijective
     # and non-bijective sigma
     rng = Random(f"conjugate:{ctx.q}:{d}")
     n = ctx.q ** d
-    tau = PermTable(ctx, d, random_pp(n, rng), bijective=True)
+    tau = PermTable(ctx, d, random_pp(n, rng))
     for sig in (PermTable.from_matrix(random_invertible(ctx, d, rng)),
                 PermTable(ctx, d, [rng.randrange(n) for _ in range(n)])):
         want = tau.compose(sig.compose(tau.invert()))
@@ -232,7 +244,7 @@ def test_conjugate_rows_match_compose_with_inverse(ctx, d):
     # invert row by row; it writes the conjugates into the stack it is given
     rng = Random(f"conjugate_rows:{ctx.q}:{d}")
     n = ctx.q ** d
-    tau = PermTable(ctx, d, random_pp(n, rng), bijective=True)
+    tau = PermTable(ctx, d, random_pp(n, rng))
     rows = [random_pp(n, rng) for _ in range(3)] + [[rng.randrange(n) for _ in range(n)]]
     stack = np.array(rows, dtype=np.int32)
     for tables in (stack, stack[:1].copy()):
@@ -323,7 +335,7 @@ def test_table_constructors_are_read_only_int32():
             tau_to_table(random_additive_pp(ctx, d, rng), ctx, d),
             PermTable.from_json(sig.to_json()),
             PermTable(ctx, d, sig.table.astype(np.int64)),
-            verify._tau_general(ctx, d, rng),
+            PermTable(ctx, d, verify._tau_general(ctx, d, rng)),
         ]
         for t in tables:
             assert t.table.dtype == np.int32 and not t.table.flags.writeable

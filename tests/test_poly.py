@@ -279,6 +279,14 @@ def test_monic_polys_order():
     # integer-value order: t^3, 1+t^3, t+t^3, 1+t+t^3, ...
     assert texts[0] == "1*t^3"
     assert texts.index("1+1*t+1*t^3") < texts.index("1+1*t^2+1*t^3")
+    # oracle: base-q digits, c_0 fastest; F_2 of degree 15 crosses a block
+    for ctx, deg in ((F2, 0), (F2, 15), (F3, 4), (gf.field_new(2, 2), 3)):
+        want = [tuple(reversed(c)) + (1,) for c in itertools.product(range(ctx.q), repeat=deg)]
+        assert [h.coeffs for h in monic_polys(ctx, deg)] == want
+    # a prime field beyond int64 powers or indices: the first digits only
+    for p in ((1 << 61) - 1, (1 << 89) - 1):
+        first = itertools.islice(monic_polys(gf.field_new(p), 3), 3)
+        assert [h.coeffs for h in first] == [(0, 0, 0, 1), (1, 0, 0, 1), (2, 0, 0, 1)]
 
 
 # --- Oracle: the per-polynomial order loop that monic_orders replaced ------

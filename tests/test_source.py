@@ -1,6 +1,7 @@
 """Source checks on src/cppforge that need only the standard library."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cppforge"
@@ -141,3 +142,42 @@ def test_hand_rolled_caches_finds_written_dicts():
 def test_one_memo_idiom_in_src():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert hand_rolled_caches(sources) == []
+
+
+def unread_public_names(defining: dict, readers: list, text: str = "") -> list[str]:
+    """Public module-level functions and classes of ``defining`` (module
+    name -> source) that no source in ``readers`` reads, as a name or an
+    attribute, and no word of ``text`` names, as ``module.name``, sorted.
+    A definition, or an import, is not a read."""
+    read = set(re.findall(r"\w+", text))
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f"{module}.{node.name}" for module, source in defining.items()
+                  for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in read)
+
+
+def test_unread_public_names_finds_unread_definitions():
+    defining = {"a": "def used():\n    pass\n"
+                     "def unread():\n    pass\n"
+                     "class Documented:\n    pass\n"
+                     "def _private():\n    pass\n"
+                     "def method_holder():\n    class Inner:\n        pass\n",
+                "b": "from .a import unread, used\nimport a\n"
+                     "def called():\n    return a.method_holder()\n"}
+    readers = list(defining.values()) + ["from b import called\ncalled()\nused()\n"]
+    assert unread_public_names(defining, readers, "See `Documented`.") == ["a.unread"]
+    assert unread_public_names(defining, readers) == ["a.Documented", "a.unread"]
+
+
+def test_every_public_name_in_src_is_read():
+    root = SRC.parent.parent
+    readers = [p.read_text() for d in ("src", "tests", "perfbench")
+               for p in sorted((root / d).rglob("*.py"))]
+    defining = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_public_names(defining, readers, (root / "README.md").read_text()) == []

@@ -145,6 +145,18 @@ def test_unknown_profile_is_invalid_spec():
     assert stream.getvalue() == ""
 
 
+@pytest.mark.parametrize("cid,point,missing", [
+    ("p3.1", {"field": "2^1"}, "r"),
+    ("p4.10.1", {"field": "2^1"}, "r"),
+    ("thm3.1.1", {"field": "2^1"}, "deg"),
+    ("p4.3", {"q": 2}, "field"),
+])
+def test_grid_point_lacking_a_key_is_invalid_spec(cid, point, missing):
+    # the keys the claim's own grid points have, named before the point runs
+    with pytest.raises(InvalidSpec, match=f"lacks {missing}$"):
+        verify.verify_claim(cid, grid=[point])
+
+
 def test_expand_claim_id():
     assert verify.expand_claim_id("p4.10") == ["p4.10.1", "p4.10.2", "p4.10.3"]
     assert verify.expand_claim_id("p4.3") == ["p4.3"]
@@ -441,8 +453,7 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
 
     def npower(self, n):
         tbl = real_npower(self, n)
-        return PermTable(tbl.ctx, tbl.d, swap01_past_one(tbl.table, n),
-                         bijective=tbl.bijective)
+        return PermTable(tbl.ctx, tbl.d, swap01_past_one(tbl.table, n))
 
     def is_r_cycle(self, r):  # what npower(r) == e reads under the npower sabotage
         return r <= 1 and real_is_r_cycle(self, r)
