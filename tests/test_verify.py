@@ -69,6 +69,11 @@ P3_FULL_42_SHA256 = "1e47dcc2361823b54a480102d85e076c75453e61d03888239f31ad17f42
 # with the pure-Python cycle walks of perm.
 SQUARED_P4 = (12, "1ab1a61d7b5975f5cb0e6c58975b6c70d69ce95977e6895a9fb1d2dfcaef690e")
 
+# sha256 of the full-grid report lines (seed 42) of the 22 section-4
+# claims, 52 points.  Recorded while every case built its own PermTable
+# through construct.build and was judged by PermTable methods.
+P4_FULL_42_SHA256 = "c15c183240f8af3614b3366f7f3f58e4a50aa5255fcbbb1b54611330e81afcc2"
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -250,10 +255,16 @@ def test_theorem_full_stream_pinned_across_block_boundaries(monkeypatch):
     assert _sha256("\n".join(lines)) == THM_FULL_42_SHA256
 
 
-def _section3_lines(profile):
+def _claim_lines(prefix, profile):
     return [rep.to_json_line()
-            for cid in sorted(c for c in verify.REGISTRY if c.startswith("p3."))
+            for cid in sorted(c for c in verify.REGISTRY if c.startswith(prefix))
             for rep in verify.verify_claim(cid, master_seed=42, profile=profile)]
+
+
+def test_section4_full_stream_pinned():
+    lines = _claim_lines("p4.", "full")
+    assert len(lines) == 52
+    assert _sha256("\n".join(lines)) == P4_FULL_42_SHA256
 
 
 def test_section3_full_stream_pinned(monkeypatch):
@@ -267,7 +278,7 @@ def test_section3_full_stream_pinned(monkeypatch):
 
     monkeypatch.setattr(verify, "irreducible_factors", counted)
     verify._factors_of_cyclotomic.cache_clear()
-    lines = _section3_lines("full")
+    lines = _claim_lines("p3.", "full")
     assert len(lines) == 97
     assert _sha256("\n".join(lines)) == P3_FULL_42_SHA256
     assert len(factored) == len(set(factored)) == 37
@@ -278,10 +289,10 @@ def test_section3_streams_pinned_across_block_bounds(monkeypatch, bound):
     # a bound of 1 makes every instance a block of one; 2^20 puts each
     # degree of a point in one block.  perm.add_rows slices sigma + e by
     # its own width, whatever the bound
-    quick = _section3_lines("quick")
+    quick = _claim_lines("p3.", "quick")
     monkeypatch.setattr(verify, "_BLOCK", bound)
-    assert _section3_lines("quick") == quick
-    assert _sha256("\n".join(_section3_lines("full"))) == P3_FULL_42_SHA256
+    assert _claim_lines("p3.", "quick") == quick
+    assert _sha256("\n".join(_claim_lines("p3.", "full"))) == P3_FULL_42_SHA256
 
 
 def test_theorem_sweeps_build_no_table_per_polynomial(monkeypatch):
