@@ -23,22 +23,21 @@ import sys
 
 from . import construct, fieldext, verify
 from .errors import CppforgeError, InvalidSpec
-from .gf import field_from_order, parse_field_spec
+from .gf import field_args, field_spec, parse_field_spec
+from .perm import check_cap
 from .poly import cyclotomic
 
 SCHEMA = verify.SCHEMA
 
 
 def _field_arg(args, required=True):
-    """The field of the positional spec, --field or --q (at most one)."""
+    """The spec of the positional spec, --field or --q (at most one), checked, not built."""
     given = [v for v in (getattr(args, "field_pos", None), args.field, args.q)
              if v is not None]
     if len(given) > 1:
         raise InvalidSpec("give the field once: a positional spec, --field or --q")
-    if args.q is not None:
-        return field_from_order(args.q)
     if given:
-        return parse_field_spec(given[0])
+        return field_spec(*field_args(given[0]))
     if required:
         raise InvalidSpec("need --field p^m or --q prime-power")
     return None
@@ -54,7 +53,7 @@ def _emit(args, record: dict, text=None) -> None:
 
 
 def cmd_cyclotomic(args) -> int:
-    ctx = _field_arg(args)
+    ctx = parse_field_spec(_field_arg(args))
     q = cyclotomic(args.n, ctx)
     text = q.to_text()
     _emit(args, {"n": args.n, "field": ctx.spec(), "coeffs": q.to_json(), "text": text}, text)
@@ -62,19 +61,20 @@ def cmd_cyclotomic(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    ctx = _field_arg(args)
-    params: dict = {"field": ctx, "seed": args.seed}
+    params: dict = {"field": _field_arg(args), "seed": args.seed}
     for key in ("r", "m", "tau"):  # named_construction rejects those it does not read
         if getattr(args, key) is not None:
             params[key] = getattr(args, key)
-    spec = construct.named_construction(args.claim, params)
+    q, d = construct.table_dims(args.claim, params)  # refused before the field is built
     if args.emit == "univariate":
-        fieldext.check_univariate_cap(ctx.q ** spec.d)
+        fieldext.check_univariate_cap(q ** d)
+    check_cap(q, d)
+    spec = construct.named_construction(args.claim, params)
     table = construct.build(spec)
     if args.emit == "spec":
         _emit(args, spec.to_json())
     elif args.emit == "univariate":
-        bp = fieldext.default_basis(ctx, spec.d)
+        bp = fieldext.default_basis(spec.field, spec.d)
         pol = fieldext.to_univariate(bp, table)
         _emit(args, {"field": bp.big.spec(), "coeffs": pol.to_json()}, pol.to_text())
     else:
@@ -89,9 +89,9 @@ def cmd_verify(args) -> int:
         raise InvalidSpec(f"--cap must be >= 1, got {cap}")
     if args.r is not None and args.r < 1:
         raise InvalidSpec(f"--r must be >= 1, got {args.r}")
-    ctx = _field_arg(args, required=False)
+    field = _field_arg(args, required=False)
     if args.claim == "all":
-        if ctx is not None or args.r is not None:
+        if field is not None or args.r is not None:
             raise InvalidSpec("--field, --q and --r apply to one claim, not to 'all'")
         summary = verify.verify_all(profile=args.profile, master_seed=args.seed,
                                     stream=sys.stdout if args.format == "json" else None,
@@ -109,10 +109,10 @@ def cmd_verify(args) -> int:
     failures = 0
     for cid in ids:
         grid = None
-        if ctx is not None or args.r is not None:
+        if field is not None or args.r is not None:
             base = dict(verify.REGISTRY[cid].quick[0])
-            if ctx is not None:
-                base["field"] = ctx.spec()
+            if field is not None:
+                base["field"] = field
             if args.r is not None:
                 base["r"] = args.r
             grid = [base]
@@ -128,8 +128,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    ctx = _field_arg(args, required=False)
-    findings = verify.explore_quadratic(args.r, field=ctx.spec() if ctx else "2^2",
+    findings = verify.explore_quadratic(args.r, field=_field_arg(args, required=False) or "2^2",
                                         count=args.count, seed=args.seed)
     for f in findings:
         _emit(args, f)

@@ -9,18 +9,21 @@ Everything here produces dense tables out of three ingredients:
 * the sandwich sigma = tau1 o sigma_M o tau2; a spec without tau2 is in
   conjugation mode, where tau2 is tau1^{-1}.
 
-``CATALOG`` holds the named constructions of Section 4 (ids like ``p4.1.3``
-or ``p4.10``), one :class:`Construction` row each, and ``named_construction``
-is the one runner that reads a row.  To add a construction, add one row: r
-(None when r is a parameter), the table dimension d (None for r - 1), the
-hypothesis on (p, r), where h comes from (the ``pick_h`` strategy
-"full-cyclotomic" or "quotient", or the text of h), the parameters the row
-reads and a builder that returns M and the taus (no tau2 means
-conjugation).  The runner raises InvalidSpec for any other parameter and
-HypothesisViolated for a violated hypothesis, eagerly, because the harness
-treats the claimed conclusions as oracles and silent parameter drift would
-poison verification.  A builder draws from the RNG
-in a fixed order, which the specs and the verify streams depend on.
+``build_rows`` builds the specs of one field, d and mode as one stack of
+tables, and ``build`` is its one-row case.  ``CATALOG`` holds the named
+constructions of Section 4 (ids like ``p4.1.3`` or ``p4.10``), one
+:class:`Construction` row each, and ``named_construction`` is the one runner
+that reads a row.  To add a construction, add one row: r (None when r is a
+parameter), the table dimension d (None for r - 1), the hypothesis on
+(p, r), where h comes from (the ``pick_h`` strategy "full-cyclotomic" or
+"quotient", or the text of h), the parameters the row reads and a builder
+that returns M and the taus (no tau2 means conjugation).  The runner raises
+InvalidSpec for any other parameter and HypothesisViolated for a violated
+hypothesis, eagerly, because the harness treats the claimed conclusions as
+oracles and silent parameter drift would poison verification; ``table_dims``
+makes the same checks and gives q and d before the field is built.  A
+builder draws from the RNG in a fixed order, which the specs and the verify
+streams depend on.
 
 The seeded permutations are those of ``Random.shuffle``: ``shuffle`` makes
 the same ``getrandbits`` calls, and ``permutation`` reads the same generator
@@ -38,9 +41,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CharacteristicDividesR, HypothesisViolated, InvalidSpec
-from .gf import TABLE_CAP, FieldCtx, field_from_order, field_new, parse_field_spec
+from .gf import TABLE_CAP, FieldCtx, field_args, field_new, parse_field_spec
 from .linalg import Mat, companion, char_poly, random_invertible
-from .perm import PermTable, linear_table, space
+from .perm import (PermTable, check_cap, compose_rows, conjugate_rows, linear_table,
+                   matrix_tables, space)
 from .poly import Poly, cyclotomic, parse_poly
 
 
@@ -243,13 +247,7 @@ def random_pp(q: int, rng: Random) -> tuple[int, ...]:
 
 def random_odd_pp(ctx: FieldCtx, rng: Random) -> tuple[int, ...]:
     """Seeded permutation a of F_q with a(-x) = -a(x); it fixes 0."""
-    reps = []
-    seen = set()
-    for x in range(1, ctx.q):
-        if x not in seen:
-            reps.append(x)
-            seen.add(x)
-            seen.add(ctx.neg(x))
+    reps = [x for x in range(1, ctx.q) if x <= ctx.neg(x)]  # one of each pair {x, -x}
     images = reps[:]
     shuffle(images, rng)
     table = [0] * ctx.q
@@ -328,14 +326,23 @@ class ConstructionSpec:
         return spec
 
 
+def build_rows(specs: Sequence[ConstructionSpec]) -> np.ndarray:
+    """The (H, q^d) int32 stack of tau1 o sigma_M o tau2 for H specs of one
+    field, d and mode: the sigma_M from one ``matrix_tables`` call, then each
+    row's tau1 by one scatter (``conjugate_rows``), or its tau1 and tau2 by
+    gathers (``compose_rows``) in sandwich mode."""
+    ctx, d = specs[0].field, specs[0].d
+    t1 = np.stack([tau_to_table(s.tau1, ctx, d).table for s in specs])
+    sig = matrix_tables(ctx, np.stack([s.matrix.a for s in specs]))
+    if specs[0].tau2 is None:
+        return conjugate_rows(sig, t1)
+    t2 = np.stack([tau_to_table(s.tau2, ctx, d).table for s in specs])
+    return compose_rows(t1, compose_rows(sig, t2))
+
+
 def build(spec: ConstructionSpec) -> PermTable:
-    """Materialize tau1 o sigma_M o tau2 as a table."""
-    t1 = tau_to_table(spec.tau1, spec.field, spec.d)
-    sig = PermTable.from_matrix(spec.matrix)
-    if spec.tau2 is None:
-        return sig.conjugate(t1)
-    t2 = tau_to_table(spec.tau2, spec.field, spec.d)
-    return t1.compose(sig.compose(t2))
+    """tau1 o sigma_M o tau2 as a table: the one-row case of ``build_rows``."""
+    return PermTable(spec.field, spec.d, build_rows([spec])[0])
 
 
 def pick_h(r: int, ctx: FieldCtx, strategy: str) -> Poly:
@@ -374,15 +381,6 @@ def matrix_with_char_poly(h: Poly, mode: str, rng: Random) -> Mat:
 # ---------------------------------------------------------------------------
 # Named constructions
 # ---------------------------------------------------------------------------
-
-def _as_ctx(params: dict) -> FieldCtx:
-    f, q = params.get("field"), params.get("q")
-    if (f is None) == (q is None):
-        raise InvalidSpec("construction needs the field once: field=... or q=...")
-    if q is not None:
-        return field_from_order(int(q))
-    return f if isinstance(f, FieldCtx) else parse_field_spec(str(f))
-
 
 def _coord_perm(params: dict, key: str, ctx: FieldCtx, rng: Random,
                 want: str = "any") -> tuple[int, ...]:
@@ -431,9 +429,7 @@ def _fixed(rows, h: Poly, params: dict, rng: Random) -> Mat:
 def _m_matrix(a: int, k: int, b: int, h: Poly, params: dict, rng: Random) -> Mat:
     """[[a, m], [-k/m, b]] for the element m of F_q^* of index params["m"]."""
     ctx = h.ctx
-    m = int(params.get("m", 1))
-    if not 1 <= m < ctx.q:
-        raise HypothesisViolated(f"m must be in F_q^* (got index {m})")
+    m = int(params.get("m", 1))  # in range: _checked_params checks it
     return Mat(ctx, [[ctx.from_int(a), m],
                      [ctx.neg(ctx.mul(ctx.from_int(k), ctx.inv(m))), ctx.from_int(b)]])
 
@@ -538,6 +534,41 @@ CATALOG: dict[str, Construction] = {
 NAMED_IDS = tuple(CATALOG)
 
 
+def _checked_params(claim_id: str, params: dict):
+    """(row, field, q, r, d) of ``claim_id``, all checked, with the field not
+    built: the FieldCtx given or (p, m, modulus)."""
+    row = CATALOG.get(claim_id)
+    if row is None:
+        raise InvalidSpec(f"unknown construction id {claim_id!r}; "
+                          f"known: {', '.join(CATALOG)}")
+    for key in params:
+        if key not in ("field", "q", "seed") + row.reads:
+            readers = [cid for cid, other in CATALOG.items() if key in other.reads]
+            raise InvalidSpec(f"{claim_id} does not take {key}"
+                              + (f" (only {', '.join(readers)} do)" if readers else ""))
+    f, q = params.get("field"), params.get("q")
+    if (f is None) == (q is None):
+        raise InvalidSpec("construction needs the field once: field=... or q=...")
+    field = f if isinstance(f, FieldCtx) else field_args(str(f) if q is None else int(q))
+    p, q = (f.p, f.q) if isinstance(f, FieldCtx) else (field[0], field[0] ** field[1])
+    r = row.r or int(params.get("r", 0))
+    text, holds = row.hypothesis
+    if not holds(p, r):
+        raise HypothesisViolated(f"{claim_id} requires {text} (got p={p}, r={r})")
+    d = row.dim(r)
+    if d >= TABLE_CAP.bit_length():  # no q^d fits: SizeCap before h or M is built
+        check_cap(q, d)
+    if "m" in row.reads and not 1 <= (m := int(params.get("m", 1))) < q:
+        raise HypothesisViolated(f"m must be in F_q^* (got index {m})")
+    return row, field, q, r, d
+
+
+def table_dims(claim_id: str, params: dict) -> tuple[int, int]:
+    """(q, d) of ``claim_id``, checked as ``named_construction`` checks it, nothing built."""
+    _, _, q, _, d = _checked_params(claim_id, params)
+    return q, d
+
+
 def named_construction(claim_id: str, params: dict) -> ConstructionSpec:
     """Build the catalogued construction ``claim_id``.
 
@@ -548,24 +579,9 @@ def named_construction(claim_id: str, params: dict) -> ConstructionSpec:
     allows any M with P_M = h) and tau ("inverse" | "free" for the
     sandwich families).  Any other key raises InvalidSpec.
     """
-    row = CATALOG.get(claim_id)
-    if row is None:
-        raise InvalidSpec(f"unknown construction id {claim_id!r}; "
-                          f"known: {', '.join(CATALOG)}")
-    for key in params:
-        if key not in ("field", "q", "seed") + row.reads:
-            readers = [cid for cid, other in CATALOG.items() if key in other.reads]
-            raise InvalidSpec(f"{claim_id} does not take {key}"
-                              + (f" (only {', '.join(readers)} do)" if readers else ""))
-    ctx = _as_ctx(params)
+    row, field, _, r, d = _checked_params(claim_id, params)
+    ctx = field if isinstance(field, FieldCtx) else field_new(*field)
     rng = Random(f"cppforge:{claim_id}:{params.get('seed', 42)}")
-    r = row.r or int(params.get("r", 0))
-    text, holds = row.hypothesis
-    if not holds(ctx.p, r):
-        raise HypothesisViolated(f"{claim_id} requires {text} (got p={ctx.p}, r={r})")
-    d = row.dim(r)
-    if d >= TABLE_CAP.bit_length():  # no q^d fits: SizeCap before h or M is built
-        space(ctx, d)
     h = pick_h(r, ctx, row.h) if row.h in (_Q, "quotient") else parse_poly(row.h, ctx)
     m, tau1, tau2 = row.builder(ctx, h, d, params, rng)
     if char_poly(m) != h:

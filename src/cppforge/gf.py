@@ -247,36 +247,11 @@ class FieldCtx:
     __slots__ = ("p", "m", "q", "modulus", "key", "_exp", "_log", "_np_tables")
 
     def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        if m < 1:
-            raise DegreeMismatch(f"extension degree must be >= 1, got {m}")
-        if m > 1 and (over := over_cap(p, m)):
-            raise SizeCap(f"F_{p}^{m} has {over} elements, above the "
-                          f"{TABLE_CAP} extension field cap")
+        mod = _checked(p, m, modulus)
         self.p = p
         self.m = m
         self.q = p ** m
-        if m == 1:
-            if modulus is not None:
-                raise DegreeMismatch("prime field takes no modulus")
-            self.modulus = None
-        else:
-            if modulus is None:
-                mod = _canonical_modulus(p, m)
-            else:
-                mod = tuple(int(c) % p for c in _coeffs_of(modulus))
-                if len(mod) != m + 1:
-                    raise DegreeMismatch(
-                        f"modulus degree {len(mod) - 1} != extension degree {m}")
-                if mod[-1] != 1:
-                    raise ReducibleModulus("modulus must be monic")
-                from .poly import Poly, is_irreducible
-
-                if not is_irreducible(Poly(field_new(p), mod)):
-                    raise ReducibleModulus(
-                        f"modulus {list(mod)} is reducible over F_{p}")
-            self.modulus = mod
+        self.modulus = mod or (None if m == 1 else _canonical_modulus(p, m))
         self.key = (p, m, self.modulus)
         self._exp, self._log = self._exp_log_tables() if m > 1 else (None, None)
         self._np_tables = None
@@ -330,11 +305,7 @@ class FieldCtx:
 
     def spec(self) -> str:
         """Field spec string: ``p^m`` or ``p^m/c0,c1,...,cm``."""
-        if self.m == 1:
-            return f"{self.p}^1"
-        if self.modulus == _canonical_modulus(self.p, self.m):
-            return f"{self.p}^{self.m}"
-        return f"{self.p}^{self.m}/" + ",".join(str(c) for c in self.modulus)
+        return field_spec(self.p, self.m, self.modulus)
 
     # -- element digit plumbing ---------------------------------------------
 
@@ -423,9 +394,29 @@ class FieldCtx:
         return int(out) if axis is None else out
 
 
-def _coeffs_of(modulus) -> Sequence[int]:
-    coeffs = getattr(modulus, "coeffs", modulus)
-    return list(coeffs)
+def _checked(p: int, m: int, modulus) -> Optional[tuple[int, ...]]:
+    """The modulus given for F_{p^m} read mod p, or None; raises unless it names a field."""
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if m < 1:
+        raise DegreeMismatch(f"extension degree must be >= 1, got {m}")
+    if m > 1 and (over := over_cap(p, m)):
+        raise SizeCap(f"F_{p}^{m} has {over} elements, above the "
+                      f"{TABLE_CAP} extension field cap")
+    if modulus is None:
+        return None
+    if m == 1:
+        raise DegreeMismatch("prime field takes no modulus")
+    mod = tuple(int(c) % p for c in getattr(modulus, "coeffs", modulus))
+    if len(mod) != m + 1:
+        raise DegreeMismatch(f"modulus degree {len(mod) - 1} != extension degree {m}")
+    if mod[-1] != 1:
+        raise ReducibleModulus("modulus must be monic")
+    from .poly import Poly, is_irreducible
+
+    if not is_irreducible(Poly(field_new(p), mod)):
+        raise ReducibleModulus(f"modulus {list(mod)} is reducible over F_{p}")
+    return mod
 
 
 _field = functools.cache(FieldCtx)
@@ -441,33 +432,49 @@ def field_new(p: int, m: int = 1, modulus=None) -> FieldCtx:
     default one, not the same object.
     """
     return _field(p, m, None if modulus is None else
-                  tuple(int(c) % p for c in _coeffs_of(modulus)))
+                  tuple(int(c) % p for c in getattr(modulus, "coeffs", modulus)))
+
+
+@functools.cache
+def field_args(field) -> tuple[int, int, Optional[tuple[int, ...]]]:
+    """(p, m, modulus or None) of the field named by a spec ``p^m`` or
+    ``p^m/c0,c1,...,cm`` (digits read mod p; ``p^m/`` is ``p^m``), or else
+    by its order q, checked as ``field_new`` checks them but not built, once
+    per process for each spec or q."""
+    if not isinstance(field, str):
+        q = int(field)
+        ps = factor(q) if q > 1 else [q]
+        if ps[0] != ps[-1]:
+            raise NotPrime(f"{q} is not a prime power")
+        return ps[0], len(ps), _checked(ps[0], len(ps), None)
+    body, _, modpart = field.partition("/")
+    try:
+        p_s, caret, m_s = body.partition("^")
+        p, m = int(p_s), int(m_s) if caret else 1
+        modulus = [int(c) for c in modpart.split(",")] if modpart else None
+    except ValueError:
+        raise InvalidSpec(f"malformed field spec {field!r} "
+                          "(expected p^m or p^m/c0,c1,...,cm)") from None
+    return p, m, _checked(p, m, modulus)
+
+
+def field_spec(p: int, m: int, modulus: Optional[Sequence[int]]) -> str:
+    """The spec string of F_{p^m} with this modulus (None: the canonical one)."""
+    if m == 1:
+        return f"{p}^1"
+    if modulus is None or tuple(modulus) == _canonical_modulus(p, m):
+        return f"{p}^{m}"
+    return f"{p}^{m}/" + ",".join(str(c) for c in modulus)
 
 
 def parse_field_spec(spec: str) -> FieldCtx:
     """Parse ``p^m`` or ``p^m/c0,c1,...,cm`` into a context."""
-    body, _, modpart = spec.partition("/")
-    try:
-        if "^" in body:
-            p_s, _, m_s = body.partition("^")
-            p, m = int(p_s), int(m_s)
-        else:
-            p, m = int(body), 1
-        modulus = None
-        if modpart:
-            modulus = [int(c) for c in modpart.split(",")]
-    except ValueError:
-        raise InvalidSpec(f"malformed field spec {spec!r} "
-                          "(expected p^m or p^m/c0,c1,...,cm)") from None
-    return field_new(p, m, modulus)
+    return field_new(*field_args(spec))
 
 
 def field_from_order(q: int) -> FieldCtx:
     """The canonical field with q elements; q must be a prime power."""
-    ps = factor(q) if q > 1 else [q]
-    if ps[0] != ps[-1]:
-        raise NotPrime(f"{q} is not a prime power")
-    return field_new(ps[0], len(ps))
+    return field_new(*field_args(q))
 
 
 # ---------------------------------------------------------------------------

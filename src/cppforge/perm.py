@@ -14,8 +14,9 @@ or an (H, q^d) stack of them from H rows of images in the same passes;
 matrices, and ``PermTable.from_matrix`` is its one-matrix case.  Each
 table question has one row-wise kernel over a stack, whose one-row case is
 the ``PermTable`` method: ``bijective_rows``, ``conjugate_rows`` (tau o f o
-tau^-1 by one scatter, with no inverse built) and ``add_rows`` (sigma + e),
-so a sweep over many small maps runs as array passes.  ``PermTable.npower``
+tau^-1 by one scatter, with no inverse built, for one tau or one per row)
+and ``add_rows`` (sigma + e), so a sweep over many small maps runs as array
+passes; ``compose_rows`` composes two stacks row by row.  ``PermTable.npower``
 is plain repeated squaring on one table; no check takes powers.
 
 Every cycle question (sigma^r = e, the census, r-regularity, witness cycles)
@@ -51,12 +52,17 @@ from .linalg import Mat
 _SLICE = 1 << 16  # the least column-slice width of add_rows
 
 
+def check_cap(q: int, d: int) -> None:
+    """Raise SizeCap when a table of q^d entries would exceed the table cap."""
+    if over := over_cap(q, d):
+        raise SizeCap(f"q^d = {over} exceeds the {TABLE_CAP} table cap")
+
+
 class VecSpace:
     """Packed-index plumbing for F_q^d (memoized per context and dimension)."""
 
     def __init__(self, ctx: FieldCtx, d: int):
-        if over := over_cap(ctx.q, d):
-            raise SizeCap(f"q^d = {over} exceeds the {TABLE_CAP} table cap")
+        check_cap(ctx.q, d)
         self.ctx = ctx
         self.d = d
         self.n = ctx.q ** d
@@ -134,9 +140,8 @@ def matrix_tables(ctx: FieldCtx, mats) -> np.ndarray:
 
 def _flat_rows(tables: np.ndarray) -> np.ndarray:
     """An (H, n) stack with outputs in [0, n) as one flat map on [0, H*n),
-    for the one-pass kernels ``bijective_rows`` and ``cycle_lengths_rows``:
-    row i is offset into its own slice [i*n, (i+1)*n).  The offsets are
-    int32 while H*n fits; one row needs none."""
+    for the one-pass row-wise kernels: row i is offset into its own slice
+    [i*n, (i+1)*n).  The offsets are int32 while H*n fits; one row needs none."""
     h, n = tables.shape
     if h == 1:
         return tables.ravel()
@@ -154,9 +159,18 @@ def bijective_rows(tables: np.ndarray) -> np.ndarray:
 
 def conjugate_rows(tables: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """tau o f o tau^-1 for each row f of an (H, n) stack (or one table) and
-    a bijection tau, in place and returned: tau(x) maps to tau(f(x))."""
-    tables[..., tau] = tau.take(tables)
+    a bijection tau, or row i by row i of an (H, n) stack of them, in place
+    and returned: tau(x) maps to tau(f(x))."""
+    if tau.ndim == 1:
+        tables[..., tau] = tau.take(tables)
+    else:  # one flat scatter, each row offset into its own slice
+        tables.put(_flat_rows(tau), tau.take(_flat_rows(tables)))
     return tables
+
+
+def compose_rows(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """f o g row by row for two (H, n) stacks, by one gather: x -> f(g(x))."""
+    return f.reshape(-1)[_flat_rows(g)].reshape(g.shape)
 
 
 def add_rows(sp: VecSpace, tables: np.ndarray, addend: np.ndarray) -> np.ndarray:

@@ -55,13 +55,6 @@ class Poly:
     def t(cls, ctx: FieldCtx) -> "Poly":
         return cls(ctx, (0, 1))
 
-    @classmethod
-    def x_pow_n_minus_1(cls, ctx: FieldCtx, n: int) -> "Poly":
-        cs = [0] * (n + 1)
-        cs[0] = ctx.neg(1)
-        cs[n] = 1
-        return cls(ctx, cs)
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -163,16 +156,6 @@ class Poly:
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
-
-    def __pow__(self, n: int) -> "Poly":
-        result = Poly.one(self.ctx)
-        acc = self
-        while n:
-            if n & 1:
-                result = result * acc
-            acc = acc * acc
-            n >>= 1
-        return result
 
     def pow_mod(self, e: int, modulus: "Poly") -> "Poly":
         result = Poly.one(self.ctx) % modulus

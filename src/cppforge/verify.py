@@ -11,35 +11,25 @@ the verdict ``hypothesis-skipped`` rather than being dropped.
 ``REGISTRY`` is the claim table: one :class:`Claim` row per claim, run by one
 runner, ``_run``.  To add a claim, add one row: its statement, quick and full
 grids, the sweep, and where they apply the table dimension d of the whole
-point (checked against the size cap before anything is built), a fixed r
+point (checked against the size cap before the field is built), a fixed r
 and a guard that names a violated hypothesis.  The sweep is a generator
-that builds and checks one instance per step, draws from the point's RNG in
-sweep order, and yields (verdict, witness, work), work being the table
-entries built since the previous step.  The runner stops at the
-first FAIL; otherwise the point passes with the last step's witness, or is
-skipped when no instance fits under the cap.  The section-4 rows use
-``_p4`` and ``_p4_sweep``: name the construction the claim builds when it
-is not the claim id, and list its cases with their checks; r and d come
-from the construction's ``construct.CATALOG`` row.
+that yields one step (verdict, witness, work) per instance, in the order the
+point's RNG drew it, work being the table entries built since the previous
+step.  The runner stops at the first FAIL; otherwise the point passes with
+the last step's witness, or is skipped when no instance fits under the cap.
+The section-4 rows use ``_p4`` and ``_p4_sweep``: name the construction the
+claim builds when it is not the claim id, and list its cases with their
+checks; r and d come from the construction's ``construct.CATALOG`` row.
 
-The theorem sweeps check every monic h of a degree as one stack of tables
-per row block (``linalg.companions``, ``perm.matrix_tables`` and the
-row-wise checks of ``perm``), and still yield one step per (h, kind) with
-the work of building that instance's tables.  They take the orders
-ord(t mod h) and ord(t + 1 mod h) of parts 2 and 4 from
-``poly.monic_orders``, computed from h alone for all monic h of a degree at
-once, so they stay independent of the table under test.
-
-The section-3 sweeps build the instances of one degree as stacks too, in
-blocks of at most ``_BLOCK`` table entries (or one instance): one
-``perm.matrix_tables`` call per block, one scatter that conjugates every row
-by the degree's tau (``perm.conjugate_rows``), row-wise bijectivity of sigma
-and sigma + e (``perm.add_rows``), and one ``perm.cycle_lengths_rows``
-pass, and they still yield one step per instance, in the order its matrix
-was drawn.  The section-3 and section-4 checks read sigma^r = e (every
-cycle length divides r, with r from the claim), the census, regularity and
-witness cycles of a table from its cycle lengths, computed once per block
-or per table.
+Every sweep builds its tables as (H, q^d) int32 stacks, in blocks of at most
+``_BLOCK`` entries (or one instance), and checks a block with the row-wise
+kernels of ``perm``.  The theorem sweeps stack every monic h of a degree
+(``linalg.companions``) and take the orders of parts 2 and 4 from
+``poly.monic_orders``, computed from h alone, so they stay independent of
+the table under test.  The section-3 sweeps stack the matrices of a degree,
+and the section-4 sweep the cases of a point (``construct.build_rows``);
+one judge, ``_steps``, checks both, and reads sigma^r = e, regularity, the
+census and witness cycles from one cycle-length pass per block.
 
 Reports are replayable: the verdict and witness are pure functions of
 (claim id, parameters, master seed).  The JSON-line stream therefore emits a
@@ -55,14 +45,14 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import groupby, permutations
 from random import Random
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import construct
 from .construct import TauSpec, matrix_with_char_poly, random_additive_pp, tau_to_table
 from .errors import HypothesisViolated, InvalidSpec, SizeCap, UnknownClaim
-from .gf import FieldCtx, add_digits, factor, is_prime, parse_field_spec
+from .gf import FieldCtx, add_digits, factor, field_args, field_new, is_prime, parse_field_spec
 from .linalg import companions, random_invertible
 from .perm import (TABLE_CAP, CycleStructure, PermTable, add_rows, bijective_rows,
                    conjugate_rows, cycle_lengths_rows, first_cycle, matrix_tables, over_cap,
@@ -126,20 +116,12 @@ def _tau_additive(ctx: FieldCtx, d: int, rng: Random) -> np.ndarray:
 _MODES = ("companion", "conjugate")
 
 
-def _off_length_cycle(tbl: PermTable, r: int):
-    return tbl.find_cycle(lambda L: L > 1 and L != r)
-
-
 # ---------------------------------------------------------------------------
 # Theorem sweeps: the invertible-linear-map quartet and its tau versions
 #
 # Every monic h of the degree is checked, in monic_polys order, in row
-# blocks of at most _BLOCK table entries: the block's companion matrices
-# come from linalg.companions, their tables from one perm.matrix_tables
-# call, and bijectivity, sigma + e, conjugation by the fixed tables and the
-# cycle lengths are array passes over the whole stack.  The steps and their
-# work counts are those of one table per (h, kind); a failing row's witness
-# is read from that row alone.
+# blocks; the steps and their work counts are those of one table per
+# (h, kind), and a failing row's witness is read from that row alone.
 #
 # Parts 2 and 4 check sigma^n = e with n = ord(t mod h), and
 # (sigma + e)^m = e with m = ord(t + 1 mod h): a bijective row passes when
@@ -191,7 +173,7 @@ def _thm31_sweep(part: int, cid, ctx, r, params, rng, cap):
     deg = params["deg"]
     sp = space(ctx, deg)
     n = sp.n
-    s = PermTable.from_matrix(random_invertible(ctx, deg, rng)).table
+    s = matrix_tables(ctx, random_invertible(ctx, deg, rng).a[None])[0]
     # entries counted per step besides sigma: sigma^n (part 2), sigma + e
     # (part 3, for every h, as the recorded work counts have it), and
     # sigma + e with its power (part 4)
@@ -240,14 +222,76 @@ def _thm32_sweep(part: int, draw_tau, cid, ctx, r, params, rng, cap):
 
 
 # ---------------------------------------------------------------------------
+# The block judge of the section-3 and section-4 sweeps.  Its checks are
+# those of every claim; what a failed stage writes into the witness is the
+# claim family's _Shape, passed in as data.
+# ---------------------------------------------------------------------------
+
+class _Shape(NamedTuple):
+    """Per stage, what a row failing it writes: (keys, evidence shown?), or None: not run."""
+    pp: tuple                   # evidence: a collision of sigma
+    cpp: Optional[tuple]        # a collision of sigma + e
+    r_cycle: Optional[tuple]    # the least cycle of length not 1 or r; None: no cycle stage
+    regular: Optional[tuple]    # the same cycle
+    one_fixed: Optional[tuple]  # the census
+    short: Optional[dict]       # the keys when no short cycle exists; None: none sought
+
+
+def _steps(sig, r: int, sp, rows):
+    """(verdict, witness, work) of each row i of the stack ``sig``, given
+    rows[i] = (shape, base witness, work): FAIL at the first stage of the
+    shape that fails, of PP, CPP, sigma^r = e (every cycle length divides
+    r), r-regularity (every length is 1 or r), one fixed point and a cycle of
+    length l | r, 1 < l < r; else PASS, with that cycle when one is sought.
+    A block costs one bijective_rows pass for sigma, one add_rows and
+    bijective_rows pass for sigma + e, and one cycle_lengths_rows pass."""
+    got = {}
+
+    def fail(i, stage, evidence):
+        keys, shown = stage
+        got[i] = (FAIL, {**keys, **evidence()} if shown else keys)
+
+    good = bijective_rows(sig)
+    for i in np.flatnonzero(~good).tolist():
+        fail(i, rows[i][0].pp, lambda: _collision(sig[i]))
+    cpp = good & [shape.cpp is not None for shape, _, _ in rows]
+    if cpp.any():
+        sige = add_rows(sp, sig, sp.arange)
+        cpp &= ~bijective_rows(sige)
+        for i in np.flatnonzero(cpp).tolist():
+            fail(i, rows[i][0].cpp, lambda: _collision(sige[i]))
+        del sige  # freed before the cycle pass, which sets the peak
+        good &= ~cpp
+    cycled = np.flatnonzero(good & [shape.r_cycle is not None for shape, _, _ in rows])
+    lengths = cycle_lengths_rows(sig if cycled.size == len(sig) else sig[cycled])
+    r_cycle = (r % lengths == 0).all(axis=1)
+    regular = ((lengths == 1) | (lengths == r)).all(axis=1)
+    one_fixed = (lengths == 1).sum(axis=1) == 1
+    for j, i in enumerate(cycled.tolist()):
+        shape, row, ls = rows[i][0], sig[i], lengths[j]
+        if not r_cycle[j] or shape.regular and not regular[j]:
+            fail(i, shape.regular if r_cycle[j] else shape.r_cycle,
+                 lambda: {"cycle": first_cycle(row, ls, lambda L: L > 1 and L != r)})
+        elif shape.one_fixed and not one_fixed[j]:
+            fail(i, shape.one_fixed,
+                 lambda: {"census": CycleStructure.from_lengths(ls).to_json()})
+        elif shape.short is not None:
+            cyc = first_cycle(row, ls, lambda L: 1 < L < r and r % L == 0)
+            got[i] = ((FAIL, shape.short) if cyc is None
+                      else (PASS, {"cycle_length": len(cyc), "cycle": cyc[:16]}))
+    for i, (_, base, work) in enumerate(rows):
+        verdict, part = got.get(i, (PASS, None))
+        yield verdict, None if part is None else {**base, **part}, work
+
+
+# ---------------------------------------------------------------------------
 # Section-3 sweeps
 #
 # The instances of a point are (h, kind) pairs, h in degree order, each kind
 # drawing one matrix with P_M = h from the point's RNG, and the tau of a
 # degree drawn right after its first matrix.  _p3_tables draws them in that
 # order and builds them in row blocks of one degree, as one int32 stack per
-# block; _p3_steps checks a whole block, and a failing instance's witness is
-# read from its row alone.
+# block, for _steps to judge.
 # ---------------------------------------------------------------------------
 
 @cache
@@ -301,57 +345,15 @@ def _p3_tables(hs, kinds, tau_kind: str, ctx: FieldCtx, rng: Random):
             yield block, sig if tau is None else conjugate_rows(sig, tau)
 
 
-def _p3_steps(block, sig, r: int, cpp: bool, sp, judge, wit) -> list:
-    """(verdict, witness, work) of each instance of a block: the first failed
-    check of PP, CPP (when ``cpp``) and sigma^r = e, else what
-    ``judge(table row, cycle lengths row)`` returns as (verdict, witness
-    part or None).  ``wit(h, kind)`` is the base of a witness."""
-    good = bijective_rows(sig)
-    got = {i: (FAIL, _collision(sig[i])) for i in np.flatnonzero(~good).tolist()}
-    if cpp:
-        sige = add_rows(sp, sig, sp.arange)
-        cpp_ok = bijective_rows(sige)
-        for i in np.flatnonzero(good & ~cpp_ok).tolist():
-            got[i] = (FAIL, {"part": "cpp", **_collision(sige[i])})
-        del sige  # freed before the cycle pass, which sets the peak
-        good &= cpp_ok
-    rows = np.flatnonzero(good)
-    lengths = cycle_lengths_rows(sig if len(rows) == len(sig) else sig[rows])
-    r_cycle = (r % lengths == 0).all(axis=1)
-    for j, i in enumerate(rows.tolist()):
-        got[i] = (judge(sig[i], lengths[j]) if r_cycle[j]
-                  else (FAIL, {"kind": f"npower({r}) != e"}))
-    work = 2 * sig.shape[1]
-    steps = []
-    for i, inst in enumerate(block):
-        verdict, part = got[i]
-        steps.append((verdict, None if part is None else {**wit(*inst), **part}, work))
-    return steps
-
-
-def _regular(r: int, composite: bool, row, lengths):
-    """r-regular, and with census 1 fixed point + (n - 1)/r r-cycles when
-    ``composite``; every cycle length divides r already."""
-    if ((lengths != 1) & (lengths != r)).any():
-        return FAIL, {"kind": "not regular",
-                      "cycle": first_cycle(row, lengths, lambda L: L > 1 and L != r)}
-    # every cycle length is 1 or r, so the census holds exactly when one
-    # point is fixed
-    if composite and np.count_nonzero(lengths == 1) != 1:
-        return FAIL, {"kind": "census mismatch",
-                      "census": CycleStructure.from_lengths(lengths).to_json()}
-    return PASS, None
-
-
-def _short_cycle_witness(r: int, row, lengths):
-    cyc = first_cycle(row, lengths, lambda L: 1 < L < r and r % L == 0)
-    if cyc is None:
-        return FAIL, {"kind": "no short-cycle witness found"}
-    return PASS, {"cycle_length": len(cyc), "cycle": cyc[:16]}
+def _p3_shape(r: int, cpp: bool, regular, one_fixed, short) -> _Shape:
+    return _Shape(({}, True), ({"part": "cpp"}, True) if cpp else None,
+                  ({"kind": f"npower({r}) != e"}, False), regular, one_fixed, short)
 
 
 def _p3_regular_sweep(tau_kind: str, composite: bool, cid, ctx, r, params, rng, cap):
-    """Props on r-regularity: prime-r divisors of t^r - 1, or h | Q_r."""
+    """Props on r-regularity: prime-r divisors of t^r - 1, or h | Q_r, where
+    the census 1 fixed point + (n - 1)/r r-cycles is one fixed point once
+    every cycle length is 1 or r."""
     factors = _cyclotomic_factors(ctx, (r,) if composite else (1, r), cap)
     hs = [h for h, _ in _products([f for _, f in factors], cap)]
     if not composite:
@@ -359,10 +361,12 @@ def _p3_regular_sweep(tau_kind: str, composite: bool, cid, ctx, r, params, rng, 
         # h != t-1 per the hypothesis; h(-1) != 0 restricts the p = 2
         # divisors containing t-1 (see the claim statement)
         hs = [h for h in hs if h != tm1 and h.eval_idx(ctx.neg(1)) != 0]
-    judge, cpp = partial(_regular, r, composite), tau_kind != "general"
+    shape = _p3_shape(r, tau_kind != "general", ({"kind": "not regular"}, True),
+                      ({"kind": "census mismatch"}, True) if composite else None, None)
     for block, sig in _p3_tables(hs, _MODES, tau_kind, ctx, rng):
-        yield from _p3_steps(block, sig, r, cpp, space(ctx, block[0][0].degree), judge,
-                             lambda h, kind: {"h": h.to_json(), "matrix": kind, "d": h.degree})
+        sp = space(ctx, block[0][0].degree)
+        yield from _steps(sig, r, sp, [(shape, {"h": h.to_json(), "matrix": kind, "d": h.degree},
+                                        2 * sp.n) for h, kind in block])
 
 
 def _p3_negative_sweep(tau_kind: str, cid, ctx, r, params, rng, cap):
@@ -379,11 +383,12 @@ def _p3_negative_sweep(tau_kind: str, cid, ctx, r, params, rng, cap):
     hs = [h for h, s in _products([f for _, f in factors], cap)
           if len(s) >= 2 and short.intersection(s)
           and not (cpp and h.eval_idx(ctx.neg(1)) == 0)]
+    shape = _p3_shape(r, cpp, None, None, {"kind": "no short-cycle witness found"})
     # the minimal-polynomial argument needs M(h)
-    judge = partial(_short_cycle_witness, r)
     for block, sig in _p3_tables(hs, ("companion",), tau_kind, ctx, rng):
-        yield from _p3_steps(block, sig, r, cpp, space(ctx, block[0][0].degree), judge,
-                             lambda h, kind: {"h": h.to_json(), "d": h.degree})
+        sp = space(ctx, block[0][0].degree)
+        yield from _steps(sig, r, sp, [(shape, {"h": h.to_json(), "d": h.degree}, 2 * sp.n)
+                                       for h, _ in block])
 
 
 def _not_composite(ctx: FieldCtx, r: int) -> Optional[str]:
@@ -399,66 +404,34 @@ def _p3_guard(composite: bool, ctx: FieldCtx, r: int) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# Section-4 sweep: named constructions
+# Section-4 sweep: named constructions.  A check is a function (p, r) -> the
+# tables one case judges, as pairs (sigma + e in place of sigma, witness
+# shape); only the first adds work.
 # ---------------------------------------------------------------------------
-#
-# A check takes (table, r, base witness) and returns (PASS, witness or None)
-# or (FAIL, witness).
 
-_WIT_KEYS = ("m", "seed", "r", "tau")
-
-
-def _regular_cpp(tbl: PermTable, r: int, wit: dict, sig_e=False, census=False):
-    """PP, CPP and r-regular, with a single fixed point when p = 2.
-
-    ``sig_e``: when p = 2, sigma + e must be an r-regular CPP with a single
-    fixed point too.  ``census``: exactly 1 fixed point + (n - 1)/r r-cycles.
-    """
-    if not tbl.bijective:
-        return FAIL, {**wit, "part": "pp", **_collision(tbl.table)}
-    sige = tbl.add_pointwise(PermTable.identity(tbl.ctx, tbl.d))
-    if not sige.bijective:
-        return FAIL, {**wit, "part": "cpp", **_collision(sige.table)}
-    p2 = tbl.ctx.p == 2
-    cs = tbl.cycle_structure()
-    if any(l != r for l, _ in cs.cycles):
-        return FAIL, {**wit, "part": "regular", "cycle": _off_length_cycle(tbl, r)}
-    if p2 and cs.fixed_points != 1:
-        return FAIL, {**wit, "part": "fixed-points", "census": cs.to_json()}
-    if sig_e and p2:
-        cyc = _off_length_cycle(sige, r)
-        if cyc is not None:
-            return FAIL, {**wit, "part": "sigma+e regular", "cycle": cyc}
-        if not sige.is_cpp():
-            return FAIL, {**wit, "part": "sigma+e cpp"}
-        if sige.cycle_structure().fixed_points != 1:
-            return FAIL, {**wit, "part": "sigma+e fixed-points"}
-    if census and (cs.fixed_points != 1 or cs.cycles != ((r, (tbl.n - 1) // r),)):
-        return FAIL, {**wit, "kind": "census mismatch", "census": cs.to_json()}
-    return PASS, None
+def _regular_check(p: int, r: int, census=False, sig_e=False, plus_e=False) -> list:
+    """PP, CPP and r-regular, with a single fixed point when p = 2, of sigma
+    (sigma + e with ``plus_e``).  ``census``: 1 fixed point + (n - 1)/r
+    r-cycles, one fixed point once every cycle has length r.  ``sig_e``:
+    when p = 2, sigma + e too (a CPP once sigma is, as (sigma + e) + e = sigma)."""
+    regular, sige = ({"part": "regular"}, True), ({"part": "sigma+e regular"}, True)
+    fixed = (({"part": "fixed-points"}, True) if p == 2
+             else ({"kind": "census mismatch"}, True) if census else None)
+    shape = _Shape(({"part": "pp"}, True), ({"part": "cpp"}, True), regular, regular, fixed, None)
+    sig_e_rows = [(True, shape._replace(r_cycle=sige, regular=sige, one_fixed=(
+        {"part": "sigma+e fixed-points"}, False)))] if sig_e and p == 2 else []
+    return [(plus_e, shape)] + sig_e_rows
 
 
-def _cpp(tbl: PermTable, r: int, wit: dict):
-    if tbl.is_cpp():
-        return PASS, None
-    bad = tbl.add_pointwise(PermTable.identity(tbl.ctx, tbl.d)) if tbl.bijective else tbl
-    return FAIL, {**wit, **_collision(bad.table)}
+def _cpp_check(p: int, r: int) -> list:
+    return [(False, _Shape(({}, True), ({}, True), None, None, None, None))]
 
 
-def _sig_e_regular_cpp(tbl: PermTable, r: int, wit: dict):
-    return _regular_cpp(tbl.add_pointwise(PermTable.identity(tbl.ctx, tbl.d)), r, wit)
-
-
-def _short_cycle(tbl: PermTable, r: int, wit: dict):
+def _short_cycle_check(p: int, r: int) -> list:
     """CPP and an r-cycle, but not r-regular: exhibits a cycle of length l | r."""
-    if not tbl.is_cpp():
-        return FAIL, {**wit, "part": "cpp"}
-    if not tbl.is_r_cycle(r):
-        return FAIL, {**wit, "part": f"npower({r}) != e"}
-    cyc = tbl.find_cycle(lambda L: 1 < L < r and r % L == 0)
-    if cyc is None:  # every cycle length divides r, so all are 1 or r
-        return FAIL, {**wit, "part": "unexpectedly regular"}
-    return PASS, {**wit, "cycle_length": len(cyc), "cycle": cyc[:16]}
+    cpp = ({"part": "cpp"}, False)
+    return [(False, _Shape(cpp, cpp, ({"part": f"npower({r}) != e"}, False), None, None,
+                           {"part": "unexpectedly regular"}))]
 
 
 # Instance cases: (ctx, r, seeds, rng) -> [(case tag, extra params, check)].
@@ -480,40 +453,52 @@ def _by_m(check):
 
 def _odd_a_cases(ctx, r, seeds, rng):
     """p4.2.2: the seeded odd a, then a = x^3 when it permutes F_q."""
-    out = _by_seed(_regular_cpp)(ctx, r, seeds, rng)
+    out = _by_seed(_regular_check)(ctx, r, seeds, rng)
     cube = tuple(ctx.pow(x, 3) for x in range(ctx.q))
     if sorted(cube) == list(range(ctx.q)):
-        out.append(("a=x^3", {"a": cube}, _regular_cpp))
+        out.append(("a=x^3", {"a": cube}, _regular_check))
     return out
 
 
 def _any_a1_cases(ctx, r, seeds, rng):
     """p4.4.2, checked as stated: every a_1 when q <= 5, else 60 seeded draws."""
     if ctx.q <= 5:
-        return [("exhaustive", {"a1": a}, _regular_cpp) for a in permutations(range(ctx.q))]
-    return [("sampled", {"seed": rng.randrange(1 << 30)}, _regular_cpp)
+        return [("exhaustive", {"a1": a}, _regular_check) for a in permutations(range(ctx.q))]
+    return [("sampled", {"seed": rng.randrange(1 << 30)}, _regular_check)
             for _ in range(60)]
 
 
 def _sandwich_cases(ctx, r, seeds, rng):
     """p4.8/p4.9: a free sandwich is a CPP; a_2 = a_1^{-1} makes it r-regular."""
     return [case for s in seeds
-            for case in (("free", {"seed": s, "tau": "free"}, _cpp),
-                         ("inverse", {"seed": s, "tau": "inverse"}, _regular_cpp))]
+            for case in (("free", {"seed": s, "tau": "free"}, _cpp_check),
+                         ("inverse", {"seed": s, "tau": "inverse"}, _regular_check))]
 
 
 def _p4_sweep(build_id: str, cases, show_a1: bool, cid, ctx, r, params, rng, cap):
-    """Build and check each case of ``cases`` with ``named_construction``."""
+    """The cases of ``cases`` in blocks of at most _BLOCK table entries (or one
+    case), made by ``named_construction``, built by ``construct.build_rows``
+    and judged by ``_steps``, one row per table a check judges."""
     seeds = [rng.randrange(1 << 30) for _ in range(2)]
-    for tag, extra, check in cases(ctx, r, seeds, rng):
-        spec = construct.named_construction(build_id, {**params, "field": ctx, **extra})
-        tbl = construct.build(spec)
-        wit = {"claim": cid, **({"case": tag} if tag else {}),
-               **{k: extra[k] for k in _WIT_KEYS if k in extra}}
-        if show_a1:
-            wit["a1"] = [int(x) for x in spec.tau1.perms[0]]
-        verdict, wit = check(tbl, r, wit)
-        yield verdict, wit, 2 * tbl.n
+    todo = cases(ctx, r, seeds, rng)
+    sp = space(ctx, construct.CATALOG[build_id].dim(r))
+    step = max(1, _BLOCK // sp.n)
+    for lo in range(0, len(todo), step):
+        specs, judged = [], []
+        for k, (tag, extra, check) in enumerate(todo[lo:lo + step]):
+            specs.append(construct.named_construction(build_id, {**params, "field": ctx, **extra}))
+            wit = {"claim": cid, **({"case": tag} if tag else {}),
+                   **{key: extra[key] for key in ("m", "seed", "r", "tau") if key in extra},
+                   **({"a1": [int(x) for x in specs[-1].tau1.perms[0]]} if show_a1 else {})}
+            judged += [(k, plus, (shape, wit, 0 if j else 2 * sp.n))
+                       for j, (plus, shape) in enumerate(check(ctx.p, r))]
+        case, plus_e, rows = map(list, zip(*judged))
+        sig = construct.build_rows(specs)
+        if len(case) > len(sig):
+            sig = sig[case]
+        if any(plus_e):
+            sig[plus_e] = add_rows(sp, sig[plus_e], sp.arange)
+        yield from _steps(sig, r, sp, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +520,11 @@ class Claim:
 def _run(cid: str, row: Claim, params: dict, rng: Random, cap: int):
     """(verdict, witness, work) of one grid point: the first FAIL, else PASS
     with the last step's witness."""
-    ctx = parse_field_spec(params["field"])
+    p, m, modulus = field_args(params["field"])
     r = row.r or params.get("r")
-    if row.d and (over := over_cap(ctx.q, row.d(params, r), cap)):
+    if row.d and (over := over_cap(p ** m, row.d(params, r), cap)):
         return SKIP, {"reason": f"q^d = {over} exceeds cap {cap}"}, 0
+    ctx = field_new(p, m, modulus)
     reason = row.guard(ctx, r) if row.guard else None
     if reason:
         return SKIP, {"reason": reason}, 0
@@ -608,39 +594,39 @@ _Q35 = _fields("3^1", "5^1")
 _Q23 = _fields("2^1", "3^1")
 _Q57 = _fields("5^1", "7^1")
 _Q24 = _fields("2^1", "2^2")
-_SIG_E = partial(_regular_cpp, sig_e=True)
-_CENSUS = partial(_regular_cpp, census=True)
+_SIG_E = partial(_regular_check, sig_e=True)
+_CENSUS = partial(_regular_check, census=True)
 
 # The section-4 rows, made into claims once REGISTRY gives them their ids
 _SECTION4 = {
     "p4.1.1": _p4("r=3 family, additive a_1, a_2: 3-regular CPP over F_{q^2}",
-                  _Q247, _by_mode(_regular_cpp)),
+                  _Q247, _by_mode(_regular_check)),
     "p4.1.2": _p4("r=3 family, additive a_i and p=2: sigma + e is also a "
-                  "3-regular CPP", _Q247, _by_mode(_sig_e_regular_cpp),
+                  "3-regular CPP", _Q247, _by_mode(partial(_regular_check, plus_e=True)),
                   guard=lambda ctx, r: None if ctx.p == 2 else "requires characteristic 2"),
     "p4.1.3": _p4("r=3, a_2=e, M=[[0,m],[-1/m,-1]]: 3-regular CPP for any PP a_1 "
                   "(and sigma+e too when p=2)",
                   _Q247, _by_m(_SIG_E)),
     "p4.1.3m": _p4("mirror of p4.1.3 (a_1=e, a_2 arbitrary); empirical check only",
-                   _Q247, _by_m(_regular_cpp)),
+                   _Q247, _by_m(_regular_check)),
     "p4.1.4": _p4("r=3, a_2=e, M=[[-1,1],[-1,0]]: 3-regular CPP for any PP a_1",
-                  _Q247, _by_seed(_regular_cpp)),
+                  _Q247, _by_seed(_regular_check)),
     "p4.2.1": _p4("r=4 family (p odd), additive a_1, a_2: 4-regular CPP",
-                  _Q35, _by_mode(_regular_cpp)),
+                  _Q35, _by_mode(_regular_check)),
     "p4.2.2": _p4("r=4, a_1=a_2=a odd (a(-x)=-a(x)), M=M(Q_4): 4-regular CPP",
                   _Q35, _odd_a_cases),
     "p4.2.3": _p4("r=4, a_2=e, M=[[-1,m],[-2/m,1]]: 4-regular CPP for any PP a_1",
-                  _Q35, _by_m(_regular_cpp)),
+                  _Q35, _by_m(_regular_check)),
     "p4.3": _p4("r=5, M=M(Q_5), tau touches only x_1: 5-regular CPP over F_{q^4}",
                 _Q23, _by_seed(_CENSUS)),
     "p4.4.1": _p4("r=6 family (p > 3), additive a_1, a_2: 6-regular CPP",
-                  _Q57, _by_mode(_regular_cpp)),
+                  _Q57, _by_mode(_regular_check)),
     "p4.4.2": _p4("r=6, a_2=e, M=M(Q_6): claimed 6-regular CPP for any PP a_1 "
                   "(KNOWN FALSE: the sigma+e identity drops a 2*x_2 term; "
                   "checker reports the refuting a_1)",
                   _Q57, _any_a1_cases, show_a1=True),
     "p4.4.3": _p4("r=6, a_2=e, M=[[-1,m],[-3/m,2]]: 6-regular CPP for any PP a_1",
-                  _Q57, _by_m(_regular_cpp)),
+                  _Q57, _by_m(_regular_check)),
     "p4.5": _p4("r=7, M=M(Q_7), tau touches only x_1: 7-regular CPP over F_{q^6}",
                 _Q23, _by_seed(_CENSUS)),
     "p4.6": _p4("p=2, h=t^3+t^2+1, additive tau: sigma and sigma+e are both "
@@ -657,14 +643,14 @@ _SECTION4 = {
     "p4.10.1": _p4("odd r, quotient h, first-coordinate sandwich: CPP for any "
                    "PPs a_1, a_2",
                    (_f("2^1", r=3), _f("2^1", r=5), _f("2^1", r=9), _f("2^2", r=5)),
-                   _by_seed(_cpp, "free", with_r=True, tau="free"), build="p4.10"),
+                   _by_seed(_cpp_check, "free", with_r=True, tau="free"), build="p4.10"),
     "p4.10.2": _p4("odd prime r, a_1 o a_2 = e: r-regular CPP over F_{q^(r-1)}",
                    (_f("2^1", r=3), _f("2^1", r=5), _f("2^2", r=5)),
-                   _by_seed(_regular_cpp, with_r=True, tau="inverse"), build="p4.10",
+                   _by_seed(_regular_check, with_r=True, tau="inverse"), build="p4.10",
                    guard=lambda ctx, r: None if is_prime(r) else f"r = {r} is not prime"),
     "p4.10.3": _p4("odd composite r, a_1 o a_2 = e: CPP and r-cycle but NOT "
                    "r-regular (short cycle exhibited)",
-                   (_f("2^1", r=9),), _by_seed(_short_cycle), build="p4.10",
+                   (_f("2^1", r=9),), _by_seed(_short_cycle_check), build="p4.10",
                    guard=_not_composite, full=(_f("2^1", r=9), _f("2^2", r=9))),
 }
 
@@ -790,22 +776,16 @@ def verify_all(profile: str = "quick", master_seed=DEFAULT_SEED, stream=None,
     """
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     failed: list[str] = []
-    total = 0
     for cid in sorted(REGISTRY):
         for rep in verify_claim(cid, master_seed=master_seed, profile=profile,
                                 cap=cap):
-            total += 1
-            if rep.verdict == PASS:
-                counts["pass"] += 1
-            elif rep.verdict == FAIL:
-                counts["fail"] += 1
+            counts[{PASS: "pass", FAIL: "fail"}.get(rep.verdict, "skipped")] += 1
+            if rep.verdict == FAIL:
                 failed.append(f"{rep.claim} {canonical_json(rep.params)}")
-            else:
-                counts["skipped"] += 1
             if stream is not None:
                 stream.write(rep.to_json_line() + "\n")
     summary = {"schema": SCHEMA, "profile": profile, "seed": master_seed,
-               "points": total, **counts, "failed": failed}
+               "points": sum(counts.values()), **counts, "failed": failed}
     if stream is not None:
         stream.write(canonical_json(summary) + "\n")
     return summary

@@ -214,6 +214,58 @@ def test_extension_field_above_cap_exit_2(capsys):
         assert err.startswith("error: SizeCap:") and err.count("\n") == 1
 
 
+def test_over_cap_points_refused_before_the_field_is_built(capsys, monkeypatch):
+    # q^d is checked once p and m are read and checked, before gf._field
+    # searches for a modulus and builds the exp/log tables: F_2^20 is never
+    # built for a construction or grid point it cannot serve, and each
+    # output, malformed specs included, is what it was when the field was
+    # built first
+    real = gf._field
+
+    def refuse_m20(p, m, modulus):
+        assert m != 20, "built F_2^20"
+        return real(p, m, modulus)
+
+    monkeypatch.setattr(gf, "_field", refuse_m20)
+    cap4 = "q^d = 1208925819614629174706176 exceeds"  # (2^20)^4
+    reducible = "2^20/1,1" + ",0" * 18 + ",1"  # t^20 + t + 1 = (t^2 + t + 1)(...)
+    canonical = "2^20/1" + ",0" * 16 + ",1,0,0,1"
+    for argv, code, out, err in (
+            (("construct", "p4.3", "--q", "1048576"), 2, "",
+             f"error: SizeCap: {cap4} the 1048576 table cap\n"),
+            (("construct", "p4.3", "--field", "2^20", "--emit", "cycles"), 2, "",
+             f"error: SizeCap: {cap4} the 1048576 table cap\n"),
+            (("construct", "p4.10", "--q", "1048576", "--r", "3", "--tau", "free"), 2, "",
+             "error: SizeCap: q^d = 1099511627776 exceeds the 1048576 table cap\n"),
+            (("verify", "p4.3", "--q", "1048576"), 0,
+             f'HYPOTHESIS-SKIPPED   p4.3 {{"field": "2^20"}} '
+             f'witness={{"reason": "{cap4} cap 4096"}}\n', ""),
+            (("verify", "p4.3", "--field", canonical, "--format", "json"), 0,
+             '{"claim":"p4.3","params":{"field":"2^20"},"schema":"cppforge/1",'
+             f'"verdict":"hypothesis-skipped","witness":{{"reason":"{cap4} cap 4096"}},'
+             '"work":0}\n', ""),
+            (("verify", "p4.1.3", "--q", "1048576", "--profile", "full"), 0,
+             'HYPOTHESIS-SKIPPED   p4.1.3 {"field": "2^20"} witness={"reason": '
+             '"q^d = 1099511627776 exceeds cap 1048576"}\n', ""),
+            (("construct", "p4.3", "--field", "2^20/1,1"), 2, "",
+             "error: DegreeMismatch: modulus degree 1 != extension degree 20\n"),
+            (("verify", "p4.3", "--field", reducible), 2, "",
+             f"error: ReducibleModulus: modulus {[1, 1] + [0] * 18 + [1]} is reducible "
+             "over F_2\n"),
+            (("construct", "p4.3", "--q", "1048576", "--m", "2"), 2, "",
+             "error: InvalidSpec: p4.3 does not take m (only p4.1.3, p4.1.3m, p4.2.3, "
+             "p4.4.3 do)\n"),
+            (("construct", "p4.1.1", "--q", "1048576", "--m", "2"), 2, "",
+             "error: InvalidSpec: p4.1.1 does not take m (only p4.1.3, p4.1.3m, p4.2.3, "
+             "p4.4.3 do)\n"),
+            (("construct", "p4.2.1", "--q", "1048576"), 2, "",
+             "error: HypothesisViolated: p4.2.1 requires characteristic not dividing r "
+             "(got p=2, r=4)\n"),
+            (("verify", "p4.3", "--q", "1048576", "--field", "2^20"), 2, "",
+             "error: InvalidSpec: give the field once: a positional spec, --field or --q\n")):
+        assert run(capsys, *argv) == (code, out, err), argv
+
+
 def test_verify_section3_large_r_finishes_fast(capsys):
     # no p3.1 (r = 10007), p3.2 (r = 1001) or p3.3 (r = 17 * 5882353)
     # instance fits under the quick cap; the one p3.3 instance at r = 1001

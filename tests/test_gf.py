@@ -331,6 +331,24 @@ def test_field_spec_strings():
     assert issubclass(InvalidSpec, ValueError)
 
 
+def test_field_spec_convention_pinned():
+    # the README's field-spec convention: modulus digits are read mod p, and
+    # an empty modulus is no modulus.  Refusing either would change outputs
+    f9 = gf.parse_field_spec("3^2/4,3,1")
+    assert f9.modulus == (1, 0, 1) and f9.spec() == "3^2"
+    assert f9.key == gf.parse_field_spec("3^2/1,0,1").key
+    assert gf.field_args("3^2/4,3,1") == (3, 2, (1, 0, 1))
+    assert gf.parse_field_spec("2^1/") is gf.field_new(2)
+    assert gf.field_args("2^1/") == (2, 1, None)
+    assert gf.parse_field_spec("2^2/").spec() == "2^2"
+    # the checks are those of field_new, made before anything is built
+    for spec, err in (("0^2/1,1", NotPrime), ("2^2/1,1", DegreeMismatch),
+                      ("2^1/1,1", DegreeMismatch), ("2^21", SizeCap),
+                      ("2^2/1,0,1", ReducibleModulus), ("2^", InvalidSpec)):
+        with pytest.raises(err):
+            gf.field_args(spec)
+
+
 def test_field_from_order():
     assert gf.field_from_order(8).key == gf.field_new(2, 3).key
     assert gf.field_from_order(49).key == gf.field_new(7, 2).key

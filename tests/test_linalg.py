@@ -330,7 +330,7 @@ def _pivot_cases(ctx, rng):
             ("hessenberg", Mat(ctx, hess), None),
             ("nilpotent", s * upper * s.inv(), Poly(ctx, (0,) * d + (1,))),  # t^d
             ("scalar", Mat.identity(ctx, d).scale(c),
-             Poly(ctx, [ctx.neg(c), 1]) ** d)]
+             functools.reduce(Poly.__mul__, [Poly(ctx, [ctx.neg(c), 1])] * d))]
 
 
 @pytest.mark.parametrize("ctx", [F2, F3, F4, F5, F9], ids=lambda c: c.spec())

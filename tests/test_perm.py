@@ -10,8 +10,8 @@ from cppforge.construct import TauSpec, random_additive_pp, random_pp, tau_to_ta
 from cppforge.errors import DimMismatch, NotBijective, SizeCap
 from cppforge.linalg import Mat, companion, companions, random_invertible, random_matrix
 from cppforge.perm import (
-    CycleStructure, PermTable, add_rows, bijective_rows, conjugate_rows, cycle_lengths_rows,
-    linear_table, matrix_tables, space,
+    CycleStructure, PermTable, add_rows, bijective_rows, compose_rows, conjugate_rows,
+    cycle_lengths_rows, linear_table, matrix_tables, space,
 )
 from cppforge.poly import Poly, cyclotomic, monic_coeffs, monic_orders, monic_polys
 
@@ -255,6 +255,32 @@ def test_conjugate_rows_match_compose_with_inverse(ctx, d):
         assert [row.tolist() for row in got] == [w.tolist() for w in want]
 
 
+@pytest.mark.parametrize("h,n", [(1, 1), (1, 25), (2, 2), (3, 7), (7, 25), (5, 4096)])
+def test_conjugate_and_compose_rows_per_row(h, n):
+    # a stack of taus conjugates (and composes) row i by row i: the same as
+    # a loop of one-tau calls, on one-row stacks, on stacks whose height is
+    # no power of two, and on a strided view of a wider array, which is
+    # written in place
+    rng = Random(f"per-row:{h}:{n}")
+
+    def stack(bijective=True):
+        return np.array([random_pp(n, rng) if bijective or i % 2
+                         else [rng.randrange(n) for _ in range(n)] for i in range(h)],
+                        dtype=np.int32)
+
+    tau, tables, g = stack(), stack(bijective=False), stack(bijective=False)
+    want = tables.copy()
+    for row, t in zip(want, tau):
+        conjugate_rows(row, t)
+    assert conjugate_rows(tables.copy(), tau).tolist() == want.tolist()
+    wide = np.zeros((h, 2 * n), dtype=np.int32)
+    view = wide[:, ::2]
+    view[...] = tables
+    assert conjugate_rows(view, tau) is view
+    assert wide[:, ::2].tolist() == want.tolist() and not wide[:, 1::2].any()
+    assert compose_rows(tau, g).tolist() == [t[row].tolist() for t, row in zip(tau, g)]
+
+
 def test_add_pointwise_examples():
     e = PermTable.identity(F2, 2)
     doubled = e.add_pointwise(e)
@@ -484,7 +510,7 @@ def test_rank_census_matches_table_census(monkeypatch):
 def test_rank_census_at_the_cap():
     tm1 = Poly(F2, [1, 1])
     for h, r, want in (
-            (Poly.x_pow_n_minus_1(F2, 21) // tm1, 21, {1: 1, 3: 1, 7: 9, 21: 49929}),
+            (Poly(F2, [1] + [0] * 20 + [1]) // tm1, 21, {1: 1, 3: 1, 7: 9, 21: 49929}),
             # Q_26 is the product of its four irreducible factors over F_3
             (cyclotomic(26, F3), 26, {1: 1, 26: 20440})):
         m = companion(h)

@@ -181,3 +181,40 @@ def test_every_public_name_in_src_is_read():
                for p in sorted((root / d).rglob("*.py"))]
     defining = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_public_names(defining, readers, (root / "README.md").read_text()) == []
+
+
+def readers_of(source: str, name: str) -> list[str]:
+    """The top-level functions and classes of a module whose code reads the
+    name ``name``, sorted, with "<module>" for a read at module level.  An
+    import is not a read."""
+    return sorted({node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                  ast.ClassDef)) else "<module>"
+                   for node in ast.parse(source).body for n in ast.walk(node)
+                   if isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)})
+
+
+def reads_attribute(source: str, owner: str, attr: str) -> bool:
+    """Whether any code of a module reads ``owner.attr``."""
+    return any(isinstance(n, ast.Attribute) and n.attr == attr
+               and isinstance(n.value, ast.Name) and n.value.id == owner
+               for n in ast.walk(ast.parse(source)))
+
+
+def test_readers_of_and_reads_attribute_find_reads():
+    source = ("from .perm import PermTable\nfrom . import construct\nKINDS = (PermTable,)\n"
+              "def f():\n    return PermTable(1)\n"
+              "def g(t: PermTable):\n    return construct.build(t)\n"
+              "def h():\n    return construct.build_rows, construct\n")
+    assert readers_of(source, "PermTable") == ["<module>", "f", "g"]
+    assert readers_of(source, "construct") == ["g", "h"]
+    assert reads_attribute(source, "construct", "build")
+    assert not reads_attribute(source.replace("construct.build(t)", "t"), "construct", "build")
+
+
+def test_sweeps_judge_stacks_not_permtables():
+    # the section-3 and section-4 sweeps build and judge stacked tables:
+    # only the exploratory sweep wraps a table in a PermTable, and nothing
+    # in verify builds one case at a time through construct.build
+    source = (SRC / "verify.py").read_text()
+    assert readers_of(source, "PermTable") == ["explore_quadratic"]
+    assert not reads_attribute(source, "construct", "build")

@@ -33,8 +33,9 @@ EXPECTED_CLAIMS = {
 KNOWN_FALSE = {"p4.4.2"}
 
 # sha256 of the verify_all("quick", master_seed=42) JSON-line stream, and of
-# every section-4 quick-grid report line (seed 42) with construct.build
-# sabotaged by t[0] = t[1].  Both were recorded before the section-4 checks
+# every section-4 quick-grid report line (seed 42) with each built table
+# sabotaged by t[0] = t[1] (construct.build then, each row of
+# construct.build_rows now).  Both were recorded before the section-4 checks
 # became one declarative table; a changed verdict, witness or work count of
 # any claim changes them.
 QUICK_42_SHA256 = "8580b055bbf9684e8dd6ad1f1b47ec40cb2bd1a668b3c8ac06e5e6762a5be33a"
@@ -65,8 +66,10 @@ SABOTAGED_NON_P4 = {
 P3_FULL_42_SHA256 = "1e47dcc2361823b54a480102d85e076c75453e61d03888239f31ad17f428b090"
 
 # The number of the 51 section-4 quick-grid points (seed 42) that fail under
-# the "square" sabotage, and the sha256 of all their report lines.  Recorded
-# with the pure-Python cycle walks of perm.
+# the "square" sabotage (sigma_M o sigma_M in place of sigma_M), and the
+# sha256 of all their report lines.  Recorded with the pure-Python cycle
+# walks of perm, while construct.build took sigma_M from
+# PermTable.from_matrix.
 SQUARED_P4 = (12, "1ab1a61d7b5975f5cb0e6c58975b6c70d69ce95977e6895a9fb1d2dfcaef690e")
 
 # sha256 of the full-grid report lines (seed 42) of the 22 section-4
@@ -79,15 +82,12 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-_REAL_FROM_MATRIX = PermTable.from_matrix.__func__
 _REAL_MATRIX_TABLES = verify.matrix_tables
 
 
-@classmethod
-def _squared_from_matrix(cls, m):
-    """Sabotage: sigma_M o sigma_M, still bijective, with off-length cycles."""
-    tbl = _REAL_FROM_MATRIX(cls, m)
-    return tbl.compose(tbl)
+def _square(t):
+    """Sabotage: sigma o sigma, still bijective, with off-length cycles."""
+    return t[t]
 
 
 def _rowwise(edit, real):
@@ -287,12 +287,14 @@ def test_section3_full_stream_pinned(monkeypatch):
 @pytest.mark.parametrize("bound", [1, 1 << 20])
 def test_section3_streams_pinned_across_block_bounds(monkeypatch, bound):
     # a bound of 1 makes every instance a block of one; 2^20 puts each
-    # degree of a point in one block.  perm.add_rows slices sigma + e by
-    # its own width, whatever the bound
+    # degree of a section-3 point, and every case of a section-4 point, in
+    # one block.  perm.add_rows slices sigma + e by its own width, whatever
+    # the bound
     quick = _claim_lines("p3.", "quick")
     monkeypatch.setattr(verify, "_BLOCK", bound)
     assert _claim_lines("p3.", "quick") == quick
     assert _sha256("\n".join(_claim_lines("p3.", "full"))) == P3_FULL_42_SHA256
+    assert _sha256("\n".join(_claim_lines("p4.", "full"))) == P4_FULL_42_SHA256
 
 
 def test_theorem_sweeps_build_no_table_per_polynomial(monkeypatch):
@@ -416,16 +418,14 @@ def test_memoized_functions_share_until_cleared():
     assert perm.space(named, 2) is perm.space(f8, 2)
 
 
+def _collide01(t):
+    t = t.copy()
+    t[0] = t[1]
+    return t
+
+
 def test_section4_fail_witnesses_pinned(monkeypatch):
-    real_build = construct.build
-
-    def sabotaged(spec):
-        tbl = real_build(spec)
-        t = tbl.table.copy()
-        t[0] = t[1]
-        return PermTable(tbl.ctx, tbl.d, t)
-
-    monkeypatch.setattr(construct, "build", sabotaged)
+    monkeypatch.setattr(construct, "build_rows", _rowwise(_collide01, construct.build_rows))
     lines = []
     for cid in sorted(c for c in verify.REGISTRY if c.startswith("p4.")):
         reports = verify.verify_claim(cid, master_seed=42, profile="quick")
@@ -450,10 +450,6 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
         t = t.copy()
         t[1], t[2] = t[2], t[1]
         return t
-
-    def from_matrix(cls, m):
-        tbl = _REAL_FROM_MATRIX(cls, m)
-        return PermTable(tbl.ctx, tbl.d, swap12(tbl.table))
 
     def swap01_past_one(t, n):
         if n <= 1:
@@ -486,20 +482,15 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
     def companions(ctx, coeffs):
         return np.array([bump(m, ctx) for m in real_companions(ctx, coeffs)])
 
-    def square(t):
-        return t[t]
-
     real_companion, real_companions = linalg.companion, verify.companions
     patches = {
-        "from_matrix": [(PermTable, "from_matrix", classmethod(from_matrix)),
-                        (verify, "matrix_tables", _rowwise(swap12, _REAL_MATRIX_TABLES))],
+        "from_matrix": [(verify, "matrix_tables", _rowwise(swap12, _REAL_MATRIX_TABLES))],
         "npower": [(PermTable, "npower", npower), (PermTable, "is_r_cycle", is_r_cycle),
                    (verify, "cycle_lengths_rows",
                     _rowwise(longer_than_any_table, verify.cycle_lengths_rows))],
         "companion": [(mod, "companion", companion) for mod in (linalg, construct, cppforge)]
                      + [(verify, "companions", companions)],
-        "square": [(PermTable, "from_matrix", _squared_from_matrix),
-                   (verify, "matrix_tables", _rowwise(square, _REAL_MATRIX_TABLES))],
+        "square": [(verify, "matrix_tables", _rowwise(_square, _REAL_MATRIX_TABLES))],
     }
     cids = sorted(c for c in verify.REGISTRY if not c.startswith("p4."))
     for name, (want_fails, want_sha) in SABOTAGED_NON_P4.items():
@@ -518,7 +509,7 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
 
 
 def test_section4_off_length_witnesses_pinned(monkeypatch):
-    monkeypatch.setattr(PermTable, "from_matrix", _squared_from_matrix)
+    monkeypatch.setattr(construct, "matrix_tables", _rowwise(_square, _REAL_MATRIX_TABLES))
     reports = [rep for cid in sorted(c for c in verify.REGISTRY if c.startswith("p4."))
                for rep in verify.verify_claim(cid, master_seed=42, profile="quick")]
     assert len(reports) == 51
@@ -537,15 +528,18 @@ def test_section4_off_length_witnesses_pinned(monkeypatch):
     ("p4.10.3", {"field": "2^2", "r": 9}),
     ("thm3.1.2", {"field": "3^1", "deg": 3}),
     ("thm3.2.4", {"field": "2^2", "deg": 2}),
+    ("p4.2.3", {"field": "5^1"}),
 ])
 def test_one_cycle_pass_per_checked_table(monkeypatch, cid, point):
     # sigma^r = e (sigma^n = e in the theorems), the census, regularity and
     # the witness cycle of a table all read its cycle lengths; no check
     # takes a composite power.  The section-3 and theorem sweeps check a
-    # block of tables with one stacked pass per kind of matrix; a section-4
-    # table is a stack of one
+    # block of tables with one stacked pass per kind of matrix, and the
+    # section-4 sweep one pass per block of construct.build_rows: p4.2.3
+    # over F_5 is one block of 8 cases of 25 entries, and p4.10.3 over F_4
+    # (4^8 entries) a block per case
     real = perm.cycle_lengths_rows
-    passes, blocks = [], []
+    passes, blocks, built = [], [], []
 
     def counted(tables):
         passes.append(tables.shape)
@@ -561,8 +555,14 @@ def test_one_cycle_pass_per_checked_table(monkeypatch, cid, point):
     def no_npower(self, n):
         raise AssertionError("verify took a composite power")
 
+    def build_rows(specs):
+        built.append(real_build_rows(specs))
+        return built[-1]
+
     for mod in (perm, verify):
         monkeypatch.setattr(mod, "cycle_lengths_rows", counted)
+    real_build_rows = construct.build_rows
+    monkeypatch.setattr(construct, "build_rows", build_rows)
     for name in ("_p3_tables", "_monic_blocks"):
         monkeypatch.setattr(verify, name, recorded(getattr(verify, name)))
     monkeypatch.setattr(PermTable, "npower", no_npower)
@@ -577,11 +577,12 @@ def test_one_cycle_pass_per_checked_table(monkeypatch, cid, point):
         assert passes == [(int(live.sum()), n) for _, live, _ in blocks for _ in range(kinds)]
         assert any(h > 1 for h, _ in passes)
         return
-    assert len(passes) >= 2
     if cid.startswith("p3."):
-        assert passes == [sig.shape for _, sig in blocks] and any(h > 1 for h, _ in passes)
+        assert built == [] and passes == [sig.shape for _, sig in blocks]
+        assert len(passes) >= 2 and any(h > 1 for h, _ in passes)
     else:
-        assert blocks == [] and {h for h, _ in passes} == {1}
+        assert blocks == [] and passes == [sig.shape for sig in built]
+        assert passes == ([(1, 4 ** 8)] * 2 if cid == "p4.10.3" else [(8, 25)])
     # each instance checks one table (one row) and counts 2n work for it
     assert rep.work == sum(2 * h * n for h, n in passes)
 
@@ -590,13 +591,21 @@ def test_short_cycle_check_on_a_3_regular_cpp():
     tbl = construct.build(construct.named_construction(
         "p4.1.1", {"field": field_new(2, 2), "seed": 5}))
     assert tbl.is_cpp() and tbl.is_r_regular(3) and tbl.cycle_structure().cycles
-    assert verify._short_cycle(tbl, 3, {}) == (verify.FAIL, {"part": "unexpectedly regular"})
+
+    def judged(r):
+        ((plus_e, shape),) = verify._short_cycle_check(2, r)
+        assert not plus_e
+        ((verdict, witness, work),) = verify._steps(
+            tbl.table[None], r, perm.space(tbl.ctx, tbl.d), [(shape, {}, 7)])
+        assert work == 7
+        return verdict, witness
+
+    assert judged(3) == (verify.FAIL, {"part": "unexpectedly regular"})
     # every cycle of length > 1 is a 3-cycle, so the first one a scan from
     # index 0 meets is the cycle through the least moved point
     t = tbl.table.tolist()
     x = min(i for i, y in enumerate(t) if y != i)
-    assert verify._short_cycle(tbl, 9, {}) == (
-        verify.PASS, {"cycle_length": 3, "cycle": [x, t[x], t[t[x]]]})
+    assert judged(9) == (verify.PASS, {"cycle_length": 3, "cycle": [x, t[x], t[t[x]]]})
 
 
 def _divisor_products(factors):
@@ -614,7 +623,7 @@ def _divisor_products(factors):
 def _section3_candidates_oracle(ctx, r, sweep, cap):
     """The instance polynomials of a section-3 sweep, from the full
     factorization of t^r - 1, then cut to q^deg(h) <= cap."""
-    tr1 = Poly.x_pow_n_minus_1(ctx, r)
+    tr1 = Poly(ctx, [ctx.neg(1)] + [0] * (r - 1) + [1])  # t^r - 1
     minus1 = ctx.neg(1)
     if sweep == "negative":
         complement = tr1 // cyclotomic(r, ctx)
@@ -666,25 +675,19 @@ def test_section3_candidates_vs_full_factorization(monkeypatch):
 
 
 def test_mutation_is_detected(monkeypatch):
-    real_build = construct.build
+    real_build_rows = construct.build_rows
 
-    def sabotaged(spec):
-        tbl = real_build(spec)
-        t = tbl.table.copy()
-        t[0], t[1] = t[1], t[0]  # swap two outputs: still bijective
-        return PermTable(tbl.ctx, tbl.d, t)
+    def swap01(t):  # swap two outputs: still bijective
+        t = t.copy()
+        t[0], t[1] = t[1], t[0]
+        return t
 
-    monkeypatch.setattr(construct, "build", sabotaged)
+    monkeypatch.setattr(construct, "build_rows", _rowwise(swap01, real_build_rows))
     reports = verify.verify_claim("p4.3", grid=[{"field": "2^1"}])
     assert any(r.verdict == "fail" and r.witness for r in reports)
 
-    def sabotaged2(spec):
-        tbl = real_build(spec)
-        t = tbl.table.copy()
-        t[0] = t[1]  # break bijectivity outright
-        return PermTable(tbl.ctx, tbl.d, t)
-
-    monkeypatch.setattr(construct, "build", sabotaged2)
+    # break bijectivity outright
+    monkeypatch.setattr(construct, "build_rows", _rowwise(_collide01, real_build_rows))
     reports = verify.verify_claim("p4.5", grid=[{"field": "2^1"}])
     assert any(r.verdict == "fail" and r.witness for r in reports)
 
