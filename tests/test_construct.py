@@ -5,9 +5,9 @@ from random import Random
 import numpy as np
 import pytest
 
-from cppforge import gf
+from cppforge import gf, perm
 from cppforge.construct import (
-    ConstructionSpec, TauSpec, build, matrix_with_char_poly, named_construction,
+    ConstructionSpec, TauSpec, build, build_rows, matrix_with_char_poly, named_construction,
     permutation, pick_h, random_additive_pp, random_odd_pp, random_pp, shuffle, tau_to_table,
     CATALOG, NAMED_IDS,
 )
@@ -164,6 +164,28 @@ def test_build_conjugation_preserves_cycles():
     tbl = build(spec)
     base = PermTable.from_matrix(spec.matrix)
     assert tbl.cycle_structure() == base.cycle_structure()
+
+
+@pytest.mark.parametrize("cid,params", [
+    ("p4.1.1", {"q": 4, "matrix_mode": "conjugate"}), ("p4.3", {"q": 3}),
+    ("p4.6", {"q": 2}), ("p4.8.1", {"q": 4, "tau": "free"}), ("p4.8.1", {"q": 4}),
+    ("p4.10", {"q": 2, "r": 5, "tau": "free"}),
+])
+def test_build_rows_match_table_compositions(monkeypatch, cid, params):
+    # each row of a stack is tau1 o sigma_M o tau1^-1 (conjugation) or
+    # tau1 o sigma_M o tau2 (sandwich), composed table by table; no row,
+    # and no tau, is checked for bijectivity on the way
+    specs = [named_construction(cid, {**params, "seed": s}) for s in (1, 2, 3)]
+    want = []
+    for spec in specs:
+        t1 = tau_to_table(spec.tau1, spec.field, spec.d)
+        t2 = t1.invert() if spec.tau2 is None else tau_to_table(spec.tau2, spec.field, spec.d)
+        want.append(t1.compose(PermTable.from_matrix(spec.matrix).compose(t2)).table.tolist())
+    checked = []
+    monkeypatch.setattr(perm, "bijective_rows", lambda t: checked.append(t.shape))
+    stack = build_rows(specs)
+    assert stack.dtype == np.int32 and stack.tolist() == want
+    assert [build(spec).table.tolist() for spec in specs] == want and checked == []
 
 
 def test_named_p413_q4_and_p423_q5():
