@@ -25,10 +25,11 @@ makes the same checks and gives q and d before the field is built.  A
 builder draws from the RNG in a fixed order, which the specs and the verify
 streams depend on.
 
-The seeded permutations are those of ``Random.shuffle``: ``shuffle`` makes
-the same ``getrandbits`` calls, and ``permutation`` reads the same generator
-words in bulk (``getrandbits(32 * m)``, whose first word is the lowest) and
-applies the swaps as array passes, leaving the generator in the same state.
+The seeded permutations are those of ``Random.shuffle``: ``permutation``
+calls it for n <= 2^10 and for its last 2^10 steps, and above that reads the
+same generator words in bulk (``getrandbits(32 * m)``, whose first word is
+the lowest) and applies the swaps as array passes, leaving the generator in
+the same state.
 """
 
 from __future__ import annotations
@@ -121,33 +122,14 @@ def tau_to_table(spec: TauSpec, ctx: FieldCtx, d: int) -> PermTable:
 # Seeded generators
 # ---------------------------------------------------------------------------
 
-def shuffle(x: list, rng: Random) -> None:
-    """Shuffle x in place exactly as ``rng.shuffle(x)`` does.
-
-    Fisher-Yates from the top, drawing j <= i as getrandbits(k) with
-    k = (i + 1).bit_length() and rejecting draws above i: the same calls as
-    ``Random.shuffle``, so the permutation and the generator state after it
-    are the same, with k computed once per power of two.
-    """
-    getrandbits = rng.getrandbits
-    i = len(x) - 1
-    while i > 0:
-        k = (i + 1).bit_length()
-        for i in range(i, (1 << (k - 1)) - 2, -1):
-            j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            x[i], x[j] = x[j], x[i]
-        i -= 1
-
-
-_TAIL = 1 << 10  # permutation: the steps below this run in shuffle
+_TAIL = 1 << 10  # permutation: the steps below this run in Random.shuffle
 
 
 def _targets(n: int, rng: Random) -> np.ndarray:
     """The swap targets j_i of the Fisher-Yates steps i = _TAIL..n-1 (int64,
     to be widened in place into sort keys), drawn from the generator words
-    exactly as ``shuffle`` draws them.
+    exactly as ``Random.shuffle`` draws them: j <= i as getrandbits(k) with
+    k = (i + 1).bit_length(), a draw above i rejected.
 
     Within the band of steps with k = (i + 1).bit_length(), a word w reads
     as w >> (32 - k), and word t of a block that starts at step i is read at
@@ -182,7 +164,7 @@ def _targets(n: int, rng: Random) -> np.ndarray:
 
 
 def permutation(n: int, rng: Random) -> np.ndarray:
-    """``shuffle(list(range(n)), rng)`` as an int32 array, leaving ``rng`` in
+    """``rng.shuffle(list(range(n)))`` as an int32 array, leaving ``rng`` in
     the same state.
 
     The steps i >= 2^10 take their targets from ``_targets`` and are applied
@@ -193,11 +175,11 @@ def permutation(n: int, rng: Random) -> np.ndarray:
     holds just before its own step (for p < 2^10, after all of them):
     v(i'') for the smallest step i'' > p that targets p, or p.  These chains
     resolve by pointer doubling.  The steps below 2^10 then run in
-    ``shuffle`` on the first 2^10 positions.
+    ``Random.shuffle`` on the first 2^10 positions.
     """
     if n <= _TAIL:
         x = list(range(n))
-        shuffle(x, rng)
+        rng.shuffle(x)
         return np.array(x, dtype=np.int32)
     if n >= 1 << 31:
         raise ValueError(f"permutation needs n < 2^31 (got {n})")
@@ -235,7 +217,7 @@ def permutation(n: int, rng: Random) -> np.ndarray:
     val[ks[:-1]] = took
     val[ks[-1]] = js[-1]
     low = val[:_TAIL].tolist()
-    shuffle(low, rng)
+    rng.shuffle(low)
     val[:_TAIL] = low
     return val
 
@@ -249,7 +231,7 @@ def random_odd_pp(ctx: FieldCtx, rng: Random) -> tuple[int, ...]:
     """Seeded permutation a of F_q with a(-x) = -a(x); it fixes 0."""
     reps = [x for x in range(1, ctx.q) if x <= ctx.neg(x)]  # one of each pair {x, -x}
     images = reps[:]
-    shuffle(images, rng)
+    rng.shuffle(images)
     table = [0] * ctx.q
     for x, y in zip(reps, images):
         if rng.random() < 0.5:

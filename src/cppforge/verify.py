@@ -27,9 +27,10 @@ kernels of ``perm``.  The theorem sweeps stack every monic h of a degree
 (``linalg.companions``) and take the orders of parts 2 and 4 from
 ``poly.monic_orders``, computed from h alone, so they stay independent of
 the table under test.  The section-3 sweeps stack the matrices of a degree,
-and the section-4 sweep the cases of a point (``construct.build_rows``);
-one judge, ``_steps``, checks both, and reads sigma^r = e, regularity, the
-census and witness cycles from one cycle-length pass per block.
+and the section-4 sweep the cases of a point (``construct.build_rows``).
+One judge, ``_steps``, checks the blocks of all three, and reads sigma^r = e
+(one r, or one order per row), regularity, the census and witness cycles
+from one cycle-length pass per block.
 
 Reports are replayable: the verdict and witness are pure functions of
 (claim id, parameters, master seed).  The JSON-line stream therefore emits a
@@ -138,7 +139,10 @@ def _monic_blocks(part: int, ctx: FieldCtx, deg: int):
     """(coefficient rows, live rows, orders or None) of the monic h of degree
     deg, in blocks whose q^deg-entry tables hold at most _BLOCK entries in
     all.  A row is live when the hypothesis of part ``part`` holds: h(0) != 0
-    for parts 1 and 2, h(-1) != 0 for parts 3 and 4."""
+    for parts 1 and 2, h(-1) != 0 for parts 3 and 4.  SizeCap when the
+    q^deg tables of q^deg entries exceed the table cap."""
+    if over := over_cap(ctx.q, 2 * deg):
+        raise SizeCap(f"q^(2 deg) = {over} exceeds cap {TABLE_CAP}")
     count = ctx.q ** deg
     orders = monic_orders(ctx, deg, 0 if part == 2 else 1) if part in (2, 4) else None
     step = max(1, _BLOCK // count)
@@ -148,24 +152,23 @@ def _monic_blocks(part: int, ctx: FieldCtx, deg: int):
         yield coeffs, live != 0, None if orders is None else orders[lo:lo + len(coeffs)]
 
 
-def _row_failures(part: int, sig, live, orders, sp) -> tuple[dict, np.ndarray]:
-    """({row: witness part} for the live rows of the stack ``sig`` that fail
-    part ``part``, and the checked stack of live rows).  Part 1 needs a
-    bijection and part 2 sigma^n = e with n = orders[row]; parts 3 and 4 ask
-    the same of sigma + e."""
-    rows = np.flatnonzero(live)
-    tbl = sig[rows]
-    if part >= 3:
-        tbl = add_rows(sp, tbl, sp.arange)
-    if part % 2:
-        bad = np.flatnonzero(~bijective_rows(tbl))
-        return {int(rows[i]): _collision(tbl[i]) for i in bad}, tbl
-    n = orders[rows]
-    good = np.flatnonzero(bijective_rows(tbl))
-    ok = np.zeros(len(rows), dtype=bool)
-    ok[good] = (n[good, None] % cycle_lengths_rows(tbl[good]) == 0).all(axis=1)
-    key = "n" if part == 2 else "m"
-    return {int(rows[i]): {key: int(n[i]), "kind": "npower!=e"} for i in np.flatnonzero(~ok)}, tbl
+def _thm_steps(part: int, sig, live, orders, sp, coeffs, works, **keys) -> tuple[list, np.ndarray]:
+    """(the steps of the rows of block ``sig``, and the stack the judge
+    checked: sigma, or sigma + e in parts 3 and 4, of the live rows).  Parts
+    1 and 3 ask for a bijection, 2 and 4 also for sigma^n = e, n = orders[i];
+    a failing row's witness shows h (coeffs[i]), ``keys`` and n.  A row
+    outside the hypothesis is a PASS step.  Row i counts works[i]."""
+    idx = np.flatnonzero(live).tolist()
+    tbl = add_rows(sp, sig[idx], sp.arange) if part >= 3 else sig[idx]
+    shape, key = (_PP, None) if part % 2 else (_NPOWER, "n" if part == 2 else "m")
+    steps = [(PASS, None, work) for work in works]
+    judged = _steps(tbl, orders[idx] if key else None, sp,
+                    [(shape, keys, works[i]) for i in idx]) if idx else []
+    for i, (verdict, witness, work) in zip(idx, judged):
+        if verdict == FAIL:
+            order = {key: int(orders[i])} if key else {}
+            steps[i] = verdict, {"h": coeffs[i].tolist() + [1], **order, **witness}, work
+    return steps, tbl
 
 
 def _thm31_sweep(part: int, cid, ctx, r, params, rng, cap):
@@ -180,13 +183,11 @@ def _thm31_sweep(part: int, cid, ctx, r, params, rng, cap):
     extra = (0, n, n, 2 * n)[part - 1]
     for coeffs, live, ords in _monic_blocks(part, ctx, deg):
         base = matrix_tables(ctx, companions(ctx, coeffs))
-        fails = [_row_failures(part, sig, live, ords, sp)[0]
-                 for sig in (base, conjugate_rows(base.copy(), s))]
-        for i, (c, checked) in enumerate(zip(coeffs.tolist(), live.tolist())):
-            work = n + (extra if checked or part == 3 else 0)
-            for kind, bad in zip(_MODES, fails):
-                yield ((FAIL, {"h": c + [1], "matrix": kind, **bad[i]}, work) if i in bad
-                       else (PASS, None, work))
+        works = [n + extra if checked or part == 3 else n for checked in live.tolist()]
+        kinds = [_thm_steps(part, sig, live, ords, sp, coeffs, works, matrix=kind)[0]
+                 for kind, sig in zip(_MODES, (base, conjugate_rows(base.copy(), s)))]
+        for pair in zip(*kinds):
+            yield from pair
 
 
 def _thm32_sweep(part: int, draw_tau, cid, ctx, r, params, rng, cap):
@@ -196,35 +197,34 @@ def _thm32_sweep(part: int, draw_tau, cid, ctx, r, params, rng, cap):
     n = sp.n
     t1 = draw_tau(ctx, deg, rng)
     t2i = draw_tau(ctx, deg, rng)
-    work = 2 * n  # the two taus, counted with the first instance
+    taus = 2 * n  # the two taus, counted with the first instance
     for coeffs, live, ords in _monic_blocks(part, ctx, deg):
         comp = companions(ctx, coeffs)
         sig = matrix_tables(ctx, comp)
         sig = t1[sig[:, t2i]] if part == 1 else conjugate_rows(sig, t1)
-        fails, sige = _row_failures(part, sig, live, ords, sp)
-        ident = np.zeros(len(coeffs), dtype=bool)  # rows that build M + I
+        works = [n] * len(coeffs)
+        works[0], taus = n + taus, 0
+        steps, sige = _thm_steps(part, sig, live, ords, sp, coeffs, works)
         if part == 3:
-            # sigma + e = tau1 o sigma_(M+I) o tau1^-1, on the bijective rows
-            ok = np.isin(np.flatnonzero(live), list(fails), invert=True)
-            rows = np.flatnonzero(live)[ok]
-            ident[rows] = True
+            # sigma + e = tau1 o sigma_(M+I) o tau1^-1, on the rows the judge
+            # passed, each building M + I
+            idx = np.flatnonzero(live)
+            ok = np.array([steps[i][0] == PASS for i in idx.tolist()], dtype=bool)
             diag = np.arange(deg)
-            comp = comp[rows]
+            comp = comp[idx[ok]]
             comp[:, diag, diag] = add_digits(ctx.p, ctx.m, comp[:, diag, diag], 1)
             lhs = conjugate_rows(matrix_tables(ctx, comp), t1)
-            for i in np.flatnonzero((sige[ok] != lhs).any(axis=1)):
-                fails[int(rows[i])] = {"kind": "conjugation identity failed"}
-        for i, (c, built) in enumerate(zip(coeffs.tolist(), ident.tolist())):
-            work += n * (1 + built)
-            bad = fails.get(i)
-            yield (FAIL, {"h": c + [1], **bad}, work) if bad else (PASS, None, work)
-            work = 0
+            for i, same in zip(idx[ok].tolist(), (sige[ok] == lhs).all(axis=1).tolist()):
+                steps[i] = ((PASS, None, works[i] + n) if same else
+                            (FAIL, {"h": coeffs[i].tolist() + [1],
+                                    "kind": "conjugation identity failed"}, works[i] + n))
+        yield from steps
 
 
 # ---------------------------------------------------------------------------
-# The block judge of the section-3 and section-4 sweeps.  Its checks are
-# those of every claim; what a failed stage writes into the witness is the
-# claim family's _Shape, passed in as data.
+# The block judge of every sweep: theorem, section 3 and section 4.  Its
+# checks are those of every claim; what a failed stage writes into the
+# witness is the claim family's _Shape, passed in as data.
 # ---------------------------------------------------------------------------
 
 class _Shape(NamedTuple):
@@ -237,14 +237,21 @@ class _Shape(NamedTuple):
     short: Optional[dict]       # the keys when no short cycle exists; None: none sought
 
 
-def _steps(sig, r: int, sp, rows):
+# the theorem shapes: a PP, and a PP with sigma^r = e (r = n or m), failing as "npower!=e"
+_PP = _Shape(({}, True), None, None, None, None, None)
+_NPOWER = _Shape(({"kind": "npower!=e"}, False), None, ({"kind": "npower!=e"}, False),
+                 None, None, None)
+
+
+def _steps(sig, r, sp, rows):
     """(verdict, witness, work) of each row i of the stack ``sig``, given
     rows[i] = (shape, base witness, work): FAIL at the first stage of the
     shape that fails, of PP, CPP, sigma^r = e (every cycle length divides
     r), r-regularity (every length is 1 or r), one fixed point and a cycle of
     length l | r, 1 < l < r; else PASS, with that cycle when one is sought.
-    A block costs one bijective_rows pass for sigma, one add_rows and
-    bijective_rows pass for sigma + e, and one cycle_lengths_rows pass."""
+    r is one int, or an ndarray of one r per row.  A block costs one
+    bijective_rows pass for sigma and, when a row asks, one add_rows and
+    bijective_rows pass for sigma + e and one cycle_lengths_rows pass."""
     got = {}
 
     def fail(i, stage, evidence):
@@ -263,20 +270,24 @@ def _steps(sig, r: int, sp, rows):
         del sige  # freed before the cycle pass, which sets the peak
         good &= ~cpp
     cycled = np.flatnonzero(good & [shape.r_cycle is not None for shape, _, _ in rows])
-    lengths = cycle_lengths_rows(sig if cycled.size == len(sig) else sig[cycled])
-    r_cycle = (r % lengths == 0).all(axis=1)
-    regular = ((lengths == 1) | (lengths == r)).all(axis=1)
-    one_fixed = (lengths == 1).sum(axis=1) == 1
-    for j, i in enumerate(cycled.tolist()):
-        shape, row, ls = rows[i][0], sig[i], lengths[j]
+    lengths = (sig[:0] if not cycled.size else
+               cycle_lengths_rows(sig if cycled.size == len(sig) else sig[cycled]))
+    # the r of each cycled row: a column, or one int r (for int32 arithmetic)
+    rc = r[cycled, None] if isinstance(r, np.ndarray) else r
+    rs = rc[:, 0].tolist() if isinstance(r, np.ndarray) else [r] * cycled.size
+    r_cycle = (rc % lengths == 0).all(axis=1).tolist()
+    regular = ((lengths == 1) | (lengths == rc)).all(axis=1).tolist()
+    one_fixed = ((lengths == 1).sum(axis=1) == 1).tolist()
+    for j, (i, r) in enumerate(zip(cycled.tolist(), rs)):
+        shape = rows[i][0]
         if not r_cycle[j] or shape.regular and not regular[j]:
             fail(i, shape.regular if r_cycle[j] else shape.r_cycle,
-                 lambda: {"cycle": first_cycle(row, ls, lambda L: L > 1 and L != r)})
+                 lambda: {"cycle": first_cycle(sig[i], lengths[j], lambda L: L > 1 and L != r)})
         elif shape.one_fixed and not one_fixed[j]:
             fail(i, shape.one_fixed,
-                 lambda: {"census": CycleStructure.from_lengths(ls).to_json()})
+                 lambda: {"census": CycleStructure.from_lengths(lengths[j]).to_json()})
         elif shape.short is not None:
-            cyc = first_cycle(row, ls, lambda L: 1 < L < r and r % L == 0)
+            cyc = first_cycle(sig[i], lengths[j], lambda L: 1 < L < r and r % L == 0)
             got[i] = ((FAIL, shape.short) if cyc is None
                       else (PASS, {"cycle_length": len(cyc), "cycle": cyc[:16]}))
     for i, (_, base, work) in enumerate(rows):
@@ -534,7 +545,7 @@ def _run(cid: str, row: Claim, params: dict, rng: Random, cap: int):
             work += w
             if verdict == FAIL:
                 return FAIL, witness, work
-    except HypothesisViolated as ex:
+    except (HypothesisViolated, SizeCap) as ex:
         return SKIP, {"reason": str(ex)}, work
     if verdict is None:
         return SKIP, {"reason": "all instances exceed the size cap"}, work

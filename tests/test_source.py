@@ -218,3 +218,12 @@ def test_sweeps_judge_stacks_not_permtables():
     source = (SRC / "verify.py").read_text()
     assert readers_of(source, "PermTable") == ["explore_quadratic"]
     assert not reads_attribute(source, "construct", "build")
+
+
+def test_one_judge_in_verify():
+    # every verdict of verify comes from one judge: only _steps reads the
+    # row-wise bijectivity and cycle kernels, the collision witness and the
+    # witness cycle
+    source = (SRC / "verify.py").read_text()
+    for name in ("bijective_rows", "cycle_lengths_rows", "_collision", "first_cycle"):
+        assert readers_of(source, name) == ["_steps"], name

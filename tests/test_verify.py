@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -173,6 +174,29 @@ def test_hypothesis_skip_verdict():
     assert "characteristic" in rep.witness["reason"]
     (rep,) = verify.verify_claim("p4.10.2", grid=[{"field": "2^1", "r": 9}])
     assert rep.verdict == "hypothesis-skipped"
+
+
+THM_IDS = sorted(c for c in verify.REGISTRY if c.startswith("thm3."))
+
+
+@pytest.mark.parametrize("cid", THM_IDS)
+def test_theorem_point_over_the_squared_cap_is_skipped_at_once(monkeypatch, cid):
+    # a theorem point builds q^deg tables of q^deg entries, and the orders of
+    # parts 2 and 4 take as long: F_2^8 with deg 2 is 2^32 entries, skipped
+    # before any order is computed; F_2^5 (2^20 entries) still runs
+    def no_orders(*args):
+        raise AssertionError("monic_orders ran")
+
+    monkeypatch.setattr(verify, "monic_orders", no_orders)
+    for field in ("2^6", "2^8"):
+        t0 = time.perf_counter()
+        (rep,) = verify.verify_claim(cid, grid=[{"field": field, "deg": 2}], profile="full")
+        assert time.perf_counter() - t0 < 1
+        assert rep.verdict == "hypothesis-skipped" and rep.work == 0
+        assert rep.witness["reason"].startswith("q^(2 deg) = ")
+    monkeypatch.undo()
+    (rep,) = verify.verify_claim(cid, grid=[{"field": "2^5", "deg": 2}], profile="full")
+    assert rep.verdict == "pass"
 
 
 def test_reports_replay_bit_for_bit():
@@ -585,6 +609,52 @@ def test_one_cycle_pass_per_checked_table(monkeypatch, cid, point):
         assert passes == ([(1, 4 ** 8)] * 2 if cid == "p4.10.3" else [(8, 25)])
     # each instance checks one table (one row) and counts 2n work for it
     assert rep.work == sum(2 * h * n for h, n in passes)
+
+
+@pytest.mark.parametrize("cid", ["p4.10.1", "thm3.1.1"])
+def test_no_cycle_pass_when_no_row_asks_for_cycles(monkeypatch, cid):
+    # p4.10.1 asks for a CPP and thm3.1.1 for a PP: no row of theirs has a
+    # cycle stage, so the judge makes no cycle pass, not even an empty one
+    calls = []
+
+    def counted(tables):
+        calls.append(tables.shape)
+        return real(tables)
+
+    real = perm.cycle_lengths_rows
+    monkeypatch.setattr(verify, "cycle_lengths_rows", counted)
+    reports = verify.verify_claim(cid, master_seed=42, profile="full")
+    assert {rep.verdict for rep in reports} == {"pass"}
+    assert calls == []
+
+
+def test_steps_reads_one_order_per_row():
+    # two tables on 8 points: (0 1 2)(3 4), of order 6, and (0 1 2 3)(4 5),
+    # of order 4, judged with one r per row
+    sig = np.array([[1, 2, 0, 4, 3, 5, 6, 7], [1, 2, 3, 0, 5, 4, 6, 7]], dtype=np.int32)
+    sp = perm.space(field_new(2), 3)
+
+    def judged(orders, shape=verify._NPOWER):
+        rows = [(shape, {"h": [i], "n": n}, 10 + i) for i, n in enumerate(orders)]
+        return list(verify._steps(sig, np.array(orders), sp, rows))
+
+    npower = {"kind": "npower!=e"}
+    assert judged([6, 4]) == [(verify.PASS, None, 10), (verify.PASS, None, 11)]
+    # the same table fails with a smaller order, and its witness carries that
+    # row's base keys
+    assert judged([6, 2]) == [(verify.PASS, None, 10),
+                              (verify.FAIL, {"h": [1], "n": 2, **npower}, 11)]
+    assert judged([3, 4]) == [(verify.FAIL, {"h": [0], "n": 3, **npower}, 10),
+                              (verify.PASS, None, 11)]
+    # one r for the block judges as that r on every row
+    rows = [(verify._NPOWER, {"h": [i]}, 0) for i in range(2)]
+    assert (list(verify._steps(sig, 4, sp, rows))
+            == list(verify._steps(sig, np.array([4, 4]), sp, rows)))
+    # the regularity witness is the least cycle whose length is neither 1 nor
+    # the row's own r: the 3-cycle of row 0 (r = 6), the 2-cycle of row 1 (r = 4)
+    regular = verify._Shape(({}, True), None, ({}, False), ({"kind": "not regular"}, True),
+                            None, None)
+    assert [witness["cycle"] for _, witness, _ in judged([6, 4], regular)] == [[0, 1, 2], [4, 5]]
 
 
 def test_short_cycle_check_on_a_3_regular_cpp():
