@@ -23,7 +23,7 @@ import sys
 
 from . import construct, fieldext, verify
 from .errors import CppforgeError, InvalidSpec
-from .gf import field_args, field_spec, parse_field_spec
+from .gf import field_args, field_new, field_spec
 from .perm import check_cap
 from .poly import cyclotomic
 
@@ -53,10 +53,10 @@ def _emit(args, record: dict, text=None) -> None:
 
 
 def cmd_cyclotomic(args) -> int:
-    ctx = parse_field_spec(_field_arg(args))
-    q = cyclotomic(args.n, ctx)
+    spec = _field_arg(args)
+    q = cyclotomic(args.n, field_new(field_args(spec)[0]))  # Q_n reads only p
     text = q.to_text()
-    _emit(args, {"n": args.n, "field": ctx.spec(), "coeffs": q.to_json(), "text": text}, text)
+    _emit(args, {"n": args.n, "field": spec, "coeffs": q.to_json(), "text": text}, text)
     return 0
 
 
@@ -65,15 +65,16 @@ def cmd_construct(args) -> int:
     for key in ("r", "m", "tau"):  # named_construction rejects those it does not read
         if getattr(args, key) is not None:
             params[key] = getattr(args, key)
+    if args.emit == "spec":  # a spec needs no table, so no table cap
+        _emit(args, construct.named_construction(args.claim, params).to_json())
+        return 0
     q, d = construct.table_dims(args.claim, params)  # refused before the field is built
     if args.emit == "univariate":
         fieldext.check_univariate_cap(q ** d)
     check_cap(q, d)
     spec = construct.named_construction(args.claim, params)
     table = construct.build(spec)
-    if args.emit == "spec":
-        _emit(args, spec.to_json())
-    elif args.emit == "univariate":
+    if args.emit == "univariate":
         bp = fieldext.default_basis(spec.field, spec.d)
         pol = fieldext.to_univariate(bp, table)
         _emit(args, {"field": bp.big.spec(), "coeffs": pol.to_json()}, pol.to_text())

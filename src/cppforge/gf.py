@@ -22,11 +22,12 @@ when p = 2, else chunks of k base-p digits added through a p^k x p^k lookup
 table built once per p (one digit at a time, ``(a + b) % p``, when p^2 is
 above the table bound).
 
-On index arrays, ``vmul`` is the elementwise ``mul`` (``exp[log a + log b]``
-with a zero mask, on numpy copies of the tables made on first use) and
-``vsum`` the field sum, of a whole array or along one axis (``sum % p`` in
-a prime field, an XOR reduce when p = 2, else each base-p digit summed
-mod p).
+Both tables are read-only int64 arrays, held once: ``mul``, ``inv`` and
+``pow`` index them through memoryviews, which return Python ints, and
+``vmul``, the elementwise ``mul`` on index arrays (``exp[log a + log b]``
+with a zero mask), reads the same buffers as arrays.  ``vsum`` is the field
+sum, of a whole array or along one axis (``sum % p`` in a prime field, an
+XOR reduce when p = 2, else each base-p digit summed mod p).
 
 Integers are factored in one place, ``factor``: trial division below 2^10
 that stops once the cofactor is prime by ``is_prime``, a Miller-Rabin test,
@@ -244,7 +245,7 @@ class FieldCtx:
     :func:`field_new`, which caches contexts and picks the canonical modulus.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "key", "_exp", "_log", "_np_tables")
+    __slots__ = ("p", "m", "q", "modulus", "key", "_exp", "_log")
 
     def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None):
         mod = _checked(p, m, modulus)
@@ -253,11 +254,11 @@ class FieldCtx:
         self.q = p ** m
         self.modulus = mod or (None if m == 1 else _canonical_modulus(p, m))
         self.key = (p, m, self.modulus)
-        self._exp, self._log = self._exp_log_tables() if m > 1 else (None, None)
-        self._np_tables = None
+        self._exp, self._log = map(memoryview, self._exp_log_tables()) if m > 1 else (None, None)
 
-    def _exp_log_tables(self) -> tuple[list, list]:
-        """``exp[k] = g^k`` for 0 <= k < 2(q-1) and ``log``, its inverse."""
+    def _exp_log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``exp[k] = g^k`` for 0 <= k < 2(q-1) and ``log``, its inverse, as
+        read-only int64 arrays."""
         from .poly import Poly
 
         p, m, q = self.p, self.m, self.q
@@ -277,7 +278,7 @@ class FieldCtx:
             row = (Poly(fp, (0,) * i + gd) % mod).coeffs
             G[i, :len(row)] = row
         pw = p ** np.arange(m, dtype=np.int64)
-        exp = np.zeros(n, dtype=np.int64)
+        exp = np.zeros(2 * n, dtype=np.int64)
         exp[0] = 1
         s = 1
         while s < n:  # G is multiplication by g^s: exp[s:2s] = exp[:s] * g^s
@@ -287,10 +288,11 @@ class FieldCtx:
                 exp[s + lo:s + hi] = (exp[lo:hi, None] // pw % p) @ G % p @ pw
             G = G @ G % p
             s += t
+        exp[n:] = exp[:n]
         log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(n)
-        powers = exp.tolist()
-        return powers + powers, log.tolist()
+        log[exp[:n]] = np.arange(n)
+        exp.flags.writeable = log.flags.writeable = False
+        return exp, log
 
     # -- basic protocol ----------------------------------------------------
 
@@ -371,9 +373,7 @@ class FieldCtx:
             if self.p > 1 << 31:  # a * b must fit in int64
                 raise SizeCap(f"array products need p < 2^31, got p = {self.p}")
             return a * b % self.p
-        if self._np_tables is None:
-            self._np_tables = np.array(self._exp), np.array(self._log)
-        exp, log = self._np_tables
+        exp, log = np.asarray(self._exp), np.asarray(self._log)
         return np.where((a == 0) | (b == 0), 0, exp[log[a] + log[b]])
 
     def vsum(self, a, axis=None):

@@ -357,7 +357,7 @@ def monic_values(ctx: FieldCtx, coeffs: np.ndarray, x: int) -> np.ndarray:
 
 @functools.cache
 def monic_orders(ctx: FieldCtx, deg: int, shift: int) -> np.ndarray:
-    """ord(t + shift mod h) for every monic h of degree deg, as an array.
+    """ord(t + shift mod h) for every monic h of degree deg, as an int32 array.
 
     Entry v belongs to the v-th polynomial of :func:`monic_polys`, whose
     coefficients are the base-q digits of v.  The entry is 0 where
@@ -378,20 +378,20 @@ def monic_orders(ctx: FieldCtx, deg: int, shift: int) -> np.ndarray:
     sh = ctx.from_int(shift)
     rows = np.nonzero(monic_values(ctx, coeffs, ctx.neg(sh)))[0]
     cur = np.zeros((len(rows), deg), dtype=np.int64)
-    if deg == 1:
-        cur[:, 0] = add_digits(p, ctx.m, neg_h[rows, 0], sh)  # t = -h_0 mod h
-    else:
-        cur[:, 0], cur[:, 1] = sh, 1
+    cur[:, 0] = 1
     neg_h = neg_h[rows]
-    one = np.zeros(deg, dtype=np.int64)
-    one[0] = 1
+    one = np.eye(deg, dtype=np.int64)[0]
     mult = 1
     while mult < deg:
         mult *= p
-    bound = (n - 1) * mult + 1
-    out = np.zeros(n, dtype=np.int64)
-    k = 1
-    while True:
+    out = np.zeros(n, dtype=np.int32)  # orders <= (n - 1) * mult < 2^31 under the cap
+    for k in range(1, (n - 1) * mult + 2):
+        # cur := cur * (t + shift) mod h, then the rows at 1 have order k
+        nxt = np.zeros_like(cur)
+        nxt[:, 1:] = cur[:, :-1]
+        if sh:
+            nxt = add_digits(p, ctx.m, nxt, mul(cur, sh))
+        cur = add_digits(p, ctx.m, nxt, mul(cur[:, -1:], neg_h))
         done = (cur == one).all(axis=1)
         if done.any():
             out[rows[done]] = k
@@ -399,15 +399,8 @@ def monic_orders(ctx: FieldCtx, deg: int, shift: int) -> np.ndarray:
             rows, cur, neg_h = rows[keep], cur[keep], neg_h[keep]
             if not len(rows):
                 break
-        # cur := cur * (t + shift) mod h
-        nxt = np.zeros_like(cur)
-        nxt[:, 1:] = cur[:, :-1]
-        if sh:
-            nxt = add_digits(p, ctx.m, nxt, mul(cur, sh))
-        cur = add_digits(p, ctx.m, nxt, mul(cur[:, -1:], neg_h))
-        k += 1
-        if k > bound:
-            raise RuntimeError("internal error: order search exceeded bound")
+    else:
+        raise RuntimeError("internal error: order search exceeded bound")
     out.flags.writeable = False
     return out
 

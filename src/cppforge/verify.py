@@ -12,7 +12,8 @@ the verdict ``hypothesis-skipped`` rather than being dropped.
 runner, ``_run``.  To add a claim, add one row: its statement, quick and full
 grids, the sweep, and where they apply the table dimension d of the whole
 point (checked against the size cap before the field is built), a fixed r
-and a guard that names a violated hypothesis.  The sweep is a generator
+and a guard that names a violated hypothesis from p and r alone (run next,
+still before the field is built).  The sweep is a generator
 that yields one step (verdict, witness, work) per instance, in the order the
 point's RNG drew it, work being the table entries built since the previous
 step.  The runner stops at the first FAIL; otherwise the point passes with
@@ -402,15 +403,15 @@ def _p3_negative_sweep(tau_kind: str, cid, ctx, r, params, rng, cap):
                                        for h, _ in block])
 
 
-def _not_composite(ctx: FieldCtx, r: int) -> Optional[str]:
+def _not_composite(p: int, r: int) -> Optional[str]:
     return None if not is_prime(r) and r >= 4 else f"r = {r} is not composite"
 
 
-def _p3_guard(composite: bool, ctx: FieldCtx, r: int) -> Optional[str]:
-    if r % ctx.p == 0:
-        return f"gcd(r, p) != 1 (r={r}, p={ctx.p})"
+def _p3_guard(composite: bool, p: int, r: int) -> Optional[str]:
+    if r % p == 0:
+        return f"gcd(r, p) != 1 (r={r}, p={p})"
     if composite:
-        return _not_composite(ctx, r)
+        return _not_composite(p, r)
     return None if is_prime(r) and r % 2 == 1 else f"r = {r} is not an odd prime"
 
 
@@ -525,7 +526,7 @@ class Claim:
     sweep: Callable                   # (cid, ctx, r, params, rng, cap) -> steps
     d: Optional[Callable] = None      # (params, r) -> table dimension of the point
     r: Optional[int] = None           # None: r comes from the grid point
-    guard: Optional[Callable] = None  # (ctx, r) -> skip reason or None
+    guard: Optional[Callable] = None  # (p, r) -> skip reason or None, before any field
 
 
 def _run(cid: str, row: Claim, params: dict, rng: Random, cap: int):
@@ -535,10 +536,9 @@ def _run(cid: str, row: Claim, params: dict, rng: Random, cap: int):
     r = row.r or params.get("r")
     if row.d and (over := over_cap(p ** m, row.d(params, r), cap)):
         return SKIP, {"reason": f"q^d = {over} exceeds cap {cap}"}, 0
-    ctx = field_new(p, m, modulus)
-    reason = row.guard(ctx, r) if row.guard else None
-    if reason:
+    if row.guard and (reason := row.guard(p, r)):
         return SKIP, {"reason": reason}, 0
+    ctx = field_new(p, m, modulus)
     work, verdict, witness = 0, None, None
     try:
         for verdict, witness, w in row.sweep(cid, ctx, r, params, rng, cap):
@@ -614,7 +614,7 @@ _SECTION4 = {
                   _Q247, _by_mode(_regular_check)),
     "p4.1.2": _p4("r=3 family, additive a_i and p=2: sigma + e is also a "
                   "3-regular CPP", _Q247, _by_mode(partial(_regular_check, plus_e=True)),
-                  guard=lambda ctx, r: None if ctx.p == 2 else "requires characteristic 2"),
+                  guard=lambda p, r: None if p == 2 else "requires characteristic 2"),
     "p4.1.3": _p4("r=3, a_2=e, M=[[0,m],[-1/m,-1]]: 3-regular CPP for any PP a_1 "
                   "(and sigma+e too when p=2)",
                   _Q247, _by_m(_SIG_E)),
@@ -658,7 +658,7 @@ _SECTION4 = {
     "p4.10.2": _p4("odd prime r, a_1 o a_2 = e: r-regular CPP over F_{q^(r-1)}",
                    (_f("2^1", r=3), _f("2^1", r=5), _f("2^2", r=5)),
                    _by_seed(_regular_check, with_r=True, tau="inverse"), build="p4.10",
-                   guard=lambda ctx, r: None if is_prime(r) else f"r = {r} is not prime"),
+                   guard=lambda p, r: None if is_prime(r) else f"r = {r} is not prime"),
     "p4.10.3": _p4("odd composite r, a_1 o a_2 = e: CPP and r-cycle but NOT "
                    "r-regular (short cycle exhibited)",
                    (_f("2^1", r=9),), _by_seed(_short_cycle_check), build="p4.10",

@@ -101,6 +101,28 @@ def test_construct_univariate_over_cap_exit_2_before_building(capsys, monkeypatc
     assert code == 2 and out == ""
     assert err == "error: SizeCap: q^d = 1048576 exceeds the univariate cap 4096\n"
 
+def test_construct_spec_needs_no_table(capsys, monkeypatch):
+    # p4.10 with r = 15 over F_4 has q^d = 4^14 = 2^28 entries, above the
+    # table cap, but its spec is small: it is emitted, and no table is built
+    from cppforge import construct
+
+    want = construct.named_construction("p4.10", {"field": "2^2", "seed": 42, "r": 15})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a table for a spec")
+
+    monkeypatch.setattr(construct, "build", refuse)
+    monkeypatch.setattr(construct, "build_rows", refuse)
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "construct", "p4.10", "--q", "4", "--r", "15",
+                             "--emit", "spec", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"schema": "cppforge/1", **want.to_json()}
+    code, out, err = run(capsys, "construct", "p4.10", "--q", "4", "--r", "15")
+    assert code == 2 and out == ""
+    assert err == "error: SizeCap: q^d = 268435456 exceeds the 1048576 table cap\n"
+
+
 def test_construct_spec_round_trips(capsys):
     from cppforge.construct import ConstructionSpec, build
 
@@ -262,7 +284,20 @@ def test_over_cap_points_refused_before_the_field_is_built(capsys, monkeypatch):
              "error: HypothesisViolated: p4.2.1 requires characteristic not dividing r "
              "(got p=2, r=4)\n"),
             (("verify", "p4.3", "--q", "1048576", "--field", "2^20"), 2, "",
-             "error: InvalidSpec: give the field once: a positional spec, --field or --q\n")):
+             "error: InvalidSpec: give the field once: a positional spec, --field or --q\n"),
+            # Q_n reads only p, and a guard only p and r: neither builds F_2^20
+            (("cyclotomic", "7", "--q", "1048576"), 0,
+             "1+1*t+1*t^2+1*t^3+1*t^4+1*t^5+1*t^6\n", ""),
+            (("cyclotomic", "7", "--q", "1048576", "--format", "json"), 0,
+             '{"coeffs":[1,1,1,1,1,1,1],"field":"2^20","n":7,"schema":"cppforge/1",'
+             '"text":"1+1*t+1*t^2+1*t^3+1*t^4+1*t^5+1*t^6"}\n', ""),
+            (("verify", "p3.1", "--q", "1048576", "--r", "4"), 0,
+             'HYPOTHESIS-SKIPPED   p3.1 {"field": "2^20", "r": 4} '
+             'witness={"reason": "gcd(r, p) != 1 (r=4, p=2)"}\n', ""),
+            (("verify", "p3.1", "--q", "1048576", "--r", "4", "--format", "json"), 0,
+             '{"claim":"p3.1","params":{"field":"2^20","r":4},"schema":"cppforge/1",'
+             '"verdict":"hypothesis-skipped","witness":{"reason":"gcd(r, p) != 1 '
+             '(r=4, p=2)"},"work":0}\n', "")):
         assert run(capsys, *argv) == (code, out, err), argv
 
 

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +177,42 @@ def test_array_product_refuses_int64_overflow():
     big_prime = gf.field_new(2 ** 31 + 11)
     with pytest.raises(SizeCap):
         big_prime.vmul(np.array([2]), np.array([3]))
+
+
+def test_extension_scalars_are_ints_and_tables_read_only():
+    # mul, inv and pow read the tables through memoryviews and return Python
+    # ints, which json encodes (np.int64 it refuses); vmul reads the same
+    # buffers as int64 arrays, and neither can be written
+    ctx = gf.field_new(3, 4)
+    for got in (ctx.mul(5, 7), ctx.mul(np.int64(5), np.int64(7)), ctx.inv(5),
+                ctx.inv(np.int64(5)), ctx.pow(5, 3), ctx.pow(5, -3),
+                ctx.pow(np.int64(5), np.int64(3)), ctx.neg(5)):
+        assert type(got) is int
+    assert json.dumps([ctx.mul(5, 7), ctx.inv(5), ctx.pow(5, 3)])
+    assert ctx.vmul(np.array([5, 0]), 7).dtype == np.int64
+    assert ctx.vmul(np.array([5, 0], dtype=np.int32), np.int32(7)).dtype == np.int64
+    assert len(ctx._exp) == 2 * (ctx.q - 1) and len(ctx._log) == ctx.q
+    for table in (ctx._exp, ctx._log):
+        with pytest.raises(TypeError):
+            table[1] = 0
+        arr = np.asarray(table)
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[1] = 0
+
+
+def test_extension_field_holds_each_table_once():
+    # exp (2(q - 1) entries) and log (q entries) in int64 are 1.5 MiB for
+    # F_2^16, held with no second copy as lists or arrays, nor after vmul
+    gf.FieldCtx(2, 16)  # the cached modulus search is not counted
+    tracemalloc.start()
+    try:
+        ctx = gf.FieldCtx(2, 16)
+        assert ctx.vmul(np.arange(4), 3).tolist() == [ctx.mul(a, 3) for a in range(4)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 << 20, held
 
 
 @pytest.mark.parametrize("spec", ["2^12", "3^6", "5^4", "3^2/2,1,1"])
