@@ -107,8 +107,11 @@ def factor(n: int) -> list[int]:
 
     Trial division below 2^10, which stops once the cofactor is prime
     (``is_prime``); a cofactor still composite after it is split by
-    Pollard's rho: Floyd's cycle search on x -> x^2 + c, for c = 1, 2, ...
-    (Pollard, BIT 15, 1975).
+    Pollard's rho on x -> x^2 + c, for c = 1, 2, ... (Pollard, BIT 15,
+    1975), with Brent's cycle search (Brent, BIT 20, 1980): y runs ahead of
+    a saved x in doubling stretches, and the differences x - y are
+    multiplied together mod n, _RHO_BATCH of them per gcd.  A batch whose
+    gcd is n is walked again one step per gcd from its start.
     """
     out, f, prime = [], 2, is_prime(n)
     while not prime and f * f <= n and f < 1 << 10:
@@ -128,14 +131,37 @@ def factor(n: int) -> list[int]:
             continue
         c, d = 0, m
         while d == m:  # the cycle closed mod m itself: try the next c
-            c, x, y, d = c + 1, 2, 2, 1
-            while d == 1:
-                x = (x * x + c) % m
-                y = (y * y + c) % m
-                y = (y * y + c) % m
-                d = math.gcd(x - y, m)
+            c += 1
+            d = _brent(m, c)
         rest += [d, m // d]
     return sorted(out)
+
+
+_RHO_BATCH = 100  # differences multiplied per gcd in _brent
+
+
+def _brent(m: int, c: int) -> int:
+    """A divisor d > 1 of the composite m from the rho walk x -> x^2 + c mod
+    m, by Brent's cycle search; d = m when the walk closes mod m itself."""
+    y, stretch, d = 2, 1, 1
+    while d == 1:
+        x = y
+        for _ in range(stretch):
+            y = (y * y + c) % m
+        for lo in range(0, stretch, _RHO_BATCH):
+            start, prod = y, 1
+            for _ in range(min(_RHO_BATCH, stretch - lo)):
+                y = (y * y + c) % m
+                prod = prod * (x - y) % m
+            if (d := math.gcd(prod, m)) != 1:
+                break
+        stretch *= 2
+    if d == m:  # a factor hides in the batch: walk it again, one gcd a step
+        y, d = start, 1
+        while d == 1:
+            y = (y * y + c) % m
+            d = math.gcd(x - y, m)
+    return d
 
 
 @functools.cache

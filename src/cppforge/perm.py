@@ -17,14 +17,21 @@ the ``PermTable`` method: ``bijective_rows``, ``conjugate_rows`` (tau o f o
 tau^-1 by one scatter, with no inverse built, for one tau or one per row)
 and ``add_rows`` (sigma + e), so a sweep over many small maps runs as array
 passes; ``compose_rows`` composes two stacks row by row.  ``PermTable.npower``
-is plain repeated squaring on one table; no check takes powers.
+is plain repeated squaring on one table.
 
-Every cycle question (sigma^r = e, the census, r-regularity, witness cycles)
-is answered from one pointer-jumping pass over whole arrays:
-``cycle_lengths_rows`` gives the cycle lengths of every row of a stack of
-bijections at once, and ``PermTable.cycle_lengths`` is its one-row case,
-run once per table and kept on it.  ``CycleStructure.from_lengths`` and
+A cycle question with an r (sigma^r = e, r-regularity, and the census and
+witness cycles of a table that has them) is answered by the power
+criterion: ``power_lengths_rows`` takes sigma^r and sigma^(r/l^j), for each
+prime power l^j dividing r, by repeated squaring over a whole stack, and
+gives each point's cycle length where it divides r, and 0 where sigma^r
+moves the point; ``PermTable.is_r_cycle`` and ``is_r_regular`` are its
+one-row cases.  A question without an r (``PermTable.cycle_structure``,
+``find_cycle``) reads the full cycle lengths from one pointer-jumping pass,
+``cycle_lengths_rows``, whose one-row case ``PermTable.cycle_lengths`` runs
+once per table and is kept on it.  ``CycleStructure.from_lengths`` and
 ``first_cycle`` read the census and a witness cycle off one row of lengths.
+The powers are gathered in slices of _SLICE entries (``_gather``), as numpy
+copies int32 indices to intp and a whole-table copy would set the peak.
 
 Coordinatewise addition is ``gf.add_digits``, the one digitwise adder.
 ``add_rows`` runs it in column slices, as its temporaries would otherwise
@@ -46,10 +53,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, NotBijective, SizeCap
-from .gf import TABLE_CAP, FieldCtx, add_digits, over_cap
+from .gf import TABLE_CAP, FieldCtx, add_digits, factor, over_cap
 from .linalg import Mat
 
-_SLICE = 1 << 16  # the least column-slice width of add_rows
+_SLICE = 1 << 16  # the least column-slice width of add_rows; the slice of a gather
 
 
 def check_cap(q: int, d: int) -> None:
@@ -206,16 +213,126 @@ def cycle_lengths_rows(tables: np.ndarray) -> np.ndarray:
     return np.bincount(low).astype(np.int32).take(low).reshape(tables.shape)
 
 
-def first_cycle(table: np.ndarray, lengths: np.ndarray, predicate) -> list[int] | None:
-    """The cycle of ``table`` through the least point whose cycle length
-    (from ``lengths``, the table's cycle lengths) satisfies ``predicate``,
-    listed from that point (the least point of the cycle)."""
-    wanted = [l for l in np.flatnonzero(np.bincount(lengths)).tolist() if predicate(l)]
-    if not wanted:
+def _gather(src: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = src[idx] for flat arrays, in slices of _SLICE entries: numpy
+    copies int32 indices to intp, and a slice keeps that copy small.  Mode
+    "clip" (the indices are in range) writes straight into ``out``."""
+    for lo in range(0, idx.size, _SLICE):
+        src.take(idx[lo:lo + _SLICE], out=out[lo:lo + _SLICE], mode="clip")
+    return out
+
+
+def power_lengths_rows(sp: VecSpace, tables: np.ndarray, r, exact: bool = True) -> np.ndarray:
+    """The (H, n) int32 array whose row i holds, for each point, the length
+    of its cycle under row i of an (H, n) stack of bijections on ``sp``
+    where that length divides r, and 0 where sigma^r moves the point.  r >= 1
+    is one int, or an ndarray of one r per row, whose rows are powered as one
+    stack per distinct r.  With ``exact`` false only sigma^r is taken, and
+    every point it fixes reads 1.
+
+    The power criterion: a point on a cycle of length L | r is fixed by
+    sigma^(r/l^j), l a prime and l^j | r, exactly when l^j divides r/L, so
+    L is the product of one l for each such (l, j) whose power moves it.
+    The powers come from left-to-right repeated squaring over the stack as
+    one flat map (``_flat_rows``): for each prime l <= n, sigma^s with
+    s = r/l^e (l^e || r), then its l-th powers up to sigma^r, reading every
+    wanted exponent met on the way, so a later prime's chain runs only while
+    it still has one to read.  Each power is folded into the lengths as it
+    is made, and once one is the identity on every row, so is each multiple.
+    """
+    if not isinstance(r, np.ndarray):
+        return _power_lengths(sp, tables, r, exact)
+    order = np.argsort(r, kind="stable")
+    rs = r[order]
+    cuts = [0, *(np.flatnonzero(rs[1:] != rs[:-1]) + 1).tolist(), len(rs)]
+    if len(cuts) == 2:
+        return _power_lengths(sp, tables, int(rs[0]), exact)
+    runs = tables[order]
+    out = np.empty(tables.shape, dtype=np.int32)
+    for lo, hi in zip(cuts, cuts[1:]):
+        out[order[lo:hi]] = _power_lengths(sp, runs[lo:hi], int(rs[lo]), exact)
+    return out
+
+
+def _power_lengths(sp: VecSpace, tables: np.ndarray, r: int, exact: bool) -> np.ndarray:
+    """``power_lengths_rows`` for one r."""
+    if r < 1:
+        raise ValueError(f"power lengths need r >= 1, got {r}")
+    h, n = tables.shape
+    sig = _flat_rows(tables)
+    # the identity as one flat map: the cached arange for one row
+    ident = sp.arange if h == 1 else _flat_rows(np.broadcast_to(sp.arange, tables.shape))
+    lengths = np.ones(sig.size, dtype=np.int32)
+    moved = np.empty(sig.size, dtype=bool)
+    # a prime l > n divides no length, so a point that sigma^(r/l^j) moves
+    # has a length not dividing r, and sigma^r moves it too
+    primes = [l for l in factor(r) if l <= n] if exact else []
+    # exponent -> its fold.  sigma^(r/l^j), l^e || r, moves a point on a
+    # cycle of length L | r exactly when j > e - v_l(L), so the powers that
+    # move it fold in l^v_l(L); sigma^r (fold 0) moves exactly the points
+    # whose L does not divide r
+    folds = {r // l ** j: l for l in set(primes) for j in range(1, primes.count(l) + 1)}
+    folds[r] = 0
+    spare: list = []
+
+    def read(power: np.ndarray, e: int) -> None:
+        """Fold sigma^e, held in ``power``, into the lengths if e is wanted."""
+        if (fold := folds.pop(e, None)) is None:
+            return
+        np.not_equal(power, ident, out=moved)
+        np.multiply(lengths, fold, out=lengths, where=moved)
+        if not moved.any():  # sigma^e = e on every row, and so is each power of it
+            for k in [k for k in folds if k % e == 0]:
+                del folds[k]
+
+    def power(base: np.ndarray, b: int, k: int) -> np.ndarray:
+        """sigma^(b k) from base = sigma^b, kept, by left-to-right squaring
+        that reads each power it makes."""
+        acc, e = base, b
+        for bit in bin(k)[3:]:
+            out = _gather(acc, acc, spare.pop() if spare else np.empty_like(sig))
+            if acc is not base:
+                spare.append(acc)
+            acc, e = out, 2 * e
+            read(acc, e)
+            if bit == "1":  # in place: each entry reads only its own index
+                acc, e = _gather(base, acc, acc), e + b
+                read(acc, e)
+        return acc
+
+    read(sig, 1)
+    # the chain of l: sigma^s, s = r/l^e, then its l-th powers up to sigma^r;
+    # the chains of the larger s go first, so a later one often finds what it
+    # needs read already on the way
+    for l in sorted(set(primes), key=lambda l: l ** primes.count(l)):
+        chain = [r // l ** j for j in range(primes.count(l), -1, -1)]
+        base, b = sig, 1
+        while any(k in folds for k in chain if k > b):
+            k = min(k for k in chain if k > b)
+            acc, b = power(base, b, k // b), k
+            if base is not sig:
+                spare.append(base)
+            base = acc
+    if folds:  # not exact: sigma^r alone (r = 1 was read from sigma itself)
+        power(sig, 1, r)
+    return lengths.reshape(h, n)
+
+
+def first_cycle(table: np.ndarray, lengths: np.ndarray, wanted: np.ndarray) -> list[int] | None:
+    """The cycle of ``table`` through the least point x with wanted[lengths[x]]
+    (``wanted`` a boolean lookup over the length values), listed from x, the
+    least point of its cycle, and walked until it closes: a length of 0
+    (one that ``power_lengths_rows`` leaves unknown) needs no count.  The
+    lookup runs in slices of _SLICE points and stops at the first hit."""
+    for lo in range(0, lengths.size, _SLICE):
+        if (hit := wanted.take(lengths[lo:lo + _SLICE])).any():
+            x = lo + int(hit.argmax())
+            break
+    else:
         return None
-    orbit = [int(np.argmax(np.isin(lengths, wanted)))]
-    while len(orbit) < lengths[orbit[0]]:
-        orbit.append(int(table[orbit[-1]]))
+    orbit = [x]
+    while (y := int(table[orbit[-1]])) != x:
+        orbit.append(y)
     return orbit
 
 
@@ -362,11 +479,14 @@ class PermTable:
         array: the one-row case of ``cycle_lengths_rows``, computed by the
         first call and kept on the table."""
         if self._lengths is None:
-            if not self.bijective:
-                raise NotBijective("cycle lengths need a bijective table")
-            self._lengths = cycle_lengths_rows(self.table[None])[0]
+            self._lengths = cycle_lengths_rows(self._bijection()[None])[0]
             self._lengths.flags.writeable = False
         return self._lengths
+
+    def _bijection(self) -> np.ndarray:
+        if not self.bijective:
+            raise NotBijective("cycle lengths need a bijective table")
+        return self.table
 
     def cycle_structure(self) -> CycleStructure:
         return CycleStructure.from_lengths(self.cycle_lengths())
@@ -374,15 +494,25 @@ class PermTable:
     def find_cycle(self, predicate) -> list[int] | None:
         """The cycle through the least point whose cycle length satisfies
         ``predicate``, listed from that point (the least point of the cycle)."""
-        return first_cycle(self.table, self.cycle_lengths(), predicate)
+        cs = self.cycle_structure()
+        wanted = np.zeros(self.n + 1, dtype=bool)
+        wanted[[l for l in [1] * bool(cs.fixed_points) + [l for l, _ in cs.cycles]
+                if predicate(l)]] = True
+        return first_cycle(self.table, self.cycle_lengths(), wanted)
+
+    def _lengths_dividing(self, r: int, exact: bool) -> np.ndarray:
+        return power_lengths_rows(space(self.ctx, self.d), self._bijection()[None], r, exact)[0]
 
     def is_r_cycle(self, r: int) -> bool:
-        """sigma^r = e: every cycle length divides r."""
-        return all(r % l == 0 for l, _ in self.cycle_structure().cycles)
+        """sigma^r = e, for r >= 1: the one-row case of ``power_lengths_rows``."""
+        return bool(self._lengths_dividing(r, False).all())
 
     def is_r_regular(self, r: int) -> bool:
-        """All non-fixed cycles have length exactly r (fixed points ignored)."""
-        return all(l == r for l, _ in self.cycle_structure().cycles)
+        """Every cycle has length 1 or r, for r >= 1: sigma^r = e, and for each
+        prime l | r, sigma^(r/l) fixes only the fixed points of sigma (the
+        one-row case of ``power_lengths_rows``)."""
+        lengths = self._lengths_dividing(r, True)
+        return bool(((lengths == 1) | (lengths == r)).all())
 
     def is_cpp(self) -> bool:
         """Both the table and table + identity are bijections."""

@@ -31,7 +31,8 @@ the table under test.  The section-3 sweeps stack the matrices of a degree,
 and the section-4 sweep the cases of a point (``construct.build_rows``).
 One judge, ``_steps``, checks the blocks of all three, and reads sigma^r = e
 (one r, or one order per row), regularity, the census and witness cycles
-from one cycle-length pass per block.
+from one ``perm.power_lengths_rows`` call per block: powers of sigma by
+repeated squaring (the power criterion), never a pointer-jumping census.
 
 Reports are replayable: the verdict and witness are pure functions of
 (claim id, parameters, master seed).  The JSON-line stream therefore emits a
@@ -57,7 +58,7 @@ from .errors import HypothesisViolated, InvalidSpec, SizeCap, UnknownClaim
 from .gf import FieldCtx, add_digits, factor, field_args, field_new, is_prime, parse_field_spec
 from .linalg import companions, random_invertible
 from .perm import (TABLE_CAP, CycleStructure, PermTable, add_rows, bijective_rows,
-                   conjugate_rows, cycle_lengths_rows, first_cycle, matrix_tables, over_cap,
+                   conjugate_rows, first_cycle, matrix_tables, over_cap, power_lengths_rows,
                    space)
 from .poly import Poly, cyclotomic, irreducible_factors, monic_coeffs, monic_orders, monic_values
 
@@ -252,7 +253,8 @@ def _steps(sig, r, sp, rows):
     length l | r, 1 < l < r; else PASS, with that cycle when one is sought.
     r is one int, or an ndarray of one r per row.  A block costs one
     bijective_rows pass for sigma and, when a row asks, one add_rows and
-    bijective_rows pass for sigma + e and one cycle_lengths_rows pass."""
+    bijective_rows pass for sigma + e and one power_lengths_rows call, which
+    takes only sigma^r unless a row asks for more than sigma^r = e."""
     got = {}
 
     def fail(i, stage, evidence):
@@ -270,25 +272,42 @@ def _steps(sig, r, sp, rows):
             fail(i, rows[i][0].cpp, lambda: _collision(sige[i]))
         del sige  # freed before the cycle pass, which sets the peak
         good &= ~cpp
-    cycled = np.flatnonzero(good & [shape.r_cycle is not None for shape, _, _ in rows])
-    lengths = (sig[:0] if not cycled.size else
-               cycle_lengths_rows(sig if cycled.size == len(sig) else sig[cycled]))
+    cycled = np.flatnonzero(good & [shape.r_cycle is not None for shape, _, _ in rows]).tolist()
+    shapes = [rows[i][0] for i in cycled]
+    per_row = isinstance(r, np.ndarray)
     # the r of each cycled row: a column, or one int r (for int32 arithmetic)
-    rc = r[cycled, None] if isinstance(r, np.ndarray) else r
-    rs = rc[:, 0].tolist() if isinstance(r, np.ndarray) else [r] * cycled.size
-    r_cycle = (rc % lengths == 0).all(axis=1).tolist()
-    regular = ((lengths == 1) | (lengths == rc)).all(axis=1).tolist()
-    one_fixed = ((lengths == 1).sum(axis=1) == 1).tolist()
-    for j, (i, r) in enumerate(zip(cycled.tolist(), rs)):
-        shape = rows[i][0]
+    rc = r[cycled, None] if per_row else r
+    if cycled:
+        lengths = power_lengths_rows(
+            sp, sig if len(cycled) == len(sig) else sig[cycled], rc[:, 0] if per_row else r,
+            any(s.r_cycle[1] or s.regular or s.one_fixed or s.short is not None for s in shapes))
+
+    def asked(stage, test):
+        """{j: test(lengths, r)} for the cycled rows j whose shape has ``stage``."""
+        js = [j for j, shape in enumerate(shapes) if getattr(shape, stage) is not None]
+        if len(js) == len(shapes):
+            return dict(enumerate(test(lengths, rc).tolist())) if js else {}
+        return dict(zip(js, test(lengths[js], rc[js] if per_row else rc).tolist()))
+
+    def cycle(j):
+        """The least cycle of cycled row j whose length is neither 1 nor r: its
+        lengths hold the divisors of r, and 0 for every other length."""
+        r_j = int(rc[j, 0]) if per_row else r
+        wanted = np.ones(sp.n + 1, dtype=bool)
+        wanted[[1, r_j] if r_j <= sp.n else 1] = False
+        return first_cycle(sig[cycled[j]], lengths[j], wanted)
+
+    r_cycle = asked("r_cycle", lambda L, rr: L.all(axis=1))
+    regular = asked("regular", lambda L, rr: ((L == 1) | (L == rr)).all(axis=1))
+    one_fixed = asked("one_fixed", lambda L, rr: (L == 1).sum(axis=1) == 1)
+    for j, (i, shape) in enumerate(zip(cycled, shapes)):
         if not r_cycle[j] or shape.regular and not regular[j]:
-            fail(i, shape.regular if r_cycle[j] else shape.r_cycle,
-                 lambda: {"cycle": first_cycle(sig[i], lengths[j], lambda L: L > 1 and L != r)})
+            fail(i, shape.regular if r_cycle[j] else shape.r_cycle, lambda: {"cycle": cycle(j)})
         elif shape.one_fixed and not one_fixed[j]:
             fail(i, shape.one_fixed,
                  lambda: {"census": CycleStructure.from_lengths(lengths[j]).to_json()})
         elif shape.short is not None:
-            cyc = first_cycle(sig[i], lengths[j], lambda L: 1 < L < r and r % L == 0)
+            cyc = cycle(j)
             got[i] = ((FAIL, shape.short) if cyc is None
                       else (PASS, {"cycle_length": len(cyc), "cycle": cyc[:16]}))
     for i, (_, base, work) in enumerate(rows):

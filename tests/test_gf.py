@@ -421,6 +421,13 @@ def test_factor_and_is_prime_match_trial_division():
     assert not any(gf.is_prime(n) for n in (0, -1, -2, -7))
 
 
+def test_factor_splits_two_primes_near_10_12():
+    # about 10^6 rho steps: Brent's batched gcds keep this near a second
+    p1, p2 = 999999000001, 1000000000039
+    assert gf.is_prime(p1) and gf.is_prime(p2)
+    assert gf.factor(p1 * p2) == [p1, p2]
+
+
 # the least strong pseudoprimes to all of the bases 2..7, 2..19 and 2..31
 _STRONG_PSEUDOPRIMES = (3215031751, 341550071728321, 3825123056546413051)
 

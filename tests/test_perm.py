@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from cppforge import gf, verify
-from cppforge.construct import TauSpec, random_additive_pp, random_pp, tau_to_table
+from cppforge.construct import TauSpec, permutation, random_additive_pp, random_pp, tau_to_table
 from cppforge.errors import DimMismatch, NotBijective, SizeCap
 from cppforge.linalg import Mat, companion, companions, random_invertible, random_matrix
 from cppforge.perm import (
     CycleStructure, PermTable, add_rows, bijective_rows, compose_rows, conjugate_rows,
-    cycle_lengths_rows, linear_table, matrix_tables, space,
+    cycle_lengths_rows, linear_table, matrix_tables, power_lengths_rows, space,
 )
 from cppforge.poly import Poly, cyclotomic, monic_coeffs, monic_orders, monic_polys
 
@@ -483,6 +483,50 @@ def test_cycle_lengths_rows_on_seeded_tables_of_a_space():
         assert np.array_equal(t.cycle_lengths(), lengths)
         assert lengths.tolist() == walked_cycle_lengths(t.table.tolist())
         assert CycleStructure.from_lengths(lengths) == naive_cycle_structure(t.table.tolist())
+
+
+_POWER_RS = (1, 2, 3, 4, 8, 9, 12, 21, 26, 30, 60, 105, 210, 2520, (1 << 31) - 1,
+             1 << 31, 3 << 31, 1 << 40, 2520 << 40, 1000003)
+
+
+def test_power_lengths_rows_match_the_census():
+    # each point's cycle length where it divides r, else 0, against the
+    # pointer-jumping census: r = 1, prime powers, two and three primes, r
+    # at and past 2^31 and a prime beyond every table; the identity, one
+    # n-cycle, fixed points with 2-cycles and seeded permutations of each
+    # space, in stacks of one row and of all of them
+    rng = Random(23)
+    fails = passes = 0
+    for ctx, d in ((F2, 1), (F3, 2), (F2, 6), (F5, 3), (F2, 10)):
+        sp = space(ctx, d)
+        stack = np.array(_cycle_type_rows(sp.n), dtype=np.int32)
+        census = cycle_lengths_rows(stack).tolist()
+
+        def want(rs):
+            return [[L if r % L == 0 else 0 for L in row] for row, r in zip(census, rs)]
+
+        for r in _POWER_RS:
+            got = power_lengths_rows(sp, stack, r)
+            assert got.dtype == np.int32 and got.tolist() == want([r] * len(stack)), (sp.n, r)
+            assert power_lengths_rows(sp, stack[:1], r).tolist() == want([r])[:1]
+            assert (power_lengths_rows(sp, stack, r, exact=False).tolist()
+                    == [[int(L > 0) for L in row] for row in got.tolist()])
+        # one r per row, rows sharing an r judged together
+        rs = [rng.choice(_POWER_RS) for _ in stack]
+        got = power_lengths_rows(sp, stack, np.array(rs)).tolist()
+        assert got == want(rs), (sp.n, rs)
+        fails += sum(0 in row for row in got)
+        passes += sum(0 not in row for row in got)
+    assert fails > 5 and passes > 5
+    # a table of more than 2^16 points, whose gathers run in slices
+    sp = space(F2, 17)
+    big = permutation(sp.n, rng)[None]
+    census = cycle_lengths_rows(big)[0].tolist()
+    for r in (12, 21, 2520, 2520 << 40):
+        want = [L if r % L == 0 else 0 for L in census]
+        assert power_lengths_rows(sp, big, r)[0].tolist() == want, r
+    with pytest.raises(ValueError):
+        power_lengths_rows(space(F2, 2), np.array([[0, 1, 2, 3]], dtype=np.int32), 0)
 
 
 def test_rank_census_matches_table_census(monkeypatch):

@@ -225,5 +225,7 @@ def test_one_judge_in_verify():
     # row-wise bijectivity and cycle kernels, the collision witness and the
     # witness cycle
     source = (SRC / "verify.py").read_text()
-    for name in ("bijective_rows", "cycle_lengths_rows", "_collision", "first_cycle"):
+    for name in ("bijective_rows", "power_lengths_rows", "_collision", "first_cycle"):
         assert readers_of(source, name) == ["_steps"], name
+    # and it judges by powers of sigma: no pointer-jumping census
+    assert readers_of(source, "cycle_lengths_rows") == []

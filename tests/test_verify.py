@@ -248,6 +248,21 @@ def test_verify_all_quick_stream_pinned():
     assert _sha256(buf.getvalue()) == QUICK_42_SHA256
 
 
+def test_verify_makes_no_pointer_jumping_pass(monkeypatch):
+    # sigma^r = e, regularity, the census and every witness are read from
+    # powers of sigma (perm.power_lengths_rows): with the pointer-jumping
+    # census made to raise, the quick stream is unchanged and the
+    # exploratory sweep still runs
+    def no_census(tables):
+        raise AssertionError("verify made a pointer-jumping pass")
+
+    monkeypatch.setattr(perm, "cycle_lengths_rows", no_census)
+    buf = io.StringIO()
+    verify.verify_all("quick", master_seed=42, stream=buf)
+    assert _sha256(buf.getvalue()) == QUICK_42_SHA256
+    assert len(verify.explore_quadratic(5, "2^2", count=3, seed=1)) == 3
+
+
 def test_theorem_full_stream_pinned():
     lines = _theorem_full_lines()
     assert len(lines) == 96
@@ -466,8 +481,8 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
     # instead of crashing on an inverse.  The theorem sweeps build their
     # tables as stacks, so every sabotage also applies, row by row, to the
     # stacked entry point that verify calls in its place.  The theorem and
-    # section-3 checks read sigma^n = e from the cycle lengths of a stack, so
-    # the npower sabotage applies to is_r_cycle and cycle_lengths_rows too.
+    # section-3 checks read sigma^n = e from the power lengths of a stack, so
+    # the npower sabotage applies to is_r_cycle and power_lengths_rows too.
     real_npower, real_is_r_cycle = PermTable.npower, PermTable.is_r_cycle
 
     def swap12(t):
@@ -489,9 +504,9 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
     def is_r_cycle(self, r):  # what npower(r) == e reads under the npower sabotage
         return r <= 1 and real_is_r_cycle(self, r)
 
-    def longer_than_any_table(lengths):  # a cycle length that divides no r > 1
+    def moved_first(lengths):  # sigma^r moves point 0, as npower(r) != e reads
         lengths = lengths.copy()
-        lengths[0] = np.iinfo(lengths.dtype).max
+        lengths[0] = 0
         return lengths
 
     def bump(rows, ctx):
@@ -510,8 +525,8 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
     patches = {
         "from_matrix": [(verify, "matrix_tables", _rowwise(swap12, _REAL_MATRIX_TABLES))],
         "npower": [(PermTable, "npower", npower), (PermTable, "is_r_cycle", is_r_cycle),
-                   (verify, "cycle_lengths_rows",
-                    _rowwise(longer_than_any_table, verify.cycle_lengths_rows))],
+                   (verify, "power_lengths_rows",
+                    _rowwise(moved_first, verify.power_lengths_rows))],
         "companion": [(mod, "companion", companion) for mod in (linalg, construct, cppforge)]
                      + [(verify, "companions", companions)],
         "square": [(verify, "matrix_tables", _rowwise(_square, _REAL_MATRIX_TABLES))],
@@ -556,18 +571,18 @@ def test_section4_off_length_witnesses_pinned(monkeypatch):
 ])
 def test_one_cycle_pass_per_checked_table(monkeypatch, cid, point):
     # sigma^r = e (sigma^n = e in the theorems), the census, regularity and
-    # the witness cycle of a table all read its cycle lengths; no check
-    # takes a composite power.  The section-3 and theorem sweeps check a
-    # block of tables with one stacked pass per kind of matrix, and the
-    # section-4 sweep one pass per block of construct.build_rows: p4.2.3
-    # over F_5 is one block of 8 cases of 25 entries, and p4.10.3 over F_4
-    # (4^8 entries) a block per case
-    real = perm.cycle_lengths_rows
+    # the witness cycle of a table all read its power lengths; no check
+    # takes a composite power through PermTable.npower.  The section-3 and
+    # theorem sweeps check a block of tables with one stacked kernel call
+    # per kind of matrix, and the section-4 sweep one call per block of
+    # construct.build_rows: p4.2.3 over F_5 is one block of 8 cases of 25
+    # entries, and p4.10.3 over F_4 (4^8 entries) a block per case
+    real = perm.power_lengths_rows
     passes, blocks, built = [], [], []
 
-    def counted(tables):
+    def counted(sp, tables, *args):
         passes.append(tables.shape)
-        return real(tables)
+        return real(sp, tables, *args)
 
     def recorded(real_blocks):
         def blocks_of(*args):
@@ -584,7 +599,7 @@ def test_one_cycle_pass_per_checked_table(monkeypatch, cid, point):
         return built[-1]
 
     for mod in (perm, verify):
-        monkeypatch.setattr(mod, "cycle_lengths_rows", counted)
+        monkeypatch.setattr(mod, "power_lengths_rows", counted)
     real_build_rows = construct.build_rows
     monkeypatch.setattr(construct, "build_rows", build_rows)
     for name in ("_p3_tables", "_monic_blocks"):
@@ -617,12 +632,12 @@ def test_no_cycle_pass_when_no_row_asks_for_cycles(monkeypatch, cid):
     # cycle stage, so the judge makes no cycle pass, not even an empty one
     calls = []
 
-    def counted(tables):
+    def counted(sp, tables, *args):
         calls.append(tables.shape)
-        return real(tables)
+        return real(sp, tables, *args)
 
-    real = perm.cycle_lengths_rows
-    monkeypatch.setattr(verify, "cycle_lengths_rows", counted)
+    real = perm.power_lengths_rows
+    monkeypatch.setattr(verify, "power_lengths_rows", counted)
     reports = verify.verify_claim(cid, master_seed=42, profile="full")
     assert {rep.verdict for rep in reports} == {"pass"}
     assert calls == []
