@@ -98,12 +98,15 @@ def tau_to_table(spec: TauSpec, ctx: FieldCtx, d: int) -> PermTable:
     if spec.kind == "coordinate":
         if spec.perms is None or len(spec.perms) != d:
             raise InvalidSpec(f"coordinate spec needs {d} permutations")
-        # sum_j a_j(x_j) * q^j, one coordinate per outer addition
+        # sum_j a_j(x_j) * q^j, one coordinate per outer addition, each
+        # written into a flat table of its own that PermTable keeps uncopied
         out = np.zeros(1, dtype=np.int32)
         for j, a in enumerate(spec.perms):
             if sorted(a) != list(range(ctx.q)):
                 raise InvalidSpec("coordinate map is not a permutation of F_q")
-            out = np.add.outer(np.array(a, dtype=np.int32) * ctx.q ** j, out).ravel()
+            nxt = np.empty(ctx.q * out.size, dtype=np.int32)
+            np.add.outer(np.array(a, dtype=np.int32) * ctx.q ** j, out, out=nxt.reshape(ctx.q, -1))
+            out = nxt
         return PermTable(ctx, d, out)
     if spec.kind == "additive-linear":
         total = ctx.m * d
@@ -311,15 +314,21 @@ class ConstructionSpec:
 def build_rows(specs: Sequence[ConstructionSpec]) -> np.ndarray:
     """The (H, q^d) int32 stack of tau1 o sigma_M o tau2 for H specs of one
     field, d and mode: the sigma_M from one ``matrix_tables`` call, then each
-    row's tau1 by one scatter (``conjugate_rows``), or its tau1 and tau2 by
-    gathers (``compose_rows``) in sandwich mode."""
+    row's tau1 by one scatter (``conjugate_rows``), or its tau2 and then its
+    tau1 by gathers (``compose_rows``) in sandwich mode.  One spec's tau
+    table is used as it is built, with no copy, and sigma_M and tau2 are
+    freed once composed, before tau1 is built."""
     ctx, d = specs[0].field, specs[0].d
-    t1 = np.stack([tau_to_table(s.tau1, ctx, d).table for s in specs])
+
+    def taus(key: str) -> np.ndarray:
+        tables = [tau_to_table(getattr(s, key), ctx, d).table for s in specs]
+        return tables[0][None] if len(tables) == 1 else np.stack(tables)
+
     sig = matrix_tables(ctx, np.stack([s.matrix.a for s in specs]))
     if specs[0].tau2 is None:
-        return conjugate_rows(sig, t1)
-    t2 = np.stack([tau_to_table(s.tau2, ctx, d).table for s in specs])
-    return compose_rows(t1, compose_rows(sig, t2))
+        return conjugate_rows(sig, taus("tau1"))
+    sig = compose_rows(sig, taus("tau2"))
+    return compose_rows(taus("tau1"), sig)
 
 
 def build(spec: ConstructionSpec) -> PermTable:

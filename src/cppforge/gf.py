@@ -65,6 +65,11 @@ from .errors import (
 # and perm caps its tables at the same size.
 TABLE_CAP = 1 << 20
 
+# Entries of one slice of a pass over a whole table: the odd-p array adder
+# here, and perm's gathers, scatters and sums, run larger arrays slice by
+# slice, so their temporaries stay small next to the table.
+SLICE = 1 << 16
+
 _CHUNK = 1 << 14  # rows per numpy block of the exp table build
 
 # Entries of the digit adder's lookup table.  Memory, not speed, sets it: a
@@ -224,7 +229,9 @@ def add_digits(p: int, ndigits: int, a, b):
     Otherwise the strings are cut into chunks of k digits, and each chunk
     pair is added through the cached p^k x p^k lookup table of
     ``_digit_lut``, or as ``(a + b) % p`` when a chunk is one digit without
-    a table.
+    a table.  A sum of more than SLICE entries is made in slices of its last
+    axis of about SLICE entries each, as each chunk pass makes temporaries
+    of the size of the sum.
     """
     if p == 2:
         return a ^ b
@@ -242,6 +249,24 @@ def add_digits(p: int, ndigits: int, a, b):
         return acc
     if p ** ndigits > 1 << 31:
         raise SizeCap(f"array sums need p^{ndigits} <= 2^31, got p = {p}")
+    # the product of the operand sizes bounds the size of the sum, cheaply
+    if getattr(a, "size", 1) * getattr(b, "size", 1) <= SLICE:
+        return _add_chunks(p, chunks, w, lut, a, b)
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+    size = math.prod(shape)
+    if size <= SLICE:
+        return _add_chunks(p, chunks, w, lut, a, b)
+    out = np.empty(shape, dtype=np.int32)
+    width = max(1, SLICE * shape[-1] // size)
+    for lo in range(0, shape[-1], width):
+        # an operand whose last axis is broadcast is read whole
+        out[..., lo:lo + width] = _add_chunks(p, chunks, w, lut, *(
+            x[..., lo:lo + width] if np.shape(x)[-1:] == shape[-1:] else x for x in (a, b)))
+    return out
+
+
+def _add_chunks(p: int, chunks: int, w: int, lut: Optional[np.ndarray], a, b) -> np.ndarray:
+    """The odd-p array sum of ``add_digits``, one pass per chunk of digits."""
     out, scale = None, 1
     for i in range(chunks):
         if i < chunks - 1:

@@ -30,12 +30,16 @@ one-row cases.  A question without an r (``PermTable.cycle_structure``,
 ``cycle_lengths_rows``, whose one-row case ``PermTable.cycle_lengths`` runs
 once per table and is kept on it.  ``CycleStructure.from_lengths`` and
 ``first_cycle`` read the census and a witness cycle off one row of lengths.
-The powers are gathered in slices of _SLICE entries (``_gather``), as numpy
-copies int32 indices to intp and a whole-table copy would set the peak.
 
-Coordinatewise addition is ``gf.add_digits``, the one digitwise adder.
-``add_rows`` runs it in column slices, as its temporaries would otherwise
-set the peak memory of a large table.
+Every pass over a whole table runs in slices of ``gf.SLICE`` (2^16)
+entries: gathers through ``_gather`` and scatters through ``_scatter``, as
+numpy copies int32 indices to intp and a whole-table copy would set the
+peak; a pass over at most SLICE entries is one numpy call.  The row-wise
+kernels read no cached identity: one that needs it makes it slice by slice.
+
+Coordinatewise addition is ``gf.add_digits``, the one digitwise adder, which
+slices its own odd-p passes; ``add_rows`` runs it in column slices of SLICE
+points.
 
 Tables are stored as immutable numpy int32 arrays of length q^d, hard-capped
 at 2^20 entries, so every index fits and gathers move half the bytes of
@@ -53,10 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, NotBijective, SizeCap
-from .gf import TABLE_CAP, FieldCtx, add_digits, factor, over_cap
+from .gf import SLICE, TABLE_CAP, FieldCtx, add_digits, factor, over_cap
 from .linalg import Mat
-
-_SLICE = 1 << 16  # the least column-slice width of add_rows; the slice of a gather
 
 
 def check_cap(q: int, d: int) -> None:
@@ -156,37 +158,62 @@ def _flat_rows(tables: np.ndarray) -> np.ndarray:
     return (tables + np.arange(0, h * n, n, dtype=dtype)[:, None]).ravel()
 
 
+def _gather(src: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """out = src[idx] for flat arrays, in slices of SLICE entries: numpy
+    copies int32 indices to intp, and a slice keeps that copy small.  Mode
+    "clip" (the indices are in range) writes straight into ``out``, which
+    may be ``idx`` itself, as each entry reads only its own index."""
+    if out is None:
+        out = np.empty(idx.shape, dtype=src.dtype)
+    for lo in range(0, idx.size, SLICE):
+        src.take(idx[lo:lo + SLICE], out=out[lo:lo + SLICE], mode="clip")
+    return out
+
+
+def _scatter(dst: np.ndarray, idx: np.ndarray, src) -> np.ndarray:
+    """dst[idx] = src for flat arrays, or one value ``src``, in slices of
+    SLICE entries, as ``_gather``."""
+    for lo in range(0, idx.size, SLICE):
+        dst.put(idx[lo:lo + SLICE], src if np.ndim(src) == 0 else src[lo:lo + SLICE], mode="clip")
+    return dst
+
+
 def bijective_rows(tables: np.ndarray) -> np.ndarray:
     """Which rows of an (H, n) stack with outputs in [0, n) are bijections."""
     h, n = tables.shape
-    hit = np.zeros(h * n, dtype=bool)
-    hit[_flat_rows(tables)] = True
-    return hit.reshape(h, n).all(axis=1)
+    return _scatter(np.zeros(h * n, dtype=bool), _flat_rows(tables), True).reshape(h, n).all(axis=1)
 
 
 def conjugate_rows(tables: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """tau o f o tau^-1 for each row f of an (H, n) stack (or one table) and
-    a bijection tau, or row i by row i of an (H, n) stack of them, in place
-    and returned: tau(x) maps to tau(f(x))."""
-    if tau.ndim == 1:
-        tables[..., tau] = tau.take(tables)
-    else:  # one flat scatter, each row offset into its own slice
-        tables.put(_flat_rows(tau), tau.take(_flat_rows(tables)))
+    """tau o f o tau^-1 for each row f of a contiguous (H, n) stack (or one
+    table) and a bijection tau, or row i by row i of an (H, n) stack of
+    them, in place and returned: tau(x) maps to tau(f(x)), by one gather and
+    one scatter.  One tau scatters every row through the same columns, in
+    column slices of SLICE points; one tau per row scatters the stack as
+    one flat map."""
+    if tau.ndim == 2:
+        _scatter(tables.reshape(-1), _flat_rows(tau), _gather(tau.reshape(-1), _flat_rows(tables)))
+        return tables
+    img = _gather(tau, tables.reshape(-1)).reshape(tables.shape)
+    for lo in range(0, tau.size, SLICE):
+        tables[..., tau[lo:lo + SLICE]] = img[..., lo:lo + SLICE]
     return tables
 
 
 def compose_rows(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """f o g row by row for two (H, n) stacks, by one gather: x -> f(g(x))."""
-    return f.reshape(-1)[_flat_rows(g)].reshape(g.shape)
+    return _gather(f.reshape(-1), _flat_rows(g)).reshape(g.shape)
 
 
-def add_rows(sp: VecSpace, tables: np.ndarray, addend: np.ndarray) -> np.ndarray:
+def add_rows(sp: VecSpace, tables: np.ndarray, addend: np.ndarray | None = None) -> np.ndarray:
     """x -> f(x) + addend(x) for each row f of an (H, n) stack (or one
-    table), in at most q column slices of at least _SLICE entries."""
+    table), in column slices of SLICE points; the default addend is the
+    identity, made one slice at a time."""
     out = np.empty_like(tables)
-    width = max(_SLICE, sp.n // sp.ctx.q)
-    for lo in range(0, sp.n, width):
-        out[..., lo:lo + width] = sp.vadd(tables[..., lo:lo + width], addend[..., lo:lo + width])
+    for lo in range(0, sp.n, SLICE):
+        hi = min(lo + SLICE, sp.n)
+        add = np.arange(lo, hi, dtype=np.int32) if addend is None else addend[..., lo:hi]
+        out[..., lo:hi] = sp.vadd(tables[..., lo:hi], add)
     return out
 
 
@@ -196,30 +223,35 @@ def cycle_lengths_rows(tables: np.ndarray) -> np.ndarray:
 
     Pointer jumping (Hillis & Steele, CACM 29(12), 1986) over the stack as
     one flat map, each row offset into its own slice, so no cycle crosses
-    rows: after round k, low[x] is the least of x, f(x), ...,
-    f^(2^k - 1)(x).  A round that changes nothing leaves low constant on
-    each cycle, hence its least point; that takes about log2(L) + 1 rounds
-    for a longest cycle L of the stack.
+    rows: after round k, low[x] is the least of a run x, f(x), ... of at
+    least 2^k points.  A round that changes nothing leaves low constant on
+    each cycle, hence its least point; that takes at most about
+    log2(L) + 1 rounds for a longest cycle L of the stack.  Every pass runs
+    in slices of SLICE entries, and the count needs no buffer beyond the
+    two steps.
     """
     step = _flat_rows(tables)
     low = np.arange(step.size, dtype=step.dtype)
     np.minimum(low, step, out=low)  # round 1 gathers nothing: low[f(x)] = f(x)
-    step = step.take(step)
-    while ((nxt := low.take(step)) < low).any():
-        np.minimum(low, nxt, out=low)
-        del nxt
-        step = step.take(step)
-    del step, nxt  # freed before the count, which sets the peak
-    return np.bincount(low).astype(np.int32).take(low).reshape(tables.shape)
-
-
-def _gather(src: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = src[idx] for flat arrays, in slices of _SLICE entries: numpy
-    copies int32 indices to intp, and a slice keeps that copy small.  Mode
-    "clip" (the indices are in range) writes straight into ``out``."""
-    for lo in range(0, idx.size, _SLICE):
-        src.take(idx[lo:lo + _SLICE], out=out[lo:lo + _SLICE], mode="clip")
-    return out
+    step, spare = _gather(step, step), np.empty_like(step)
+    while True:
+        # low[x] = min(low[x], low[step[x]]) in place, slice by slice: an
+        # entry may read one already lowered this round, which only widens
+        # its run of points, and a round that lowers nothing still leaves
+        # low constant on each cycle
+        fell = False
+        for lo in range(0, low.size, SLICE):
+            run, nxt = low[lo:lo + SLICE], low.take(step[lo:lo + SLICE])
+            fell = fell or bool((nxt < run).any())
+            np.minimum(run, nxt, out=run)
+        if not fell:
+            break
+        step, spare = _gather(step, step, spare), step
+    # each point's cycle length is the number of points sharing its low,
+    # counted into one freed buffer and read into the other
+    spare[:] = 0
+    np.add.at(spare, low, spare.dtype.type(1))
+    return _gather(spare, low, step).astype(np.int32, copy=False).reshape(tables.shape)
 
 
 def power_lengths_rows(sp: VecSpace, tables: np.ndarray, r, exact: bool = True) -> np.ndarray:
@@ -260,10 +292,7 @@ def _power_lengths(sp: VecSpace, tables: np.ndarray, r: int, exact: bool) -> np.
         raise ValueError(f"power lengths need r >= 1, got {r}")
     h, n = tables.shape
     sig = _flat_rows(tables)
-    # the identity as one flat map: the cached arange for one row
-    ident = sp.arange if h == 1 else _flat_rows(np.broadcast_to(sp.arange, tables.shape))
     lengths = np.ones(sig.size, dtype=np.int32)
-    moved = np.empty(sig.size, dtype=bool)
     # a prime l > n divides no length, so a point that sigma^(r/l^j) moves
     # has a length not dividing r, and sigma^r moves it too
     primes = [l for l in factor(r) if l <= n] if exact else []
@@ -279,9 +308,15 @@ def _power_lengths(sp: VecSpace, tables: np.ndarray, r: int, exact: bool) -> np.
         """Fold sigma^e, held in ``power``, into the lengths if e is wanted."""
         if (fold := folds.pop(e, None)) is None:
             return
-        np.not_equal(power, ident, out=moved)
-        np.multiply(lengths, fold, out=lengths, where=moved)
-        if not moved.any():  # sigma^e = e on every row, and so is each power of it
+        any_moved = False
+        # slice by slice against the identity of the flat map, which is
+        # the flat position itself
+        for lo in range(0, power.size, SLICE):
+            hi = min(lo + SLICE, power.size)
+            moved = power[lo:hi] != np.arange(lo, hi, dtype=power.dtype)
+            np.multiply(lengths[lo:hi], fold, out=lengths[lo:hi], where=moved)
+            any_moved = any_moved or bool(moved.any())
+        if not any_moved:  # sigma^e = e on every row, and so is each power of it
             for k in [k for k in folds if k % e == 0]:
                 del folds[k]
 
@@ -323,9 +358,9 @@ def first_cycle(table: np.ndarray, lengths: np.ndarray, wanted: np.ndarray) -> l
     (``wanted`` a boolean lookup over the length values), listed from x, the
     least point of its cycle, and walked until it closes: a length of 0
     (one that ``power_lengths_rows`` leaves unknown) needs no count.  The
-    lookup runs in slices of _SLICE points and stops at the first hit."""
-    for lo in range(0, lengths.size, _SLICE):
-        if (hit := wanted.take(lengths[lo:lo + _SLICE])).any():
+    lookup runs in slices of SLICE points and stops at the first hit."""
+    for lo in range(0, lengths.size, SLICE):
+        if (hit := wanted.take(lengths[lo:lo + SLICE])).any():
             x = lo + int(hit.argmax())
             break
     else:
@@ -438,13 +473,12 @@ class PermTable:
     def compose(self, other: "PermTable") -> "PermTable":
         """(self o other)(x) = self(other(x))."""
         self._check(other)
-        return PermTable(self.ctx, self.d, self.table[other.table])
+        return PermTable(self.ctx, self.d, _gather(self.table, other.table))
 
     def invert(self) -> "PermTable":
         if not self.bijective:
             raise NotBijective("cannot invert a non-bijective table")
-        inv = np.empty_like(self.table)
-        inv[self.table] = space(self.ctx, self.d).arange
+        inv = _scatter(np.empty_like(self.table), self.table, space(self.ctx, self.d).arange)
         return PermTable(self.ctx, self.d, inv)
 
     def conjugate(self, tau: "PermTable") -> "PermTable":
@@ -465,13 +499,15 @@ class PermTable:
         inverse."""
         if n < 0:
             return self.invert().npower(-n)
-        out, acc = space(self.ctx, self.d).arange, self.table
+        if n == 0:
+            return PermTable.identity(self.ctx, self.d)
+        out, acc = None, self.table
         while n:
-            if n & 1:
-                out = acc.take(out)
+            if n & 1:  # in place: each entry reads only its own index
+                out = acc.copy() if out is None else _gather(acc, out, out)
             n >>= 1
             if n:
-                acc = acc.take(acc)
+                acc = _gather(acc, acc)
         return PermTable(self.ctx, self.d, out)
 
     def cycle_lengths(self) -> np.ndarray:
@@ -516,8 +552,8 @@ class PermTable:
 
     def is_cpp(self) -> bool:
         """Both the table and table + identity are bijections."""
-        return self.bijective and self.add_pointwise(
-            PermTable.identity(self.ctx, self.d)).bijective
+        return self.bijective and bool(bijective_rows(
+            add_rows(space(self.ctx, self.d), self.table[None]))[0])
 
     def is_additive(self) -> bool:
         """Additivity f(x+y) = f(x)+f(y) for all x, y.

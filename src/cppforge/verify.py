@@ -161,7 +161,7 @@ def _thm_steps(part: int, sig, live, orders, sp, coeffs, works, **keys) -> tuple
     a failing row's witness shows h (coeffs[i]), ``keys`` and n.  A row
     outside the hypothesis is a PASS step.  Row i counts works[i]."""
     idx = np.flatnonzero(live).tolist()
-    tbl = add_rows(sp, sig[idx], sp.arange) if part >= 3 else sig[idx]
+    tbl = add_rows(sp, sig[idx]) if part >= 3 else sig[idx]
     shape, key = (_PP, None) if part % 2 else (_NPOWER, "n" if part == 2 else "m")
     steps = [(PASS, None, work) for work in works]
     judged = _steps(tbl, orders[idx] if key else None, sp,
@@ -198,7 +198,9 @@ def _thm32_sweep(part: int, draw_tau, cid, ctx, r, params, rng, cap):
     sp = space(ctx, deg)
     n = sp.n
     t1 = draw_tau(ctx, deg, rng)
-    t2i = draw_tau(ctx, deg, rng)
+    # only part 1 reads tau2^-1; it is the point's last draw, so the other
+    # parts skip it and draw the same stream
+    t2i = draw_tau(ctx, deg, rng) if part == 1 else None
     taus = 2 * n  # the two taus, counted with the first instance
     for coeffs, live, ords in _monic_blocks(part, ctx, deg):
         comp = companions(ctx, coeffs)
@@ -266,7 +268,7 @@ def _steps(sig, r, sp, rows):
         fail(i, rows[i][0].pp, lambda: _collision(sig[i]))
     cpp = good & [shape.cpp is not None for shape, _, _ in rows]
     if cpp.any():
-        sige = add_rows(sp, sig, sp.arange)
+        sige = add_rows(sp, sig)
         cpp &= ~bijective_rows(sige)
         for i in np.flatnonzero(cpp).tolist():
             fail(i, rows[i][0].cpp, lambda: _collision(sige[i]))
@@ -528,8 +530,9 @@ def _p4_sweep(build_id: str, cases, show_a1: bool, cid, ctx, r, params, rng, cap
         if len(case) > len(sig):
             sig = sig[case]
         if any(plus_e):
-            sig[plus_e] = add_rows(sp, sig[plus_e], sp.arange)
+            sig[plus_e] = add_rows(sp, sig[plus_e])
         yield from _steps(sig, r, sp, rows)
+        del sig  # freed before the next block is built
 
 
 # ---------------------------------------------------------------------------

@@ -444,3 +444,55 @@ def test_factor_and_is_prime_match_sympy():
         want = [p for p, e in sorted(sympy.factorint(n).items()) for _ in range(e)]
         assert gf.factor(n) == want, n
         assert gf.is_prime(n) == bool(sympy.isprime(n)), n
+
+
+def _digit_sums(p, ndigits, a, b):
+    """Oracle: the digitwise sum mod p, one base-p digit per step, in int64."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    out, w = np.zeros(a.shape, dtype=np.int64), 1
+    for _ in range(ndigits):
+        out += (a // w % p + b // w % p) % p * w
+        w *= p
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 31])
+def test_add_digits_slices_match_per_digit_sums(monkeypatch, p):
+    # an odd-p sum of more than gf.SLICE entries runs in slices of its last
+    # axis of at most SLICE entries (one column each once a column holds
+    # more); each operand is sliced unless its last axis is broadcast
+    nd = max(k for k in range(1, 32) if p ** k <= 1 << 31)
+    S = gf.SLICE
+    passes = []
+    real = gf._add_chunks
+
+    def recording(*args):
+        passes.append(np.broadcast_shapes(*map(np.shape, args[-2:])))
+        return real(*args)
+
+    monkeypatch.setattr(gf, "_add_chunks", recording)
+    rng = np.random.default_rng(p)
+
+    def draw(shape, dtype):
+        return rng.integers(0, p ** nd, size=shape).astype(dtype)
+
+    cases = [
+        # 1-D operands: one pass at SLICE entries, then a ragged last slice
+        (draw(S, np.int32), draw(S, np.int64), [(S,)]),
+        (draw(S + 1, np.int32), draw(S + 1, np.int32), [(S,), (1,)]),
+        (draw(3 * S + 7, np.int64), draw(3 * S + 7, np.int32), [(S,)] * 3 + [(7,)]),
+        (p - 1, draw(2 * S, np.int32), [(S,)] * 2),  # an int operand is read whole
+    ]
+    # the linear_table shapes: (H, 1, n) table blocks plus (H, p - 1, 1) multiples
+    for h, n in ((1, S // (p - 1) + 5), (3, 2000)):
+        width = max(1, S * n // (h * (p - 1) * n))
+        cols = [min(width, n - lo) for lo in range(0, n, width)]
+        cases.append((draw((h, 1, n), np.int32), draw((h, p - 1, 1), np.int32),
+                      [(h, p - 1, c) for c in cols]))
+    # a column of more than SLICE entries is one slice
+    cases.append((draw((S + 3, 2), np.int64), draw((S + 3, 1), np.int32), [(S + 3, 1)] * 2))
+    for a, b, want_passes in cases:
+        passes.clear()
+        got = gf.add_digits(p, nd, a, b)
+        assert got.dtype == np.int32 and passes == want_passes, (p, np.shape(a), passes[:3])
+        assert np.array_equal(got, _digit_sums(p, nd, a, b)), (p, np.shape(a))

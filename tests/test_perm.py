@@ -796,8 +796,8 @@ def test_npower_matches_compose_chain(spec, deg):
                                             (F2, 17, [65536, 65536]),
                                             (F5, 2, [25])])
 def test_add_rows_match_naive_vadd(monkeypatch, ctx, d, widths):
-    # sigma + e in column slices of at least 2^16 entries, the last one
-    # ragged, against the digit-loop adder on the whole rows
+    # sigma + e in column slices of 2^16 points, the last one ragged,
+    # against the digit-loop adder on the whole rows
     sp = space(ctx, d)
     rng = np.random.default_rng(ctx.q + d)
     stack = rng.integers(0, sp.n, size=(2, sp.n), dtype=np.int32)
@@ -816,3 +816,63 @@ def test_add_rows_match_naive_vadd(monkeypatch, ctx, d, widths):
     # one table is the one-row case, and add_pointwise runs through it
     one = PermTable(ctx, d, stack[1])
     assert np.array_equal(one.add_pointwise(PermTable.identity(ctx, d)).table, want[1])
+
+
+def _cycle_rows(n, length_sets, seed):
+    """Oracle stack: row i has a cycle of each length in length_sets[i] on
+    shuffled points, every other point fixed; returned with each point's
+    cycle length, known by construction."""
+    rng = np.random.default_rng(seed)
+    tables = np.tile(np.arange(n), (len(length_sets), 1))
+    lengths = np.ones_like(tables)
+    for row, want, ls in zip(tables, lengths, length_sets):
+        points, lo = rng.permutation(n), 0
+        for L in ls:
+            cyc = points[lo:lo + L]
+            row[cyc], want[cyc], lo = np.roll(cyc, -1), L, lo + L
+    return tables.astype(np.int32), lengths
+
+
+@pytest.mark.parametrize("ctx, d, h", [(F2, 17, 1), (F2, 17, 3), (F3, 10, 2), (F2, 14, 4),
+                                       (F5, 2, 6)])
+def test_sliced_kernels_match_fancy_indexing(ctx, d, h):
+    # every whole-stack pass runs in slices of gf.SLICE entries: F_2^17 is two
+    # slices a row, F_3^10 two rows end mid-slice, F_2^14 four rows fill one
+    # slice exactly and F_5^2 is far below one.  Oracle: numpy fancy indexing
+    sp = space(ctx, d)
+    n = sp.n
+    rng = np.random.default_rng(n + h)
+    f = np.stack([rng.permutation(n) for _ in range(h)]).astype(np.int32)
+    g = np.stack([rng.permutation(n) for _ in range(h)]).astype(np.int32)
+    rows = np.arange(h)[:, None]
+    assert np.array_equal(compose_rows(f, g), f[rows, g])
+    for tau in (g[0], g):  # one tau, and one per row: tau(x) -> tau(f(x))
+        taus = np.broadcast_to(tau, f.shape)
+        want = np.empty_like(f)
+        want[rows, taus] = taus[rows, f]
+        assert np.array_equal(conjugate_rows(f.copy(), tau), want)
+    # a repeated output in a row's last slice, at a slice start, or at point 0
+    bad = f.copy()
+    for i, x in enumerate([n - 1, min(gf.SLICE, n - 1), 0][:h]):
+        bad[i, x] = bad[i, (x + 1) % n]
+    assert bijective_rows(bad).tolist() == [len(np.unique(row)) == n for row in bad]
+    assert bijective_rows(f).all()
+    # sigma + e with the identity made slice by slice
+    want = naive_vadd(ctx, d, f.astype(np.int64), np.arange(n, dtype=np.int64))
+    assert np.array_equal(add_rows(sp, f), want)
+    # the cycle kernels, on rows with one cycle across every slice, short
+    # cycles, and all but at most two points on 3-cycles
+    long = [n - n // 4] + ([21, 7, 2] if n > 200 else [3, 2])
+    cyc, lengths = _cycle_rows(n, [long, [3] * (n // 3), [n // 2, n // 4]] * h, n)
+    cyc, lengths = cyc[:h], lengths[:h]
+    assert np.array_equal(cycle_lengths_rows(cyc), lengths)
+    for r in (2, 21, 2520):
+        assert np.array_equal(power_lengths_rows(sp, cyc, r), np.where(r % lengths, 0, lengths))
+    # npower and invert of one row against repeated fancy composition
+    t = PermTable(ctx, d, cyc[0])
+    power = np.arange(n)
+    for k in range(8):
+        assert np.array_equal(t.npower(k).table, power), k
+        power = cyc[0][power]
+    assert np.array_equal(t.invert().table, np.argsort(cyc[0]))
+    assert np.array_equal(t.compose(t).table, cyc[0][cyc[0]])

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -783,3 +784,25 @@ def test_explore_returns_finding_dicts():
     assert all({"cpp", "regular"} <= set(r) for r in rows)
     rows2 = verify.explore_quadratic(5, "2^1", count=3, seed=1)
     assert "note" in rows2[0]  # Q_5 is irreducible over F_2: no proper factor
+
+
+@pytest.mark.parametrize("cid, q, r, d, budget", [("p4.10.3", 2, 21, 20, 20), ("p3.5", 3, 26, 12, 13)])
+def test_cap_points_stay_within_a_memory_budget(cid, q, r, d, budget):
+    # the two 2^20-sized points of the benchmark: one table is 4 MiB over
+    # F_2^20 and 2 MiB over F_3^12, and every whole-table pass runs in
+    # slices, so a point peaks at a few tables (16.7 and 11.0 MiB traced; a
+    # pass that copies int32 indices to intp, or an adder with whole-table
+    # temporaries, went to 28.3 and 15.6 MiB).  No pass builds the cached
+    # identity of the space
+    sp = perm.space(field_new(q), d)
+    vars(sp).pop("arange", None)
+    tracemalloc.start()
+    try:
+        [rep] = verify.verify_claim(cid, grid=[{"field": f"{q}^1", "r": r}], master_seed=42,
+                                    profile="full")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == verify.PASS and rep.work > 0
+    assert peak <= budget << 20, peak / 2 ** 20
+    assert "arange" not in vars(sp)
