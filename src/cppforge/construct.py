@@ -93,21 +93,38 @@ class TauSpec:
 
 
 def tau_to_table(spec: TauSpec, ctx: FieldCtx, d: int) -> PermTable:
-    """Materialize a TauSpec as a PermTable, a bijection for a valid spec."""
+    """Materialize a TauSpec as a read-only PermTable, a bijection for a
+    valid spec: the table of ``tau_array``, kept uncopied."""
+    return PermTable(ctx, d, tau_array(spec, ctx, d))
+
+
+def tau_array(spec: TauSpec, ctx: FieldCtx, d: int) -> np.ndarray:
+    """The packed table of a TauSpec as an owned, writable int32 array of
+    q^d entries, for a caller that writes into it.  A spec is checked in
+    full before any table is built.
+
+    A coordinate tau is sum_j a_j(x_j) * q^j: the sums over the low
+    ceil(d/2) and the high coordinates are built as two half tables of at
+    most q^ceil(d/2) entries, and the table is their one outer sum, written
+    straight into it."""
     space(ctx, d)  # raises SizeCap before any table is built
     if spec.kind == "coordinate":
         if spec.perms is None or len(spec.perms) != d:
             raise InvalidSpec(f"coordinate spec needs {d} permutations")
-        # sum_j a_j(x_j) * q^j, one coordinate per outer addition, each
-        # written into a flat table of its own that PermTable keeps uncopied
-        out = np.zeros(1, dtype=np.int32)
-        for j, a in enumerate(spec.perms):
+        for a in spec.perms:
             if sorted(a) != list(range(ctx.q)):
                 raise InvalidSpec("coordinate map is not a permutation of F_q")
-            nxt = np.empty(ctx.q * out.size, dtype=np.int32)
-            np.add.outer(np.array(a, dtype=np.int32) * ctx.q ** j, out, out=nxt.reshape(ctx.q, -1))
-            out = nxt
-        return PermTable(ctx, d, out)
+        q, half = ctx.q, -(-d // 2)
+        low = high = np.zeros(1, dtype=np.int32)
+        for j, a in enumerate(spec.perms):
+            term = np.array(a, dtype=np.int32) * q ** j
+            if j < half:
+                low = np.add.outer(term, low).ravel()
+            else:
+                high = np.add.outer(term, high).ravel()
+        out = np.empty(q ** d, dtype=np.int32)
+        np.add.outer(high, low, out=out.reshape(high.size, low.size))
+        return out
     if spec.kind == "additive-linear":
         total = ctx.m * d
         if spec.matrix is None or len(spec.matrix) != total:
@@ -117,7 +134,7 @@ def tau_to_table(spec: TauSpec, ctx: FieldCtx, d: int) -> PermTable:
             raise InvalidSpec("additive-linear matrix is singular")
         # column k of the F_p matrix, read as base-p digits, is the image of p^k
         images = ctx.p ** np.arange(total) @ m.a
-        return PermTable(ctx, d, linear_table(ctx, d, images))
+        return linear_table(ctx, d, images)
     raise InvalidSpec(f"unknown tau kind {spec.kind!r}")
 
 
@@ -314,26 +331,36 @@ class ConstructionSpec:
 def build_rows(specs: Sequence[ConstructionSpec]) -> np.ndarray:
     """The (H, q^d) int32 stack of tau1 o sigma_M o tau2 for H specs of one
     field, d and mode: the sigma_M from one ``matrix_tables`` call, then each
-    row's tau1 by one scatter (``conjugate_rows``), or its tau2 and then its
-    tau1 by gathers (``compose_rows``) in sandwich mode.  One spec's tau
-    table is used as it is built, with no copy, and sigma_M and tau2 are
-    freed once composed, before tau1 is built."""
-    ctx, d = specs[0].field, specs[0].d
-
-    def taus(key: str) -> np.ndarray:
-        tables = [tau_to_table(getattr(s, key), ctx, d).table for s in specs]
-        return tables[0][None] if len(tables) == 1 else np.stack(tables)
-
-    sig = matrix_tables(ctx, np.stack([s.matrix.a for s in specs]))
-    if specs[0].tau2 is None:
-        return conjugate_rows(sig, taus("tau1"))
-    sig = compose_rows(sig, taus("tau2"))
-    return compose_rows(taus("tau1"), sig)
+    row's tau1 by one scatter (``conjugate_rows``), or in sandwich mode
+    sigma_M o tau2 and then tau1 o (...) by gathers (``compose_rows``), each
+    written into the array of tau2.  So a sandwich holds at most two tables
+    at once: sigma_M is freed before tau1 is built."""
+    return _build(specs).reshape(len(specs), -1)
 
 
 def build(spec: ConstructionSpec) -> PermTable:
-    """tau1 o sigma_M o tau2 as a table: the one-row case of ``build_rows``."""
-    return PermTable(spec.field, spec.d, build_rows([spec])[0])
+    """tau1 o sigma_M o tau2 as a table: the one-row case of ``build_rows``,
+    whose one owned table ``PermTable`` keeps uncopied."""
+    return PermTable(spec.field, spec.d, _build([spec]))
+
+
+def _build(specs: Sequence[ConstructionSpec]) -> np.ndarray:
+    """``build_rows``, as one owned table for one spec."""
+    ctx, d = specs[0].field, specs[0].d
+
+    def rows(tables: list) -> np.ndarray:
+        return tables[0] if len(tables) == 1 else np.stack(tables)
+
+    def taus(key: str) -> np.ndarray:
+        return rows([tau_array(getattr(s, key), ctx, d) for s in specs])
+
+    sig = matrix_tables(ctx, rows([s.matrix.a for s in specs]))
+    if specs[0].tau2 is None:
+        return conjugate_rows(sig, taus("tau1"))
+    table = taus("tau2")
+    compose_rows(sig, table, out=table)  # sigma_M o tau2
+    del sig
+    return compose_rows(taus("tau1"), table, out=table)
 
 
 def pick_h(r: int, ctx: FieldCtx, strategy: str) -> Poly:

@@ -275,7 +275,7 @@ def _add_chunks(p: int, chunks: int, w: int, lut: Optional[np.ndarray], a, b) ->
             a, b = ha, hb
         else:  # the top chunk is what is left
             ca, cb = a, b
-        s = lut[ca * w + cb] if lut is not None else (ca + cb) % p
+        s = lut.take(ca * w + cb) if lut is not None else (ca + cb) % p
         term = np.multiply(s, scale, dtype=np.int32)
         if out is None:
             out = term

@@ -150,10 +150,11 @@ def matrix_tables(ctx: FieldCtx, mats) -> np.ndarray:
 def _flat_rows(tables: np.ndarray) -> np.ndarray:
     """An (H, n) stack with outputs in [0, n) as one flat map on [0, H*n),
     for the one-pass row-wise kernels: row i is offset into its own slice
-    [i*n, (i+1)*n).  The offsets are int32 while H*n fits; one row needs none."""
-    h, n = tables.shape
-    if h == 1:
+    [i*n, (i+1)*n).  The offsets are int32 while H*n fits; one row, or one
+    table, needs none and is returned as a view."""
+    if tables.ndim == 1 or len(tables) == 1:
         return tables.ravel()
+    h, n = tables.shape
     dtype = np.int32 if h * n <= np.iinfo(np.int32).max else np.int64
     return (tables + np.arange(0, h * n, n, dtype=dtype)[:, None]).ravel()
 
@@ -200,9 +201,14 @@ def conjugate_rows(tables: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return tables
 
 
-def compose_rows(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """f o g row by row for two (H, n) stacks, by one gather: x -> f(g(x))."""
-    return _gather(f.reshape(-1), _flat_rows(g)).reshape(g.shape)
+def compose_rows(f: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """f o g row by row for two (H, n) stacks, or two tables, by one gather:
+    x -> f(g(x)), written into ``out`` when it is given (a contiguous array
+    of g's shape, which may be g itself)."""
+    if out is None:
+        return _gather(f.reshape(-1), _flat_rows(g)).reshape(g.shape)
+    _gather(f.reshape(-1), _flat_rows(g), out.reshape(-1))
+    return out
 
 
 def add_rows(sp: VecSpace, tables: np.ndarray, addend: np.ndarray | None = None) -> np.ndarray:
@@ -271,6 +277,9 @@ def power_lengths_rows(sp: VecSpace, tables: np.ndarray, r, exact: bool = True) 
     wanted exponent met on the way, so a later prime's chain runs only while
     it still has one to read.  Each power is folded into the lengths as it
     is made, and once one is the identity on every row, so is each multiple.
+    The chain holds sigma and at most two work tables; the lengths are held
+    in the narrowest unsigned dtype for min(r, n) while it runs, and widened
+    to int32 once the work tables are freed.
     """
     if not isinstance(r, np.ndarray):
         return _power_lengths(sp, tables, r, exact)
@@ -292,7 +301,9 @@ def _power_lengths(sp: VecSpace, tables: np.ndarray, r: int, exact: bool) -> np.
         raise ValueError(f"power lengths need r >= 1, got {r}")
     h, n = tables.shape
     sig = _flat_rows(tables)
-    lengths = np.ones(sig.size, dtype=np.int32)
+    # a length that divides r is at most n; a point that sigma^r moves may
+    # wrap on the way, but ends at 0
+    lengths = np.ones(sig.size, dtype=np.min_scalar_type(min(r, n)))
     # a prime l > n divides no length, so a point that sigma^(r/l^j) moves
     # has a length not dividing r, and sigma^r moves it too
     primes = [l for l in factor(r) if l <= n] if exact else []
@@ -335,22 +346,28 @@ def _power_lengths(sp: VecSpace, tables: np.ndarray, r: int, exact: bool) -> np.
                 read(acc, e)
         return acc
 
-    read(sig, 1)
-    # the chain of l: sigma^s, s = r/l^e, then its l-th powers up to sigma^r;
-    # the chains of the larger s go first, so a later one often finds what it
-    # needs read already on the way
-    for l in sorted(set(primes), key=lambda l: l ** primes.count(l)):
-        chain = [r // l ** j for j in range(primes.count(l), -1, -1)]
+    def chain(l: int) -> None:
+        """sigma^s, s = r/l^e, then its l-th powers up to sigma^r, while one
+        of them is still wanted; the last power is freed on return."""
+        exps = [r // l ** j for j in range(primes.count(l), -1, -1)]
         base, b = sig, 1
-        while any(k in folds for k in chain if k > b):
-            k = min(k for k in chain if k > b)
+        while any(k in folds for k in exps if k > b):
+            k = min(k for k in exps if k > b)
             acc, b = power(base, b, k // b), k
             if base is not sig:
                 spare.append(base)
             base = acc
+
+    read(sig, 1)
+    # the chains of the larger s go first, so a later one often finds what it
+    # needs read already on the way
+    for l in sorted(set(primes), key=lambda l: l ** primes.count(l)):
+        chain(l)
     if folds:  # not exact: sigma^r alone (r = 1 was read from sigma itself)
         power(sig, 1, r)
-    return lengths.reshape(h, n)
+    del sig
+    spare.clear()
+    return lengths.astype(np.int32).reshape(h, n)
 
 
 def first_cycle(table: np.ndarray, lengths: np.ndarray, wanted: np.ndarray) -> list[int] | None:

@@ -1,14 +1,15 @@
 import hashlib
 import json
+import tracemalloc
 from random import Random
 
 import numpy as np
 import pytest
 
-from cppforge import gf, perm
+from cppforge import construct, gf, perm
 from cppforge.construct import (
     ConstructionSpec, TauSpec, build, build_rows, matrix_with_char_poly, named_construction,
-    permutation, pick_h, random_additive_pp, random_odd_pp, random_pp, tau_to_table,
+    permutation, pick_h, random_additive_pp, random_odd_pp, random_pp, tau_array, tau_to_table,
     CATALOG, NAMED_IDS,
 )
 from cppforge.errors import (
@@ -135,6 +136,89 @@ def test_tau_to_table_invalid_specs():
         tau_to_table(TauSpec.additive_linear(((0, 0), (0, 0))), F2, 2)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 31])
+def test_coordinate_tau_matches_unpacked_points(q):
+    # sum_j a_j(x_j) * q^j, read point by point off VecSpace.unpack_point:
+    # every point of a table of at most 2^12, else 2,000 sampled ones and the
+    # last.  d = 1..6 splits the coordinates into halves of every shape
+    ctx = gf.field_from_order(q)
+    rng = Random(q)
+    for d in range(1, 7):
+        if q ** d > gf.TABLE_CAP:
+            continue
+        sp = space(ctx, d)
+        perms = [random_pp(q, rng) for _ in range(d)]
+        table = tau_to_table(TauSpec.coordinate(perms), ctx, d).table
+        points = range(sp.n) if sp.n <= 1 << 12 else rng.sample(range(sp.n), 2000) + [sp.n - 1]
+        for x in points:
+            want = sum(perms[j][c] * q ** j for j, c in enumerate(sp.unpack_point(x)))
+            assert table[x] == want, (d, x)
+
+
+def test_coordinate_tau_at_the_cap_matches_the_chain():
+    # the table over F_2^20 against the chain of d outer sums, one
+    # coordinate at a time; tau_array hands out an owned, writable table
+    rng = Random(20)
+    perms = [random_pp(2, rng) for _ in range(20)]
+    chain = np.zeros(1, dtype=np.int32)
+    for j, a in enumerate(perms):
+        chain = np.add.outer(np.array(a, dtype=np.int32) << j, chain).ravel()
+    got = tau_array(TauSpec.coordinate(perms), F2, 20)
+    assert got.dtype == np.int32 and got.flags.owndata and got.flags.writeable
+    assert np.array_equal(got, chain)
+    table = tau_to_table(TauSpec.coordinate(perms), F2, 20).table
+    assert np.array_equal(table, chain) and not table.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [19, 0])
+def test_invalid_coordinate_spec_raises_before_any_table(bad):
+    # a map that is not a permutation of F_q, last or first of d = 20, is
+    # refused before any part of the 4 MiB table is built
+    perms = [(0, 1)] * 20
+    perms[bad] = (1, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidSpec):
+            tau_array(TauSpec.coordinate(perms), F2, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, peak
+
+
+def test_cap_sandwich_builds_within_a_memory_budget():
+    # the p4.10 sandwich of the p4.10.3 point over F_2^20 (r = 21): one table
+    # is 4 MiB, and the build holds at most two at once, as sigma_M o tau2
+    # and then tau1 o (...) are gathered into the array of tau2 (8.5 MiB
+    # traced; a third table for each composition went to 12.5 MiB)
+    spec = named_construction("p4.10", {"field": F2, "r": 21, "seed": 42})
+    assert spec.tau2 is not None and spec.d == 20
+    tracemalloc.start()
+    try:
+        stack = build_rows([spec])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.shape == (1, 1 << 20)
+    assert peak <= 9 << 20, peak / 2 ** 20
+
+
+def test_build_keeps_its_table_uncopied(monkeypatch):
+    # build composes into the array of tau2 (sandwich) or of sigma_M
+    # (conjugation), and PermTable keeps that owned table: no copy
+    made = []
+    for name in ("matrix_tables", "tau_array"):
+        real = getattr(construct, name)
+        monkeypatch.setattr(construct, name,
+                            lambda *args, real=real: made.append(real(*args)) or made[-1])
+    for cid, params, kept in (("p4.10", {"q": 2, "r": 5}, 1), ("p4.3", {"q": 3}, 0)):
+        made.clear()
+        spec = named_construction(cid, {**params, "seed": 3})
+        table = build(spec).table
+        assert table is made[kept], cid
+        assert np.array_equal(table, build_rows([spec])[0])
+
+
 def test_build_trivial_taus_is_sigma():
     h = cyclotomic(3, F5)
     m = companion(h)
@@ -169,6 +253,7 @@ def test_build_rows_match_table_compositions(monkeypatch, cid, params):
     monkeypatch.setattr(perm, "bijective_rows", lambda t: checked.append(t.shape))
     stack = build_rows(specs)
     assert stack.dtype == np.int32 and stack.tolist() == want
+    assert [build_rows([spec])[0].tolist() for spec in specs] == want
     assert [build(spec).table.tolist() for spec in specs] == want and checked == []
 
 

@@ -876,3 +876,22 @@ def test_sliced_kernels_match_fancy_indexing(ctx, d, h):
         power = cyc[0][power]
     assert np.array_equal(t.invert().table, np.argsort(cyc[0]))
     assert np.array_equal(t.compose(t).table, cyc[0][cyc[0]])
+
+
+@pytest.mark.parametrize("r, cycles", [
+    (255, [[255, 85, 51, 17, 15, 5, 3], [256, 254, 7, 4, 2]]),
+    (256, [[256, 128, 2], [255, 257, 3]]),
+    (65535, [[65535, 4369, 771, 257, 255, 3], [65536, 65534, 4, 2]]),
+    (65536, [[65536, 32768, 16384, 2], [65535, 255, 7, 3]])])
+def test_power_lengths_rows_hold_lengths_narrow_at_dtype_edges(r, cycles):
+    # the lengths are folded in the narrowest unsigned dtype for min(r, n),
+    # here r as F_2^17 has more points than every r (uint8 up to 255, uint16
+    # up to 65535, then uint32), and widened to int32: against the lengths
+    # known by construction.  Row 0 has cycles dividing r, row 1 cycles that
+    # do not, whose points read 0
+    sp = space(F2, 17)
+    tables, lengths = _cycle_rows(sp.n, cycles, r)
+    want = np.where(r % lengths, 0, lengths).astype(np.int32)
+    for lo, hi in ((0, 2), (0, 1), (1, 2)):
+        got = power_lengths_rows(sp, tables[lo:hi], r)
+        assert got.dtype == np.int32 and np.array_equal(got, want[lo:hi]), (lo, hi)
