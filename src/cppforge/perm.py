@@ -10,14 +10,16 @@ Every F_p-linear map on F_q^d -- v -> Mv, an additive outer map, the
 reference map of the additivity test -- is tabulated by ``linear_table``
 from the images of the m*d digit basis vectors p^k.  It builds one table,
 or an (H, q^d) stack of them from H rows of images in the same passes;
-``matrix_tables`` gives the images of a matrix or of an (H, d, d) stack of
-matrices, and ``PermTable.from_matrix`` is its one-matrix case.  Each
-table question has one row-wise kernel over a stack, whose one-row case is
-the ``PermTable`` method: ``bijective_rows``, ``conjugate_rows`` (tau o f o
-tau^-1 by one scatter, with no inverse built, for one tau or one per row)
-and ``add_rows`` (sigma + e), so a sweep over many small maps runs as array
-passes; ``compose_rows`` composes two stacks row by row.  ``PermTable.npower``
-is plain repeated squaring on one table.
+``matrix_images`` gives the images of a matrix or of an (H, d, d) stack of
+matrices and ``matrix_tables`` their tables (``PermTable.from_matrix`` is
+the one-matrix case); conjugated by an additive tau, such a map stays
+F_p-linear, so its images follow by a change of basis, with no tau table.
+Each table question has one row-wise kernel over a stack, whose one-row
+case is the ``PermTable`` method: ``bijective_rows``, ``conjugate_rows``
+(tau o f o tau^-1 by one scatter, with no inverse built, for one tau or one
+per row) and ``add_rows`` (sigma + e), so a sweep over many small maps runs
+as array passes; ``compose_rows`` composes two stacks row by row.
+``PermTable.npower`` is plain repeated squaring on one table.
 
 A cycle question with an r (sigma^r = e, r-regularity, and the census and
 witness cycles of a table that has them) is answered by the power
@@ -134,9 +136,10 @@ def linear_table(ctx: FieldCtx, d: int, images) -> np.ndarray:
     return out
 
 
-def matrix_tables(ctx: FieldCtx, mats) -> np.ndarray:
-    """Tables of v -> Mv: one (q^d,) int32 table for a d x d index matrix,
-    or the (H, q^d) stack for an (H, d, d) stack of them."""
+def matrix_images(ctx: FieldCtx, mats) -> np.ndarray:
+    """The ``linear_table`` images of v -> Mv: the (m*d,) packed images of
+    the digit basis vectors for a d x d index matrix, or their (H, m*d)
+    rows for an (H, d, d) stack of them."""
     mats = np.asarray(mats, dtype=np.int64)
     d = mats.shape[-1]
     p, q, m = ctx.p, ctx.q, ctx.m
@@ -144,7 +147,14 @@ def matrix_tables(ctx: FieldCtx, mats) -> np.ndarray:
     # is column j of M scaled by the field element with index p^t
     scaled = ctx.vmul(mats[..., None, :, :], (p ** np.arange(m))[:, None, None])
     images = (scaled * q ** np.arange(d)[:, None]).sum(axis=-2)  # [..., t, j]
-    return linear_table(ctx, d, np.swapaxes(images, -1, -2).reshape(mats.shape[:-2] + (d * m,)))
+    return np.swapaxes(images, -1, -2).reshape(mats.shape[:-2] + (d * m,))
+
+
+def matrix_tables(ctx: FieldCtx, mats) -> np.ndarray:
+    """Tables of v -> Mv: one (q^d,) int32 table for a d x d index matrix,
+    or the (H, q^d) stack for an (H, d, d) stack of them."""
+    mats = np.asarray(mats, dtype=np.int64)
+    return linear_table(ctx, mats.shape[-1], matrix_images(ctx, mats))
 
 
 def _flat_rows(tables: np.ndarray) -> np.ndarray:

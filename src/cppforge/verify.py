@@ -13,14 +13,16 @@ runner, ``_run``.  To add a claim, add one row: its statement, quick and full
 grids, the sweep, and where they apply the table dimension d of the whole
 point (checked against the size cap before the field is built), a fixed r
 and a guard that names a violated hypothesis from p and r alone (run next,
-still before the field is built).  The sweep is a generator
-that yields one step (verdict, witness, work) per instance, in the order the
-point's RNG drew it, work being the table entries built since the previous
-step.  The runner stops at the first FAIL; otherwise the point passes with
-the last step's witness, or is skipped when no instance fits under the cap.
-The section-4 rows use ``_p4`` and ``_p4_sweep``: name the construction the
-claim builds when it is not the claim id, and list its cases with their
-checks; r and d come from the construction's ``construct.CATALOG`` row.
+still before the field is built), and the least table dimension of any
+instance, so a point with none under the cap builds no field.  The sweep is
+a generator that yields one step (verdict, witness, work) per instance, in
+the order the point's RNG drew it, work being the table entries built since
+the previous step.  The runner stops at the first FAIL; otherwise the point
+passes with the last step's witness, or is skipped when no instance fits
+under the cap.  The section-4 rows use ``_p4`` and ``_p4_sweep``: name the
+construction the claim builds when it is not the claim id, and list its
+cases with their checks; r and d come from the construction's
+``construct.CATALOG`` row.
 
 Every sweep builds its tables as (H, q^d) int32 stacks, in blocks of at most
 ``_BLOCK`` entries (or one instance), and checks a block with the row-wise
@@ -56,10 +58,10 @@ from . import construct
 from .construct import TauSpec, matrix_with_char_poly, random_additive_pp, tau_to_table
 from .errors import HypothesisViolated, InvalidSpec, SizeCap, UnknownClaim
 from .gf import FieldCtx, add_digits, factor, field_args, field_new, is_prime, parse_field_spec
-from .linalg import companions, random_invertible
+from .linalg import Mat, companions, random_invertible
 from .perm import (TABLE_CAP, CycleStructure, PermTable, add_rows, bijective_rows,
-                   conjugate_rows, first_cycle, matrix_tables, over_cap, power_lengths_rows,
-                   space)
+                   conjugate_rows, first_cycle, linear_table, matrix_images, matrix_tables,
+                   over_cap, power_lengths_rows, space)
 from .poly import Poly, cyclotomic, irreducible_factors, monic_coeffs, monic_orders, monic_values
 
 SCHEMA = "cppforge/1"
@@ -112,8 +114,16 @@ def _tau_general(ctx: FieldCtx, d: int, rng: Random) -> np.ndarray:
     return construct.permutation(ctx.q ** d, rng)
 
 
+def _tau_basis(ctx: FieldCtx, d: int, rng: Random) -> tuple[np.ndarray, np.ndarray]:
+    """(A, A^-1): the F_p matrix of a seeded additive tau, which maps the
+    base-p digit vector of x to A times it, and its inverse."""
+    a = Mat(field_new(ctx.p), random_additive_pp(ctx, d, rng).matrix)
+    return a.a, a.inv().a
+
+
 def _tau_additive(ctx: FieldCtx, d: int, rng: Random) -> np.ndarray:
-    return tau_to_table(random_additive_pp(ctx, d, rng), ctx, d).table
+    """The table of the tau of ``_tau_basis``: column k of A is tau(p^k)."""
+    return linear_table(ctx, d, ctx.p ** np.arange(ctx.m * d) @ _tau_basis(ctx, d, rng)[0])
 
 
 _MODES = ("companion", "conjugate")
@@ -253,28 +263,28 @@ def _steps(sig, r, sp, rows):
     shape that fails, of PP, CPP, sigma^r = e (every cycle length divides
     r), r-regularity (every length is 1 or r), one fixed point and a cycle of
     length l | r, 1 < l < r; else PASS, with that cycle when one is sought.
-    r is one int, or an ndarray of one r per row.  A block costs one
-    bijective_rows pass for sigma and, when a row asks, one add_rows and
-    bijective_rows pass for sigma + e and one power_lengths_rows call, which
-    takes only sigma^r unless a row asks for more than sigma^r = e."""
+    r is one int, or an ndarray of one r per row.
+
+    A block costs one add_rows and bijective_rows pass for sigma + e on the
+    rows with a CPP stage, then one power_lengths_rows call on the rows with
+    a cycle stage that pass it, which takes only sigma^r unless a row asks
+    for more than sigma^r = e.  sigma^r = e proves sigma a bijection (with
+    inverse sigma^(r-1)), so one bijective_rows pass for sigma runs last, on
+    the other rows only: no cycle stage, failed CPP or sigma^r != e."""
     got = {}
 
     def fail(i, stage, evidence):
         keys, shown = stage
         got[i] = (FAIL, {**keys, **evidence()} if shown else keys)
 
-    good = bijective_rows(sig)
-    for i in np.flatnonzero(~good).tolist():
-        fail(i, rows[i][0].pp, lambda: _collision(sig[i]))
-    cpp = good & [shape.cpp is not None for shape, _, _ in rows]
-    if cpp.any():
-        sige = add_rows(sp, sig)
-        cpp &= ~bijective_rows(sige)
-        for i in np.flatnonzero(cpp).tolist():
-            fail(i, rows[i][0].cpp, lambda: _collision(sige[i]))
+    cpp = np.flatnonzero([shape.cpp is not None for shape, _, _ in rows])
+    if cpp.size:
+        sige = add_rows(sp, sig if cpp.size == len(sig) else sig[cpp])
+        for j in np.flatnonzero(~bijective_rows(sige)).tolist():
+            fail(int(cpp[j]), rows[cpp[j]][0].cpp, lambda: _collision(sige[j]))
         del sige  # freed before the cycle pass, which sets the peak
-        good &= ~cpp
-    cycled = np.flatnonzero(good & [shape.r_cycle is not None for shape, _, _ in rows]).tolist()
+    cycled = [i for i, (shape, _, _) in enumerate(rows)
+              if shape.r_cycle is not None and i not in got]
     shapes = [rows[i][0] for i in cycled]
     per_row = isinstance(r, np.ndarray)
     # the r of each cycled row: a column, or one int r (for int32 arithmetic)
@@ -300,9 +310,15 @@ def _steps(sig, r, sp, rows):
         return first_cycle(sig[cycled[j]], lengths[j], wanted)
 
     r_cycle = asked("r_cycle", lambda L, rr: L.all(axis=1))
+    proven = {i for j, i in enumerate(cycled) if r_cycle[j]}
+    if idx := [i for i in range(len(rows)) if i not in proven]:
+        for i in np.array(idx)[~bijective_rows(sig if len(idx) == len(sig) else sig[idx])].tolist():
+            fail(i, rows[i][0].pp, lambda: _collision(sig[i]))
     regular = asked("regular", lambda L, rr: ((L == 1) | (L == rr)).all(axis=1))
     one_fixed = asked("one_fixed", lambda L, rr: (L == 1).sum(axis=1) == 1)
     for j, (i, shape) in enumerate(zip(cycled, shapes)):
+        if i in got:  # failed PP
+            continue
         if not r_cycle[j] or shape.regular and not regular[j]:
             fail(i, shape.regular if r_cycle[j] else shape.r_cycle, lambda: {"cycle": cycle(j)})
         elif shape.one_fixed and not one_fixed[j]:
@@ -360,9 +376,10 @@ def _p3_tables(hs, kinds, tau_kind: str, ctx: FieldCtx, rng: Random):
     """(instances, stack) per block: the (h, kind) of each instance, and the
     (H, q^d) int32 stack of their tables sigma_M, M of that kind with
     P_M = h, conjugated (unless tau_kind is linear) by one tau per
-    dimension.  hs is sorted by degree, so each degree is one run of blocks
-    of at most _BLOCK entries, or of one instance."""
-    draw = {"additive": _tau_additive, "general": _tau_general}.get(tau_kind)
+    dimension, a general one by ``conjugate_rows`` and an additive one by a
+    change of basis.  hs is sorted by degree, so each degree is one run of
+    blocks of at most _BLOCK entries, or of one instance."""
+    draw = {"additive": _tau_basis, "general": _tau_general}.get(tau_kind)
     for d, group in groupby(hs, key=lambda h: h.degree):
         todo = [(h, kind) for h in group for kind in kinds]
         rows = max(1, _BLOCK // ctx.q ** d)
@@ -374,8 +391,19 @@ def _p3_tables(hs, kinds, tau_kind: str, ctx: FieldCtx, rng: Random):
                 mats.append(matrix_with_char_poly(h, kind, rng).a)
                 if tau is None and draw:  # drawn at the first instance
                     tau = draw(ctx, d, rng)
-            sig = matrix_tables(ctx, np.stack(mats))
-            yield block, sig if tau is None else conjugate_rows(sig, tau)
+            sig = (_additive_tables(ctx, np.stack(mats), *tau) if tau_kind == "additive"
+                   else matrix_tables(ctx, np.stack(mats)))
+            yield block, conjugate_rows(sig, tau) if tau_kind == "general" else sig
+
+
+def _additive_tables(ctx: FieldCtx, mats: np.ndarray, a: np.ndarray, a_inv: np.ndarray):
+    """The (H, q^d) stack of tau o sigma_M o tau^-1 for an (H, d, d) stack of
+    M and the additive tau of ``_tau_basis``: F_p-linear, with matrix A S A^-1
+    on base-p digit vectors (S that of sigma_M), so one ``linear_table`` of
+    its columns read as packed indices, with no tau table, gather or scatter."""
+    p, pw = ctx.p, ctx.p ** np.arange(len(a))
+    s = matrix_images(ctx, mats)[..., None, :] // pw[:, None] % p  # digit i of sigma_M(p^k)
+    return linear_table(ctx, mats.shape[-1], pw @ (a @ s % p @ a_inv % p))
 
 
 def _p3_shape(r: int, cpp: bool, regular, one_fixed, short) -> _Shape:
@@ -549,6 +577,7 @@ class Claim:
     d: Optional[Callable] = None      # (params, r) -> table dimension of the point
     r: Optional[int] = None           # None: r comes from the grid point
     guard: Optional[Callable] = None  # (p, r) -> skip reason or None, before any field
+    least_d: int = 0                  # no instance has a table of fewer than q^least_d entries
 
 
 def _run(cid: str, row: Claim, params: dict, rng: Random, cap: int):
@@ -560,10 +589,11 @@ def _run(cid: str, row: Claim, params: dict, rng: Random, cap: int):
         return SKIP, {"reason": f"q^d = {over} exceeds cap {cap}"}, 0
     if row.guard and (reason := row.guard(p, r)):
         return SKIP, {"reason": reason}, 0
-    ctx = field_new(p, m, modulus)
+    none_fit = row.least_d and over_cap(p ** m, row.least_d, cap)  # the sweep yields nothing
+    steps = () if none_fit else row.sweep(cid, field_new(p, m, modulus), r, params, rng, cap)
     work, verdict, witness = 0, None, None
     try:
-        for verdict, witness, w in row.sweep(cid, ctx, r, params, rng, cap):
+        for verdict, witness, w in steps:
             work += w
             if verdict == FAIL:
                 return FAIL, witness, work
@@ -714,39 +744,39 @@ REGISTRY: dict[str, Claim] = {
     "p3.1": Claim("odd prime r, h | t^r - 1 with h != t-1 and h(-1) != 0: "
                   "sigma_M is an r-regular CPP",
                   _P31_QUICK, _P31_QUICK, partial(_p3_regular_sweep, "linear", False),
-                  guard=_ODD_PRIME),
+                  guard=_ODD_PRIME, least_d=1),
     "p3.2": Claim("composite r, h | Q_r: sigma_M is an r-regular CPP with census "
                   "1 fixed point + (q^d - 1)/r cycles of length r",
                   _P32_QUICK, _P32_QUICK, partial(_p3_regular_sweep, "linear", True),
-                  guard=_COMPOSITE),
+                  guard=_COMPOSITE, least_d=1),
     "p3.3": Claim("composite r, reducible h | t^r - 1 sharing a factor with some "
                   "Q_l (1 < l < r), h(-1) != 0, M = M(h): sigma_M is an r-cycle "
                   "CPP but not r-regular (short cycle exhibited)",
                   _P33_QUICK, _P33_QUICK, partial(_p3_negative_sweep, "linear"),
-                  guard=_COMPOSITE),
+                  guard=_COMPOSITE, least_d=2),
     "p3.4": Claim("p3.1 conjugated by any additive PP",
                   _P3_PRIME_QUICK, _P31_QUICK, partial(_p3_regular_sweep, "additive", False),
-                  guard=_ODD_PRIME),
+                  guard=_ODD_PRIME, least_d=1),
     "p3.5": Claim("p3.2 conjugated by any additive PP (same census)",
                   _P3_COMPOSITE_QUICK, _P32_QUICK, partial(_p3_regular_sweep, "additive", True),
-                  guard=_COMPOSITE),
+                  guard=_COMPOSITE, least_d=1),
     "p3.6": Claim("p3.3 conjugated by any additive PP",
                   (_f("2^1", r=9), _f("3^1", r=10), _f("5^1", r=9)), _P33_QUICK,
-                  partial(_p3_negative_sweep, "additive"), guard=_COMPOSITE),
+                  partial(_p3_negative_sweep, "additive"), guard=_COMPOSITE, least_d=2),
     "p3.7": Claim("odd prime r: conjugating sigma_M by any PP gives an r-regular PP",
                   _P3_PRIME_QUICK, _P31_QUICK, partial(_p3_regular_sweep, "general", False),
-                  guard=_ODD_PRIME),
+                  guard=_ODD_PRIME, least_d=1),
     "p3.8": Claim("composite r, h | Q_r: conjugation by any PP gives an r-regular "
                   "PP (same census)",
                   _P3_COMPOSITE_QUICK, _P32_QUICK, partial(_p3_regular_sweep, "general", True),
-                  guard=_COMPOSITE),
+                  guard=_COMPOSITE, least_d=1),
     "p3.9": Claim("composite r, reducible h | t^r - 1 sharing a factor with some "
                   "Q_l (1 < l < r), M = M(h): conjugation by any PP is an r-cycle "
                   "PP but not r-regular (no h(-1) condition needed for the PP case)",
                   (_f("2^1", r=9), _f("5^1", r=4), _f("3^1", r=10), _f("2^1", r=15)),
                   (_f("2^1", r=9), _f("5^1", r=4), _f("3^1", r=10), _f("2^1", r=15),
                    _f("5^1", r=9)),
-                  partial(_p3_negative_sweep, "general"), guard=_COMPOSITE),
+                  partial(_p3_negative_sweep, "general"), guard=_COMPOSITE, least_d=2),
     **{cid: row(cid) for cid, row in _SECTION4.items()},
 }
 

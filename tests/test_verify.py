@@ -3,6 +3,8 @@ import io
 import json
 import time
 import tracemalloc
+from dataclasses import replace
+from random import Random
 
 import numpy as np
 import pytest
@@ -198,6 +200,35 @@ def test_theorem_point_over_the_squared_cap_is_skipped_at_once(monkeypatch, cid)
     monkeypatch.undo()
     (rep,) = verify.verify_claim(cid, grid=[{"field": "2^5", "deg": 2}], profile="full")
     assert rep.verdict == "pass"
+
+
+def test_section3_point_with_no_instance_under_the_cap_builds_no_field(monkeypatch):
+    # a regular sweep's instances have q^deg(h) >= q, a negative sweep's (two
+    # factors or more) q^deg(h) >= q^2: a point over the cap there is
+    # skipped before field_new, with the line its sweep ends with.  F_2^20
+    # took about 1.5 s to build for that line
+    def no_field(*args):
+        raise AssertionError("field_new ran")
+
+    negative = {"p3.3", "p3.6", "p3.9"}
+    points = [(cid, {"field": "2^7" if cid in negative else "2^13",
+                     "r": 3 if cid in ("p3.1", "p3.4", "p3.7") else 9})
+              for cid in sorted(c for c in verify.REGISTRY if c.startswith("p3."))]
+    points.append(("p3.1", {"field": "2^20", "r": 3}))
+    skipped = (verify.SKIP, {"reason": "all instances exceed the size cap"}, 0)
+    for cid, point in points:
+        with monkeypatch.context() as mp:
+            mp.setattr(verify, "field_new", no_field)
+            (rep,) = verify.verify_claim(cid, grid=[point])
+        assert (rep.verdict, rep.witness, rep.work) == skipped, cid
+        if point["field"] != "2^20":  # the sweep itself, with no early skip
+            row = replace(verify.REGISTRY[cid], least_d=0)
+            rng = verify._rng_for(verify.DEFAULT_SEED, cid, point)
+            assert verify._run(cid, row, dict(point), rng, 1 << 12) == skipped, cid
+    # at q = cap (regular) and q^2 = cap (negative) the points still run
+    for cid, field in (("p3.1", "2^12"), ("p3.6", "2^6")):
+        (rep,) = verify.verify_claim(cid, grid=[{"field": field, "r": 3 if cid == "p3.1" else 9}])
+        assert rep.verdict == verify.PASS and rep.work > 0, cid
 
 
 def test_reports_replay_bit_for_bit():
@@ -477,13 +508,26 @@ def test_section4_fail_witnesses_pinned(monkeypatch):
     assert _sha256("\n".join(lines)) == SABOTAGED_P4_SHA256
 
 
+def _conjugated_by_table(edit):
+    """verify._additive_tables built as tau o edit(sigma_M) o tau^-1, with
+    ``edit`` applied to each table sigma_M before the tau table conjugates it
+    (perm.conjugate_rows): a table sabotage of sigma_M, which the change of
+    basis never tabulates, reaches the additive section-3 sweeps this way."""
+    def tables(ctx, mats, a, a_inv):
+        tau = perm.linear_table(ctx, mats.shape[-1], ctx.p ** np.arange(len(a)) @ a)
+        return perm.conjugate_rows(_rowwise(edit, _REAL_MATRIX_TABLES)(ctx, mats), tau)
+    return tables
+
+
 def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
     # each sabotage keeps tables bijective, so the checks report witnesses
     # instead of crashing on an inverse.  The theorem sweeps build their
     # tables as stacks, so every sabotage also applies, row by row, to the
-    # stacked entry point that verify calls in its place.  The theorem and
-    # section-3 checks read sigma^n = e from the power lengths of a stack, so
-    # the npower sabotage applies to is_r_cycle and power_lengths_rows too.
+    # stacked entry point that verify calls in its place, and a sabotage of
+    # sigma_M to the additive section-3 stacks (_conjugated_by_table).  The
+    # theorem and section-3 checks read sigma^n = e from the power lengths of
+    # a stack, so the npower sabotage applies to is_r_cycle and
+    # power_lengths_rows too.
     real_npower, real_is_r_cycle = PermTable.npower, PermTable.is_r_cycle
 
     def swap12(t):
@@ -524,13 +568,15 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
 
     real_companion, real_companions = linalg.companion, verify.companions
     patches = {
-        "from_matrix": [(verify, "matrix_tables", _rowwise(swap12, _REAL_MATRIX_TABLES))],
+        "from_matrix": [(verify, "matrix_tables", _rowwise(swap12, _REAL_MATRIX_TABLES)),
+                        (verify, "_additive_tables", _conjugated_by_table(swap12))],
         "npower": [(PermTable, "npower", npower), (PermTable, "is_r_cycle", is_r_cycle),
                    (verify, "power_lengths_rows",
                     _rowwise(moved_first, verify.power_lengths_rows))],
         "companion": [(mod, "companion", companion) for mod in (linalg, construct, cppforge)]
                      + [(verify, "companions", companions)],
-        "square": [(verify, "matrix_tables", _rowwise(_square, _REAL_MATRIX_TABLES))],
+        "square": [(verify, "matrix_tables", _rowwise(_square, _REAL_MATRIX_TABLES)),
+                   (verify, "_additive_tables", _conjugated_by_table(_square))],
     }
     cids = sorted(c for c in verify.REGISTRY if not c.startswith("p4."))
     for name, (want_fails, want_sha) in SABOTAGED_NON_P4.items():
@@ -694,6 +740,184 @@ def test_short_cycle_check_on_a_3_regular_cpp():
     assert judged(9) == (verify.PASS, {"cycle_length": 3, "cycle": [x, t[x], t[t[x]]]})
 
 
+def _eager_steps(sig, r, sp, rows):
+    """Reference judge: the passes in stage order, one bijective_rows pass
+    for sigma on every row first, then sigma + e of the bijective rows with
+    a CPP stage, then the cycle stages of the rows left."""
+    got = {}
+
+    def fail(i, stage, evidence):
+        keys, shown = stage
+        got[i] = (verify.FAIL, {**keys, **evidence()} if shown else keys)
+
+    good = perm.bijective_rows(sig)
+    for i in np.flatnonzero(~good).tolist():
+        fail(i, rows[i][0].pp, lambda: verify._collision(sig[i]))
+    cpp = good & [shape.cpp is not None for shape, _, _ in rows]
+    if cpp.any():
+        sige = perm.add_rows(sp, sig)
+        cpp &= ~perm.bijective_rows(sige)
+        for i in np.flatnonzero(cpp).tolist():
+            fail(i, rows[i][0].cpp, lambda: verify._collision(sige[i]))
+        good &= ~cpp
+    cycled = np.flatnonzero(good & [shape.r_cycle is not None for shape, _, _ in rows]).tolist()
+    shapes = [rows[i][0] for i in cycled]
+    per_row = isinstance(r, np.ndarray)
+    rc = r[cycled, None] if per_row else r
+    if cycled:
+        lengths = perm.power_lengths_rows(
+            sp, sig[cycled], rc[:, 0] if per_row else r,
+            any(s.r_cycle[1] or s.regular or s.one_fixed or s.short is not None for s in shapes))
+    for j, (i, shape) in enumerate(zip(cycled, shapes)):
+        r_j = int(rc[j, 0]) if per_row else r
+        wanted = np.ones(sp.n + 1, dtype=bool)
+        wanted[[1, r_j] if r_j <= sp.n else 1] = False
+        L = lengths[j]
+        if not L.all() or shape.regular and not ((L == 1) | (L == r_j)).all():
+            fail(i, shape.regular if L.all() else shape.r_cycle,
+                 lambda: {"cycle": perm.first_cycle(sig[i], L, wanted)})
+        elif shape.one_fixed and (L == 1).sum() != 1:
+            fail(i, shape.one_fixed,
+                 lambda: {"census": perm.CycleStructure.from_lengths(L).to_json()})
+        elif shape.short is not None:
+            cyc = perm.first_cycle(sig[i], L, wanted)
+            got[i] = ((verify.FAIL, shape.short) if cyc is None
+                      else (verify.PASS, {"cycle_length": len(cyc), "cycle": cyc[:16]}))
+    for i, (_, base, work) in enumerate(rows):
+        verdict, part = got.get(i, (verify.PASS, None))
+        yield verdict, None if part is None else {**base, **part}, work
+
+
+def _judge_stack():
+    """Maps of F_3^2 (9 points) mixing every case of the first two stages,
+    and one r per row: the 81 linear maps, bijective or not, with or without
+    a bijective sigma + e; permutations; maps g - e with g a permutation (a
+    bijective sigma + e, sigma mostly not); and random maps."""
+    ctx, rng = field_new(3), Random("judge")
+    sp = perm.space(ctx, 2)
+    mats = np.array([[[a, b], [c, d]] for a in range(3) for b in range(3)
+                     for c in range(3) for d in range(3)])
+    minus_e = perm.matrix_tables(ctx, [[2, 0], [0, 2]])
+    perms = [construct.permutation(9, rng) for _ in range(30)]
+    sig = np.concatenate([
+        perm.matrix_tables(ctx, mats), perms,
+        [sp.vadd(g, minus_e) for g in perms],
+        [[rng.randrange(9) for _ in range(9)] for _ in range(10)]]).astype(np.int32)
+    r = np.array([rng.choice((1, 2, 3, 4, 6, 8, 12)) for _ in sig])
+    return sp, sig, r
+
+
+def test_steps_match_the_eager_reference():
+    sp, sig, r = _judge_stack()
+    bij = perm.bijective_rows(sig)
+    bij_e = perm.bijective_rows(perm.add_rows(sp, sig))
+    lengths = perm.power_lengths_rows(sp, sig[bij], r[bij], False)
+    # the stack has every case the reordered passes must keep apart
+    assert (~bij & bij_e).sum() >= 10 and (bij & ~bij_e).sum() >= 10
+    assert (~bij & ~bij_e).sum() >= 10 and (bij & bij_e).sum() >= 10
+    assert 10 <= lengths.all(axis=1).sum() <= bij.sum() - 10
+    shapes = [verify._PP, verify._NPOWER,
+              verify._p3_shape(6, True, ({"kind": "not regular"}, True),
+                               ({"kind": "census mismatch"}, True), None),
+              verify._p3_shape(6, False, ({"kind": "not regular"}, True), None, None),
+              verify._p3_shape(6, True, None, None, {"kind": "no short-cycle witness found"}),
+              *(shape for p in (2, 3)
+                for check in (verify._regular_check, verify._SIG_E, verify._CENSUS,
+                              verify._cpp_check, verify._short_cycle_check)
+                for _, shape in check(p, 6))]
+    # a block of one shape, exact or not, then every shape mixed in one block
+    blocks = [[shape] * len(sig) for shape in shapes]
+    blocks.append([shapes[i % len(shapes)] for i in range(len(sig))])
+    verdicts = set()
+    for block in blocks:
+        rows = [(shape, {"row": i}, i) for i, shape in enumerate(block)]
+        for rr in (r, 6):
+            got = list(verify._steps(sig, rr, sp, rows))
+            assert got == list(_eager_steps(sig, rr, sp, rows))
+            verdicts |= {json.dumps(w and sorted(set(w) - {"row"})) for _, w, _ in got}
+    assert len(verdicts) >= 8
+
+
+def test_sigma_r_e_stands_in_for_the_pp_scatter(monkeypatch):
+    # sigma^r = e proves sigma bijective: a p3.5 block whose rows all pass
+    # it scatters only sigma + e, and a theorem block of part 2 (no CPP
+    # stage) scatters nothing.  A PP row still gets its scatter.
+    real = perm.bijective_rows
+    calls, blocks = [], []
+
+    def counted(tables):
+        calls.append(tables.shape)
+        return real(tables)
+
+    def recorded(*args):
+        for block in real_tables(*args):
+            blocks.append(block[1].shape)
+            yield block
+
+    real_tables = verify._p3_tables
+    monkeypatch.setattr(verify, "bijective_rows", counted)
+    monkeypatch.setattr(verify, "_p3_tables", recorded)
+    (rep,) = verify.verify_claim("p3.5", grid=[{"field": "3^1", "r": 8}], profile="full")
+    assert rep.verdict == verify.PASS and len(blocks) >= 2
+    assert calls == blocks
+    calls.clear()
+    (rep,) = verify.verify_claim("thm3.1.2", grid=[{"field": "3^1", "deg": 2}])
+    assert rep.verdict == verify.PASS and calls == []
+    (rep,) = verify.verify_claim("thm3.1.1", grid=[{"field": "3^1", "deg": 2}])
+    assert rep.verdict == verify.PASS and calls == [(6, 9)] * 2  # the 6 h with h(0) != 0
+
+
+@pytest.mark.parametrize("spec", ["2^1", "3^1", "2^2", "5^1", "7^1", "2^3", "3^2"])
+def test_additive_tables_match_the_tau_table_conjugation(spec):
+    # oracle: sigma_M tabulated and conjugated by the table of the same
+    # additive tau, by one gather and one scatter; the basis draw leaves the
+    # RNG where the TauSpec draw does, and thm3.2's tau table is that tau.
+    # The matrices are any matrices: the identity holds for every linear map
+    ctx = parse_field_spec(spec)
+    rng = Random(f"additive:{spec}")
+    for d in range(1, 5):
+        for h in (1, 3):
+            mats = np.array([linalg.random_matrix(ctx, d, rng).a for _ in range(h)])
+            state = rng.getstate()
+            tau = construct.tau_to_table(construct.random_additive_pp(ctx, d, rng), ctx, d).table
+            after = rng.getstate()
+            rng.setstate(state)
+            basis = verify._tau_basis(ctx, d, rng)
+            assert rng.getstate() == after
+            want = perm.conjugate_rows(perm.matrix_tables(ctx, mats), tau)
+            assert np.array_equal(verify._additive_tables(ctx, mats, *basis), want)
+            rng.setstate(state)
+            assert np.array_equal(verify._tau_additive(ctx, d, rng), tau)
+            assert rng.getstate() == after
+
+
+def test_additive_tables_at_the_cap():
+    ctx, rng = field_new(3), Random("additive:cap")
+    mats = linalg.random_invertible(ctx, 12, rng).a[None]
+    spec = construct.random_additive_pp(ctx, 12, Random(7))
+    basis = verify._tau_basis(ctx, 12, Random(7))
+    want = perm.conjugate_rows(perm.matrix_tables(ctx, mats),
+                               construct.tau_to_table(spec, ctx, 12).table)
+    assert np.array_equal(verify._additive_tables(ctx, mats, *basis), want)
+
+
+def test_additive_sweeps_build_no_tau_table(monkeypatch):
+    # p3.4 - p3.6 conjugate by a change of basis: with the tau-table path
+    # made to raise, their quick lines are unchanged
+    want = _claim_lines("p3.", "quick")
+
+    def no_call(*args):
+        raise AssertionError("an additive sweep built or applied a tau table")
+
+    for target, name in ((verify, "conjugate_rows"), (verify, "tau_to_table"),
+                         (perm, "conjugate_rows"), (construct, "tau_to_table"),
+                         (construct, "tau_array")):
+        monkeypatch.setattr(target, name, no_call)
+    got = [rep.to_json_line() for cid in ("p3.4", "p3.5", "p3.6")
+           for rep in verify.verify_claim(cid, master_seed=42, profile="quick")]
+    assert got == [line for line in want if json.loads(line)["claim"] in ("p3.4", "p3.5", "p3.6")]
+
+
 def _divisor_products(factors):
     """Oracle: all monic products of nonempty subsets of distinct factors."""
     out = []
@@ -787,15 +1011,17 @@ def test_explore_returns_finding_dicts():
 
 
 @pytest.mark.parametrize("cid, q, r, d, budget", [("p4.10.3", 2, 21, 20, 15),
-                                                  ("p3.5", 3, 26, 12, 10.5)])
+                                                  ("p3.5", 3, 26, 12, 8.5)])
 def test_cap_points_stay_within_a_memory_budget(cid, q, r, d, budget):
     # the two 2^20-sized points of the benchmark: one table is 4 MiB over
     # F_2^20 and 2 MiB over F_3^12, and every whole-table pass runs in
-    # slices, so a point peaks at a few tables (13.5 and 9.3 MiB traced: the
+    # slices, so a point peaks at a few tables (13.5 and 7.2 MiB traced: the
     # judge holds sigma, two work tables of the power chain and one byte a
     # point of lengths; int32 lengths went to 16.5 and 10.8 MiB, and a pass
     # that copies int32 indices to intp, or an adder with whole-table
-    # temporaries, to 28.3 and 15.6 MiB).  No pass builds the cached
+    # temporaries, to 28.3 and 15.6 MiB.  p3.5 read 9.3 MiB while it built
+    # a tau table, conjugated by a gather and a scatter, and scattered sigma
+    # into a bool array to prove it bijective).  No pass builds the cached
     # identity of the space
     sp = perm.space(field_new(q), d)
     vars(sp).pop("arange", None)
