@@ -26,8 +26,9 @@ witness cycles of a table that has them) is answered by the power
 criterion: ``power_lengths_rows`` takes sigma^r and sigma^(r/l^j), for each
 prime power l^j dividing r, by repeated squaring over a whole stack, and
 gives each point's cycle length where it divides r, and 0 where sigma^r
-moves the point; ``PermTable.is_r_cycle`` and ``is_r_regular`` are its
-one-row cases.  A question without an r (``PermTable.cycle_structure``,
+moves the point, for one r or one r per row (sorted once, each run of equal
+r on its slice of one flat map); ``PermTable.is_r_cycle`` and
+``is_r_regular`` are its one-row cases.  A question without an r (``PermTable.cycle_structure``,
 ``find_cycle``) reads the full cycle lengths from one pointer-jumping pass,
 ``cycle_lengths_rows``, whose one-row case ``PermTable.cycle_lengths`` runs
 once per table and is kept on it.  ``CycleStructure.from_lengths`` and
@@ -274,9 +275,8 @@ def power_lengths_rows(sp: VecSpace, tables: np.ndarray, r, exact: bool = True) 
     """The (H, n) int32 array whose row i holds, for each point, the length
     of its cycle under row i of an (H, n) stack of bijections on ``sp``
     where that length divides r, and 0 where sigma^r moves the point.  r >= 1
-    is one int, or an ndarray of one r per row, whose rows are powered as one
-    stack per distinct r.  With ``exact`` false only sigma^r is taken, and
-    every point it fixes reads 1.
+    is one int, or an ndarray of one r per row.  With ``exact`` false only
+    sigma^r is taken, and every point it fixes reads 1.
 
     The power criterion: a point on a cycle of length L | r is fixed by
     sigma^(r/l^j), l a prime and l^j | r, exactly when l^j divides r/L, so
@@ -287,33 +287,40 @@ def power_lengths_rows(sp: VecSpace, tables: np.ndarray, r, exact: bool = True) 
     wanted exponent met on the way, so a later prime's chain runs only while
     it still has one to read.  Each power is folded into the lengths as it
     is made, and once one is the identity on every row, so is each multiple.
-    The chain holds sigma and at most two work tables; the lengths are held
-    in the narrowest unsigned dtype for min(r, n) while it runs, and widened
-    to int32 once the work tables are freed.
+    One r per row sorts the rows by r once and powers each run of equal r
+    on its slice of the one flat map, with one lengths array and one pool of
+    work tables.  The chain holds sigma and at most two work tables; the
+    lengths are held in the narrowest unsigned dtype for min(r, n) while it
+    runs, and widened to int32 once the work tables are freed.
     """
-    if not isinstance(r, np.ndarray):
-        return _power_lengths(sp, tables, r, exact)
-    order = np.argsort(r, kind="stable")
-    rs = r[order]
-    cuts = [0, *(np.flatnonzero(rs[1:] != rs[:-1]) + 1).tolist(), len(rs)]
-    if len(cuts) == 2:
-        return _power_lengths(sp, tables, int(rs[0]), exact)
-    runs = tables[order]
-    out = np.empty(tables.shape, dtype=np.int32)
-    for lo, hi in zip(cuts, cuts[1:]):
-        out[order[lo:hi]] = _power_lengths(sp, runs[lo:hi], int(rs[lo]), exact)
-    return out
-
-
-def _power_lengths(sp: VecSpace, tables: np.ndarray, r: int, exact: bool) -> np.ndarray:
-    """``power_lengths_rows`` for one r."""
-    if r < 1:
-        raise ValueError(f"power lengths need r >= 1, got {r}")
     h, n = tables.shape
+    if isinstance(r, np.ndarray):
+        order = np.argsort(r, kind="stable")
+        rs, tables = r[order], tables[order]
+        cuts = [0, *(np.flatnonzero(rs[1:] != rs[:-1]) + 1).tolist(), h]
+        runs = [(slice(lo * n, hi * n), int(rs[lo])) for lo, hi in zip(cuts, cuts[1:])]
+    else:
+        order, runs = None, [(slice(0, h * n), r)]
+    if (least := min(r for _, r in runs)) < 1:
+        raise ValueError(f"power lengths need r >= 1, got {least}")
     sig = _flat_rows(tables)
     # a length that divides r is at most n; a point that sigma^r moves may
     # wrap on the way, but ends at 0
-    lengths = np.ones(sig.size, dtype=np.min_scalar_type(min(r, n)))
+    lengths = np.ones(sig.size, dtype=np.min_scalar_type(min(max(r for _, r in runs), n)))
+    spare: list = []
+    for seg, r in runs:
+        _power_lengths(sig, lengths, seg, r, n, exact, spare)
+    del sig
+    spare.clear()
+    out = lengths.astype(np.int32).reshape(h, n)
+    return out if order is None else out[np.argsort(order)]
+
+
+def _power_lengths(sig: np.ndarray, lengths: np.ndarray, seg: slice, r: int, n: int,
+                   exact: bool, spare: list) -> None:
+    """``power_lengths_rows`` for one r, on the entries ``seg`` of the flat
+    map ``sig`` of n-point rows and of ``lengths``; ``spare`` pools work
+    tables of sig's size, and gets back every one it lends."""
     # a prime l > n divides no length, so a point that sigma^(r/l^j) moves
     # has a length not dividing r, and sigma^r moves it too
     primes = [l for l in factor(r) if l <= n] if exact else []
@@ -323,7 +330,6 @@ def _power_lengths(sp: VecSpace, tables: np.ndarray, r: int, exact: bool) -> np.
     # whose L does not divide r
     folds = {r // l ** j: l for l in set(primes) for j in range(1, primes.count(l) + 1)}
     folds[r] = 0
-    spare: list = []
 
     def read(power: np.ndarray, e: int) -> None:
         """Fold sigma^e, held in ``power``, into the lengths if e is wanted."""
@@ -332,8 +338,8 @@ def _power_lengths(sp: VecSpace, tables: np.ndarray, r: int, exact: bool) -> np.
         any_moved = False
         # slice by slice against the identity of the flat map, which is
         # the flat position itself
-        for lo in range(0, power.size, SLICE):
-            hi = min(lo + SLICE, power.size)
+        for lo in range(seg.start, seg.stop, SLICE):
+            hi = min(lo + SLICE, seg.stop)
             moved = power[lo:hi] != np.arange(lo, hi, dtype=power.dtype)
             np.multiply(lengths[lo:hi], fold, out=lengths[lo:hi], where=moved)
             any_moved = any_moved or bool(moved.any())
@@ -342,31 +348,34 @@ def _power_lengths(sp: VecSpace, tables: np.ndarray, r: int, exact: bool) -> np.
                 del folds[k]
 
     def power(base: np.ndarray, b: int, k: int) -> np.ndarray:
-        """sigma^(b k) from base = sigma^b, kept, by left-to-right squaring
-        that reads each power it makes."""
+        """sigma^(b k) from base = sigma^b, by left-to-right squaring that
+        reads each power it makes; base goes back to the pool after."""
         acc, e = base, b
         for bit in bin(k)[3:]:
-            out = _gather(acc, acc, spare.pop() if spare else np.empty_like(sig))
+            out = spare.pop() if spare else np.empty_like(sig)
+            _gather(acc, acc[seg], out[seg])
             if acc is not base:
                 spare.append(acc)
             acc, e = out, 2 * e
             read(acc, e)
             if bit == "1":  # in place: each entry reads only its own index
-                acc, e = _gather(base, acc, acc), e + b
+                _gather(base, acc[seg], acc[seg])
+                e += b
                 read(acc, e)
+        if base is not sig:
+            spare.append(base)
         return acc
 
     def chain(l: int) -> None:
         """sigma^s, s = r/l^e, then its l-th powers up to sigma^r, while one
-        of them is still wanted; the last power is freed on return."""
+        of them is still wanted; the last power goes back to the pool."""
         exps = [r // l ** j for j in range(primes.count(l), -1, -1)]
         base, b = sig, 1
         while any(k in folds for k in exps if k > b):
             k = min(k for k in exps if k > b)
-            acc, b = power(base, b, k // b), k
-            if base is not sig:
-                spare.append(base)
-            base = acc
+            base, b = power(base, b, k // b), k
+        if base is not sig:
+            spare.append(base)
 
     read(sig, 1)
     # the chains of the larger s go first, so a later one often finds what it
@@ -374,10 +383,7 @@ def _power_lengths(sp: VecSpace, tables: np.ndarray, r: int, exact: bool) -> np.
     for l in sorted(set(primes), key=lambda l: l ** primes.count(l)):
         chain(l)
     if folds:  # not exact: sigma^r alone (r = 1 was read from sigma itself)
-        power(sig, 1, r)
-    del sig
-    spare.clear()
-    return lengths.astype(np.int32).reshape(h, n)
+        spare.append(power(sig, 1, r))
 
 
 def first_cycle(table: np.ndarray, lengths: np.ndarray, wanted: np.ndarray) -> list[int] | None:

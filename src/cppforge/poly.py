@@ -10,7 +10,7 @@ Moebius inversion over ``gf.factor``), deterministic irreducible factorization
 (distinct-degree gcd splitting followed by equal-degree trial division),
 the enumeration of monic polynomials -- one at a time, or as coefficient
 rows with their values at a point -- with the multiplicative orders of t and
-t + 1 modulo each of them (one numpy recurrence over all of them at once),
+t + 1 modulo each of them (baby-step giant-step over all of them at once),
 and the text / JSON formats used by the CLI.  The array passes add with
 ``gf.add_digits`` and multiply with ``FieldCtx.vmul`` in every field, prime
 fields included.
@@ -355,52 +355,70 @@ def monic_values(ctx: FieldCtx, coeffs: np.ndarray, x: int) -> np.ndarray:
     return at
 
 
+_BABY = 1 << 20  # entries of one baby-step table of monic_orders
+
+
 @functools.cache
 def monic_orders(ctx: FieldCtx, deg: int, shift: int) -> np.ndarray:
     """ord(t + shift mod h) for every monic h of degree deg, as an int32 array.
 
     Entry v belongs to the v-th polynomial of :func:`monic_polys`, whose
     coefficients are the base-q digits of v.  The entry is 0 where
-    h(-shift) = 0, as t + shift is then not invertible mod h.  All rows
-    at once: the powers of t + shift mod every h, one row of deg
-    coefficients per h, multiplied by t + shift in lockstep until each row
-    reaches 1.  Results are cached per (field, degree, shift) and read-only.
+    h(-shift) = 0, as t + shift is then not invertible mod h.  Any other
+    order is at most N = (q^deg - 1) p^a, p^a the least power of p >= deg
+    (Lidl & Niederreiter, Finite Fields, section 3.1), and comes from
+    baby-step giant-step (Shanks, 1971) over all rows at once.  With
+    g = t + shift and B = ceil(sqrt(N)), the baby steps g^0 .. g^(B-1) mod
+    each h are kept packed as base-q integers; giant step i multiplies each
+    row by the (deg, deg) matrix of x -> x g^B mod h, and the order is
+    iB - j for the first i whose g^(iB) meets a baby step g^j, and the
+    largest such j.  The live rows run in blocks whose baby tables hold at
+    most _BABY entries.  Results are cached per (field, degree, shift) and
+    read-only.
     """
     if deg < 1:
         raise InvalidSpec(f"orders need degree >= 1 (got {deg})")
-    q, p = ctx.q, ctx.p
-    n = q ** deg
+    q, p, n = ctx.q, ctx.p, ctx.q ** deg
     if n > TABLE_CAP:
         raise SizeCap(f"{n} monic polynomials exceed the {TABLE_CAP} table cap")
-    mul = ctx.vmul
-    coeffs = monic_coeffs(ctx, deg)
-    neg_h = mul(coeffs, ctx.neg(1))
-    sh = ctx.from_int(shift)
-    rows = np.nonzero(monic_values(ctx, coeffs, ctx.neg(sh)))[0]
-    cur = np.zeros((len(rows), deg), dtype=np.int64)
-    cur[:, 0] = 1
-    neg_h = neg_h[rows]
-    one = np.eye(deg, dtype=np.int64)[0]
     mult = 1
     while mult < deg:
         mult *= p
-    out = np.zeros(n, dtype=np.int32)  # orders <= (n - 1) * mult < 2^31 under the cap
-    for k in range(1, (n - 1) * mult + 2):
-        # cur := cur * (t + shift) mod h, then the rows at 1 have order k
+    big = math.isqrt((n - 1) * mult - 1) + 1
+    coeffs = monic_coeffs(ctx, deg)
+    sh = ctx.from_int(shift)
+    live = np.flatnonzero(monic_values(ctx, coeffs, ctx.neg(sh)))
+    neg_h, pw = ctx.vmul(coeffs, ctx.neg(1)), q ** np.arange(deg)
+    out = np.zeros(n, dtype=np.int32)  # orders <= N < 2^31 under the cap
+
+    def times(cur, c, rows):
+        """cur * (t + c) mod h, for the h of each row."""
         nxt = np.zeros_like(cur)
         nxt[:, 1:] = cur[:, :-1]
-        if sh:
-            nxt = add_digits(p, ctx.m, nxt, mul(cur, sh))
-        cur = add_digits(p, ctx.m, nxt, mul(cur[:, -1:], neg_h))
-        done = (cur == one).all(axis=1)
-        if done.any():
-            out[rows[done]] = k
-            keep = ~done
-            rows, cur, neg_h = rows[keep], cur[keep], neg_h[keep]
-            if not len(rows):
-                break
-    else:
-        raise RuntimeError("internal error: order search exceeded bound")
+        if c:
+            nxt = add_digits(p, ctx.m, nxt, ctx.vmul(cur, c))
+        return add_digits(p, ctx.m, nxt, ctx.vmul(cur[:, -1:], neg_h[rows]))
+
+    step = max(1, _BABY // big)
+    for rows in (live[lo:lo + step] for lo in range(0, len(live), step)):
+        cur = np.eye(1, deg, dtype=np.int64).repeat(len(rows), axis=0)
+        baby = np.empty((len(rows), big), dtype=np.int32)
+        for j in range(big):
+            baby[:, j], cur = cur @ pw, times(cur, sh, rows)
+        giant = [cur]  # row j: t^j g^B mod h
+        for _ in range(deg - 1):
+            giant.append(times(giant[-1], 0, rows))
+        giant = np.stack(giant, axis=1)
+        for i in range(1, big + 1):
+            hit = baby == (cur @ pw)[:, None]
+            if (done := hit.any(axis=1)).any():
+                out[rows[done]] = i * big - (big - 1 - hit[done, ::-1].argmax(axis=1))
+                rows, cur, giant, baby = rows[~done], cur[~done], giant[~done], baby[~done]
+                if not len(rows):
+                    break
+            cur = ctx.vsum(ctx.vmul(giant, cur[..., None]), axis=-2)
+        else:
+            raise RuntimeError("internal error: order search exceeded bound")
     out.flags.writeable = False
     return out
 

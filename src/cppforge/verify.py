@@ -142,45 +142,52 @@ _MODES = ("companion", "conjugate")
 # poly.monic_orders, one array per (field, degree, shift) shared by every
 # claim, never from the cycle lengths of the table under test: an order read
 # off sigma would make sigma^n = e true by construction.
+# A block is judged by one _thm_steps call.  In Theorem 3.1 M(h) and
+# S M(h) S^-1 share h, and so n: a block holds both, at most _BLOCK entries
+# in all, and the rows of one n make one run of the per-row powers.
 # ---------------------------------------------------------------------------
 
 _BLOCK = 1 << 16
 
 
-def _monic_blocks(part: int, ctx: FieldCtx, deg: int):
+def _monic_blocks(part: int, ctx: FieldCtx, deg: int, per_h: int = 1):
     """(coefficient rows, live rows, orders or None) of the monic h of degree
-    deg, in blocks whose q^deg-entry tables hold at most _BLOCK entries in
-    all.  A row is live when the hypothesis of part ``part`` holds: h(0) != 0
-    for parts 1 and 2, h(-1) != 0 for parts 3 and 4.  SizeCap when the
-    q^deg tables of q^deg entries exceed the table cap."""
+    deg, in blocks whose q^deg-entry tables, ``per_h`` for each h, hold at
+    most _BLOCK entries in all.  A row is live when the hypothesis of part
+    ``part`` holds: h(0) != 0 for parts 1 and 2, h(-1) != 0 for parts 3 and
+    4.  SizeCap when the q^deg tables of q^deg entries exceed the table cap."""
     if over := over_cap(ctx.q, 2 * deg):
         raise SizeCap(f"q^(2 deg) = {over} exceeds cap {TABLE_CAP}")
     count = ctx.q ** deg
     orders = monic_orders(ctx, deg, 0 if part == 2 else 1) if part in (2, 4) else None
-    step = max(1, _BLOCK // count)
+    step = max(1, _BLOCK // (per_h * count))
     for lo in range(0, count, step):
         coeffs = monic_coeffs(ctx, deg, lo, min(count, lo + step))
         live = coeffs[:, 0] if part <= 2 else monic_values(ctx, coeffs, ctx.neg(1))
         yield coeffs, live != 0, None if orders is None else orders[lo:lo + len(coeffs)]
 
 
-def _thm_steps(part: int, sig, live, orders, sp, coeffs, works, **keys) -> tuple[list, np.ndarray]:
-    """(the steps of the rows of block ``sig``, and the stack the judge
-    checked: sigma, or sigma + e in parts 3 and 4, of the live rows).  Parts
-    1 and 3 ask for a bijection, 2 and 4 also for sigma^n = e, n = orders[i];
-    a failing row's witness shows h (coeffs[i]), ``keys`` and n.  A row
-    outside the hypothesis is a PASS step.  Row i counts works[i]."""
-    idx = np.flatnonzero(live).tolist()
-    tbl = add_rows(sp, sig[idx]) if part >= 3 else sig[idx]
+def _thm_steps(part: int, sig, live, orders, sp, coeffs, works,
+               kinds=({},)) -> tuple[list, np.ndarray]:
+    """(the steps of block ``sig`` in (h, kind) order, and the stack the
+    judge checked in one call: sigma, or sigma + e in parts 3 and 4, of the
+    live rows).  Rows [jk, jk + k) of sig are kind j of the k h of coeffs.
+    Parts 1 and 3 ask for a bijection, 2 and 4 also for sigma^n = e,
+    n = orders[i] for h i; a failing row's witness shows h (coeffs[i]),
+    kinds[j] and n.  A row outside the hypothesis is a PASS step.  Each
+    kind of h i counts works[i]."""
+    k, idx, nk = len(coeffs), np.flatnonzero(live).tolist(), len(kinds)
+    rows = [j * k + i for j in range(nk) for i in idx]
+    tbl = add_rows(sp, sig[rows]) if part >= 3 else sig[rows]
     shape, key = (_PP, None) if part % 2 else (_NPOWER, "n" if part == 2 else "m")
-    steps = [(PASS, None, work) for work in works]
-    judged = _steps(tbl, orders[idx] if key else None, sp,
-                    [(shape, keys, works[i]) for i in idx]) if idx else []
-    for i, (verdict, witness, work) in zip(idx, judged):
+    steps = [(PASS, None, work) for work in works] * nk
+    judged = _steps(tbl, np.tile(orders[idx], nk) if key else None, sp,
+                    [(shape, kind, works[i]) for kind in kinds for i in idx]) if idx else []
+    for i, (verdict, witness, work) in zip(rows, judged):
         if verdict == FAIL:
-            order = {key: int(orders[i])} if key else {}
-            steps[i] = verdict, {"h": coeffs[i].tolist() + [1], **order, **witness}, work
-    return steps, tbl
+            order = {key: int(orders[i % k])} if key else {}
+            steps[i] = verdict, {"h": coeffs[i % k].tolist() + [1], **order, **witness}, work
+    return [steps[j * k + i] for i in range(k) for j in range(nk)], tbl
 
 
 def _thm31_sweep(part: int, cid, ctx, r, params, rng, cap):
@@ -193,13 +200,12 @@ def _thm31_sweep(part: int, cid, ctx, r, params, rng, cap):
     # (part 3, for every h, as the recorded work counts have it), and
     # sigma + e with its power (part 4)
     extra = (0, n, n, 2 * n)[part - 1]
-    for coeffs, live, ords in _monic_blocks(part, ctx, deg):
+    for coeffs, live, ords in _monic_blocks(part, ctx, deg, len(_MODES)):
         base = matrix_tables(ctx, companions(ctx, coeffs))
         works = [n + extra if checked or part == 3 else n for checked in live.tolist()]
-        kinds = [_thm_steps(part, sig, live, ords, sp, coeffs, works, matrix=kind)[0]
-                 for kind, sig in zip(_MODES, (base, conjugate_rows(base.copy(), s)))]
-        for pair in zip(*kinds):
-            yield from pair
+        both = np.concatenate((base, conjugate_rows(base.copy(), s)))
+        yield from _thm_steps(part, both, live, ords, sp, coeffs, works,
+                              tuple({"matrix": kind} for kind in _MODES))[0]
 
 
 def _thm32_sweep(part: int, draw_tau, cid, ctx, r, params, rng, cap):

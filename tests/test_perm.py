@@ -529,6 +529,29 @@ def test_power_lengths_rows_match_the_census():
         power_lengths_rows(space(F2, 2), np.array([[0, 1, 2, 3]], dtype=np.int32), 0)
 
 
+def test_power_lengths_rows_per_row_r_match_one_call_per_row():
+    # 120 seeded permutations of F_5^2 with 24 distinct r, each r on rows
+    # 24 apart, shuffled: r = 1, prime powers, products, 29 and 58 (a prime
+    # above n = 25) and r past 2^31.  Each run of equal r is powered on its
+    # own slice of one flat map; oracle: one int-r call per row
+    rng = Random(33)
+    sp = space(F5, 2)
+    rs = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 20, 24, 25, 29, 30, 58, 60, 105, 840,
+          2520, 2520 << 40]
+    rows = [(rs[i % len(rs)], permutation(sp.n, rng)) for i in range(5 * len(rs))]
+    rows += [(r, np.arange(sp.n)) for r in (1, 29)]
+    rng.shuffle(rows)
+    r = np.array([r for r, _ in rows])
+    stack = np.array([t for _, t in rows], dtype=np.int32)
+    assert len(set(r.tolist())) >= 20
+    assert all(np.diff(np.flatnonzero(r == ri)).max() > 1 for ri in rs)  # runs split apart
+    for exact in (True, False):
+        got = power_lengths_rows(sp, stack, r, exact)
+        want = [power_lengths_rows(sp, t[None], int(ri), exact)[0] for ri, t in zip(r, stack)]
+        assert got.dtype == np.int32 and np.array_equal(got, np.array(want)), exact
+        assert 0 < (got == 0).any(axis=1).sum() < len(rows)
+
+
 def test_rank_census_matches_table_census(monkeypatch):
     # every sigma_M that the full-profile p3.2 grid builds, as rows of stacks
     built = []

@@ -1,11 +1,14 @@
 import itertools
+import math
 import time
+import tracemalloc
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cppforge import gf
+from cppforge import gf, poly
 from cppforge.errors import CharacteristicDividesN, DivisionByZero, InvalidSpec, SizeCap
 from cppforge.linalg import char_poly, random_matrix
 from cppforge.poly import (
@@ -295,7 +298,7 @@ def test_monic_polys_order():
         assert [h.coeffs for h in first] == [(0, 0, 0, 1), (1, 0, 0, 1), (2, 0, 0, 1)]
 
 
-# --- Oracle: the per-polynomial order loop that monic_orders replaced ------
+# --- Oracle: the one-step order loop, one polynomial at a time -------------
 
 def _ord_mod(h, shift):
     """Multiplicative order of (t + shift*1) modulo h, one scalar step at a time.
@@ -339,11 +342,14 @@ def _ord_mod(h, shift):
     return k
 
 
-@pytest.mark.parametrize("spec, degs", [
+ORDER_CASES = [
     ("2^1", (1, 2, 3, 4)), ("3^1", (1, 2, 3, 4)), ("2^2", (1, 2, 3, 4)),
     ("5^1", (1, 2, 3, 4)), ("7^1", (1, 2)), ("2^3", (1, 2)), ("3^2", (1, 2)),
     ("3^2/2,1,1", (1, 2)),
-])
+]
+
+
+@pytest.mark.parametrize("spec, degs", ORDER_CASES)
 def test_monic_orders_vs_scalar_loop(spec, degs):
     ctx = gf.parse_field_spec(spec)
     for deg in degs:
@@ -370,6 +376,77 @@ def test_monic_values_match_eval_idx(spec):
         for x in {0, 1, ctx.neg(1), ctx.q - 1}:
             got = monic_values(ctx, coeffs, x)
             assert got.tolist() == [h.eval_idx(x) for h in hs], (spec, deg, x)
+
+
+def _giant_stride(ctx, deg):
+    """B = ceil(sqrt(N)), N = (q^deg - 1) * p^a, p^a the least power of p >= deg."""
+    mult = 1
+    while mult < deg:
+        mult *= ctx.p
+    return math.ceil(math.sqrt((ctx.q ** deg - 1) * mult))
+
+
+def test_monic_orders_cases_meet_the_giant_stride():
+    # the exhaustive cases above hold orders B - 1, B (met at the first
+    # giant step by g^0), B + 1 (at the second by g^(B-1)) and a multiple of
+    # B past it, where B = ceil(sqrt(N)) is the baby-step count
+    met = set()
+    for spec, degs in ORDER_CASES:
+        ctx = gf.parse_field_spec(spec)
+        for deg in degs:
+            big = _giant_stride(ctx, deg)
+            for shift in (0, 1):
+                orders = set(monic_orders(ctx, deg, shift).tolist())
+                met |= {k for k in (-1, 0, 1) if big + k in orders}
+                if any(o > big and o % big == 0 for o in orders):
+                    met.add("kB")
+    assert met == {-1, 0, 1, "kB"}
+
+
+@pytest.mark.parametrize("spec, deg", [("2^1", 8), ("2^1", 10), ("3^1", 6), ("2^2", 5)])
+def test_monic_orders_vs_scalar_loop_sampled(spec, deg):
+    # degrees past the theorem grid, on sampled rows: the largest orders,
+    # the orders nearest B - 1, B and B + 1 from below and from above (no
+    # order here is B, and only F_3^6 has one at B - 1), and seeded rows;
+    # every row with h(-shift) = 0, and only those, reads 0
+    ctx = gf.parse_field_spec(spec)
+    hs = list(monic_polys(ctx, deg))
+    big = _giant_stride(ctx, deg)
+    rng = Random(f"orders:{spec}:{deg}")
+    for shift in (0, 1):
+        got = monic_orders(ctx, deg, shift)
+        assert got.shape == (ctx.q ** deg,) and got.dtype == np.int32 and not got.flags.writeable
+        root = ctx.neg(ctx.from_int(shift))
+        zeros = [v for v, h in enumerate(hs) if h.eval_idx(root) == 0]
+        assert zeros == np.flatnonzero(got == 0).tolist()
+        live = np.flatnonzero(got)
+        picks = set(live[np.argsort(got[live], kind="stable")[-4:]].tolist())
+        for target in (big - 1, big, big + 1):
+            for side in (live[got[live] <= target], live[got[live] >= target]):
+                picks.add(int(side[np.abs(got[side] - target).argmin()]))
+        picks |= set(rng.sample(live.tolist(), 8))
+        for v in sorted(picks):
+            assert got[v] == _ord_mod(hs[v], shift), (spec, deg, shift, hs[v])
+
+
+def test_monic_orders_baby_tables_stay_in_blocks(monkeypatch):
+    # F_2, degree 10, shift 1: 512 live rows and B = 128, so one block of
+    # 2^16 baby steps, traced at 1.7 MiB, which the (512, 10, 10) giant
+    # products set.  With blocks of at most 2^13 baby steps (64 rows) the
+    # same orders come from a peak of 0.36 MiB
+    def traced():
+        tracemalloc.start()
+        try:
+            out = monic_orders.__wrapped__(F2, 10, 1)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole, peak = traced()
+    assert peak <= 2.5 * 2 ** 20, peak / 2 ** 20
+    monkeypatch.setattr(poly, "_BABY", 1 << 13)
+    blocked, peak = traced()
+    assert np.array_equal(blocked, whole) and peak <= 0.75 * 2 ** 20, peak / 2 ** 20
 
 
 def test_monic_orders_rejects_degree_and_size():
