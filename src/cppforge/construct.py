@@ -414,8 +414,7 @@ def _coord_perm(params: dict, key: str, ctx: FieldCtx, rng: Random,
         if want == "odd":
             return random_odd_pp(ctx, rng)
         if want == "additive":
-            spec = random_additive_pp(ctx, 1, rng)
-            return tuple(int(x) for x in tau_to_table(spec, ctx, 1).table)
+            return tuple(tau_array(random_additive_pp(ctx, 1, rng), ctx, 1).tolist())
         return random_pp(ctx.q, rng)
     if isinstance(given, str):
         raise InvalidSpec(f"{key} must be a table of F_q, not {given!r}")

@@ -14,12 +14,11 @@ or an (H, q^d) stack of them from H rows of images in the same passes;
 matrices and ``matrix_tables`` their tables (``PermTable.from_matrix`` is
 the one-matrix case); conjugated by an additive tau, such a map stays
 F_p-linear, so its images follow by a change of basis, with no tau table.
-Each table question has one row-wise kernel over a stack, whose one-row
-case is the ``PermTable`` method: ``bijective_rows``, ``conjugate_rows``
-(tau o f o tau^-1 by one scatter, with no inverse built, for one tau or one
-per row) and ``add_rows`` (sigma + e), so a sweep over many small maps runs
-as array passes; ``compose_rows`` composes two stacks row by row.
-``PermTable.npower`` is plain repeated squaring on one table.
+Each table question has one row-wise kernel over a stack:
+``bijective_rows``, ``conjugate_rows`` (tau o f o tau^-1 by one scatter,
+with no inverse built, for one tau or one per row) and ``add_rows``
+(sigma + e), so a sweep over many small maps runs as array passes;
+``compose_rows`` composes two stacks row by row.
 
 A cycle question with an r (sigma^r = e, r-regularity, and the census and
 witness cycles of a table that has them) is answered by the power
@@ -27,12 +26,15 @@ criterion: ``power_lengths_rows`` takes sigma^r and sigma^(r/l^j), for each
 prime power l^j dividing r, by repeated squaring over a whole stack, and
 gives each point's cycle length where it divides r, and 0 where sigma^r
 moves the point, for one r or one r per row (sorted once, each run of equal
-r on its slice of one flat map); ``PermTable.is_r_cycle`` and
-``is_r_regular`` are its one-row cases.  A question without an r (``PermTable.cycle_structure``,
-``find_cycle``) reads the full cycle lengths from one pointer-jumping pass,
-``cycle_lengths_rows``, whose one-row case ``PermTable.cycle_lengths`` runs
-once per table and is kept on it.  ``CycleStructure.from_lengths`` and
-``first_cycle`` read the census and a witness cycle off one row of lengths.
+r on its slice of one flat map).  A question without an r reads the full
+cycle lengths from one pointer-jumping pass, ``cycle_lengths_rows``.
+``CycleStructure.from_lengths`` and ``first_cycle`` read the census and a
+witness cycle off one row of lengths.
+
+``PermTable`` holds one table and answers the questions of the CLI and the
+library (``is_cpp``, ``is_r_regular``, ``cycle_structure``, ``find_cycle``,
+``is_additive``) through the one-row case of these kernels; it keeps no
+result between calls.
 
 Every pass over a whole table runs in slices of ``gf.SLICE`` (2^16)
 entries: gathers through ``_gather`` and scatters through ``_scatter``, as
@@ -46,10 +48,11 @@ points.
 
 Tables are stored as immutable numpy int32 arrays of length q^d, hard-capped
 at 2^20 entries, so every index fits and gathers move half the bytes of
-int64.  ``PermTable`` checks the range of every table, and of any input
-but int32 in int64, where no value can wrap, before it narrows it.  Tables
-are immutable after construction; building a table is single-threaded but
-independent tables can be built concurrently.
+int64.  ``PermTable`` refuses an entry that is not an integer, and checks
+the range of every table, and of any input but an integer array in int64,
+where no value can wrap, before it narrows it.  Tables are immutable after
+construction; building a table is single-threaded but independent tables
+can be built concurrently.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, NotBijective, SizeCap
-from .gf import SLICE, TABLE_CAP, FieldCtx, add_digits, factor, over_cap
+from .gf import SLICE, TABLE_CAP, FieldCtx, add_digits, factor, over_cap, parse_field_spec
 from .linalg import Mat
 
 
@@ -433,15 +436,20 @@ class CycleStructure:
 
 
 class PermTable:
-    """A map F_q^d -> F_q^d as a dense table over packed indices."""
+    """A map F_q^d -> F_q^d as one dense read-only int32 table over packed
+    indices: the one-row case of the row kernels, for the CLI, the
+    constructions and the library.  ``int(t.table[x])`` is the image of x."""
 
-    __slots__ = ("ctx", "d", "table", "_bijective", "_lengths")
+    __slots__ = ("ctx", "d", "table")
 
     def __init__(self, ctx: FieldCtx, d: int, table):
         sp = space(ctx, d)
-        if isinstance(table, np.ndarray) and table.dtype == np.int32:
+        if isinstance(table, np.ndarray) and table.dtype.kind in "iu":
             arr = table
         else:  # checked in int64: narrowing first could wrap a bad value into range
+            if not all(issubclass(t, (int, np.integer)) and t is not bool
+                       for t in set(map(type, table))):
+                raise ValueError("table entries must be integers")
             try:
                 arr = np.asarray(table, dtype=np.int64)
             except OverflowError:
@@ -457,21 +465,11 @@ class PermTable:
         self.ctx = ctx
         self.d = d
         self.table = arr
-        self._bijective = None  # bijective, computed on first read
-        self._lengths = None  # cycle_lengths, computed on first use
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def identity(cls, ctx: FieldCtx, d: int) -> "PermTable":
-        return cls(ctx, d, space(ctx, d).arange)
 
     @classmethod
     def from_matrix(cls, m: Mat) -> "PermTable":
         """Table of v -> Mv.  Bijective exactly when det(M) != 0."""
         return cls(m.ctx, m.n, matrix_tables(m.ctx, m.a))
-
-    # -- protocol ---------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PermTable) and self.ctx.key == other.ctx.key
@@ -485,102 +483,34 @@ class PermTable:
 
     @property
     def bijective(self) -> bool:
-        """The one-row case of ``bijective_rows``, computed by the first read."""
-        if self._bijective is None:
-            self._bijective = bool(bijective_rows(self.table[None])[0])
-        return self._bijective
+        """The one-row case of ``bijective_rows``."""
+        return bool(bijective_rows(self.table[None])[0])
 
     @property
     def n(self) -> int:
         return self.table.size
 
-    def _check(self, other: "PermTable") -> None:
-        if self.ctx.key != other.ctx.key or self.d != other.d:
-            raise DimMismatch("tables over different spaces")
-
-    def __call__(self, idx: int) -> int:
-        return int(self.table[idx])
-
-    # -- ops ---------------------------------------------------------------------
-
-    def compose(self, other: "PermTable") -> "PermTable":
-        """(self o other)(x) = self(other(x))."""
-        self._check(other)
-        return PermTable(self.ctx, self.d, _gather(self.table, other.table))
-
-    def invert(self) -> "PermTable":
-        if not self.bijective:
-            raise NotBijective("cannot invert a non-bijective table")
-        inv = _scatter(np.empty_like(self.table), self.table, space(self.ctx, self.d).arange)
-        return PermTable(self.ctx, self.d, inv)
-
-    def conjugate(self, tau: "PermTable") -> "PermTable":
-        """tau o self o tau^-1 for a bijective tau (``conjugate_rows``)."""
-        self._check(tau)
-        if not tau.bijective:
-            raise NotBijective("cannot conjugate by a non-bijective table")
-        return PermTable(self.ctx, self.d, conjugate_rows(self.table.copy(), tau.table))
-
-    def add_pointwise(self, other: "PermTable") -> "PermTable":
-        """x -> self(x) + other(x) (``add_rows``)."""
-        self._check(other)
-        return PermTable(self.ctx, self.d,
-                         add_rows(space(self.ctx, self.d), self.table, other.table))
-
-    def npower(self, n: int) -> "PermTable":
-        """n-th composite power, by repeated squaring; negative n uses the
-        inverse."""
-        if n < 0:
-            return self.invert().npower(-n)
-        if n == 0:
-            return PermTable.identity(self.ctx, self.d)
-        out, acc = None, self.table
-        while n:
-            if n & 1:  # in place: each entry reads only its own index
-                out = acc.copy() if out is None else _gather(acc, out, out)
-            n >>= 1
-            if n:
-                acc = _gather(acc, acc)
-        return PermTable(self.ctx, self.d, out)
-
-    def cycle_lengths(self) -> np.ndarray:
-        """The length of the cycle through each point, as a read-only int32
-        array: the one-row case of ``cycle_lengths_rows``, computed by the
-        first call and kept on the table."""
-        if self._lengths is None:
-            self._lengths = cycle_lengths_rows(self._bijection()[None])[0]
-            self._lengths.flags.writeable = False
-        return self._lengths
-
     def _bijection(self) -> np.ndarray:
+        """The table as a one-row stack, for the cycle kernels."""
         if not self.bijective:
-            raise NotBijective("cycle lengths need a bijective table")
-        return self.table
+            raise NotBijective("cycle questions need a bijective table")
+        return self.table[None]
 
     def cycle_structure(self) -> CycleStructure:
-        return CycleStructure.from_lengths(self.cycle_lengths())
+        return CycleStructure.from_lengths(cycle_lengths_rows(self._bijection())[0])
 
     def find_cycle(self, predicate) -> list[int] | None:
         """The cycle through the least point whose cycle length satisfies
         ``predicate``, listed from that point (the least point of the cycle)."""
-        cs = self.cycle_structure()
+        lengths = cycle_lengths_rows(self._bijection())[0]
         wanted = np.zeros(self.n + 1, dtype=bool)
-        wanted[[l for l in [1] * bool(cs.fixed_points) + [l for l, _ in cs.cycles]
-                if predicate(l)]] = True
-        return first_cycle(self.table, self.cycle_lengths(), wanted)
-
-    def _lengths_dividing(self, r: int, exact: bool) -> np.ndarray:
-        return power_lengths_rows(space(self.ctx, self.d), self._bijection()[None], r, exact)[0]
-
-    def is_r_cycle(self, r: int) -> bool:
-        """sigma^r = e, for r >= 1: the one-row case of ``power_lengths_rows``."""
-        return bool(self._lengths_dividing(r, False).all())
+        wanted[[l for l in np.flatnonzero(np.bincount(lengths)).tolist() if predicate(l)]] = True
+        return first_cycle(self.table, lengths, wanted)
 
     def is_r_regular(self, r: int) -> bool:
-        """Every cycle has length 1 or r, for r >= 1: sigma^r = e, and for each
-        prime l | r, sigma^(r/l) fixes only the fixed points of sigma (the
-        one-row case of ``power_lengths_rows``)."""
-        lengths = self._lengths_dividing(r, True)
+        """Every cycle has length 1 or r, for r >= 1: the one-row case of
+        ``power_lengths_rows``."""
+        lengths = power_lengths_rows(space(self.ctx, self.d), self._bijection(), r)
         return bool(((lengths == 1) | (lengths == r)).all())
 
     def is_cpp(self) -> bool:
@@ -598,14 +528,10 @@ class PermTable:
         images = self.table[self.ctx.p ** np.arange(self.ctx.m * self.d)]
         return bool(np.array_equal(self.table, linear_table(self.ctx, self.d, images)))
 
-    # -- serialization --------------------------------------------------------
-
     def to_json(self) -> dict:
         return {"field": self.ctx.spec(), "d": self.d,
                 "table": self.table.tolist()}
 
     @classmethod
     def from_json(cls, data: dict) -> "PermTable":
-        from .gf import parse_field_spec
-
         return cls(parse_field_spec(data["field"]), data["d"], data["table"])

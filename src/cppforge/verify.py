@@ -55,11 +55,11 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import construct
-from .construct import TauSpec, matrix_with_char_poly, random_additive_pp, tau_to_table
+from .construct import TauSpec, matrix_with_char_poly, random_additive_pp, tau_array
 from .errors import HypothesisViolated, InvalidSpec, SizeCap, UnknownClaim
 from .gf import FieldCtx, add_digits, factor, field_args, field_new, is_prime, parse_field_spec
 from .linalg import Mat, companions, random_invertible
-from .perm import (TABLE_CAP, CycleStructure, PermTable, add_rows, bijective_rows,
+from .perm import (TABLE_CAP, CycleStructure, add_rows, bijective_rows,
                    conjugate_rows, first_cycle, linear_table, matrix_images, matrix_tables,
                    over_cap, power_lengths_rows, space)
 from .poly import Poly, cyclotomic, irreducible_factors, monic_coeffs, monic_orders, monic_values
@@ -895,15 +895,25 @@ def explore_quadratic(r: int, field: str, count: int = 8,
         raise SizeCap(f"the factors of Q_{r} have degree {k}: q^{k} exceeds "
                       f"the {TABLE_CAP} table cap")
     h = _factors_of_cyclotomic(ctx, r)[0]
-    d = h.degree
+    sp = space(ctx, h.degree)
     rng = Random(f"cppforge:explore:{seed}:{r}:{field}")
+    fixed = [tuple(range(ctx.q))] * (h.degree - 1)
     out = []
-    for i in range(count):
-        m = matrix_with_char_poly(h, "conjugate", rng)
-        perms = [construct.random_pp(ctx.q, rng)] + \
-                [tuple(range(ctx.q)) for _ in range(d - 1)]
-        tau = tau_to_table(TauSpec.coordinate(perms), ctx, d)
-        sig = PermTable.from_matrix(m).conjugate(tau)
-        out.append({"r": r, "field": field, "h": h.to_json(), "draw": i,
-                    "cpp": sig.is_cpp(), "regular": sig.is_r_regular(r)})
+    # the draws in blocks of at most _BLOCK entries (or one draw), each
+    # drawn as before: M, then the permutation of the first coordinate
+    step = max(1, _BLOCK // sp.n)
+    for lo in range(0, count, step):
+        mats, taus = [], np.empty((min(step, count - lo), sp.n), dtype=np.int32)
+        for tau in taus:
+            mats.append(matrix_with_char_poly(h, "conjugate", rng).a)
+            tau[:] = tau_array(TauSpec.coordinate([construct.random_pp(ctx.q, rng), *fixed]),
+                               ctx, h.degree)
+        # every sigma is a bijection: h(0) != 0, so M is invertible
+        sig = conjugate_rows(matrix_tables(ctx, np.stack(mats)), taus)
+        cpp = bijective_rows(add_rows(sp, sig)).tolist()
+        lengths = power_lengths_rows(sp, sig, r)
+        regular = ((lengths == 1) | (lengths == r)).all(axis=1).tolist()
+        del taus, sig, lengths  # freed before the next block is drawn
+        out += [{"r": r, "field": field, "h": h.to_json(), "draw": lo + j,
+                 "cpp": cpp[j], "regular": regular[j]} for j in range(len(mats))]
     return out

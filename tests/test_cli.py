@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,21 @@ def test_construct_cycles_p43(capsys):
     assert code == 0
     data = json.loads(out)
     assert data == {"schema": "cppforge/1", "fixed": 1, "cycles": {"5": 3}}
+
+
+def test_construct_cycles_at_the_cap_within_a_memory_budget(capsys):
+    # p4.10 over F_2^20 (r = 21): the census holds the 4 MiB table and the
+    # three tables of the pointer-jumping pass (17.2 MiB traced), so one more
+    # table, such as lengths kept on the PermTable, would pass the budget
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "construct", "p4.10", "--q", "2", "--r", "21",
+                           "--emit", "cycles")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out == "{'fixed': 1, 'cycles': {'3': 1, '7': 9, '21': 49929}}\n"
+    assert peak <= 17.5 * 2 ** 20, peak / 2 ** 20
 
 
 def test_construct_cycles_p46(capsys):

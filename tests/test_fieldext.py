@@ -8,7 +8,7 @@ from cppforge.linalg import companion
 from cppforge.perm import PermTable, space
 from cppforge.poly import Poly, cyclotomic
 
-from test_perm import from_fn
+from test_perm import from_fn, identity
 
 F2 = gf.field_new(2)
 F3 = gf.field_new(3)
@@ -127,7 +127,7 @@ def test_explicit_alpha_and_dependent_error():
 
 def test_to_univariate_identity_and_zero():
     bp = default_basis(F2, 2)
-    e = PermTable.identity(F2, 2)
+    e = identity(F2, 2)
     assert to_univariate(bp, e) == Poly.t(bp.big)
     z = PermTable(F2, 2, [0, 0, 0, 0])
     assert to_univariate(bp, z) == Poly.zero(bp.big)
@@ -168,8 +168,8 @@ def test_additive_tables_are_linearized():
 def test_to_univariate_mismatch_and_cap():
     bp = default_basis(F2, 2)
     with pytest.raises(CtxMismatch):
-        to_univariate(bp, PermTable.identity(F2, 3))
-    big_tbl = PermTable.identity(F2, 13)  # 8192 entries: fine as a table
+        to_univariate(bp, identity(F2, 3))
+    big_tbl = identity(F2, 13)  # 8192 entries: fine as a table
     with pytest.raises(SizeCap):
         to_univariate(default_basis(F2, 13), big_tbl)
 
@@ -216,10 +216,10 @@ def test_to_univariate_matches_recurrence_oracle(sub, d):
     bp = default_basis(sub, d)
     n = bp.big.q
     zero = PermTable(sub, d, np.zeros(n, dtype=np.int64))
-    for tbl in (zero, PermTable.identity(sub, d), *random_tables(sub, d, seed=n)):
+    for tbl in (zero, identity(sub, d), *random_tables(sub, d, seed=n)):
         assert to_univariate(bp, tbl) == recurrence_to_univariate(bp, tbl)
     assert to_univariate(bp, zero) == Poly.zero(bp.big)
-    assert to_univariate(bp, PermTable.identity(sub, d)) == Poly.t(bp.big)
+    assert to_univariate(bp, identity(sub, d)) == Poly.t(bp.big)
 
 
 @pytest.mark.parametrize("sub,d", [(F2, 12), (F4, 6)], ids=_tower_id)

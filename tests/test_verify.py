@@ -388,6 +388,21 @@ def test_theorem_sweeps_build_no_table_per_polynomial(monkeypatch):
         assert len(built) <= 3 * len(points) < polys, cid
 
 
+def test_verify_all_builds_no_permtable(monkeypatch):
+    # every sweep, in the full profile too, judges stacked tables: no point
+    # wraps a table in a PermTable
+    real = PermTable.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermTable, "__init__", counted)
+    summary = verify.verify_all("full")
+    assert summary["points"] == 245 and built == []
+
+
 def test_thm323_builds_m_plus_i_from_the_matrix(monkeypatch):
     # sigma + e = tau1 o sigma_(M+I) o tau1^-1 compares against a table built
     # from the matrix M + I, not one derived from sigma + e
@@ -526,28 +541,13 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
     # stacked entry point that verify calls in its place, and a sabotage of
     # sigma_M to the additive section-3 stacks (_conjugated_by_table).  The
     # theorem and section-3 checks read sigma^n = e from the power lengths of
-    # a stack, so the npower sabotage applies to is_r_cycle and
-    # power_lengths_rows too.
-    real_npower, real_is_r_cycle = PermTable.npower, PermTable.is_r_cycle
+    # a stack, so the npower sabotage (a composite power that moves point 0)
+    # applies to power_lengths_rows.
 
     def swap12(t):
         t = t.copy()
         t[1], t[2] = t[2], t[1]
         return t
-
-    def swap01_past_one(t, n):
-        if n <= 1:
-            return t
-        t = t.copy()
-        t[0], t[1] = t[1], t[0]
-        return t
-
-    def npower(self, n):
-        tbl = real_npower(self, n)
-        return PermTable(tbl.ctx, tbl.d, swap01_past_one(tbl.table, n))
-
-    def is_r_cycle(self, r):  # what npower(r) == e reads under the npower sabotage
-        return r <= 1 and real_is_r_cycle(self, r)
 
     def moved_first(lengths):  # sigma^r moves point 0, as npower(r) != e reads
         lengths = lengths.copy()
@@ -570,8 +570,7 @@ def test_section3_and_theorem_fail_witnesses_pinned(monkeypatch):
     patches = {
         "from_matrix": [(verify, "matrix_tables", _rowwise(swap12, _REAL_MATRIX_TABLES)),
                         (verify, "_additive_tables", _conjugated_by_table(swap12))],
-        "npower": [(PermTable, "npower", npower), (PermTable, "is_r_cycle", is_r_cycle),
-                   (verify, "power_lengths_rows",
+        "npower": [(verify, "power_lengths_rows",
                     _rowwise(moved_first, verify.power_lengths_rows))],
         "companion": [(mod, "companion", companion) for mod in (linalg, construct, cppforge)]
                      + [(verify, "companions", companions)],
@@ -619,7 +618,7 @@ def test_section4_off_length_witnesses_pinned(monkeypatch):
 def test_one_cycle_pass_per_checked_table(monkeypatch, cid, point):
     # sigma^r = e (sigma^n = e in the theorems), the census, regularity and
     # the witness cycle of a table all read its power lengths; no check
-    # takes a composite power through PermTable.npower.  The section-3 and
+    # takes a composite power of one table.  The section-3 and
     # theorem sweeps check a block of tables with one stacked kernel call
     # per kind of matrix, and the section-4 sweep one call per block of
     # construct.build_rows: p4.2.3 over F_5 is one block of 8 cases of 25
@@ -638,9 +637,6 @@ def test_one_cycle_pass_per_checked_table(monkeypatch, cid, point):
                 yield block
         return blocks_of
 
-    def no_npower(self, n):
-        raise AssertionError("verify took a composite power")
-
     def build_rows(specs):
         built.append(real_build_rows(specs))
         return built[-1]
@@ -651,7 +647,6 @@ def test_one_cycle_pass_per_checked_table(monkeypatch, cid, point):
     monkeypatch.setattr(construct, "build_rows", build_rows)
     for name in ("_p3_tables", "_monic_blocks"):
         monkeypatch.setattr(verify, name, recorded(getattr(verify, name)))
-    monkeypatch.setattr(PermTable, "npower", no_npower)
     (rep,) = verify.verify_claim(cid, grid=[point], master_seed=42, profile="full")
     assert rep.verdict == "pass", rep.to_json()
     if cid.startswith("thm"):
@@ -910,7 +905,7 @@ def test_additive_sweeps_build_no_tau_table(monkeypatch):
     def no_call(*args):
         raise AssertionError("an additive sweep built or applied a tau table")
 
-    for target, name in ((verify, "conjugate_rows"), (verify, "tau_to_table"),
+    for target, name in ((verify, "conjugate_rows"), (verify, "tau_array"),
                          (perm, "conjugate_rows"), (construct, "tau_to_table"),
                          (construct, "tau_array")):
         monkeypatch.setattr(target, name, no_call)
@@ -1009,6 +1004,77 @@ def test_explore_returns_finding_dicts():
     assert all({"cpp", "regular"} <= set(r) for r in rows)
     rows2 = verify.explore_quadratic(5, "2^1", count=3, seed=1)
     assert "note" in rows2[0]  # Q_5 is irreducible over F_2: no proper factor
+
+
+# sha256 of the explore findings (default seed; canonical JSON lines joined
+# by newlines) at counts 1 and 8 for each (r, field), and at count 40 for
+# Q_35 over F_2.  Recorded while each draw was judged as one PermTable, by
+# PermTable.conjugate, is_cpp and is_r_regular.  Over F_5 and F_11 some draws
+# are CPPs and some are not; Q_35 has factors of degree 12, so its tables
+# hold 2^12 entries
+EXPLORE_SHA256 = {
+    (5, "2^2"): ("55d32d2bcbd67c01f54f0d29dc7591c23a0a246fa3d31db16ef64e0868b8a9ea",
+                 "e1955c00bfb503193cc7951feb0026c09ff133ff2eb0d6ac6aea7c65ace7afe0"),
+    (9, "2^1"): ("accbdbbf5a034b639657ba32c196e98652f3d390a9212b5f836e9cbbe5de5cbd",
+                 "24eef95186f6c50e31ad0247960c2ca6f960ac0cca71a43fe044cacf1b982dc2"),
+    (11, "3^1"): ("b398eb158ad77a61c5eb6fcaed0a5eff1a90ed6eddfab95c9697b3b664523d90",
+                  "3a5095ccf30bb911be88c653c4efa4e57874ebe28a7040d062542173b2905430"),
+    (17, "2^1"): ("38dd33e9fe58bdef00ee1477f8a4b330390c6de17c455a320821722ae38f211f",
+                  "c2dbb89ed93f6e5c21856aed6c615fddb301a1febcdbbfb1fa5c915920d6df30"),
+    (8, "3^1"): ("9bb8df43e25ad5a0bd0c5bf54d71e319231f6343b5af59a794e869e69af6dee7",
+                 "8b11d58fb4ec76d510d9dd87ad59517bf674068976bf86598d1ae918f23bc553"),
+    (4, "5^1"): ("d49b216a875b53bf987b8875ec1f3ee6d545faf45ec50cda82ecb379276f4dee",
+                 "d312f4f947aa1339225cb9f6c3894e736cecba8ad56d38423c0f3139b0ef2a12"),
+    (6, "5^1"): ("c782e417034d692e87edcd1729c6a30672b74b4a66c709d1c4cd835399634df1",
+                 "427340cd5f78917c8d9aee62f7cc657fb5e91a44d78a446cf57044be96ae3c7d"),
+    (5, "11^1"): ("c5a5745332b8eb472db70c2ca956507c3cb83475843b0d30441b5de79c5f63b0",
+                  "0a5ecee3ac09997b51fedeea2a6e17f2c8bb2494c473c709867aa22437e6b150"),
+    (35, "2^1"): ("0965faf59170f3540d2b26087b30dfc40778714181827b88745bebeeae9fea73",
+                  "6a65c86d46a1239c01a4abf32e2259f9fe722dcfaa8c061fef7a9933b0ce8cdc"),
+}
+EXPLORE_35_40_SHA256 = "9553d7c9500b1470f6a65b7a5cdab2def66aabc052315145722c6dd28bb98b3a"
+
+
+def _explore_sha256(r, field, count):
+    rows = verify.explore_quadratic(r, field, count=count)
+    assert len(rows) == count
+    return _sha256("\n".join(verify.canonical_json(row) for row in rows))
+
+
+@pytest.mark.parametrize("bound", [1, 61, 3 << 12 | 5, 1 << 16])
+def test_explore_findings_pinned(monkeypatch, bound):
+    # the draws run in blocks of at most _BLOCK entries (or one draw): a
+    # bound of 1 makes every draw a block, 61 blocks of 3 draws of 16 entries
+    # over F_4^2, and 3 * 2^12 + 5 blocks of 3 draws of 2^12 entries
+    monkeypatch.setattr(verify, "_BLOCK", bound)
+    for (r, field), pins in EXPLORE_SHA256.items():
+        assert verify.explore_quadratic(r, field, count=0) == []
+        assert (_explore_sha256(r, field, 1), _explore_sha256(r, field, 8)) == pins, (r, field)
+    assert _explore_sha256(35, "2^1", 40) == EXPLORE_35_40_SHA256
+
+
+def test_explore_peak_does_not_grow_with_count():
+    # Q_35 over F_2 has factors of degree 12: tables of 2^12 entries, 16
+    # draws to a block of _BLOCK entries.  The work of 256 draws, 16 blocks,
+    # peaks where one block does: 2.08 MiB traced at 16, 64 and 256 draws,
+    # 0.27 MiB at 2 draws, at most eight int32 stacks of a block more.  One
+    # block of 1024 draws peaked at 101 MiB.  The findings that explore
+    # returns are held, not work, and are left out
+    verify.explore_quadratic(35, "2^1", count=1)  # Q_35 factored outside the trace
+
+    def work(count):
+        tracemalloc.start()
+        try:
+            rows = verify.explore_quadratic(35, "2^1", count=count)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == count
+        return peak - held
+
+    two, block, many = work(2), work(16), work(256)
+    assert many <= block + (64 << 10), (block, many)
+    assert many <= two + 8 * 4 * verify._BLOCK, (two, many)
 
 
 # the traced peak allowed to each cap point, in MiB, looked up by the test
