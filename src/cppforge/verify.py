@@ -35,6 +35,8 @@ One judge, ``_steps``, checks the blocks of all three, and reads sigma^r = e
 (one r, or one order per row), regularity, the census and witness cycles
 from one ``perm.power_lengths_rows`` call per block: powers of sigma by
 repeated squaring (the power criterion), never a pointer-jumping census.
+The exploratory sweep, ``explore_quadratic``, stacks its draws in the same
+blocks and reads the same kernels, but reports findings, not verdicts.
 
 Reports are replayable: the verdict and witness are pure functions of
 (claim id, parameters, master seed).  The JSON-line stream therefore emits a
@@ -899,8 +901,8 @@ def explore_quadratic(r: int, field: str, count: int = 8,
     rng = Random(f"cppforge:explore:{seed}:{r}:{field}")
     fixed = [tuple(range(ctx.q))] * (h.degree - 1)
     out = []
-    # the draws in blocks of at most _BLOCK entries (or one draw), each
-    # drawn as before: M, then the permutation of the first coordinate
+    # the draws in blocks of at most _BLOCK entries (or one draw); each draw
+    # takes M, then the permutation of the first coordinate, from rng
     step = max(1, _BLOCK // sp.n)
     for lo in range(0, count, step):
         mats, taus = [], np.empty((min(step, count - lo), sp.n), dtype=np.int32)
