@@ -1009,9 +1009,9 @@ def test_explore_returns_finding_dicts():
 # sha256 of the explore findings (default seed; canonical JSON lines joined
 # by newlines) at counts 1 and 8 for each (r, field), and at count 40 for
 # Q_35 over F_2.  Recorded while each draw was judged as one PermTable, by
-# PermTable.conjugate, is_cpp and is_r_regular.  Over F_5 and F_11 some draws
-# are CPPs and some are not; Q_35 has factors of degree 12, so its tables
-# hold 2^12 entries
+# PermTable.conjugate, is_cpp and is_r_regular.  Over F_5 some of the eight
+# draws are CPPs and some are not, and over F_11 none is; Q_35 has factors
+# of degree 12, so its tables hold 2^12 entries
 EXPLORE_SHA256 = {
     (5, "2^2"): ("55d32d2bcbd67c01f54f0d29dc7591c23a0a246fa3d31db16ef64e0868b8a9ea",
                  "e1955c00bfb503193cc7951feb0026c09ff133ff2eb0d6ac6aea7c65ace7afe0"),
